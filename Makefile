@@ -1,12 +1,19 @@
 GO ?= go
 
-.PHONY: test race bench-smoke bench-json bench-pr4 bench-pr5 bench-pr6 bench-pr7 bench-pr8 bench-pr9 bench-pr10 mutexprofile fault-soak
+.PHONY: test race bench bench-smoke bench-json bench-pr4 bench-pr5 bench-pr6 bench-pr7 bench-pr8 bench-pr9 bench-pr10 mutexprofile fault-soak
 
 test:
 	$(GO) build ./... && $(GO) test ./...
 
 race:
 	$(GO) test -race ./...
+
+# The performance ledger: every workload of BENCHMARK.json, end-to-end and
+# per-layer metrics (~2.5 min; see bench/README.md for -runs and -compare).
+# bench/ is a module of its own, which `go test ./...` does not descend
+# into: its smoke test is `go test -C bench . -short`.
+bench:
+	$(GO) run -C bench .
 
 # One iteration of every benchmark: catches benchmarks that rot without
 # paying for real measurement.

@@ -494,6 +494,43 @@ func TestGCReclaimsOnlyUnprotectedDummySpace(t *testing.T) {
 	}
 }
 
+// TestGCNilSourceAdvancesAcrossPasses pins the fix for GC(…, nil)
+// re-seeding on every call: the system keeps one GC source, so the first
+// pass draws exactly what a fresh Seed+0x6763 source draws (experiments and
+// `*_virt` numbers that GC once are unchanged) and the second pass draws
+// something else — a fixed reclaim fraction is what Sec. IV-D's random
+// percentage exists to avoid.
+func TestGCNilSourceAdvancesAcrossPasses(t *testing.T) {
+	const seed = 11
+	sys, _ := newSystem(t, seed, []string{"hidden-pw"})
+	old := func() float64 { // the fraction every nil-source pass used to draw
+		f := prng.NewSource(seed + 0x6763).Float64()
+		return min(max(1-f*f, 0.05), 0.95)
+	}()
+	first, err := sys.GC(nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := sys.GC(nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Fraction != old {
+		t.Fatalf("first pass drew %v, want the seed's first draw %v", first.Fraction, old)
+	}
+	if second.Fraction == first.Fraction {
+		t.Fatalf("second pass redrew the first pass's fraction %v", first.Fraction)
+	}
+	// A caller's own source is still honoured and leaves the system's alone.
+	own, err := sys.GC(nil, prng.NewSource(seed+0x6763))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if own.Fraction != old {
+		t.Fatalf("explicit source drew %v, want %v", own.Fraction, old)
+	}
+}
+
 func TestSetupErrors(t *testing.T) {
 	dev := storage.NewMemDevice(blockSize, 4096)
 	cfg := testConfig(13)

@@ -29,9 +29,22 @@ type GCReport struct {
 //
 // Virtual block 0 of every volume (verifier / cover block) is never
 // reclaimed so all non-public volumes keep identical minimum footprints.
+//
+// A nil src draws from the system's own GC source: seeded from Config.Seed
+// on first use and advanced from pass to pass, so successive passes draw
+// different fractions. (Re-seeding per call, as earlier versions did, drew
+// the same fraction every pass — a fixed percentage is exactly what the
+// random one exists to avoid.)
 func (s *System) GC(protected []int, src *prng.Source) (GCReport, error) {
 	if src == nil {
-		src = prng.NewSource(s.cfg.Seed + 0x6763)
+		// Held for the whole pass: a Source is not safe for concurrent
+		// use, and two passes racing for one would interleave their draws.
+		s.gcMu.Lock()
+		defer s.gcMu.Unlock()
+		if s.gcSrc == nil {
+			s.gcSrc = prng.NewSource(s.cfg.Seed + 0x6763)
+		}
+		src = s.gcSrc
 	}
 	keep := map[int]bool{PublicVolumeID: true}
 	for _, id := range protected {

@@ -81,6 +81,13 @@ func WritePrometheus(w io.Writer, t Telemetry) error {
 		pw.counter("mobiceal_file_eintr_retries_total", "Transfers re-issued after EINTR.", float64(f.EintrRetries))
 		pw.counter("mobiceal_file_short_transfers_total", "Transfers continued after a short count.", float64(f.ShortTransfers))
 		pw.counter("mobiceal_file_bounce_copies_total", "Direct-mode transfers bounced through the aligned pool.", float64(f.BounceCopies))
+		ring := 0.0
+		if f.Ring {
+			ring = 1
+		}
+		pw.gauge("mobiceal_file_ring_live", "1 when scattered extents go down as ring batches, 0 when the image has no submission ring (not yet needed, or refused by the kernel).", ring)
+		pw.counter("mobiceal_file_batches_total", "Extent batches served as one ring submission.", float64(f.BatchCalls))
+		pw.counter("mobiceal_file_batch_requests_total", "Requests carried by ring batches.", float64(f.BatchReqs))
 	}
 	return pw.err
 }

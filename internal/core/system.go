@@ -157,6 +157,11 @@ type System struct {
 	// choke point real and dummy traffic traverse identically.
 	flight *obs.FlightRecorder
 
+	// gcSrc is the source GC draws from when the caller passes none:
+	// created on the first such pass, advanced by every one (gc.go).
+	gcMu  sync.Mutex
+	gcSrc *prng.Source
+
 	metaBlocks uint64
 	dataBlocks uint64
 }

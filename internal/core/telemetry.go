@@ -40,7 +40,8 @@ type Telemetry struct {
 
 	// File is the base device's syscall accounting, present only when the
 	// system sits on a backend that reports one (a FileDevice): vectored
-	// transfer calls, segments per call, retry-loop interventions, and the
+	// transfer calls, segments per call, retry-loop interventions, batches
+	// served by the submission ring (and whether there is one), and the
 	// direct-mode flag. Like everything else here it is aggregate per
 	// device — one file serves every volume, so the numbers attribute
 	// nothing.
@@ -108,8 +109,13 @@ func (t Telemetry) String() string {
 		if f.Direct {
 			mode = "direct"
 		}
-		fmt.Fprintf(&b, " file %s preadv %d/%d pwritev %d/%d",
-			mode, f.PreadvCalls, f.ReadSegs, f.PwritevCalls, f.WriteSegs)
+		ring := "off"
+		if f.Ring {
+			ring = "on"
+		}
+		fmt.Fprintf(&b, " file %s preadv %d/%d pwritev %d/%d batch %d/%d ring %s",
+			mode, f.PreadvCalls, f.ReadSegs, f.PwritevCalls, f.WriteSegs,
+			f.BatchCalls, f.BatchReqs, ring)
 	}
 	return b.String()
 }

@@ -20,7 +20,14 @@ func isDirectRefused(err error) bool { return false }
 // surfaces it.
 func isEINTR(err error) bool { return false }
 
+// isEAGAIN: only a submission ring reports it, and there is none here.
+func isEAGAIN(err error) bool { return false }
+
 func platformVIO() vectorIO { return fileVIO{} }
+
+// platformBatchIO is nil: without a submission ring every batch takes the
+// serial loop.
+var platformBatchIO func(fd int) (batchIO, error)
 
 type fileVIO struct{}
 

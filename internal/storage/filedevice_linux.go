@@ -26,6 +26,11 @@ func isDirectRefused(err error) bool { return errors.Is(err, syscall.EINVAL) }
 // failure the retry loop re-issues without counting progress.
 func isEINTR(err error) bool { return errors.Is(err, syscall.EINTR) }
 
+// isEAGAIN reports a ring completion the kernel could neither serve
+// without blocking nor hand to a worker; the extent is re-issued through
+// the blocking syscall path.
+func isEAGAIN(err error) bool { return errors.Is(err, syscall.EAGAIN) }
+
 // platformVIO returns the raw preadv/pwritev backend.
 func platformVIO() vectorIO { return rawVIO{} }
 

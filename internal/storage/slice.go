@@ -15,6 +15,7 @@ type SliceDevice struct {
 var (
 	_ RangeDevice = (*SliceDevice)(nil)
 	_ VecDevice   = (*SliceDevice)(nil)
+	_ Batcher     = (*SliceDevice)(nil)
 )
 
 // NewSliceDevice returns a view of parent covering blocks
@@ -81,6 +82,30 @@ func (d *SliceDevice) WriteBlocksVec(start uint64, v BlockVec) error {
 		return err
 	}
 	return WriteBlocksVec(d.parent, d.start+start, v)
+}
+
+// DoBatch implements Batcher by offsetting every request into the parent
+// for the duration of the call. A batch holding a request outside the
+// slice is declined, so the serial path reports the error at that request
+// with the ones before it executed.
+func (d *SliceDevice) DoBatch(write bool, reqs []IOReq) (bool, error) {
+	b, ok := d.parent.(Batcher)
+	if !ok {
+		return false, nil
+	}
+	for i := range reqs {
+		if checkVecIO(reqs[i].Start, reqs[i].Vec, d.BlockSize(), d.length) != nil {
+			return false, nil
+		}
+	}
+	for i := range reqs {
+		reqs[i].Start += d.start
+	}
+	handled, err := b.DoBatch(write, reqs)
+	for i := range reqs {
+		reqs[i].Start -= d.start
+	}
+	return handled, err
 }
 
 // DiscardRange implements Discarder by offsetting the range into the

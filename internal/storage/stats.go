@@ -108,6 +108,7 @@ var (
 	_ FlightRangeDevice = (*StatsDevice)(nil)
 	_ FlightVecDevice   = (*StatsDevice)(nil)
 	_ FlightSyncer      = (*StatsDevice)(nil)
+	_ Batcher           = (*StatsDevice)(nil)
 )
 
 // NewStatsDevice wraps inner with I/O accounting.
@@ -315,14 +316,36 @@ func (d *StatsDevice) ReadBlocksVecFlight(fid, start uint64, v BlockVec) error {
 func (d *StatsDevice) readBlocksVecF(fid, start uint64, v BlockVec) error {
 	t0 := time.Now()
 	err := ReadBlocksVec(d.inner, start, v)
-	d.devop(fid, obs.FOpRead, uint64(v.Len()), err)
-	if err != nil {
-		return err
+	d.noteVec(false, fid, start, v, t0, err)
+	return err
+}
+
+// noteVec accounts one completed vec transfer: the leaf flight event
+// always, and — for a success — one latency observation, the block and
+// byte counters and the write trace. The vec methods and DoBatch share
+// it, so a request counts the same whichever way it went down.
+func (d *StatsDevice) noteVec(write bool, fid, start uint64, v BlockVec, t0 time.Time, err error) {
+	n := uint64(v.Len())
+	if !write {
+		d.devop(fid, obs.FOpRead, n, err)
+		if err != nil {
+			return
+		}
+		d.m.ReadLat.Since(t0)
+		d.m.ReadBlocks.Add(n)
+		d.m.BytesRead.Add(uint64(v.Bytes()))
+		return
 	}
-	d.m.ReadLat.Since(t0)
-	d.m.ReadBlocks.Add(uint64(v.Len()))
-	d.m.BytesRead.Add(uint64(v.Bytes()))
-	return nil
+	d.devop(fid, obs.FOpWrite, n, err)
+	if err != nil {
+		return
+	}
+	d.m.WriteLat.Since(t0)
+	d.m.WriteBlocks.Add(n)
+	d.m.BytesWrite.Add(uint64(v.Bytes()))
+	if d.traceOn.Load() {
+		d.traceWrite(start, n)
+	}
 }
 
 // WriteBlocksVec implements VecDevice. The write trace records every block
@@ -339,18 +362,35 @@ func (d *StatsDevice) WriteBlocksVecFlight(fid, start uint64, v BlockVec) error 
 func (d *StatsDevice) writeBlocksVecF(fid, start uint64, v BlockVec) error {
 	t0 := time.Now()
 	err := WriteBlocksVec(d.inner, start, v)
-	d.devop(fid, obs.FOpWrite, uint64(v.Len()), err)
-	if err != nil {
-		return err
+	d.noteVec(true, fid, start, v, t0, err)
+	return err
+}
+
+// DoBatch implements Batcher: the batch goes to the inner device whole,
+// and each request that was attempted is accounted exactly as its own vec
+// call would have been — same counters, one flight event under its own id
+// — so byte accounting and trace signatures do not depend on whether a
+// request travelled alone or in a batch. The one thing a batch cannot
+// give is a per-request service time: every request of a batch observes
+// the batch's.
+func (d *StatsDevice) DoBatch(write bool, reqs []IOReq) (bool, error) {
+	b, ok := d.inner.(Batcher)
+	if !ok {
+		return false, nil
 	}
-	d.m.WriteLat.Since(t0)
-	n := uint64(v.Len())
-	d.m.WriteBlocks.Add(n)
-	d.m.BytesWrite.Add(uint64(v.Bytes()))
-	if d.traceOn.Load() {
-		d.traceWrite(start, n)
+	t0 := time.Now()
+	handled, err := b.DoBatch(write, reqs)
+	if !handled {
+		return false, nil
 	}
-	return nil
+	for i := range reqs {
+		r := &reqs[i]
+		if r.Err == nil && r.Done < r.Vec.Len() {
+			continue // not attempted: an earlier request failed
+		}
+		d.noteVec(write, r.FID, r.Start, r.Vec, t0, r.Err)
+	}
+	return true, err
 }
 
 // Sync implements Device.

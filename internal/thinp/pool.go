@@ -885,6 +885,16 @@ func (p *Pool) provisionVB(tm *thinMeta, st *mapStripe, vb uint64, aff int, excl
 // schedule per burst instead of per block. Caller holds p.mu in either
 // mode and no stripe lock.
 //
+// The burst places every block first and then writes them all as ONE
+// batch, exactly as a real multi-block write does (writeExtentsLocked).
+// That is a deniability requirement, not an optimisation: were an 8-block
+// hidden write one submission and an 8-block dummy burst eight, the
+// device's syscall counters would tell them apart. Failure is
+// prefix-shaped the same way: the blocks before the first failed one
+// landed and stay, that one and every later one are unmapped — a mapped
+// dummy block holding stale background content instead of keystream
+// output would be distinguishable from real dummy data.
+//
 // Flight recording: each noise block gets a fresh request id and emits
 // exactly the lifecycle a fresh single-block real write emits —
 // provision (inside allocate), map-resolve once mapped, then the leaf
@@ -899,18 +909,32 @@ func (p *Pool) execDummy(target, count int) error {
 	st := p.stripeOf(target)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	var inline []byte
+	batch := getBatch()
+	defer putBatch(batch)
+	var vbArr [16]uint64
+	vbs := vbArr[:0] // vbs[i] is the vblock batch.reqs[i] fills
+	// unplace unmaps the placed blocks from index from on and hands every
+	// noise buffer back to the stage for the next refill to overwrite.
+	unplace := func(from int) {
+		for _, vb := range vbs[from:] {
+			_ = p.discardStripeLocked(tm, st, vb)
+		}
+		for i := range batch.reqs {
+			p.recycleNoise(batch.reqs[i].Vec.Seg(0))
+		}
+	}
+	bs := p.data.BlockSize()
 	var burst *xcrypto.NoiseStream
 	for i := 0; i < count; i++ {
 		if tm.pt.count >= tm.virtBlocks || p.bm.Free() == 0 {
 			// Target volume or pool is full; a real deployment relies on
 			// garbage collection to make room (Sec. IV-D). Stop quietly —
 			// dummy writes are best-effort obfuscation.
-			return nil
+			break
 		}
 		vb, ok := p.randomUnmappedVBlock(tm)
 		if !ok {
-			return nil
+			break
 		}
 		bfid := p.flightID(0)
 		// Affinity is the target thin for the affinity-based strategies;
@@ -918,27 +942,28 @@ func (p *Pool) execDummy(target, count int) error {
 		// globally uniform (the deniability property).
 		pb, err := p.allocate(bfid, target)
 		if err != nil {
-			return nil // pool filled up mid-write; same best-effort rule
+			break // pool filled up mid-write; same best-effort rule
 		}
 		tm.mapSet(vb, pb)
 		tm.noteMapped(vb)
 		st.dirty[tm.id] = struct{}{}
+		vbs = append(vbs, vb)
 		if bfid != 0 {
 			// Same stage order as a real fresh write: provision (above),
 			// then map-resolve, then the device write below.
 			p.flight.Record(bfid, obs.StageMapResolve, obs.FOpWrite, 1, obs.ClassNone, 0)
 		}
 		noise := p.takeStagedNoise()
-		staged := noise != nil
-		if !staged {
+		if noise == nil {
 			if burst == nil {
-				burst, err = xcrypto.NewNoiseStream(p.opts.Entropy)
-				if err != nil {
+				if burst, err = xcrypto.NewNoiseStream(p.opts.Entropy); err != nil {
+					unplace(0) // nothing has been written yet
 					return fmt.Errorf("thinp: generating noise: %w", err)
 				}
-				inline = make([]byte, p.data.BlockSize())
 			}
-			noise = inline
+			// The blocks of a burst are in flight together, so each needs
+			// a payload buffer of its own.
+			noise = make([]byte, bs)
 			burst.Fill(noise)
 		}
 		if p.opts.Meter != nil {
@@ -949,21 +974,15 @@ func (p *Pool) execDummy(target, count int) error {
 			// the staging optimization.
 			p.opts.Meter.ChargeCrypto(len(noise))
 		}
-		werr := storage.WriteBlockFlight(p.data, bfid, pb, noise)
-		if staged {
-			// The device copied (or rejected) the payload; the buffer goes
-			// back for the next refill to overwrite.
-			p.recycleNoise(noise)
-		}
-		if err := werr; err != nil {
-			// Unwind the mapping of the block whose noise never landed: a
-			// mapped dummy block holding stale background content instead
-			// of keystream output would be distinguishable from real
-			// dummy data.
-			_ = p.discardStripeLocked(tm, st, vb)
-			return fmt.Errorf("thinp: writing noise block %d: %w", pb, err)
-		}
-		p.dummyBlocksWritten.Add(1)
+		batch.reqs = append(batch.reqs, storage.IOReq{Start: pb, Vec: storage.VecOne(bs, noise), FID: bfid})
+	}
+	werr := storage.DoBatch(p.data, true, batch.reqs)
+	landed := storage.FirstFailed(batch.reqs)
+	p.dummyBlocksWritten.Add(uint64(landed))
+	// The device copied (or rejected) the payloads.
+	unplace(landed)
+	if werr != nil {
+		return fmt.Errorf("thinp: writing noise block %d: %w", batch.reqs[landed].Start, werr)
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package thinp
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"mobiceal/internal/obs"
@@ -150,6 +151,28 @@ func (t *Thin) vecOf(buf []byte) (storage.BlockVec, error) {
 	return storage.VecOne(t.pool.data.BlockSize(), buf), nil
 }
 
+// ioBatch is a pooled request list for storage.DoBatch. The list reaches
+// the device through an interface call, so a stack-backed one would be
+// moved to the heap on every request; pooling keeps the I/O paths at the
+// allocation count they had when they called the device per extent.
+type ioBatch struct {
+	reqs []storage.IOReq
+}
+
+var batchPool = sync.Pool{New: func() any {
+	return &ioBatch{reqs: make([]storage.IOReq, 0, 16)}
+}}
+
+// getBatch returns an empty request list.
+func getBatch() *ioBatch { return batchPool.Get().(*ioBatch) }
+
+// putBatch recycles b, dropping its references to caller buffers.
+func putBatch(b *ioBatch) {
+	clear(b.reqs)
+	b.reqs = b.reqs[:0]
+	batchPool.Put(b)
+}
+
 // extent is one physically-resolved run of a virtual range: count
 // consecutive virtual blocks that are either all holes or mapped to
 // physically consecutive data blocks, so the run can be served by a single
@@ -257,26 +280,29 @@ func (t *Thin) readBlocksVecF(fid, start uint64, v storage.BlockVec) error {
 		t.pool.flight.Record(fid, obs.StageMapResolve, obs.FOpRead, uint32(n), obs.ClassNone, 0)
 	}
 	meter := t.pool.opts.Meter
+	// Holes zero-fill in place; the mapped extents — scattered over the
+	// data device by the random allocator — go down as ONE batch.
+	batch := getBatch()
 	off := 0
 	for _, e := range exts {
 		sub := v.Slice(off, e.count)
 		if e.hole {
-			err = sub.Range(func(_ int, seg []byte) error {
+			_ = sub.Range(func(_ int, seg []byte) error {
 				clear(seg)
 				return nil
 			})
 		} else {
-			err = storage.ReadBlocksVecFlight(t.pool.data, fid, e.phys, sub)
-		}
-		if err != nil {
-			st.mu.RUnlock()
-			t.pool.mu.RUnlock()
-			return err
+			batch.reqs = append(batch.reqs, storage.IOReq{Start: e.phys, Vec: sub, FID: fid})
 		}
 		off += e.count
 	}
+	err = storage.DoBatch(t.pool.data, false, batch.reqs)
+	putBatch(batch)
 	st.mu.RUnlock()
 	t.pool.mu.RUnlock()
+	if err != nil {
+		return err
+	}
 
 	if meter != nil {
 		for i := uint64(0); i < n; i++ {
@@ -618,27 +644,36 @@ func (t *Thin) provisionHolesLocked(tm *thinMeta, st *mapStripe, holes []uint64,
 	return nil
 }
 
-// writeExtentsLocked issues the resolved extent runs as scatter-gather
-// data-device calls over sub-vectors of the caller's segments, returning
-// how many blocks landed. Caller holds the pool lock (shared or
-// exclusive) across the call — that is the point: the mappings the
-// extents were resolved from cannot change while the data is in flight.
+// writeExtentsLocked issues the resolved extent runs as one batch of
+// scatter-gather data-device requests over sub-vectors of the caller's
+// segments — submitted together, waited for once — and returns how many
+// blocks landed. Caller holds the pool lock (shared or exclusive) across
+// the call — that is the point: the mappings the extents were resolved
+// from cannot change while the data is in flight.
+//
+// "Landed" is prefix-shaped whatever the device did: every block of the
+// extents before the first failed one, plus that extent's own completed
+// prefix. A batching device may well have landed later extents too; they
+// count as not landed, so the caller unwinds their fresh provisions and a
+// failed write never leaves data above a hole it reports.
 func (t *Thin) writeExtentsLocked(fid uint64, v storage.BlockVec, exts []extent) (uint64, error) {
+	batch := getBatch()
+	defer putBatch(batch)
 	off := 0
-	done := uint64(0) // blocks whose data reached the device
 	for _, e := range exts {
-		werr := storage.WriteBlocksVecFlight(t.pool.data, fid, e.phys, v.Slice(off, e.count))
-		if werr != nil {
-			var pe *storage.PartialError
-			if errors.As(werr, &pe) {
-				done += uint64(pe.Done)
-			}
-			return done, werr
-		}
-		done += uint64(e.count)
+		batch.reqs = append(batch.reqs, storage.IOReq{Start: e.phys, Vec: v.Slice(off, e.count), FID: fid})
 		off += e.count
 	}
-	return done, nil
+	werr := storage.DoBatch(t.pool.data, true, batch.reqs)
+	if werr == nil {
+		return uint64(off), nil
+	}
+	failed := storage.FirstFailed(batch.reqs)
+	done := uint64(batch.reqs[failed].Done)
+	for _, e := range exts[:failed] {
+		done += uint64(e.count)
+	}
+	return done, werr
 }
 
 // unwindFresh discards this request's fresh provisions at or above

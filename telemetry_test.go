@@ -253,6 +253,13 @@ func TestFileBackedTelemetryStaysDeniable(t *testing.T) {
 	if !strings.Contains(oneliner, " file buffered preadv ") || !strings.Contains(oneliner, " win ") {
 		t.Fatalf("one-liner missing the file/window fragments: %q", oneliner)
 	}
+	// The batch fragment says whether scattered extents ride a submission
+	// ring or the device fell back — on every surface.
+	if !strings.Contains(oneliner, " batch ") || !strings.Contains(oneliner, " ring o") ||
+		!strings.Contains(prom.String(), "mobiceal_file_ring_live") ||
+		!strings.Contains(string(raw), `"batch_reqs"`) {
+		t.Fatalf("batch/ring telemetry missing: %q / %s", oneliner, raw)
+	}
 
 	forbidden := []string{"volume", "thin_id", "hidden", "dummy", "decoy", "password", "key"}
 	for name, text := range map[string]string{
