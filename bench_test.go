@@ -435,7 +435,7 @@ func BenchmarkThinRangeWrite(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				start := (uint64(i) * chunkBlocks) % span
-				if err := thin.WriteBlocks(start, chunk); err != nil {
+				if err := storage.WriteBlocks(thin, start, chunk); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -476,7 +476,7 @@ func BenchmarkCryptRange(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			start := (uint64(i) * chunkBlocks) % span
-			if err := c.WriteBlocks(start, chunk); err != nil {
+			if err := storage.WriteBlocks(c, start, chunk); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -519,7 +519,7 @@ func BenchmarkCommitIncremental(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if err := thin.WriteBlocks(0, make([]byte, mapped*uint64(benchBlockSize))); err != nil {
+			if err := storage.WriteBlocks(thin, 0, make([]byte, mapped*uint64(benchBlockSize))); err != nil {
 				b.Fatal(err)
 			}
 			if err := pool.Commit(); err != nil {
@@ -536,7 +536,7 @@ func BenchmarkCommitIncremental(b *testing.B) {
 			if err := thin.Discard(vb); err != nil {
 				b.Fatal(err)
 			}
-			if err := thin.WriteBlocks(vb, one); err != nil {
+			if err := storage.WriteBlocks(thin, vb, one); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -14,11 +14,10 @@ import (
 // The PR 10 benchmark set: real-storage concurrent-writer throughput, A/B
 // across backend (MemDevice / buffered file / O_DIRECT file) and the
 // dispatch window (inflight=1 is the pre-window serialized dispatcher,
-// bit-for-bit). Committed numbers live in BENCH_PR10.json; regenerate with
-// `make bench-pr10`.
+// bit-for-bit). Committed numbers live in BENCH_PR10.json.
 //
-// Run these with GOMAXPROCS >= the window size (bench_pr10.sh defaults to
-// 4). At GOMAXPROCS=1 a goroutine blocking in preadv/pwritev holds its P
+// Run these with GOMAXPROCS >= the window size (the committed runs used 4).
+// At GOMAXPROCS=1 a goroutine blocking in preadv/pwritev holds its P
 // until sysmon retakes it — tens of microseconds, about the cost of the
 // whole syscall — so the in-flight runs serialize in the Go runtime before
 // the kernel ever sees them and both inflight settings measure the same
@@ -56,7 +55,7 @@ func fbDevice(b *testing.B, backend string, numBlocks uint64) storage.Device {
 		fill := mobiceal.AlignedBuf(64 * fbBlockSize)
 		for at := uint64(0); at < numBlocks; at += 64 {
 			n := min(uint64(64), numBlocks-at)
-			if err := dev.WriteBlocks(at, fill[:n*fbBlockSize]); err != nil {
+			if err := storage.WriteBlocks(dev, at, fill[:n*fbBlockSize]); err != nil {
 				b.Fatal(err)
 			}
 		}

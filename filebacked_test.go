@@ -12,12 +12,15 @@ import (
 	"mobiceal/internal/storage"
 )
 
-// serialFile is a FileDevice with its submission ring forced off: it
-// declines every batch, so the stack above it moves scattered extents one
-// preadv/pwritev at a time — what a kernel without io_uring gives.
+// serialFile is a FileDevice with its submission ring forced off: it hands
+// the device one request at a time, so the stack above it moves scattered
+// extents one preadv/pwritev at a time — what a kernel without io_uring
+// gives.
 type serialFile struct{ *storage.FileDevice }
 
-func (serialFile) DoBatch(bool, []storage.IOReq) (bool, error) { return false, nil }
+func (d serialFile) Do(reqs []storage.Req) error {
+	return storage.Each(reqs, d.FileDevice.Do)
+}
 
 // ringOn and ringOff are the two ways the file-backed suites hand an image
 // to the stack.

@@ -90,7 +90,7 @@ func (s *System) GC(protected []int, src *prng.Source) (GCReport, error) {
 		// randomness protects — is unchanged by the ordering.
 		sort.Slice(take, func(i, j int) bool { return take[i] < take[j] })
 		err = storage.ForEachRun(take, func(start uint64, count int) error {
-			if err := thin.DiscardRange(start, uint64(count)); err != nil {
+			if err := storage.Discard(thin, start, uint64(count)); err != nil {
 				return fmt.Errorf("core: discarding blocks [%d, %d) of volume %d: %w",
 					start, start+uint64(count), id, err)
 			}

@@ -2,6 +2,7 @@ package dm
 
 import (
 	"fmt"
+	"sync"
 
 	"mobiceal/internal/storage"
 	"mobiceal/internal/vclock"
@@ -18,18 +19,18 @@ type Crypt struct {
 	cipher xcrypto.SectorCipher
 	meter  *vclock.Meter
 	// scratch holds reusable ciphertext buffers (the target's mempool in
-	// kernel terms), so the write path does not allocate per request.
+	// kernel terms) and twins the request lists they travel in, so the
+	// write path does not allocate per request.
 	scratch storage.BufPool
+	twins   sync.Pool
 }
 
-var (
-	_ storage.RangeDevice       = (*Crypt)(nil)
-	_ storage.VecDevice         = (*Crypt)(nil)
-	_ storage.FlightRangeDevice = (*Crypt)(nil)
-	_ storage.FlightVecDevice   = (*Crypt)(nil)
-	_ storage.FlightDiscarder   = (*Crypt)(nil)
-	_ storage.FlightSyncer      = (*Crypt)(nil)
-)
+// ctTwin is the ciphertext side of one write call: for every plaintext
+// request a request of the same shape over pooled buffers.
+type ctTwin struct {
+	reqs []storage.Req
+	segs [][]byte
+}
 
 // NewCrypt layers cipher over inner. meter may be nil; when set, crypto
 // work and target traversal are charged to it so experiments account for
@@ -44,251 +45,150 @@ func (c *Crypt) BlockSize() int { return c.inner.BlockSize() }
 // NumBlocks implements storage.Device.
 func (c *Crypt) NumBlocks() uint64 { return c.inner.NumBlocks() }
 
-// ReadBlock implements storage.Device: read ciphertext, decrypt in place.
+// ReadBlock implements storage.Device.
 func (c *Crypt) ReadBlock(idx uint64, dst []byte) error {
-	if err := c.inner.ReadBlock(idx, dst); err != nil {
-		return err
-	}
-	if err := c.cipher.DecryptSector(idx, dst, dst); err != nil {
-		return fmt.Errorf("dm: decrypting block %d: %w", idx, err)
-	}
-	if c.meter != nil {
-		c.meter.ChargeCrypto(len(dst))
-		c.meter.ChargeTraversalRead()
-	}
-	return nil
+	return storage.DoBlock(c, storage.OpRead, idx, dst)
 }
 
-// WriteBlock implements storage.Device: encrypt into a scratch buffer, then
-// write ciphertext. The caller's buffer is never modified.
+// WriteBlock implements storage.Device.
 func (c *Crypt) WriteBlock(idx uint64, src []byte) error {
-	ct := c.scratch.Get(len(src))
-	defer c.scratch.Put(ct)
-	if err := c.cipher.EncryptSector(idx, ct, src); err != nil {
-		return fmt.Errorf("dm: encrypting block %d: %w", idx, err)
-	}
-	if err := c.inner.WriteBlock(idx, ct); err != nil {
-		return err
-	}
-	if c.meter != nil {
-		c.meter.ChargeCrypto(len(src))
-		c.meter.ChargeTraversalWrite()
-	}
-	return nil
-}
-
-// ReadBlocks implements storage.RangeDevice: one vectored ciphertext read,
-// then per-sector decryption in place. Virtual-clock charges stay
-// per-block so the paper-calibrated testbed numbers are unchanged by
-// vectoring; only the real CPU cost drops.
-func (c *Crypt) ReadBlocks(start uint64, dst []byte) error {
-	return c.readBlocksF(0, start, dst)
-}
-
-// ReadBlocksFlight implements storage.FlightRangeDevice.
-func (c *Crypt) ReadBlocksFlight(fid, start uint64, dst []byte) error {
-	return c.readBlocksF(fid, start, dst)
-}
-
-func (c *Crypt) readBlocksF(fid, start uint64, dst []byte) error {
-	bs := c.inner.BlockSize()
-	if len(dst)%bs != 0 {
-		return storage.ErrBadBuffer
-	}
-	if err := storage.ReadBlocksFlight(c.inner, fid, start, dst); err != nil {
-		return err
-	}
-	n := len(dst) / bs
-	for i := 0; i < n; i++ {
-		idx := start + uint64(i)
-		if err := c.cipher.DecryptSector(idx, dst[i*bs:(i+1)*bs], dst[i*bs:(i+1)*bs]); err != nil {
-			return fmt.Errorf("dm: decrypting block %d: %w", idx, err)
-		}
-	}
-	if c.meter != nil {
-		c.meter.ChargeCrypto(len(dst))
-		for i := 0; i < n; i++ {
-			c.meter.ChargeTraversalRead()
-		}
-	}
-	return nil
-}
-
-// WriteBlocks implements storage.RangeDevice: per-sector encryption into
-// one reusable scratch buffer, then one vectored ciphertext write. The
-// caller's buffer is never modified.
-func (c *Crypt) WriteBlocks(start uint64, src []byte) error {
-	return c.writeBlocksF(0, start, src)
-}
-
-// WriteBlocksFlight implements storage.FlightRangeDevice.
-func (c *Crypt) WriteBlocksFlight(fid, start uint64, src []byte) error {
-	return c.writeBlocksF(fid, start, src)
-}
-
-func (c *Crypt) writeBlocksF(fid, start uint64, src []byte) error {
-	bs := c.inner.BlockSize()
-	if len(src)%bs != 0 {
-		return storage.ErrBadBuffer
-	}
-	ct := c.scratch.Get(len(src))
-	defer c.scratch.Put(ct)
-	for i := 0; i*bs < len(src); i++ {
-		idx := start + uint64(i)
-		if err := c.cipher.EncryptSector(idx, ct[i*bs:(i+1)*bs], src[i*bs:(i+1)*bs]); err != nil {
-			return fmt.Errorf("dm: encrypting block %d: %w", idx, err)
-		}
-	}
-	if err := storage.WriteBlocksFlight(c.inner, fid, start, ct); err != nil {
-		return err
-	}
-	if c.meter != nil {
-		c.meter.ChargeCrypto(len(src))
-		for i := 0; i*bs < len(src); i++ {
-			c.meter.ChargeTraversalWrite()
-		}
-	}
-	return nil
-}
-
-// ReadBlocksVec implements storage.VecDevice: one scatter-gather
-// ciphertext read straight into the caller's segments, then per-sector
-// decryption in place — no intermediate buffer at all on the read path.
-// Virtual-clock charges stay per-block, as on every path.
-func (c *Crypt) ReadBlocksVec(start uint64, v storage.BlockVec) error {
-	return c.readBlocksVecF(0, start, v)
-}
-
-// ReadBlocksVecFlight implements storage.FlightVecDevice.
-func (c *Crypt) ReadBlocksVecFlight(fid, start uint64, v storage.BlockVec) error {
-	return c.readBlocksVecF(fid, start, v)
-}
-
-func (c *Crypt) readBlocksVecF(fid, start uint64, v storage.BlockVec) error {
-	bs := c.inner.BlockSize()
-	if v.BlockSize() != bs && v.Segments() > 0 {
-		return storage.ErrBadBuffer
-	}
-	if err := storage.ReadBlocksVecFlight(c.inner, fid, start, v); err != nil {
-		return err
-	}
-	n := 0
-	err := v.Range(func(off int, seg []byte) error {
-		for i := 0; i*bs < len(seg); i++ {
-			idx := start + uint64(off+i)
-			if err := c.cipher.DecryptSector(idx, seg[i*bs:(i+1)*bs], seg[i*bs:(i+1)*bs]); err != nil {
-				return fmt.Errorf("dm: decrypting block %d: %w", idx, err)
-			}
-			n++
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	if c.meter != nil {
-		c.meter.ChargeCrypto(v.Bytes())
-		for i := 0; i < n; i++ {
-			c.meter.ChargeTraversalRead()
-		}
-	}
-	return nil
-}
-
-// WriteBlocksVec implements storage.VecDevice: each plaintext segment is
-// encrypted into a same-sized pooled ciphertext segment — no gather into a
-// flat buffer — and the resulting ciphertext vec goes down as one
-// scatter-gather write, so a vec-native inner device (a thin volume) sees
-// the original segmentation. The caller's buffers are never modified.
-func (c *Crypt) WriteBlocksVec(start uint64, v storage.BlockVec) error {
-	return c.writeBlocksVecF(0, start, v)
-}
-
-// WriteBlocksVecFlight implements storage.FlightVecDevice.
-func (c *Crypt) WriteBlocksVecFlight(fid, start uint64, v storage.BlockVec) error {
-	return c.writeBlocksVecF(fid, start, v)
-}
-
-func (c *Crypt) writeBlocksVecF(fid, start uint64, v storage.BlockVec) error {
-	bs := c.inner.BlockSize()
-	if v.BlockSize() != bs && v.Segments() > 0 {
-		return storage.ErrBadBuffer
-	}
-	nseg := v.Segments()
-	if nseg == 0 {
-		return nil
-	}
-	ctSegs := make([][]byte, 0, nseg)
-	defer func() {
-		for _, ct := range ctSegs {
-			c.scratch.Put(ct)
-		}
-	}()
-	ct := storage.Vec(bs)
-	err := v.Range(func(off int, seg []byte) error {
-		ctSeg := c.scratch.Get(len(seg))
-		ctSegs = append(ctSegs, ctSeg)
-		ct = ct.Append(ctSeg)
-		for i := 0; i*bs < len(seg); i++ {
-			idx := start + uint64(off+i)
-			if err := c.cipher.EncryptSector(idx, ctSeg[i*bs:(i+1)*bs], seg[i*bs:(i+1)*bs]); err != nil {
-				return fmt.Errorf("dm: encrypting block %d: %w", idx, err)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	if err := storage.WriteBlocksVecFlight(c.inner, fid, start, ct); err != nil {
-		return err
-	}
-	if c.meter != nil {
-		c.meter.ChargeCrypto(v.Bytes())
-		n := v.Len()
-		for i := 0; i < n; i++ {
-			c.meter.ChargeTraversalWrite()
-		}
-	}
-	return nil
-}
-
-// DiscardRange implements storage.Discarder: a discard carries no data to
-// encrypt, so it passes straight through to the inner device (dm-crypt
-// likewise forwards discards when allow_discards is set). The security
-// note from the kernel applies here too — discard patterns are visible to
-// an adversary below the crypt layer — which is exactly MobiCeal's threat
-// model: block-level allocation state is public, and deniability rests on
-// dummy writes, not on hiding discards.
-func (c *Crypt) DiscardRange(start, count uint64) error {
-	if c.meter != nil {
-		// Per-block traversal charges, like the read/write paths: the
-		// virtual-clock cost must not depend on how a scheduler happened
-		// to merge the range. A discard carries no payload to encrypt.
-		for i := uint64(0); i < count; i++ {
-			c.meter.ChargeTraversalWrite()
-		}
-	}
-	return storage.Discard(c.inner, start, count)
-}
-
-// DiscardFlight implements storage.FlightDiscarder with the same charging
-// as DiscardRange.
-func (c *Crypt) DiscardFlight(fid, start, count uint64) error {
-	if c.meter != nil {
-		for i := uint64(0); i < count; i++ {
-			c.meter.ChargeTraversalWrite()
-		}
-	}
-	return storage.DiscardFlight(c.inner, fid, start, count)
+	return storage.DoBlock(c, storage.OpWrite, idx, src)
 }
 
 // Sync implements storage.Device.
-func (c *Crypt) Sync() error { return c.inner.Sync() }
+func (c *Crypt) Sync() error { return storage.Sync(c) }
 
-// SyncFlight implements storage.FlightSyncer: the id rides the barrier down
-// to the thin pool's group-commit door.
-func (c *Crypt) SyncFlight(fid uint64) error { return storage.SyncFlight(c.inner, fid) }
+// Do implements storage.Doer. A read goes down as it came — ciphertext
+// lands straight in the caller's segments — and is decrypted in place, no
+// intermediate buffer at all. A write goes down as its ciphertext twin:
+// each plaintext segment is encrypted into a same-sized pooled segment, so
+// the inner device (a thin volume) sees the original segmentation and the
+// caller's buffers are never modified. Syncs and discards carry no data to
+// encrypt and pass straight through (dm-crypt likewise forwards discards
+// when allow_discards is set). The security note from the kernel applies
+// here too — discard patterns are visible to an adversary below the crypt
+// layer — which is exactly MobiCeal's threat model: block-level allocation
+// state is public, and deniability rests on dummy writes, not on hiding
+// discards.
+func (c *Crypt) Do(reqs []storage.Req) error {
+	bs := c.inner.BlockSize()
+	var ct *ctTwin
+	err := storage.Forward(reqs,
+		func(r *storage.Req) error {
+			if r.Vec.Segments() > 0 && r.Vec.BlockSize() != bs {
+				return storage.ErrBadBuffer
+			}
+			if r.Op != storage.OpWrite {
+				return nil
+			}
+			if ct == nil {
+				ct, _ = c.twins.Get().(*ctTwin)
+				if ct == nil {
+					ct = new(ctTwin)
+				}
+			}
+			return c.encrypt(ct, r, bs)
+		},
+		func(ok []storage.Req) error {
+			if ct == nil {
+				return c.decrypt(ok, storage.Do(c.inner, ok), bs)
+			}
+			err := storage.Do(c.inner, ct.reqs[:len(ok)])
+			for i := range ok {
+				ok[i].Done, ok[i].Err = ct.reqs[i].Done, ct.reqs[i].Err
+			}
+			return err
+		})
+	if ct != nil {
+		for _, seg := range ct.segs {
+			c.scratch.Put(seg)
+		}
+		clear(ct.reqs)
+		clear(ct.segs)
+		ct.reqs, ct.segs = ct.reqs[:0], ct.segs[:0]
+		c.twins.Put(ct)
+	}
+	c.charge(reqs)
+	return err
+}
+
+// encrypt appends r's ciphertext twin to ct.
+func (c *Crypt) encrypt(ct *ctTwin, r *storage.Req, bs int) error {
+	first := len(ct.segs)
+	idx := r.Start
+	err := r.Vec.Range(func(_ int, seg []byte) error {
+		out := c.scratch.Get(len(seg))
+		ct.segs = append(ct.segs, out)
+		for i := 0; i*bs < len(seg); i++ {
+			if err := c.cipher.EncryptSector(idx, out[i*bs:(i+1)*bs], seg[i*bs:(i+1)*bs]); err != nil {
+				return fmt.Errorf("dm: encrypting block %d: %w", idx, err)
+			}
+			idx++
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	twin := *r
+	twin.Vec = storage.Vec(bs, ct.segs[first:]...)
+	ct.reqs = append(ct.reqs, twin)
+	return nil
+}
+
+// decrypt turns the reads of a completed call into plaintext, in place. A
+// read that failed below keeps whatever ciphertext arrived.
+func (c *Crypt) decrypt(ok []storage.Req, err error, bs int) error {
+	for i := range ok {
+		r := &ok[i]
+		if r.Op != storage.OpRead || !r.OK() {
+			continue
+		}
+		idx := r.Start
+		derr := r.Vec.Range(func(_ int, seg []byte) error {
+			for i := 0; i*bs < len(seg); i++ {
+				if err := c.cipher.DecryptSector(idx, seg[i*bs:(i+1)*bs], seg[i*bs:(i+1)*bs]); err != nil {
+					return fmt.Errorf("dm: decrypting block %d: %w", idx, err)
+				}
+				idx++
+			}
+			return nil
+		})
+		if derr != nil {
+			r.Done, r.Err = 0, derr
+		}
+	}
+	if k := storage.FirstFailed(ok); k < len(ok) {
+		return ok[k].Err
+	}
+	return err
+}
+
+// charge is the target's one virtual-clock site: every request that
+// completed pays its crypto bytes once and one traversal per block, so the
+// paper-calibrated testbed numbers do not depend on how a scheduler merged,
+// segmented or batched the blocks. A discard carries no payload to encrypt.
+func (c *Crypt) charge(reqs []storage.Req) {
+	if c.meter == nil {
+		return
+	}
+	for i := range reqs {
+		r := &reqs[i]
+		if !r.OK() || r.Op == storage.OpSync {
+			continue
+		}
+		if r.Op != storage.OpDiscard {
+			c.meter.ChargeCrypto(r.Vec.Bytes())
+		}
+		for n := r.Blocks(); n > 0; n-- {
+			if r.Op == storage.OpRead {
+				c.meter.ChargeTraversalRead()
+			} else {
+				c.meter.ChargeTraversalWrite()
+			}
+		}
+	}
+}
 
 // Close implements storage.Device. Closing the crypt view does not close
 // the underlying device: tearing down a dm device leaves the partition.

@@ -2,9 +2,9 @@
 // builds on: stackable block-device targets addressed through a named
 // registry (the analogue of /dev/mapper). Android FDE is dm-crypt over the
 // userdata partition; MobiCeal stacks dm-crypt over dm-thin volumes
-// (Fig. 1/Fig. 2). The thin-pool and thin targets live in package thinp;
-// this package provides the framework plus the crypt, linear and zero
-// targets.
+// (Fig. 1/Fig. 2). The thin-pool and thin targets live in package thinp
+// and the linear target is storage.SliceDevice; this package provides the
+// framework plus the crypt target.
 package dm
 
 import (

@@ -165,66 +165,6 @@ func TestCryptWithESSIV(t *testing.T) {
 	}
 }
 
-func TestLinearRemaps(t *testing.T) {
-	raw := storage.NewMemDevice(blockSize, 100)
-	lin, err := NewLinear(raw, 40, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lin.NumBlocks() != 10 {
-		t.Fatalf("NumBlocks = %d", lin.NumBlocks())
-	}
-	buf := bytes.Repeat([]byte{9}, blockSize)
-	if err := lin.WriteBlock(3, buf); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, blockSize)
-	if err := raw.ReadBlock(43, got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf, got) {
-		t.Fatal("linear target did not remap to parent offset")
-	}
-	if err := lin.ReadBlock(10, got); !errors.Is(err, storage.ErrOutOfRange) {
-		t.Fatalf("out-of-range read err = %v", err)
-	}
-}
-
-func TestLinearRejectsBadRange(t *testing.T) {
-	raw := storage.NewMemDevice(blockSize, 10)
-	if _, err := NewLinear(raw, 8, 4); err == nil {
-		t.Fatal("expected range error")
-	}
-}
-
-func TestZeroDevice(t *testing.T) {
-	z := NewZero(blockSize, 4)
-	buf := bytes.Repeat([]byte{0xFF}, blockSize)
-	if err := z.WriteBlock(0, buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := z.ReadBlock(0, buf); err != nil {
-		t.Fatal(err)
-	}
-	for i, b := range buf {
-		if b != 0 {
-			t.Fatalf("byte %d = %#x after zero read", i, b)
-		}
-	}
-	if err := z.ReadBlock(4, buf); !errors.Is(err, storage.ErrOutOfRange) {
-		t.Fatalf("err = %v, want ErrOutOfRange", err)
-	}
-	if err := z.WriteBlock(0, buf[:10]); !errors.Is(err, storage.ErrBadBuffer) {
-		t.Fatalf("err = %v, want ErrBadBuffer", err)
-	}
-	if err := z.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if err := z.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestRegistryLifecycle(t *testing.T) {
 	var r Registry
 	devA := storage.NewMemDevice(blockSize, 4)
@@ -264,11 +204,12 @@ func TestRegistryLifecycle(t *testing.T) {
 	}
 }
 
-// Property: stacking crypt over linear over a device preserves roundtrips at
-// arbitrary offsets.
+// Property: stacking crypt over the linear target (storage.SliceDevice is
+// this repo's dm-linear) over a device preserves roundtrips at arbitrary
+// offsets.
 func TestPropertyCryptOverLinearRoundtrip(t *testing.T) {
 	raw := storage.NewMemDevice(blockSize, 128)
-	lin, err := NewLinear(raw, 16, 64)
+	lin, err := storage.NewSliceDevice(raw, 16, 64)
 	if err != nil {
 		t.Fatal(err)
 	}

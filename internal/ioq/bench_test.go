@@ -29,126 +29,65 @@ func (d *plugDevice) arm() {
 	d.armed.Store(true)
 }
 
-func (d *plugDevice) WriteBlocks(start uint64, src []byte) error {
-	if start == d.plug && d.armed.CompareAndSwap(true, false) {
+func (d *plugDevice) Do(reqs []storage.Req) error {
+	if r := &reqs[0]; r.Op == storage.OpWrite && r.Start == d.plug && d.armed.CompareAndSwap(true, false) {
 		close(d.entered)
 		<-d.gate
 	}
-	return storage.WriteBlocks(d.Device, start, src)
-}
-
-func (d *plugDevice) ReadBlocks(start uint64, dst []byte) error {
-	return storage.ReadBlocks(d.Device, start, dst)
-}
-
-func (d *plugDevice) WriteBlocksVec(start uint64, v storage.BlockVec) error {
-	return storage.WriteBlocksVec(d.Device, start, v)
-}
-
-func (d *plugDevice) ReadBlocksVec(start uint64, v storage.BlockVec) error {
-	return storage.ReadBlocksVec(d.Device, start, v)
-}
-
-// gatherDevice reintroduces, as a stacking layer, the scratch gather /
-// scatter the scheduler's merge path performed before the zero-copy vec
-// contract: every vec op flattens through a pooled contiguous buffer and
-// goes down as a flat range op. BenchmarkMergedRun runs the merged
-// dispatch with and without it, so the committed numbers keep measuring
-// exactly what the memcpy cost and its removal are worth.
-type gatherDevice struct {
-	storage.Device
-	scratch storage.BufPool
-}
-
-func (d *gatherDevice) WriteBlocksVec(start uint64, v storage.BlockVec) error {
-	buf := d.scratch.Get(v.Bytes())
-	defer d.scratch.Put(buf)
-	off := 0
-	for i := 0; i < v.Segments(); i++ {
-		off += copy(buf[off:], v.Seg(i))
-	}
-	return storage.WriteBlocks(d.Device, start, buf)
-}
-
-func (d *gatherDevice) ReadBlocksVec(start uint64, v storage.BlockVec) error {
-	buf := d.scratch.Get(v.Bytes())
-	defer d.scratch.Put(buf)
-	if err := storage.ReadBlocks(d.Device, start, buf); err != nil {
-		return err
-	}
-	v.CopyIn(buf)
-	return nil
-}
-
-func (d *gatherDevice) WriteBlocks(start uint64, src []byte) error {
-	return storage.WriteBlocks(d.Device, start, src)
-}
-
-func (d *gatherDevice) ReadBlocks(start uint64, dst []byte) error {
-	return storage.ReadBlocks(d.Device, start, dst)
+	return storage.Do(d.Device, reqs)
 }
 
 // BenchmarkMergedRun measures one large coalesced dispatch: a plug write
 // parks the only worker, reqs adjacent same-kind requests stage behind it,
-// and the batch drains as a single merged device operation. zerocopy is
-// the shipping path (the merged run dispatches the callers' own buffers as
-// a scatter-gather vec); gather stacks a layer reproducing the old
-// scratch-copy merge, so the pair isolates the payload memcpy the vec
-// contract removed. On a zero-latency MemDevice that copy is most of the
-// dispatch cost.
+// and the batch drains as a single merged device operation: the merged run
+// dispatches the callers' own buffers as one scatter-gather request.
 func BenchmarkMergedRun(b *testing.B) {
 	const (
 		reqs      = 32
 		reqBlocks = 4
 		plugIdx   = reqs * reqBlocks * 2
 	)
-	for _, mode := range []string{"zerocopy", "gather"} {
-		for _, kind := range []string{"write", "read"} {
-			b.Run(fmt.Sprintf("%s/%s/reqs=%d/blocks=%d", mode, kind, reqs, reqBlocks), func(b *testing.B) {
-				mem := storage.NewMemDevice(blockSize, plugIdx+8)
-				plug := &plugDevice{Device: mem, plug: plugIdx}
-				var top storage.Device = plug
-				if mode == "gather" {
-					top = &gatherDevice{Device: plug}
-				}
-				s := NewScheduler(Options{
-					Workers:     1,
-					MaxBatch:    reqs,
-					MergeBlocks: reqs * reqBlocks,
-				})
-				defer s.Close()
-				q := s.Register(top)
-				bufs := make([][]byte, reqs)
-				for i := range bufs {
-					bufs[i] = make([]byte, reqBlocks*blockSize)
-				}
-				plugBuf := make([]byte, blockSize)
-				futs := make([]*Future, reqs)
-				b.SetBytes(reqs * reqBlocks * blockSize)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					plug.arm()
-					pf := q.SubmitWrite(plugIdx, plugBuf)
-					<-plug.entered
-					for r := 0; r < reqs; r++ {
-						start := uint64(r * reqBlocks)
-						if kind == "write" {
-							futs[r] = q.SubmitWrite(start, bufs[r])
-						} else {
-							futs[r] = q.SubmitRead(start, bufs[r])
-						}
-					}
-					close(plug.gate)
-					if err := pf.Wait(); err != nil {
-						b.Fatal(err)
-					}
-					if err := WaitAll(futs...); err != nil {
-						b.Fatal(err)
-					}
-				}
+	for _, kind := range []string{"write", "read"} {
+		b.Run(fmt.Sprintf("zerocopy/%s/reqs=%d/blocks=%d", kind, reqs, reqBlocks), func(b *testing.B) {
+			mem := storage.NewMemDevice(blockSize, plugIdx+8)
+			plug := &plugDevice{Device: mem, plug: plugIdx}
+			s := NewScheduler(Options{
+				Workers:     1,
+				MaxBatch:    reqs,
+				MergeBlocks: reqs * reqBlocks,
 			})
-		}
+			defer s.Close()
+			q := s.Register(plug)
+			bufs := make([][]byte, reqs)
+			for i := range bufs {
+				bufs[i] = make([]byte, reqBlocks*blockSize)
+			}
+			plugBuf := make([]byte, blockSize)
+			futs := make([]*Future, reqs)
+			b.SetBytes(reqs * reqBlocks * blockSize)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				plug.arm()
+				pf := q.SubmitWrite(plugIdx, plugBuf)
+				<-plug.entered
+				for r := 0; r < reqs; r++ {
+					start := uint64(r * reqBlocks)
+					if kind == "write" {
+						futs[r] = q.SubmitWrite(start, bufs[r])
+					} else {
+						futs[r] = q.SubmitRead(start, bufs[r])
+					}
+				}
+				close(plug.gate)
+				if err := pf.Wait(); err != nil {
+					b.Fatal(err)
+				}
+				if err := WaitAll(futs...); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -198,7 +137,7 @@ func BenchmarkVolumeService(b *testing.B) {
 					buf := make([]byte, reqBlocks*blockSize)
 					for i := 0; i < b.N; i++ {
 						off := uint64(i*reqBlocks) % (virt - reqBlocks)
-						if err := thin.WriteBlocks(off, buf); err != nil {
+						if err := storage.WriteBlocks(thin, off, buf); err != nil {
 							b.Fatal(err)
 						}
 						if i%flushEvry == flushEvry-1 {

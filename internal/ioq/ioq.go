@@ -5,7 +5,7 @@
 // Callers submit read/write/discard/sync requests per volume and get a
 // Future back; a shared pool of workers drains each volume's staging
 // queue in batches, elevator-sorts the batch, coalesces runs of adjacent
-// blocks into single vectored RangeDevice operations, and completes the
+// blocks into single scatter-gather storage.Req descriptors, and completes the
 // futures. The scheduler is the userspace analogue of the kernel's
 // blk-mq: per-volume software queues feed a multi-producer/multi-consumer
 // ready list served by hardware-context-like workers, and request merging

@@ -17,7 +17,7 @@ import (
 
 const blockSize = 512
 
-// countingDevice counts vectored calls so merge tests can assert
+// countingDevice counts device requests so merge tests can assert
 // coalescing, and records the op sequence for barrier tests.
 type countingDevice struct {
 	storage.Device
@@ -28,47 +28,26 @@ type countingDevice struct {
 	log        []string
 }
 
-func (d *countingDevice) ReadBlocks(start uint64, dst []byte) error {
+func (d *countingDevice) Do(reqs []storage.Req) error {
 	d.mu.Lock()
-	d.readCalls++
-	d.log = append(d.log, "read")
+	for range reqs {
+		switch reqs[0].Op {
+		case storage.OpRead:
+			d.readCalls++
+			d.log = append(d.log, "read")
+		case storage.OpWrite:
+			d.writeCalls++
+			d.log = append(d.log, "write")
+		case storage.OpSync:
+			d.syncs++
+			d.log = append(d.log, "sync")
+		}
+	}
 	d.mu.Unlock()
-	return storage.ReadBlocks(d.Device, start, dst)
+	return storage.Do(d.Device, reqs)
 }
 
-func (d *countingDevice) WriteBlocks(start uint64, src []byte) error {
-	d.mu.Lock()
-	d.writeCalls++
-	d.log = append(d.log, "write")
-	d.mu.Unlock()
-	return storage.WriteBlocks(d.Device, start, src)
-}
-
-func (d *countingDevice) ReadBlocksVec(start uint64, v storage.BlockVec) error {
-	d.mu.Lock()
-	d.readCalls++
-	d.log = append(d.log, "read")
-	d.mu.Unlock()
-	return storage.ReadBlocksVec(d.Device, start, v)
-}
-
-func (d *countingDevice) WriteBlocksVec(start uint64, v storage.BlockVec) error {
-	d.mu.Lock()
-	d.writeCalls++
-	d.log = append(d.log, "write")
-	d.mu.Unlock()
-	return storage.WriteBlocksVec(d.Device, start, v)
-}
-
-func (d *countingDevice) Sync() error {
-	d.mu.Lock()
-	d.syncs++
-	d.log = append(d.log, "sync")
-	d.mu.Unlock()
-	return d.Device.Sync()
-}
-
-// blockingDevice stalls WriteBlocks while the gate is held, letting tests
+// blockingDevice stalls the first write while the gate is held, letting tests
 // pile requests into the staging queue deterministically.
 type blockingDevice struct {
 	storage.Device
@@ -78,32 +57,14 @@ type blockingDevice struct {
 	armed   atomic.Bool
 }
 
-func (d *blockingDevice) WriteBlocks(start uint64, src []byte) error {
-	if d.armed.Load() {
+func (d *blockingDevice) Do(reqs []storage.Req) error {
+	if reqs[0].Op == storage.OpWrite && d.armed.Load() {
 		d.once.Do(func() {
 			close(d.entered)
 			<-d.gate
 		})
 	}
-	return storage.WriteBlocks(d.Device, start, src)
-}
-
-func (d *blockingDevice) ReadBlocks(start uint64, dst []byte) error {
-	return storage.ReadBlocks(d.Device, start, dst)
-}
-
-func (d *blockingDevice) WriteBlocksVec(start uint64, v storage.BlockVec) error {
-	if d.armed.Load() {
-		d.once.Do(func() {
-			close(d.entered)
-			<-d.gate
-		})
-	}
-	return storage.WriteBlocksVec(d.Device, start, v)
-}
-
-func (d *blockingDevice) ReadBlocksVec(start uint64, v storage.BlockVec) error {
-	return storage.ReadBlocksVec(d.Device, start, v)
+	return storage.Do(d.Device, reqs)
 }
 
 func TestReadWriteRoundtrip(t *testing.T) {
@@ -298,27 +259,23 @@ type gateSyncDevice struct {
 	writeDuring atomic.Bool
 }
 
-func (d *gateSyncDevice) Sync() error {
-	if d.armed.Load() {
-		d.once.Do(func() {
-			d.syncing.Store(true)
-			close(d.entered)
-			<-d.gate
-			d.syncing.Store(false)
-		})
+func (d *gateSyncDevice) Do(reqs []storage.Req) error {
+	switch reqs[0].Op {
+	case storage.OpSync:
+		if d.armed.Load() {
+			d.once.Do(func() {
+				d.syncing.Store(true)
+				close(d.entered)
+				<-d.gate
+				d.syncing.Store(false)
+			})
+		}
+	case storage.OpWrite:
+		if d.syncing.Load() {
+			d.writeDuring.Store(true)
+		}
 	}
-	return d.Device.Sync()
-}
-
-func (d *gateSyncDevice) WriteBlocks(start uint64, src []byte) error {
-	if d.syncing.Load() {
-		d.writeDuring.Store(true)
-	}
-	return storage.WriteBlocks(d.Device, start, src)
-}
-
-func (d *gateSyncDevice) ReadBlocks(start uint64, dst []byte) error {
-	return storage.ReadBlocks(d.Device, start, dst)
+	return storage.Do(d.Device, reqs)
 }
 
 // TestFlushBarrierHoldsDuringSync pins the second half of the barrier
@@ -508,7 +465,7 @@ func TestMergedDispatchMatchesSerialReference(t *testing.T) {
 	}
 }
 
-// vecObserver records the segmentation of vec calls reaching the device,
+// vecObserver records the segmentation of merged writes reaching the device,
 // so tests can assert the merged dispatch really hands down the callers'
 // buffers unflattened.
 type vecObserver struct {
@@ -518,28 +475,21 @@ type vecObserver struct {
 	ptrs []uintptr
 }
 
-func (d *vecObserver) WriteBlocksVec(start uint64, v storage.BlockVec) error {
-	d.mu.Lock()
-	var counts []int
-	for i := 0; i < v.Segments(); i++ {
-		counts = append(counts, len(v.Seg(i))/d.BlockSize())
-		d.ptrs = append(d.ptrs, uintptr(unsafe.Pointer(&v.Seg(i)[0])))
+func (d *vecObserver) Do(reqs []storage.Req) error {
+	for _, r := range reqs {
+		if r.Op != storage.OpWrite || r.Vec.Segments() < 2 {
+			continue // only merged runs are of interest
+		}
+		d.mu.Lock()
+		var counts []int
+		for i, v := 0, r.Vec; i < v.Segments(); i++ {
+			counts = append(counts, len(v.Seg(i))/d.BlockSize())
+			d.ptrs = append(d.ptrs, uintptr(unsafe.Pointer(&v.Seg(i)[0])))
+		}
+		d.segs = append(d.segs, counts)
+		d.mu.Unlock()
 	}
-	d.segs = append(d.segs, counts)
-	d.mu.Unlock()
-	return storage.WriteBlocksVec(d.Device, start, v)
-}
-
-func (d *vecObserver) ReadBlocksVec(start uint64, v storage.BlockVec) error {
-	return storage.ReadBlocksVec(d.Device, start, v)
-}
-
-func (d *vecObserver) WriteBlocks(start uint64, src []byte) error {
-	return storage.WriteBlocks(d.Device, start, src)
-}
-
-func (d *vecObserver) ReadBlocks(start uint64, dst []byte) error {
-	return storage.ReadBlocks(d.Device, start, dst)
+	return storage.Do(d.Device, reqs)
 }
 
 // TestMergedDispatchIsZeroCopy pins the zero-copy contract: a merged run

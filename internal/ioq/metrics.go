@@ -123,20 +123,3 @@ func (s *Scheduler) MetricsSnapshot() MetricsSnapshot {
 // recorder). Enable it with SetEnabled(true) to start recording Q/G/M/D/C
 // events for subsequent requests.
 func (s *Scheduler) Flight() *obs.FlightRecorder { return s.flight }
-
-// flightOp maps a request kind to its flight-event op code.
-func flightOp(o Op) obs.FlightOp {
-	switch o {
-	case OpRead:
-		return obs.FOpRead
-	case OpWrite:
-		return obs.FOpWrite
-	case OpDiscard:
-		return obs.FOpDiscard
-	case OpSync:
-		return obs.FOpSync
-	case OpQuiesce:
-		return obs.FOpQuiesce
-	}
-	return obs.FOpNone
-}

@@ -11,35 +11,26 @@ import (
 	"mobiceal/internal/storage"
 )
 
-// Op is the request kind.
-type Op uint8
-
-// Request kinds.
-const (
-	OpRead Op = iota + 1
-	OpWrite
-	OpDiscard
-	OpSync
-	// OpQuiesce is a dispatch barrier without a device Sync: it completes
-	// once every older request of its queue has drained, and nothing
-	// submitted after it dispatches before it completes. System-level
-	// flush-all uses it to quiesce every volume, then issue ONE sync
-	// covering all of them instead of one per queue.
-	OpQuiesce
-)
+// opQuiesce is the scheduler's one request kind that is not a device
+// operation: a dispatch barrier without a device Sync. It completes once
+// every older request of its queue has drained, and nothing submitted after
+// it dispatches before it completes. System-level flush-all uses it to
+// quiesce every volume, then issue ONE sync covering all of them instead of
+// one per queue. It never reaches storage.Do.
+const opQuiesce = storage.Op(obs.FOpQuiesce)
 
 // isBarrier reports whether op freezes the queue like a barrier.
-func (o Op) isBarrier() bool { return o == OpSync || o == OpQuiesce }
+func isBarrier(op storage.Op) bool { return op == storage.OpSync || op == opQuiesce }
 
-// request is one queued operation. buf is the caller's buffer (read
-// destination or write source) and stays untouched by the scheduler until
-// the request executes; count is the discard length.
+// request is one queued operation.
 type request struct {
-	op    Op
-	start uint64
-	buf   []byte
-	count uint64
-	f     *Future
+	// io is the request as the device stack sees it — kind, start, the
+	// caller's buffer as a one-segment vec (untouched by the scheduler until
+	// the request executes) or the discard count, and the flight id assigned
+	// at submission (0 when recording was off). It is an array so that
+	// dispatch hands io[:] to storage.Do without building anything.
+	io [1]storage.Req
+	f  *Future
 	// deadline, when non-zero, bounds the request's time in the
 	// scheduler: a request still undispatched (or mid-retry) past its
 	// deadline completes with ErrDeadline instead of executing.
@@ -53,24 +44,20 @@ type request struct {
 	// dispatchNS after draining.
 	submitNS   int64
 	dispatchNS int64
-	// fid is the flight-recorder request id, assigned at submission when
-	// recording is enabled and 0 (untagged) otherwise. It follows the
-	// request through merge, dispatch, and — via the storage Flight
-	// helpers — down the device stack to the thin pool and the leaf.
-	fid uint64
 }
 
-// blocks returns the request's length in device blocks.
-func (r *request) blocks(bs int) uint64 {
-	switch r.op {
-	case OpDiscard:
-		return r.count
-	case OpSync, OpQuiesce:
-		return 0
-	default:
-		return uint64(len(r.buf) / bs)
-	}
+// newRequest builds a queued request around its device-stack form.
+func newRequest(io storage.Req, deadline time.Time) *request {
+	return &request{io: [1]storage.Req{io}, f: newFuture(), deadline: deadline}
 }
+
+// op, start and fid read the request's device-stack form.
+func (r *request) op() storage.Op { return r.io[0].Op }
+func (r *request) start() uint64  { return r.io[0].Start }
+func (r *request) fid() uint64    { return r.io[0].FID }
+
+// blocks returns the request's length in device blocks.
+func (r *request) blocks() uint64 { return uint64(r.io[0].Blocks()) }
 
 // VolumeQueue is the per-volume staging queue: submissions append under
 // the queue lock, workers drain batches. Sync requests are dispatch
@@ -106,38 +93,20 @@ type VolumeQueue struct {
 // scheduler merges requests by block arithmetic, so a misaligned buffer
 // is rejected at the door rather than poisoning a merged run.
 func (q *VolumeQueue) SubmitRead(start uint64, dst []byte) *Future {
-	if f, ok := q.checkBuf(dst); !ok {
-		return f
-	}
-	return q.submit(&request{op: OpRead, start: start, buf: dst, f: newFuture()})
+	return q.SubmitReadOpts(start, dst, ReqOptions{})
 }
 
 // SubmitWrite asynchronously writes src as blocks [start,
 // start+len(src)/bs). src must stay stable until the future completes.
 // Misaligned buffers are rejected at submission, like SubmitRead.
 func (q *VolumeQueue) SubmitWrite(start uint64, src []byte) *Future {
-	if f, ok := q.checkBuf(src); !ok {
-		return f
-	}
-	return q.submit(&request{op: OpWrite, start: start, buf: src, f: newFuture()})
-}
-
-// checkBuf validates that buf is block-aligned, returning a completed
-// failed future otherwise.
-func (q *VolumeQueue) checkBuf(buf []byte) (*Future, bool) {
-	if len(buf)%q.dev.BlockSize() != 0 {
-		f := newFuture()
-		f.complete(fmt.Errorf("%w: request buffer %d not a multiple of %d",
-			storage.ErrBadBuffer, len(buf), q.dev.BlockSize()))
-		return f, false
-	}
-	return nil, true
+	return q.SubmitWriteOpts(start, src, ReqOptions{})
 }
 
 // SubmitDiscard asynchronously TRIMs blocks [start, start+count).
 // Devices without discard support complete it as a no-op.
 func (q *VolumeQueue) SubmitDiscard(start, count uint64) *Future {
-	return q.submit(&request{op: OpDiscard, start: start, count: count, f: newFuture()})
+	return q.SubmitDiscardOpts(start, count, ReqOptions{})
 }
 
 // ReqOptions carries per-request submission options.
@@ -154,30 +123,41 @@ type ReqOptions struct {
 
 // SubmitReadOpts is SubmitRead with per-request options.
 func (q *VolumeQueue) SubmitReadOpts(start uint64, dst []byte, o ReqOptions) *Future {
-	if f, ok := q.checkBuf(dst); !ok {
-		return f
-	}
-	return q.submit(&request{op: OpRead, start: start, buf: dst, f: newFuture(), deadline: o.Deadline})
+	return q.submitIO(storage.OpRead, start, dst, o)
 }
 
 // SubmitWriteOpts is SubmitWrite with per-request options.
 func (q *VolumeQueue) SubmitWriteOpts(start uint64, src []byte, o ReqOptions) *Future {
-	if f, ok := q.checkBuf(src); !ok {
+	return q.submitIO(storage.OpWrite, start, src, o)
+}
+
+// submitIO queues a transfer of buf, which becomes the request's one
+// segment. A buffer that is not block-aligned completes failed at once.
+func (q *VolumeQueue) submitIO(op storage.Op, start uint64, buf []byte, o ReqOptions) *Future {
+	bs := q.dev.BlockSize()
+	if len(buf)%bs != 0 {
+		f := newFuture()
+		f.complete(fmt.Errorf("%w: request buffer %d not a multiple of %d",
+			storage.ErrBadBuffer, len(buf), bs))
 		return f
 	}
-	return q.submit(&request{op: OpWrite, start: start, buf: src, f: newFuture(), deadline: o.Deadline})
+	v := storage.Vec(bs) // a zero-length request is a valid no-op
+	if len(buf) > 0 {
+		v = storage.VecOne(bs, buf)
+	}
+	return q.submit(newRequest(storage.Req{Op: op, Start: start, Vec: v}, o.Deadline))
 }
 
 // SubmitDiscardOpts is SubmitDiscard with per-request options.
 func (q *VolumeQueue) SubmitDiscardOpts(start, count uint64, o ReqOptions) *Future {
-	return q.submit(&request{op: OpDiscard, start: start, count: count, f: newFuture(), deadline: o.Deadline})
+	return q.submit(newRequest(storage.Req{Op: storage.OpDiscard, Start: start, Count: count}, o.Deadline))
 }
 
 // Flush submits a sync barrier: its future completes after every request
 // submitted before it has completed and the device stack's Sync has run
 // (on a MobiCeal volume: data flushed and pool metadata group-committed).
 func (q *VolumeQueue) Flush() *Future {
-	return q.submit(&request{op: OpSync, f: newFuture()})
+	return q.submit(newRequest(storage.Req{Op: storage.OpSync}, time.Time{}))
 }
 
 // Quiesce submits a drain barrier: its future completes once every request
@@ -186,7 +166,7 @@ func (q *VolumeQueue) Flush() *Future {
 // all, then fold the whole system's durability into a single sync instead
 // of paying one per queue.
 func (q *VolumeQueue) Quiesce() *Future {
-	return q.submit(&request{op: OpQuiesce, f: newFuture()})
+	return q.submit(newRequest(storage.Req{Op: opQuiesce}, time.Time{}))
 }
 
 // Device returns the device stack this queue serves.
@@ -210,9 +190,8 @@ func (q *VolumeQueue) submit(r *request) *Future {
 	if rec := q.s.flight; rec.Enabled() {
 		// Q: the request enters the queue. The id assigned here is the one
 		// every later stage — scheduler, thinp, leaf device — records under.
-		r.fid = rec.NextID()
-		rec.Record(r.fid, obs.StageQueued, flightOp(r.op),
-			uint32(r.blocks(q.dev.BlockSize())), obs.ClassNone, 0)
+		r.io[0].FID = rec.NextID()
+		q.record(r, obs.StageQueued, obs.ClassNone, 0)
 	}
 	q.s.m.Submitted.Inc()
 	q.s.m.QueueDepth.Inc()
@@ -250,7 +229,7 @@ func (q *VolumeQueue) dispatchableLocked() bool {
 	if len(q.pending) == 0 {
 		return false
 	}
-	if q.pending[0].op.isBarrier() && q.inflight > 0 {
+	if isBarrier(q.pending[0].op()) && q.inflight > 0 {
 		// The barrier waits for the in-flight requests to drain; their
 		// completion re-evaluates.
 		return false
@@ -267,7 +246,7 @@ func (q *VolumeQueue) dispatch() {
 	if q.syncActive {
 		// Raced with a barrier that started after this queue was put on
 		// the ready list; its completion re-enqueues.
-	} else if len(q.pending) > 0 && q.pending[0].op.isBarrier() {
+	} else if len(q.pending) > 0 && isBarrier(q.pending[0].op()) {
 		if q.inflight == 0 {
 			batch = q.pending[:1:1]
 			q.pending = q.pending[1:]
@@ -275,7 +254,7 @@ func (q *VolumeQueue) dispatch() {
 		}
 	} else {
 		n := 0
-		for n < len(q.pending) && n < q.s.opts.MaxBatch && !q.pending[n].op.isBarrier() {
+		for n < len(q.pending) && n < q.s.opts.MaxBatch && !isBarrier(q.pending[n].op()) {
 			n++
 		}
 		batch = q.pending[:n:n]
@@ -305,7 +284,7 @@ func (q *VolumeQueue) dispatch() {
 		q.s.enqueue(q)
 	}
 	nBatch := len(batch)
-	wasBarrier := nBatch == 1 && batch[0].op.isBarrier()
+	wasBarrier := nBatch == 1 && isBarrier(batch[0].op())
 	if wasBarrier {
 		q.runBarrier(batch[0])
 	} else if nBatch > 0 {
@@ -338,7 +317,7 @@ func (q *VolumeQueue) dispatch() {
 // talking to.
 func (q *VolumeQueue) runBarrier(r *request) {
 	err := q.execOne(r)
-	if err != nil && r.op == OpSync {
+	if err != nil && r.op() == storage.OpSync {
 		q.s.m.BarrierFails.Inc()
 		barrierErr := fmt.Errorf("%w: %w", ErrBarrier, err)
 		q.mu.Lock()
@@ -363,7 +342,7 @@ func (q *VolumeQueue) expire(batch []*request) []*request {
 				now = time.Now()
 			}
 			if now.After(r.deadline) {
-				q.finish(r, fmt.Errorf("%w: block %d", ErrDeadline, r.start))
+				q.finish(r, fmt.Errorf("%w: block %d", ErrDeadline, r.start()))
 				continue
 			}
 		}
@@ -376,11 +355,10 @@ func (q *VolumeQueue) expire(batch []*request) []*request {
 // fid 0 (recording was off at submission) stay silent on every later
 // stage, so a mid-run enable never produces half-traced lifecycles.
 func (q *VolumeQueue) record(r *request, st obs.Stage, ec obs.ErrClass, aux uint64) {
-	if r.fid == 0 {
+	if r.fid() == 0 {
 		return
 	}
-	q.s.flight.Record(r.fid, st, flightOp(r.op),
-		uint32(r.blocks(q.dev.BlockSize())), ec, aux)
+	q.s.flight.Record(r.fid(), st, obs.FlightOp(r.op()), uint32(r.blocks()), ec, aux)
 }
 
 // finish completes a request's future and folds the outcome into the
@@ -432,27 +410,26 @@ func (q *VolumeQueue) run(batch []*request) {
 		q.exec(batch)
 		return
 	}
-	bs := q.dev.BlockSize()
 	if len(batch) > 1 {
 		sort.SliceStable(batch, func(i, j int) bool {
-			if batch[i].op != batch[j].op {
-				return batch[i].op < batch[j].op
+			if batch[i].op() != batch[j].op() {
+				return batch[i].op() < batch[j].op()
 			}
-			return batch[i].start < batch[j].start
+			return batch[i].start() < batch[j].start()
 		})
 	}
 	var wg sync.WaitGroup
 	for i := 0; i < len(batch); {
 		j := i + 1
-		end := batch[i].start + batch[i].blocks(bs)
-		total := batch[i].blocks(bs)
+		total := batch[i].blocks()
+		end := batch[i].start() + total
 		for j < len(batch) &&
-			batch[j].op == batch[i].op &&
-			!batch[j].op.isBarrier() &&
-			batch[j].start == end &&
-			total+batch[j].blocks(bs) <= uint64(q.s.opts.MergeBlocks) {
-			end += batch[j].blocks(bs)
-			total += batch[j].blocks(bs)
+			batch[j].op() == batch[i].op() &&
+			!isBarrier(batch[j].op()) &&
+			batch[j].start() == end &&
+			total+batch[j].blocks() <= uint64(q.s.opts.MergeBlocks) {
+			end += batch[j].blocks()
+			total += batch[j].blocks()
 			j++
 		}
 		run := batch[i:j]
@@ -464,7 +441,7 @@ func (q *VolumeQueue) run(batch []*request) {
 		// Submission order is elevator order: acquire happens here, in the
 		// loop, so a run overlapping an in-flight one parks the submitter
 		// (and everything behind it) until the earlier run completes.
-		sp := span{start: run[0].start, end: end}
+		sp := span{start: run[0].start(), end: end}
 		q.win.acquire(sp)
 		wg.Add(1)
 		go func() {
@@ -493,25 +470,25 @@ func (q *VolumeQueue) exec(run []*request) {
 	// the run dispatches now, as one device operation carried by the head's
 	// id (blktrace's semantics — the merged bio goes down as the head).
 	for _, r := range run[1:] {
-		q.record(r, obs.StageMerged, obs.ClassNone, head.fid)
+		q.record(r, obs.StageMerged, obs.ClassNone, head.fid())
 	}
 	for _, r := range run {
 		q.record(r, obs.StageDispatch, obs.ClassNone, 1)
 	}
-	start := head.start
-	var err error
-	switch head.op {
-	case OpRead:
-		err = storage.ReadBlocksVecFlight(q.dev, head.fid, start, q.runVec(run))
-	case OpWrite:
-		err = storage.WriteBlocksVecFlight(q.dev, head.fid, start, q.runVec(run))
-	case OpDiscard:
-		var count uint64
-		for _, r := range run {
-			count += r.count
+	// The head's own descriptor carries the merged operation down — its
+	// start and id are the run's — grown for the length of the call to the
+	// whole run: one segment per request, each the caller's own buffer, or
+	// the summed discard count.
+	own := head.io[0]
+	if own.Op == storage.OpDiscard {
+		for _, r := range run[1:] {
+			head.io[0].Count += r.io[0].Count
 		}
-		err = storage.DiscardFlight(q.dev, head.fid, start, count)
+	} else {
+		head.io[0].Vec = q.runVec(run)
 	}
+	err := storage.Do(q.dev, head.io[:])
+	head.io[0] = own
 	if err == nil {
 		q.s.m.CoalescedOps.Inc()
 		q.s.m.CoalescedReqs.Add(uint64(len(run)))
@@ -535,8 +512,8 @@ func (q *VolumeQueue) exec(run []*request) {
 func (q *VolumeQueue) runVec(run []*request) storage.BlockVec {
 	segs := make([][]byte, 0, len(run))
 	for _, r := range run {
-		if len(r.buf) > 0 {
-			segs = append(segs, r.buf)
+		if v := r.io[0].Vec; v.Segments() > 0 {
+			segs = append(segs, v.Seg(0))
 		}
 	}
 	return storage.Vec(q.dev.BlockSize(), segs...)
@@ -603,22 +580,14 @@ func (q *VolumeQueue) execOne(r *request) error {
 	}
 }
 
-// execDirect issues a single request's device operation, once, forwarding
-// the request's flight id so layers below record under the same lifecycle.
+// execDirect issues a single request's device operation, once. The
+// request's own descriptor goes down, flight id included, so layers below
+// record under the same lifecycle.
 func (q *VolumeQueue) execDirect(r *request) error {
-	switch r.op {
-	case OpRead:
-		return storage.ReadBlocksFlight(q.dev, r.fid, r.start, r.buf)
-	case OpWrite:
-		return storage.WriteBlocksFlight(q.dev, r.fid, r.start, r.buf)
-	case OpDiscard:
-		return storage.DiscardFlight(q.dev, r.fid, r.start, r.count)
-	case OpSync:
-		return storage.SyncFlight(q.dev, r.fid)
-	case OpQuiesce:
+	if r.op() == opQuiesce {
 		// The barrier itself touches no device state; reaching execution
 		// IS the guarantee (everything older has drained).
 		return nil
 	}
-	return nil
+	return storage.Do(q.dev, r.io[:])
 }

@@ -85,22 +85,11 @@ func (d *holdDevice) park(start uint64) {
 	}
 }
 
-func (d *holdDevice) WriteBlocks(start uint64, src []byte) error {
-	d.park(start)
-	return storage.WriteBlocks(d.Device, start, src)
-}
-
-func (d *holdDevice) WriteBlocksVec(start uint64, v storage.BlockVec) error {
-	d.park(start)
-	return storage.WriteBlocksVec(d.Device, start, v)
-}
-
-func (d *holdDevice) ReadBlocks(start uint64, dst []byte) error {
-	return storage.ReadBlocks(d.Device, start, dst)
-}
-
-func (d *holdDevice) ReadBlocksVec(start uint64, v storage.BlockVec) error {
-	return storage.ReadBlocksVec(d.Device, start, v)
+func (d *holdDevice) Do(reqs []storage.Req) error {
+	if reqs[0].Op == storage.OpWrite {
+		d.park(reqs[0].Start)
+	}
+	return storage.Do(d.Device, reqs)
 }
 
 // waitEntered fails the test unless a write to one of the expected starts

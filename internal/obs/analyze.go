@@ -16,6 +16,7 @@ package obs
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"time"
 )
 
@@ -86,8 +87,8 @@ type MergeStats struct {
 // CommitRound is one metadata slot flip and the callers folded into it.
 type CommitRound struct {
 	Round    uint64  `json:"round"`
-	Folded   int     `json:"folded"`    // callers folded (from the flip event)
-	Joins    int     `json:"joins"`     // join events observed in-window
+	Folded   int     `json:"folded"` // callers folded (from the flip event)
+	Joins    int     `json:"joins"`  // join events observed in-window
 	FlipAtNS int64   `json:"flip_at_ns"`
 	DoorWait LatDist `json:"door_wait"` // per-joiner flip.At - join.At
 }
@@ -117,17 +118,17 @@ type StageCount struct {
 
 // TraceReport is the full analysis of one event window.
 type TraceReport struct {
-	Events    int          `json:"events"`
-	Requests  int          `json:"requests"`  // distinct nonzero request ids
-	Completed int          `json:"completed"` // requests with a terminal C
-	SpanNS    int64        `json:"span_ns"`   // last event At - first event At
-	Stages    []StageCount `json:"stages"`
-	Ops       []OpLat      `json:"ops"`
-	QueueMax  int          `json:"queue_max"`
-	QueueMean float64      `json:"queue_mean"` // time-weighted
-	FlightMax int          `json:"in_flight_max"`
-	Merge     MergeStats   `json:"merge"`
-	Commits   CommitStats  `json:"commits"`
+	Events    int             `json:"events"`
+	Requests  int             `json:"requests"`  // distinct nonzero request ids
+	Completed int             `json:"completed"` // requests with a terminal C
+	SpanNS    int64           `json:"span_ns"`   // last event At - first event At
+	Stages    []StageCount    `json:"stages"`
+	Ops       []OpLat         `json:"ops"`
+	QueueMax  int             `json:"queue_max"`
+	QueueMean float64         `json:"queue_mean"` // time-weighted
+	FlightMax int             `json:"in_flight_max"`
+	Merge     MergeStats      `json:"merge"`
+	Commits   CommitStats     `json:"commits"`
 	Timeline  []TimelinePoint `json:"timeline,omitempty"`
 	Errors    map[string]int  `json:"errors,omitempty"` // error class -> completions
 }
@@ -359,4 +360,35 @@ func Analyze(events []FlightEvent) *TraceReport {
 		rep.Errors = nil
 	}
 	return rep
+}
+
+// Signatures reduces a capture to what an observer of the export learns
+// about each request: one string per request id — its events in order as
+// stage/op/blocks/class — with timestamps dropped and the ids erased by
+// the grouping. Aux survives only where it is id-free (commit rounds); a
+// merge-head id becomes a marker. The multiset comes back sorted, so two
+// captures compare by plain equality — the deniability tests' oracle.
+func Signatures(evs []FlightEvent) []string {
+	byReq := map[uint64][]string{}
+	var order []uint64
+	for _, ev := range evs {
+		aux := ""
+		switch ev.Stage {
+		case StageCommitJoin, StageCommitFlip:
+			aux = fmt.Sprintf("@%d", ev.Aux)
+		case StageMerged:
+			aux = "@head"
+		}
+		if _, seen := byReq[ev.ReqID]; !seen {
+			order = append(order, ev.ReqID)
+		}
+		byReq[ev.ReqID] = append(byReq[ev.ReqID],
+			fmt.Sprintf("%s/%s/%d/%s%s", ev.Stage, ev.Op, ev.N, ev.Err, aux))
+	}
+	sigs := make([]string, 0, len(order))
+	for _, id := range order {
+		sigs = append(sigs, strings.Join(byReq[id], " "))
+	}
+	sort.Strings(sigs)
+	return sigs
 }

@@ -173,7 +173,7 @@ func TestFlightReadJSONLBad(t *testing.T) {
 
 // BenchmarkFlightRecorderDisabled guards the advertised disabled cost —
 // one nil check plus one atomic load, ~1 ns, 0 allocs. The bench-smoke CI
-// job keeps it compiling; bench_pr9.sh prices it.
+// job keeps it compiling; BENCH_PR9.json holds the priced pair.
 func BenchmarkFlightRecorderDisabled(b *testing.B) {
 	r := NewFlightRecorder(0)
 	b.ReportAllocs()

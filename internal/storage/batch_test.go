@@ -90,21 +90,33 @@ func scriptRing(d *FileDevice, capacity int, script map[int]shimStep) *scriptBat
 	return s
 }
 
+// doBatch stamps reqs as reads or writes and runs them on dev.
+func doBatch(dev Device, write bool, reqs []Req) error {
+	op := OpRead
+	if write {
+		op = OpWrite
+	}
+	for i := range reqs {
+		reqs[i].Op = op
+	}
+	return Do(dev, reqs)
+}
+
 // batchOf builds n single-block write requests at scattered, disjoint
 // offsets with seeded payloads, and returns the payloads by request.
-func batchOf(rng *rand.Rand, bs, n int, numBlocks uint64) ([]IOReq, [][]byte) {
-	reqs := make([]IOReq, n)
+func batchOf(rng *rand.Rand, bs, n int, numBlocks uint64) ([]Req, [][]byte) {
+	reqs := make([]Req, n)
 	want := make([][]byte, n)
 	for i, blk := range rng.Perm(int(numBlocks))[:n] {
 		want[i] = AlignedBuf(bs)
 		rng.Read(want[i])
-		reqs[i] = IOReq{Start: uint64(blk), Vec: VecOne(bs, want[i]), FID: uint64(i + 1)}
+		reqs[i] = Req{Start: uint64(blk), Vec: VecOne(bs, want[i]), FID: uint64(i + 1)}
 	}
 	return reqs, want
 }
 
 // readBack reads every request's block range into fresh buffers.
-func readBack(t *testing.T, d Device, reqs []IOReq) [][]byte {
+func readBack(t *testing.T, d Device, reqs []Req) [][]byte {
 	t.Helper()
 	got := make([][]byte, len(reqs))
 	for i, r := range reqs {
@@ -125,14 +137,14 @@ func TestDoBatchSerialPrefix(t *testing.T) {
 	const bs = 512
 	fd := NewFaultDevice(NewMemDevice(bs, 64))
 	rng := rand.New(rand.NewSource(5))
-	reqs := make([]IOReq, 4)
+	reqs := make([]Req, 4)
 	for i := range reqs {
 		buf := make([]byte, 2*bs)
 		rng.Read(buf)
-		reqs[i] = IOReq{Start: uint64(10 * i), Vec: VecOne(bs, buf)}
+		reqs[i] = Req{Start: uint64(10 * i), Vec: VecOne(bs, buf)}
 	}
 	fd.FailWritesAfter(5) // requests 0 and 1 land, request 2 lands one block
-	err := DoBatch(fd, true, reqs)
+	err := doBatch(fd, true, reqs)
 	if !errors.Is(err, ErrInjected) {
 		t.Fatalf("DoBatch = %v, want the injected fault", err)
 	}
@@ -147,12 +159,15 @@ func TestDoBatchSerialPrefix(t *testing.T) {
 	if reqs[2].Err == nil || reqs[3].Err != nil {
 		t.Fatalf("errors misplaced: req 2 %v, req 3 %v", reqs[2].Err, reqs[3].Err)
 	}
+	if reqs[2].Vec.Len() != 2 {
+		t.Fatalf("the device kept the request cut to its completed prefix: %d blocks", reqs[2].Vec.Len())
+	}
 	fd.Disarm()
 	if FirstFailed(reqs[:2]) != 2 {
 		t.Fatal("FirstFailed on a clean prefix must return its length")
 	}
 	// A reused list must not carry the old outcome over.
-	if err := DoBatch(fd, true, reqs); err != nil || FirstFailed(reqs) != len(reqs) || reqs[3].Done != 2 {
+	if err := doBatch(fd, true, reqs); err != nil || FirstFailed(reqs) != len(reqs) || reqs[3].Done != 2 {
 		t.Fatalf("second run: %v, outcomes %+v", err, reqs)
 	}
 }
@@ -216,10 +231,10 @@ func TestFileDeviceBatchEquivalence(t *testing.T) {
 				write := round%3 != 2
 				// Disjoint extents of 1–4 blocks at shuffled positions.
 				slots := rng.Perm(blocks / 4)[:n]
-				mk := func() []IOReq {
-					reqs := make([]IOReq, n)
+				mk := func() []Req {
+					reqs := make([]Req, n)
 					for i, s := range slots {
-						reqs[i] = IOReq{Start: uint64(4 * s), FID: uint64(i)}
+						reqs[i] = Req{Start: uint64(4 * s), FID: uint64(i)}
 					}
 					return reqs
 				}
@@ -236,7 +251,7 @@ func TestFileDeviceBatchEquivalence(t *testing.T) {
 					}
 					a[i].Vec, b[i].Vec = v, w
 				}
-				errA, errB := DoBatch(ring, write, a), DoBatch(serial, write, b)
+				errA, errB := doBatch(ring, write, a), doBatch(serial, write, b)
 				if errA != nil || errB != nil {
 					t.Fatalf("round %d: ring %v, serial %v", round, errA, errB)
 				}
@@ -251,10 +266,10 @@ func TestFileDeviceBatchEquivalence(t *testing.T) {
 				}
 			}
 			imgA, imgB := AlignedBuf((blocks+off)*bs), AlignedBuf((blocks+off)*bs)
-			if err := ringDev.ReadBlocks(0, imgA); err != nil {
+			if err := ReadBlocks(ringDev, 0, imgA); err != nil {
 				t.Fatal(err)
 			}
-			if err := serialDev.ReadBlocks(0, imgB); err != nil {
+			if err := ReadBlocks(serialDev, 0, imgB); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(imgA, imgB) {
@@ -295,7 +310,7 @@ func TestFileDeviceBatchShortCount(t *testing.T) {
 	d := newBatchDevice(t, bs, 64)
 	scriptRing(d, 8, map[int]shimStep{2: {max: bs/2 + 7}, 5: {max: 0}})
 	reqs, want := batchOf(rand.New(rand.NewSource(3)), bs, 8, 64)
-	if err := DoBatch(d, true, reqs); err != nil {
+	if err := doBatch(d, true, reqs); err != nil {
 		t.Fatalf("batch across short counts: %v", err)
 	}
 	for i, got := range readBack(t, d, reqs) {
@@ -324,7 +339,7 @@ func TestFileDeviceBatchHardError(t *testing.T) {
 	scriptRing(d, 8, map[int]shimStep{4: {err: boom}})
 	rec := NewStatsDevice(d)
 	reqs, want := batchOf(rand.New(rand.NewSource(4)), bs, 8, 64)
-	err := DoBatch(rec, true, reqs)
+	err := doBatch(rec, true, reqs)
 	if !errors.Is(err, boom) {
 		t.Fatalf("DoBatch = %v, want the injected completion error", err)
 	}
@@ -357,7 +372,7 @@ func TestFileDeviceBatchChunks(t *testing.T) {
 	d := newBatchDevice(t, bs, 64)
 	ring := scriptRing(d, 4, nil)
 	reqs, want := batchOf(rand.New(rand.NewSource(6)), bs, 10, 64)
-	if err := DoBatch(d, true, reqs); err != nil {
+	if err := doBatch(d, true, reqs); err != nil {
 		t.Fatal(err)
 	}
 	if sc := d.Syscalls(); ring.submits != 3 || sc.PwritevCalls != 3 || sc.WriteSegs != 10 || sc.BatchCalls != 1 {
@@ -370,7 +385,7 @@ func TestFileDeviceBatchChunks(t *testing.T) {
 	}
 
 	ring.script = map[int]shimStep{ring.seen + 5: {err: boom}} // second submission
-	if err := DoBatch(d, true, reqs); !errors.Is(err, boom) {
+	if err := doBatch(d, true, reqs); !errors.Is(err, boom) {
 		t.Fatalf("DoBatch = %v, want the injected error", err)
 	}
 	if ring.submits != 5 {
@@ -396,7 +411,7 @@ func TestFileDeviceBatchRingRefused(t *testing.T) {
 	d.rings.open = func(int) (batchIO, error) { asked++; return nil, errNoRing }
 	for round := 0; round < 3; round++ {
 		reqs, want := batchOf(rand.New(rand.NewSource(int64(round))), bs, 8, 64)
-		if err := DoBatch(d, true, reqs); err != nil {
+		if err := doBatch(d, true, reqs); err != nil {
 			t.Fatal(err)
 		}
 		for i, got := range readBack(t, d, reqs) {
@@ -420,8 +435,8 @@ func TestFileDeviceBatchDeclines(t *testing.T) {
 	buf := func() BlockVec { return VecOne(bs, AlignedBuf(bs)) }
 
 	// Out of range at request 1: request 0 lands, then the range error.
-	reqs := []IOReq{{Start: 3, Vec: buf()}, {Start: 16, Vec: buf()}, {Start: 5, Vec: buf()}}
-	if err := DoBatch(d, true, reqs); !errors.Is(err, ErrOutOfRange) {
+	reqs := []Req{{Start: 3, Vec: buf()}, {Start: 16, Vec: buf()}, {Start: 5, Vec: buf()}}
+	if err := doBatch(d, true, reqs); !errors.Is(err, ErrOutOfRange) {
 		t.Fatalf("out-of-range batch: %v", err)
 	}
 	if reqs[0].Done != 1 || FirstFailed(reqs) != 1 || reqs[2].Done != 0 {
@@ -429,8 +444,8 @@ func TestFileDeviceBatchDeclines(t *testing.T) {
 	}
 
 	// A misaligned buffer: bounced by the serial path.
-	reqs = []IOReq{{Start: 1, Vec: buf()}, {Start: 2, Vec: VecOne(bs, misalignedBuf(bs))}}
-	if err := DoBatch(d, true, reqs); err != nil {
+	reqs = []Req{{Start: 1, Vec: buf()}, {Start: 2, Vec: VecOne(bs, misalignedBuf(bs))}}
+	if err := doBatch(d, true, reqs); err != nil {
 		t.Fatalf("misaligned batch: %v", err)
 	}
 	if sc := d.Syscalls(); sc.BounceCopies != 1 || sc.BatchCalls != 0 || ring.submits != 0 {
@@ -440,8 +455,8 @@ func TestFileDeviceBatchDeclines(t *testing.T) {
 	// A buffered device never batches: nothing to overlap, and buffered
 	// writes through a ring go to kernel workers one by one.
 	d.direct = false
-	reqs = []IOReq{{Start: 1, Vec: buf()}, {Start: 2, Vec: buf()}}
-	if err := DoBatch(d, true, reqs); err != nil || ring.submits != 0 {
+	reqs = []Req{{Start: 1, Vec: buf()}, {Start: 2, Vec: buf()}}
+	if err := doBatch(d, true, reqs); err != nil || ring.submits != 0 {
 		t.Fatalf("buffered batch: %v after %d ring submissions", err, ring.submits)
 	}
 	d.direct = true
@@ -451,14 +466,14 @@ func TestFileDeviceBatchDeclines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reqs = []IOReq{{Start: 0, Vec: buf()}, {Start: 8, Vec: buf()}}
-	if err := DoBatch(sl, true, reqs); !errors.Is(err, ErrOutOfRange) || reqs[0].Done != 1 {
+	reqs = []Req{{Start: 0, Vec: buf()}, {Start: 8, Vec: buf()}}
+	if err := doBatch(sl, true, reqs); !errors.Is(err, ErrOutOfRange) || reqs[0].Done != 1 {
 		t.Fatalf("slice overrun: %v, %+v", err, reqs)
 	}
 	// ...and offsets what lies inside, restoring the caller's view.
-	reqs = []IOReq{{Start: 0, Vec: buf()}, {Start: 7, Vec: buf()}}
+	reqs = []Req{{Start: 0, Vec: buf()}, {Start: 7, Vec: buf()}}
 	reqs[1].Vec.Seg(0)[0] = 0x5A
-	if err := DoBatch(sl, true, reqs); err != nil || ring.submits != 1 {
+	if err := doBatch(sl, true, reqs); err != nil || ring.submits != 1 {
 		t.Fatalf("in-slice batch: %v after %d submissions", err, ring.submits)
 	}
 	if reqs[0].Start != 0 || reqs[1].Start != 7 {
@@ -491,7 +506,7 @@ func TestFileDeviceBatchCloseRace(t *testing.T) {
 				defer wg.Done()
 				rng := rand.New(rand.NewSource(int64(w)))
 				per := blocks / workers
-				reqs := make([]IOReq, 8)
+				reqs := make([]Req, 8)
 				for i := range reqs {
 					reqs[i].Vec = VecOne(bs, AlignedBuf(bs))
 				}
@@ -500,7 +515,7 @@ func TestFileDeviceBatchCloseRace(t *testing.T) {
 					for i, blk := range rng.Perm(per)[:len(reqs)] {
 						reqs[i].Start = uint64(w*per + blk)
 					}
-					err := DoBatch(d, rng.Intn(2) == 0, reqs)
+					err := doBatch(d, rng.Intn(2) == 0, reqs)
 					if errors.Is(err, ErrClosed) {
 						return
 					}

@@ -174,7 +174,7 @@ func TestMemDeviceRangeOpsCrossSlabs(t *testing.T) {
 	src := make([]byte, span*bs)
 	rng.Read(src)
 	start := uint64(dirBlocks - 2*slabBlocks - 3) // crosses slabs and the dir boundary
-	if err := d.WriteBlocks(start, src); err != nil {
+	if err := WriteBlocks(d, start, src); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := d.WrittenBlocks(), span; got != want {
@@ -185,7 +185,7 @@ func TestMemDeviceRangeOpsCrossSlabs(t *testing.T) {
 	rdStart := start - 7
 	rdSpan := span + 20
 	got := make([]byte, rdSpan*bs)
-	if err := d.ReadBlocks(rdStart, got); err != nil {
+	if err := ReadBlocks(d, rdStart, got); err != nil {
 		t.Fatal(err)
 	}
 	one := make([]byte, bs)
@@ -200,7 +200,7 @@ func TestMemDeviceRangeOpsCrossSlabs(t *testing.T) {
 
 	// Snapshot range reads agree too.
 	snap := d.Snapshot()
-	if err := snap.ReadBlocks(rdStart, got); err != nil {
+	if err := ReadBlocks(snap, rdStart, got); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < rdSpan; i++ {

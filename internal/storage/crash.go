@@ -47,11 +47,6 @@ type CrashDevice struct {
 	down      bool
 }
 
-var (
-	_ RangeDevice = (*CrashDevice)(nil)
-	_ VecDevice   = (*CrashDevice)(nil)
-)
-
 // NewCrashDevice wraps inner. Recording starts disabled; call StartRecording
 // once the workload of interest begins (typically after formatting).
 func NewCrashDevice(inner Device) *CrashDevice {
@@ -64,59 +59,65 @@ func (d *CrashDevice) BlockSize() int { return d.inner.BlockSize() }
 // NumBlocks implements Device.
 func (d *CrashDevice) NumBlocks() uint64 { return d.inner.NumBlocks() }
 
-// ReadBlock implements Device: reads observe the cache (a drive returns its
-// own buffered writes) and fall through to stable storage.
-func (d *CrashDevice) ReadBlock(idx uint64, dst []byte) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.down {
-		return ErrPowerCut
-	}
-	if err := checkIO(idx, dst, d.inner.BlockSize(), d.inner.NumBlocks()); err != nil {
-		return err
-	}
-	if b, ok := d.cache[idx]; ok {
-		copy(dst, b)
-		return nil
-	}
-	return d.inner.ReadBlock(idx, dst)
-}
+// ReadBlock implements Device.
+func (d *CrashDevice) ReadBlock(idx uint64, dst []byte) error { return DoBlock(d, OpRead, idx, dst) }
 
-// WriteBlock implements Device: the write is buffered, not durable, until
-// the next Sync.
-func (d *CrashDevice) WriteBlock(idx uint64, src []byte) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.down {
-		return ErrPowerCut
-	}
-	if err := checkIO(idx, src, d.inner.BlockSize(), d.inner.NumBlocks()); err != nil {
-		return err
-	}
-	d.bufferLocked(idx, src)
-	return nil
-}
+// WriteBlock implements Device.
+func (d *CrashDevice) WriteBlock(idx uint64, src []byte) error { return DoBlock(d, OpWrite, idx, src) }
 
-// ReadBlocks implements RangeDevice.
-func (d *CrashDevice) ReadBlocks(start uint64, dst []byte) error {
+// Sync implements Device.
+func (d *CrashDevice) Sync() error { return Sync(d) }
+
+// Do implements Doer under one lock hold for the whole call. Reads observe
+// the cache (a drive returns its own buffered writes) and fall through to
+// stable storage. Writes are buffered, not durable, until the next sync:
+// every block of every segment enters the volatile cache in request and
+// vec order, so the FIFO flush order, the power-cut in-flight set and the
+// recorded write log see the per-block stream whatever the segmentation. A
+// sync is the barrier a commit protocol orders its writes around: every
+// in-flight block reaches stable storage, in the order blocks first became
+// dirty, and the inner device is synced. Discards are dropped.
+func (d *CrashDevice) Do(reqs []Req) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.down {
-		return ErrPowerCut
-	}
-	bs := d.inner.BlockSize()
-	if err := checkRangeIO(start, dst, bs, d.inner.NumBlocks()); err != nil {
-		return err
-	}
-	return d.readSpanLocked(start, dst)
+	return Each(reqs, func(one []Req) error {
+		r := &one[0]
+		if d.down {
+			return ErrPowerCut
+		}
+		switch r.Op {
+		case OpDiscard:
+			return nil
+		case OpSync:
+			if err := d.flushLocked(); err != nil {
+				return err
+			}
+			return Do(d.inner, one)
+		}
+		bs := d.inner.BlockSize()
+		if err := checkVecIO(r.Start, r.Vec, bs, d.inner.NumBlocks()); err != nil {
+			return err
+		}
+		return r.Vec.Range(func(off int, seg []byte) error {
+			if r.Op == OpRead {
+				return d.readSpanLocked(r.FID, r.Start+uint64(off), seg)
+			}
+			for i := 0; i*bs < len(seg); i++ {
+				d.bufferLocked(r.Start+uint64(off+i), seg[i*bs:(i+1)*bs])
+			}
+			return nil
+		})
+	})
 }
 
 // readSpanLocked fills dst — a whole number of blocks at start — from the
 // volatile cache and stable storage. Blocks absent from the cache are read
 // in maximal contiguous runs with one inner range call per run instead of
 // one call per block, which is what keeps the crash-enumeration harnesses'
-// full-device scans cheap. Caller holds d.mu and has validated the request.
-func (d *CrashDevice) readSpanLocked(start uint64, dst []byte) error {
+// full-device scans cheap. The runs are requests of the cache's own, so
+// they carry the caller's flight id down. Caller holds d.mu and has
+// validated the request.
+func (d *CrashDevice) readSpanLocked(fid, start uint64, dst []byte) error {
 	bs := d.inner.BlockSize()
 	n := len(dst) / bs
 	for i := 0; i < n; {
@@ -132,71 +133,13 @@ func (d *CrashDevice) readSpanLocked(start uint64, dst []byte) error {
 			}
 			j++
 		}
-		if err := ReadBlocks(d.inner, start+uint64(i), dst[i*bs:j*bs]); err != nil {
+		run := Req{Op: OpRead, Start: start + uint64(i), Vec: VecOne(bs, dst[i*bs:j*bs]), FID: fid}
+		if err := do1(d.inner, run); err != nil {
 			return err
 		}
 		i = j
 	}
 	return nil
-}
-
-// WriteBlocks implements RangeDevice.
-func (d *CrashDevice) WriteBlocks(start uint64, src []byte) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.down {
-		return ErrPowerCut
-	}
-	bs := d.inner.BlockSize()
-	if err := checkRangeIO(start, src, bs, d.inner.NumBlocks()); err != nil {
-		return err
-	}
-	for i := 0; i*bs < len(src); i++ {
-		d.bufferLocked(start+uint64(i), src[i*bs:(i+1)*bs])
-	}
-	return nil
-}
-
-// ReadBlocksVec implements VecDevice: one lock hold for the whole vec,
-// blocks served from the volatile cache or stable storage exactly as the
-// flat range path does — including its bulk copies of contiguous non-cached
-// runs (each segment is one span of the same block range).
-func (d *CrashDevice) ReadBlocksVec(start uint64, v BlockVec) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.down {
-		return ErrPowerCut
-	}
-	bs := d.inner.BlockSize()
-	if err := checkVecIO(start, v, bs, d.inner.NumBlocks()); err != nil {
-		return err
-	}
-	return v.Range(func(off int, seg []byte) error {
-		return d.readSpanLocked(start+uint64(off), seg)
-	})
-}
-
-// WriteBlocksVec implements VecDevice: every block of every segment enters
-// the volatile cache, in vec order, under one lock hold — so the FIFO
-// flush order, the power-cut in-flight set and the recorded write log see
-// exactly the per-block stream the flat path would have produced, segment
-// run by segment run.
-func (d *CrashDevice) WriteBlocksVec(start uint64, v BlockVec) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.down {
-		return ErrPowerCut
-	}
-	bs := d.inner.BlockSize()
-	if err := checkVecIO(start, v, bs, d.inner.NumBlocks()); err != nil {
-		return err
-	}
-	return v.Range(func(off int, seg []byte) error {
-		for i := 0; i*bs < len(seg); i++ {
-			d.bufferLocked(start+uint64(off+i), seg[i*bs:(i+1)*bs])
-		}
-		return nil
-	})
 }
 
 // bufferLocked stores src as block idx in the volatile cache. Caller holds
@@ -209,21 +152,6 @@ func (d *CrashDevice) bufferLocked(idx uint64, src []byte) {
 		d.order = append(d.order, idx)
 	}
 	copy(b, src)
-}
-
-// Sync implements Device: every in-flight block reaches stable storage, in
-// the order blocks first became dirty, and the inner device is synced. This
-// is the barrier a commit protocol orders its writes around.
-func (d *CrashDevice) Sync() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.down {
-		return ErrPowerCut
-	}
-	if err := d.flushLocked(); err != nil {
-		return err
-	}
-	return d.inner.Sync()
 }
 
 // flushLocked writes the volatile cache to the inner device, logging each
@@ -438,8 +366,6 @@ type overlayDevice struct {
 	blocks map[uint64][]byte
 }
 
-var _ RangeDevice = (*overlayDevice)(nil)
-
 func (d *overlayDevice) BlockSize() int    { return d.blockSize }
 func (d *overlayDevice) NumBlocks() uint64 { return d.numBlocks }
 
@@ -464,20 +390,6 @@ func (d *overlayDevice) WriteBlock(idx uint64, src []byte) error {
 	}
 	d.blocks[idx] = append([]byte(nil), src...)
 	return nil
-}
-
-func (d *overlayDevice) ReadBlocks(start uint64, dst []byte) error {
-	if err := checkRangeIO(start, dst, d.blockSize, d.numBlocks); err != nil {
-		return err
-	}
-	return readBlocksSlow(d, start, dst)
-}
-
-func (d *overlayDevice) WriteBlocks(start uint64, src []byte) error {
-	if err := checkRangeIO(start, src, d.blockSize, d.numBlocks); err != nil {
-		return err
-	}
-	return writeBlocksSlow(d, start, src)
 }
 
 func (d *overlayDevice) Sync() error  { return nil }

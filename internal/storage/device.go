@@ -58,8 +58,8 @@ func checkIO(idx uint64, buf []byte, blockSize int, numBlocks uint64) error {
 }
 
 // ReadFull reads n consecutive blocks starting at start into a single
-// buffer. It is a convenience for tests and workloads; the transfer goes
-// through the vectored path when the device supports it.
+// buffer. It is a convenience for tests and workloads; the transfer is one
+// request through Do.
 func ReadFull(d Device, start, n uint64) ([]byte, error) {
 	out := make([]byte, int(n)*d.BlockSize())
 	if err := ReadBlocks(d, start, out); err != nil {

@@ -4,12 +4,14 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+
+	"mobiceal/internal/obs"
 )
 
 // ErrInjected is the base error returned by FaultDevice failures.
 var ErrInjected = errors.New("storage: injected fault")
 
-// PartialError reports a range operation that an injected fault interrupted
+// PartialError reports a transfer that a fault interrupted
 // after a prefix of the range had already transferred — the partial
 // completion a real controller reports when it dies mid-request. It wraps
 // the underlying fault, so errors.Is(err, ErrInjected) still holds.
@@ -28,6 +30,23 @@ func (e *PartialError) Error() string {
 // Unwrap implements errors.Unwrap.
 func (e *PartialError) Unwrap() error { return e.Err }
 
+// failAfter is the tail of an injected mid-transfer fault: the first done
+// blocks of the transfer in one go to inner, and the request fails with
+// ferr as a PartialError carrying that count.
+func failAfter(inner Device, one []Req, done int, ferr error) error {
+	if done > 0 {
+		r := &one[0]
+		whole := r.Vec
+		r.Vec = whole.Slice(0, done)
+		err := Do(inner, one)
+		r.Vec = whole
+		if err != nil {
+			return err
+		}
+	}
+	return &PartialError{Done: done, Err: ferr}
+}
+
 // FaultDevice wraps a Device and fails operations on demand, for testing
 // error propagation through the storage stack (a flash controller going bad
 // mid-write is a survivable event the upper layers must report cleanly, not
@@ -39,23 +58,15 @@ func (e *PartialError) Unwrap() error { return e.Err }
 type FaultDevice struct {
 	inner Device
 
-	mu          sync.Mutex
-	readsLeft   int
-	writesLeft  int
-	syncsLeft   int
-	readArmed   bool
-	writeArmed  bool
-	syncArmed   bool
-	class       error
-	failedReads uint64
-	failedWrite uint64
-	failedSyncs uint64
+	mu sync.Mutex
+	// budget is indexed by Op: reads, writes and syncs are armed apart.
+	budget [OpSync + 1]struct {
+		armed  bool
+		left   int
+		failed uint64
+	}
+	class error
 }
-
-var (
-	_ RangeDevice = (*FaultDevice)(nil)
-	_ VecDevice   = (*FaultDevice)(nil)
-)
 
 // NewFaultDevice wraps inner with fault injection disarmed.
 func NewFaultDevice(inner Device) *FaultDevice {
@@ -64,31 +75,23 @@ func NewFaultDevice(inner Device) *FaultDevice {
 
 // FailReadsAfter arms read failures: the next n reads succeed, everything
 // after fails with ErrInjected.
-func (d *FaultDevice) FailReadsAfter(n int) {
+func (d *FaultDevice) FailReadsAfter(n int) { d.arm(OpRead, n) }
+
+// arm gives op a budget of n units before it starts failing.
+func (d *FaultDevice) arm(op Op, n int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.readArmed = true
-	d.readsLeft = n
+	d.budget[op].armed, d.budget[op].left = true, n
 }
 
 // FailWritesAfter arms write failures: the next n writes succeed,
 // everything after fails with ErrInjected.
-func (d *FaultDevice) FailWritesAfter(n int) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.writeArmed = true
-	d.writesLeft = n
-}
+func (d *FaultDevice) FailWritesAfter(n int) { d.arm(OpWrite, n) }
 
 // FailSyncsAfter arms sync failures: the next n Sync calls succeed,
 // everything after fails with ErrInjected. Unlike reads/writes, the sync
 // budget is per call, not per block.
-func (d *FaultDevice) FailSyncsAfter(n int) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.syncArmed = true
-	d.syncsLeft = n
-}
+func (d *FaultDevice) FailSyncsAfter(n int) { d.arm(OpSync, n) }
 
 // SetErrorClass attaches a classification sentinel (ErrTransient or
 // ErrMedium) to every subsequently injected fault, so errors.Is sees both
@@ -114,14 +117,16 @@ func (d *FaultDevice) errf(format string, args ...any) error {
 func (d *FaultDevice) Disarm() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.readArmed, d.writeArmed, d.syncArmed = false, false, false
+	for op := range d.budget {
+		d.budget[op].armed = false
+	}
 }
 
 // InjectedFailures reports how many reads and writes were failed.
 func (d *FaultDevice) InjectedFailures() (reads, writes uint64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.failedReads, d.failedWrite
+	return d.budget[OpRead].failed, d.budget[OpWrite].failed
 }
 
 // BlockSize implements Device.
@@ -131,161 +136,53 @@ func (d *FaultDevice) BlockSize() int { return d.inner.BlockSize() }
 func (d *FaultDevice) NumBlocks() uint64 { return d.inner.NumBlocks() }
 
 // ReadBlock implements Device.
-func (d *FaultDevice) ReadBlock(idx uint64, dst []byte) error {
-	d.mu.Lock()
-	if d.readArmed {
-		if d.readsLeft <= 0 {
-			d.failedReads++
-			d.mu.Unlock()
-			return d.errf("read of block %d", idx)
-		}
-		d.readsLeft--
-	}
-	d.mu.Unlock()
-	return d.inner.ReadBlock(idx, dst)
-}
+func (d *FaultDevice) ReadBlock(idx uint64, dst []byte) error { return DoBlock(d, OpRead, idx, dst) }
 
 // WriteBlock implements Device.
-func (d *FaultDevice) WriteBlock(idx uint64, src []byte) error {
-	d.mu.Lock()
-	if d.writeArmed {
-		if d.writesLeft <= 0 {
-			d.failedWrite++
+func (d *FaultDevice) WriteBlock(idx uint64, src []byte) error { return DoBlock(d, OpWrite, idx, src) }
+
+// Sync implements Device.
+func (d *FaultDevice) Sync() error { return Sync(d) }
+
+// Do implements Doer, one request at a time. A transfer consumes one unit
+// of the armed budget per block, and the failure is block-granular: a
+// request that exhausts the budget mid-transfer completes exactly the
+// blocks the budget covered — which may end in the middle of a segment —
+// and fails with a PartialError carrying that count, the way a controller
+// dying mid-request leaves a prefix transferred. The failure consumes the
+// rest of the budget: once the device has failed, all later requests of
+// that kind fail too. An armed sync budget is per call and fails the sync
+// without reaching the inner device, the way a flush command times out at
+// a dying controller before any durability is established.
+func (d *FaultDevice) Do(reqs []Req) error {
+	return Each(reqs, func(one []Req) error {
+		r := &one[0]
+		if r.Op == OpDiscard || int(r.Op) >= len(d.budget) {
+			return Do(d.inner, one) // no budget of its own
+		}
+		n := r.Blocks()
+		if r.Op == OpSync {
+			n = 1 // the sync budget is per call
+		}
+		d.mu.Lock()
+		b := &d.budget[r.Op]
+		if !b.armed || b.left >= n {
+			if b.armed {
+				b.left -= n
+			}
 			d.mu.Unlock()
-			return d.errf("write of block %d", idx)
+			return Do(d.inner, one)
 		}
-		d.writesLeft--
-	}
-	d.mu.Unlock()
-	return d.inner.WriteBlock(idx, src)
-}
-
-// ReadBlocks implements RangeDevice. A vectored request consumes one unit
-// of the armed budget per block, and the failure is block-granular: a range
-// that exhausts the budget mid-transfer completes exactly the blocks the
-// budget covered and fails with a PartialError carrying that count, the way
-// a controller dying mid-request leaves a prefix transferred.
-func (d *FaultDevice) ReadBlocks(start uint64, dst []byte) error {
-	bs := d.inner.BlockSize()
-	n := len(dst) / bs
-	d.mu.Lock()
-	if d.readArmed && d.readsLeft < n {
-		// The failure consumes the rest of the budget: once the device has
-		// failed, all later reads fail too, as documented.
-		done := d.readsLeft
-		d.readsLeft = 0
-		d.failedReads++
-		ferr := d.errf("read of %d blocks at %d", n, start)
+		done := b.left
+		b.left = 0
+		b.failed++
+		ferr := d.errf("%v of %d blocks at %d (failure %d)", obs.FlightOp(r.Op), r.Blocks(), r.Start, b.failed)
 		d.mu.Unlock()
-		if done > 0 {
-			if err := ReadBlocks(d.inner, start, dst[:done*bs]); err != nil {
-				return err
-			}
+		if r.Op == OpSync {
+			return ferr
 		}
-		return &PartialError{Done: done, Err: ferr}
-	}
-	if d.readArmed {
-		d.readsLeft -= n
-	}
-	d.mu.Unlock()
-	return ReadBlocks(d.inner, start, dst)
-}
-
-// WriteBlocks implements RangeDevice with the same block-granular budget
-// rule as ReadBlocks.
-func (d *FaultDevice) WriteBlocks(start uint64, src []byte) error {
-	bs := d.inner.BlockSize()
-	n := len(src) / bs
-	d.mu.Lock()
-	if d.writeArmed && d.writesLeft < n {
-		done := d.writesLeft
-		d.writesLeft = 0
-		d.failedWrite++
-		ferr := d.errf("write of %d blocks at %d", n, start)
-		d.mu.Unlock()
-		if done > 0 {
-			if err := WriteBlocks(d.inner, start, src[:done*bs]); err != nil {
-				return err
-			}
-		}
-		return &PartialError{Done: done, Err: ferr}
-	}
-	if d.writeArmed {
-		d.writesLeft -= n
-	}
-	d.mu.Unlock()
-	return WriteBlocks(d.inner, start, src)
-}
-
-// ReadBlocksVec implements VecDevice with the same block-granular budget
-// rule as ReadBlocks: the armed budget is consumed per block regardless of
-// segmentation, and a vec that exhausts it mid-transfer completes exactly
-// the covered prefix — which may end in the middle of a segment — and
-// fails with a PartialError counting blocks across all segments.
-func (d *FaultDevice) ReadBlocksVec(start uint64, v BlockVec) error {
-	n := v.Len()
-	d.mu.Lock()
-	if d.readArmed && d.readsLeft < n {
-		done := d.readsLeft
-		d.readsLeft = 0
-		d.failedReads++
-		ferr := d.errf("read of %d blocks at %d", n, start)
-		d.mu.Unlock()
-		if done > 0 {
-			if err := ReadBlocksVec(d.inner, start, v.Slice(0, done)); err != nil {
-				return err
-			}
-		}
-		return &PartialError{Done: done, Err: ferr}
-	}
-	if d.readArmed {
-		d.readsLeft -= n
-	}
-	d.mu.Unlock()
-	return ReadBlocksVec(d.inner, start, v)
-}
-
-// WriteBlocksVec implements VecDevice with the same block-granular budget
-// rule as ReadBlocksVec.
-func (d *FaultDevice) WriteBlocksVec(start uint64, v BlockVec) error {
-	n := v.Len()
-	d.mu.Lock()
-	if d.writeArmed && d.writesLeft < n {
-		done := d.writesLeft
-		d.writesLeft = 0
-		d.failedWrite++
-		ferr := d.errf("write of %d blocks at %d", n, start)
-		d.mu.Unlock()
-		if done > 0 {
-			if err := WriteBlocksVec(d.inner, start, v.Slice(0, done)); err != nil {
-				return err
-			}
-		}
-		return &PartialError{Done: done, Err: ferr}
-	}
-	if d.writeArmed {
-		d.writesLeft -= n
-	}
-	d.mu.Unlock()
-	return WriteBlocksVec(d.inner, start, v)
-}
-
-// Sync implements Device. An armed sync budget fails the call without
-// reaching the inner device, the way a flush command times out at a dying
-// controller before any durability is established.
-func (d *FaultDevice) Sync() error {
-	d.mu.Lock()
-	if d.syncArmed {
-		if d.syncsLeft <= 0 {
-			d.failedSyncs++
-			err := d.errf("sync (%d failed)", d.failedSyncs)
-			d.mu.Unlock()
-			return err
-		}
-		d.syncsLeft--
-	}
-	d.mu.Unlock()
-	return d.inner.Sync()
+		return failAfter(d.inner, one, done, ferr)
+	})
 }
 
 // Close implements Device.

@@ -66,7 +66,7 @@ func TestFaultDeviceRangePartialCompletion(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		fillPattern(src[i*testBlockSize:(i+1)*testBlockSize], byte(10+i))
 	}
-	err := d.WriteBlocks(0, src)
+	err := WriteBlocks(d, 0, src)
 	if !errors.Is(err, ErrInjected) {
 		t.Fatalf("range write err = %v, want ErrInjected", err)
 	}
@@ -109,7 +109,7 @@ func TestFaultDeviceRangeReadPartialCompletion(t *testing.T) {
 	d := NewFaultDevice(mem)
 	d.FailReadsAfter(5)
 	dst := make([]byte, 8*testBlockSize)
-	err := d.ReadBlocks(0, dst)
+	err := ReadBlocks(d, 0, dst)
 	var pe *PartialError
 	if !errors.As(err, &pe) || pe.Done != 5 {
 		t.Fatalf("range read err = %v, want PartialError with Done=5", err)

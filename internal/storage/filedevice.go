@@ -132,7 +132,7 @@ type FileDevice struct {
 var (
 	_ RangeDevice     = (*FileDevice)(nil)
 	_ VecDevice       = (*FileDevice)(nil)
-	_ Batcher         = (*FileDevice)(nil)
+	_ Doer            = (*FileDevice)(nil)
 	_ SyscallReporter = (*FileDevice)(nil)
 )
 
@@ -260,115 +260,89 @@ func (d *FileDevice) Syscalls() FileSyscalls {
 
 // ReadBlock implements Device.
 func (d *FileDevice) ReadBlock(idx uint64, dst []byte) error {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if d.closed {
-		return ErrClosed
-	}
-	if err := checkIO(idx, dst, d.blockSize, d.numBlocks); err != nil {
-		return err
-	}
-	if err := d.transfer(false, idx, [][]byte{dst}); err != nil {
-		return fmt.Errorf("storage: reading block %d: %w", idx, err)
-	}
-	return nil
+	return DoBlock(d, OpRead, idx, dst)
 }
 
 // WriteBlock implements Device.
 func (d *FileDevice) WriteBlock(idx uint64, src []byte) error {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if d.closed {
-		return ErrClosed
-	}
-	if err := checkIO(idx, src, d.blockSize, d.numBlocks); err != nil {
-		return err
-	}
-	if err := d.transfer(true, idx, [][]byte{src}); err != nil {
-		return fmt.Errorf("storage: writing block %d: %w", idx, err)
-	}
-	return nil
+	return DoBlock(d, OpWrite, idx, src)
 }
 
 // ReadBlocks implements RangeDevice: the whole range is one pread(v).
 func (d *FileDevice) ReadBlocks(start uint64, dst []byte) error {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if d.closed {
-		return ErrClosed
-	}
-	if err := checkRangeIO(start, dst, d.blockSize, d.numBlocks); err != nil {
-		return err
-	}
-	if len(dst) == 0 {
-		return nil
-	}
-	if err := d.transfer(false, start, [][]byte{dst}); err != nil {
-		return fmt.Errorf("storage: reading %d blocks at %d: %w",
-			len(dst)/d.blockSize, start, err)
-	}
-	return nil
+	return ReadBlocks(d, start, dst)
 }
 
 // WriteBlocks implements RangeDevice: the whole range is one pwrite(v).
 func (d *FileDevice) WriteBlocks(start uint64, src []byte) error {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if d.closed {
-		return ErrClosed
-	}
-	if err := checkRangeIO(start, src, d.blockSize, d.numBlocks); err != nil {
-		return err
-	}
-	if len(src) == 0 {
-		return nil
-	}
-	if err := d.transfer(true, start, [][]byte{src}); err != nil {
-		return fmt.Errorf("storage: writing %d blocks at %d: %w",
-			len(src)/d.blockSize, start, err)
-	}
-	return nil
+	return WriteBlocks(d, start, src)
 }
 
 // ReadBlocksVec implements VecDevice: the whole vec is ONE preadv syscall
 // per attempt — the scatter segments go down together instead of one
 // pread per segment.
 func (d *FileDevice) ReadBlocksVec(start uint64, v BlockVec) error {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if d.closed {
-		return ErrClosed
-	}
-	if err := checkVecIO(start, v, d.blockSize, d.numBlocks); err != nil {
-		return err
-	}
-	if v.Len() == 0 {
-		return nil
-	}
-	if err := d.transfer(false, start, vecSegs(v)); err != nil {
-		return fmt.Errorf("storage: reading %d blocks at %d: %w", v.Len(), start, err)
-	}
-	return nil
+	return ReadBlocksVec(d, start, v)
 }
 
 // WriteBlocksVec implements VecDevice: one pwritev per attempt, gathering
 // the segments in order.
 func (d *FileDevice) WriteBlocksVec(start uint64, v BlockVec) error {
+	return WriteBlocksVec(d, start, v)
+}
+
+// Sync implements Device.
+func (d *FileDevice) Sync() error { return Sync(d) }
+
+// Do implements Doer. More than one request on a direct-mode image goes
+// down as one ring submission (see runBatch) when every request is fit for
+// it; every other call is served one request at a time, each transfer one
+// vectored syscall — there is nothing to overlap in a single request, and
+// the serial path is where every refusal and bounce copy is produced.
+func (d *FileDevice) Do(reqs []Req) error {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
+	if len(reqs) > 1 && !d.closed && d.batchable(reqs) {
+		if slot := d.rings.get(d.fd); slot != nil {
+			err := d.runBatch(slot, reqs)
+			d.rings.put(slot)
+			return err
+		}
+	}
+	return Each(reqs, d.doLocked)
+}
+
+// doLocked serves one request through the syscall path. Caller holds d.mu
+// shared.
+func (d *FileDevice) doLocked(one []Req) error {
+	r := &one[0]
 	if d.closed {
 		return ErrClosed
 	}
-	if err := checkVecIO(start, v, d.blockSize, d.numBlocks); err != nil {
-		return err
-	}
-	if v.Len() == 0 {
+	switch r.Op {
+	case OpDiscard:
+		return nil // the image keeps its extent; nothing to reclaim
+	case OpSync:
+		if err := d.f.Sync(); err != nil {
+			return fmt.Errorf("storage: syncing image: %w", err)
+		}
 		return nil
 	}
-	if err := d.transfer(true, start, vecSegs(v)); err != nil {
-		return fmt.Errorf("storage: writing %d blocks at %d: %w", v.Len(), start, err)
+	if err := checkVecIO(r.Start, r.Vec, d.blockSize, d.numBlocks); err != nil {
+		return err
+	}
+	if r.Vec.Len() == 0 {
+		return nil
+	}
+	if err := d.transfer(r.Op == OpWrite, r.Start, vecSegs(r.Vec)); err != nil {
+		return transferFailed(r, err)
 	}
 	return nil
+}
+
+// transferFailed frames a transfer error with the request it failed.
+func transferFailed(r *Req, err error) error {
+	return fmt.Errorf("storage: %s of %d blocks at %d: %w", obs.FlightOp(r.Op), r.Vec.Len(), r.Start, err)
 }
 
 // vecSegs collects the vec's segments as a plain slice for the transfer
@@ -540,19 +514,6 @@ func advanceSegs(segs [][]byte, n int) [][]byte {
 		segs[0] = segs[0][n:]
 	}
 	return segs
-}
-
-// Sync implements Device.
-func (d *FileDevice) Sync() error {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if d.closed {
-		return ErrClosed
-	}
-	if err := d.f.Sync(); err != nil {
-		return fmt.Errorf("storage: syncing image: %w", err)
-	}
-	return nil
 }
 
 // Close implements Device.

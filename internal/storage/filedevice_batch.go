@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 )
@@ -117,13 +116,11 @@ func (p *ringPool) closeAll() {
 	p.mu.Unlock()
 }
 
-// DoBatch implements Batcher: every request becomes one readv/writev
-// submission-queue entry and the whole batch one ring submission, so the
-// extents the random allocator scattered are in flight on the device
-// together instead of one after another. It declines — the serial loop
-// then serves or rejects the batch exactly as before — when the device is
-// closed, buffered or has no ring, and when any request is empty, out of
-// range or needs the direct-mode bounce buffer.
+// batchable reports whether the device batches at all (direct mode) and
+// every request can go to the ring as it is: a transfer of the call's one
+// kind, non-empty, inside the device and aligned. Anything else has an
+// error or a bounce copy coming that the serial path already knows how to
+// produce.
 //
 // Only a direct-mode device batches. Measured on the raw image (2 clients
 // x 8 scattered 4 KiB blocks per op): O_DIRECT reads go from 92 MB/s
@@ -133,37 +130,14 @@ func (p *ringPool) closeAll() {
 // +26 %, of a share of the op that is already small), and a buffered write
 // cannot be issued without blocking, so the kernel hands every one to a
 // worker thread — 689 MB/s serial falls to 348 batched.
-//
-// Completions are held to the same standard as the syscall path: a short
-// count, -EINTR or -EAGAIN finishes that one extent through the ordinary
-// transfer loop from where the kernel stopped; any other negative result
-// is that request's error, with the others unaffected.
-func (d *FileDevice) DoBatch(write bool, reqs []IOReq) (bool, error) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if d.closed || !d.batchable(reqs) {
-		return false, nil
-	}
-	slot := d.rings.get(d.fd)
-	if slot == nil {
-		return false, nil
-	}
-	err := d.runBatch(slot, write, reqs)
-	d.rings.put(slot)
-	return true, err
-}
-
-// batchable reports whether the device batches at all (direct mode) and
-// every request can go to the ring as it is: non-empty, inside the device
-// and aligned. Anything else has an error or a bounce copy coming that the
-// serial path already knows how to produce.
-func (d *FileDevice) batchable(reqs []IOReq) bool {
-	if !d.direct {
+func (d *FileDevice) batchable(reqs []Req) bool {
+	if !d.direct || (reqs[0].Op != OpRead && reqs[0].Op != OpWrite) {
 		return false
 	}
 	for i := range reqs {
 		v := reqs[i].Vec
-		if v.seg0 == nil || checkVecIO(reqs[i].Start, v, d.blockSize, d.numBlocks) != nil {
+		if reqs[i].Op != reqs[0].Op || v.seg0 == nil ||
+			checkVecIO(reqs[i].Start, v, d.blockSize, d.numBlocks) != nil {
 			return false
 		}
 		for s, n := 0, v.Segments(); s < n; s++ {
@@ -175,11 +149,19 @@ func (d *FileDevice) batchable(reqs []IOReq) bool {
 	return true
 }
 
-// runBatch stages reqs on slot's ring, at most a ring's worth at a time,
-// and turns the completions into each request's Done and Err. A failure
-// stops the batch at the end of the submission it occurred in; requests in
-// later submissions are left unattempted. Caller holds d.mu shared.
-func (d *FileDevice) runBatch(slot *ringSlot, write bool, reqs []IOReq) error {
+// runBatch is Do's native path: every request becomes one readv/writev
+// submission-queue entry on slot's ring — at most a ring's worth at a time
+// — and the whole batch one ring submission, so the extents the random
+// allocator scattered are in flight on the device together instead of one
+// after another. The completions become each request's Done and Err, held
+// to the same standard as the syscall path: a short count, -EINTR or
+// -EAGAIN finishes that one extent through the ordinary transfer loop from
+// where the kernel stopped; any other negative result is that request's
+// error, with the others unaffected. A failure stops the batch at the end
+// of the submission it occurred in; requests in later submissions are left
+// unattempted. Caller holds d.mu shared.
+func (d *FileDevice) runBatch(slot *ringSlot, reqs []Req) error {
+	write := reqs[0].Op == OpWrite
 	calls, segCount := &d.sysc.preadvCalls, &d.sysc.readSegs
 	if write {
 		calls, segCount = &d.sysc.pwritevCalls, &d.sysc.writeSegs
@@ -219,7 +201,7 @@ func (d *FileDevice) runBatch(slot *ringSlot, write bool, reqs []IOReq) error {
 
 // finishOp turns one completion into the request's outcome, finishing a
 // short or interrupted extent through the ordinary transfer loop.
-func (d *FileDevice) finishOp(write bool, r *IOReq, op *batchOp) error {
+func (d *FileDevice) finishOp(write bool, r *Req, op *batchOp) error {
 	var err error
 	switch {
 	case op.err == nil && op.n == r.Vec.Bytes():
@@ -236,9 +218,5 @@ func (d *FileDevice) finishOp(write bool, r *IOReq, op *batchOp) error {
 	if err == nil {
 		return nil
 	}
-	verb := "reading"
-	if write {
-		verb = "writing"
-	}
-	return fmt.Errorf("storage: %s %d blocks at %d: %w", verb, r.Vec.Len(), r.Start, err)
+	return transferFailed(r, err)
 }

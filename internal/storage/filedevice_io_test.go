@@ -99,15 +99,15 @@ func TestFileDeviceMatchesMemReference(t *testing.T) {
 		case 0: // flat range write
 			buf := make([]byte, n*bs)
 			rng.Read(buf)
-			if err := fd.WriteBlocks(start, buf); err != nil {
+			if err := WriteBlocks(fd, start, buf); err != nil {
 				t.Fatalf("op %d WriteBlocks: %v", i, err)
 			}
-			if err := ref.WriteBlocks(start, buf); err != nil {
+			if err := WriteBlocks(ref, start, buf); err != nil {
 				t.Fatal(err)
 			}
 		case 1: // vectored write, random segmentation
 			v := randVec(rng, bs, n)
-			if err := fd.WriteBlocksVec(start, v); err != nil {
+			if err := WriteBlocksVec(fd, start, v); err != nil {
 				t.Fatalf("op %d WriteBlocksVec: %v", i, err)
 			}
 			if err := WriteBlocksVec(ref, start, v); err != nil {
@@ -116,10 +116,10 @@ func TestFileDeviceMatchesMemReference(t *testing.T) {
 		case 2: // flat range read
 			got := make([]byte, n*bs)
 			want := make([]byte, n*bs)
-			if err := fd.ReadBlocks(start, got); err != nil {
+			if err := ReadBlocks(fd, start, got); err != nil {
 				t.Fatalf("op %d ReadBlocks: %v", i, err)
 			}
-			if err := ref.ReadBlocks(start, want); err != nil {
+			if err := ReadBlocks(ref, start, want); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, want) {
@@ -127,11 +127,11 @@ func TestFileDeviceMatchesMemReference(t *testing.T) {
 			}
 		case 3: // vectored read, random segmentation
 			v := randVec(rng, bs, n)
-			if err := fd.ReadBlocksVec(start, v); err != nil {
+			if err := ReadBlocksVec(fd, start, v); err != nil {
 				t.Fatalf("op %d ReadBlocksVec: %v", i, err)
 			}
 			want := make([]byte, n*bs)
-			if err := ref.ReadBlocks(start, want); err != nil {
+			if err := ReadBlocks(ref, start, want); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(v.Flatten(), want) {
@@ -140,11 +140,11 @@ func TestFileDeviceMatchesMemReference(t *testing.T) {
 		}
 	}
 	got := make([]byte, blocks*bs)
-	if err := fd.ReadBlocks(0, got); err != nil {
+	if err := ReadBlocks(fd, 0, got); err != nil {
 		t.Fatal(err)
 	}
 	want := make([]byte, blocks*bs)
-	if err := ref.ReadBlocks(0, want); err != nil {
+	if err := ReadBlocks(ref, 0, want); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
@@ -179,7 +179,7 @@ func TestFileDeviceOneSyscallPerVec(t *testing.T) {
 		seg[0] = byte(i + 1)
 		wv = wv.Append(seg)
 	}
-	if err := d.WriteBlocksVec(3, wv); err != nil {
+	if err := WriteBlocksVec(d, 3, wv); err != nil {
 		t.Fatal(err)
 	}
 	sc := d.Syscalls()
@@ -189,7 +189,7 @@ func TestFileDeviceOneSyscallPerVec(t *testing.T) {
 	}
 
 	rv := Vec(bs, make([]byte, 2*bs), make([]byte, bs), make([]byte, 4*bs))
-	if err := d.ReadBlocksVec(3, rv); err != nil {
+	if err := ReadBlocksVec(d, 3, rv); err != nil {
 		t.Fatal(err)
 	}
 	sc = d.Syscalls()
@@ -221,7 +221,7 @@ func TestFileDeviceShortTransferResumes(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		v = v.Append(want[i*bs : (i+1)*bs])
 	}
-	if err := d.WriteBlocksVec(2, v); err != nil {
+	if err := WriteBlocksVec(d, 2, v); err != nil {
 		t.Fatalf("short-transfer write: %v", err)
 	}
 	sc := d.Syscalls()
@@ -233,7 +233,7 @@ func TestFileDeviceShortTransferResumes(t *testing.T) {
 		t.Fatalf("write segs %d, want 9", sc.WriteSegs)
 	}
 	got := make([]byte, 4*bs)
-	if err := d.ReadBlocks(2, got); err != nil {
+	if err := ReadBlocks(d, 2, got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
@@ -253,7 +253,7 @@ func TestFileDevicePartialErrorRebasing(t *testing.T) {
 	// One block moves cleanly (short), then attempt two moves 1.5 more
 	// blocks and dies: 2.5 blocks transferred overall → Done must be 2.
 	d.vio = &shimVIO{steps: []shimStep{{max: bs}, {max: bs + bs/2, err: errBoom}}}
-	err := d.WriteBlocks(0, make([]byte, 4*bs))
+	err := WriteBlocks(d, 0, make([]byte, 4*bs))
 	var pe *PartialError
 	if !errors.As(err, &pe) {
 		t.Fatalf("partial failure: %v, want PartialError", err)
@@ -267,7 +267,7 @@ func TestFileDevicePartialErrorRebasing(t *testing.T) {
 
 	// Failure before any byte moved: bare error, no PartialError framing.
 	d.vio = &shimVIO{steps: []shimStep{{max: 0, err: errBoom}}}
-	err = d.WriteBlocks(0, make([]byte, bs))
+	err = WriteBlocks(d, 0, make([]byte, bs))
 	if !errors.Is(err, errBoom) {
 		t.Fatalf("zero-progress failure: %v", err)
 	}
@@ -283,7 +283,7 @@ func TestFileDeviceZeroProgressIsUnexpectedEOF(t *testing.T) {
 	const bs = 512
 	d := newTestFileDevice(t, bs, 16, FileOptions{})
 	d.vio = &shimVIO{steps: []shimStep{{max: 0}}}
-	if err := d.WriteBlocks(0, make([]byte, bs)); !errors.Is(err, errUnexpectedEOF) {
+	if err := WriteBlocks(d, 0, make([]byte, bs)); !errors.Is(err, errUnexpectedEOF) {
 		t.Fatalf("zero progress: %v, want unexpected-EOF", err)
 	}
 }
@@ -337,11 +337,11 @@ func TestDirectBounceCopies(t *testing.T) {
 
 	src := misalignedBuf(2 * DirectAlign)
 	rand.New(rand.NewSource(11)).Read(src)
-	if err := d.WriteBlocks(1, src); err != nil {
+	if err := WriteBlocks(d, 1, src); err != nil {
 		t.Fatalf("bounced write: %v", err)
 	}
 	dst := misalignedBuf(2 * DirectAlign)
-	if err := d.ReadBlocks(1, dst); err != nil {
+	if err := ReadBlocks(d, 1, dst); err != nil {
 		t.Fatalf("bounced read: %v", err)
 	}
 	if !bytes.Equal(dst, src) {
@@ -357,7 +357,7 @@ func TestDirectBounceCopies(t *testing.T) {
 	}
 
 	// Aligned callers keep the zero-copy path even in bounce-capable mode.
-	if err := d.WriteBlocks(4, AlignedBuf(DirectAlign)); err != nil {
+	if err := WriteBlocks(d, 4, AlignedBuf(DirectAlign)); err != nil {
 		t.Fatal(err)
 	}
 	if sc = d.Syscalls(); sc.BounceCopies != 2 {
@@ -373,7 +373,7 @@ func TestDirectBouncePartialReadPrefix(t *testing.T) {
 	d := newTestFileDevice(t, bs, 16, FileOptions{})
 	want := make([]byte, 4*bs)
 	rand.New(rand.NewSource(13)).Read(want)
-	if err := d.WriteBlocks(0, want); err != nil {
+	if err := WriteBlocks(d, 0, want); err != nil {
 		t.Fatal(err)
 	}
 
@@ -383,7 +383,7 @@ func TestDirectBouncePartialReadPrefix(t *testing.T) {
 	for i := range dst {
 		dst[i] = 0xEE
 	}
-	err := d.ReadBlocks(0, dst)
+	err := ReadBlocks(d, 0, dst)
 	var pe *PartialError
 	if !errors.As(err, &pe) || pe.Done != 2 {
 		t.Fatalf("bounced partial read: %v, want PartialError Done=2", err)
@@ -420,11 +420,11 @@ func TestOpenFileDeviceDirectRoundtrip(t *testing.T) {
 
 	src := AlignedBuf(4 * DirectAlign)
 	rand.New(rand.NewSource(17)).Read(src)
-	if err := d.WriteBlocks(8, src); err != nil {
+	if err := WriteBlocks(d, 8, src); err != nil {
 		t.Fatalf("O_DIRECT write: %v", err)
 	}
 	dst := AlignedBuf(4 * DirectAlign)
-	if err := d.ReadBlocks(8, dst); err != nil {
+	if err := ReadBlocks(d, 8, dst); err != nil {
 		t.Fatalf("O_DIRECT read: %v", err)
 	}
 	if !bytes.Equal(dst, src) {
@@ -437,7 +437,7 @@ func TestOpenFileDeviceDirectRoundtrip(t *testing.T) {
 	// Misaligned caller against the REAL O_DIRECT fd: the bounce path must
 	// keep it working.
 	mis := misalignedBuf(DirectAlign)
-	if err := d.ReadBlocks(8, mis); err != nil {
+	if err := ReadBlocks(d, 8, mis); err != nil {
 		t.Fatalf("misaligned read via bounce on real O_DIRECT: %v", err)
 	}
 	if !bytes.Equal(mis, src[:DirectAlign]) {

@@ -24,7 +24,7 @@ func TestFileDeviceEINTRRetry(t *testing.T) {
 	}}
 	want := make([]byte, 2*bs)
 	rand.New(rand.NewSource(23)).Read(want)
-	if err := d.WriteBlocks(4, want); err != nil {
+	if err := WriteBlocks(d, 4, want); err != nil {
 		t.Fatalf("write across EINTR: %v", err)
 	}
 	sc := d.Syscalls()
@@ -34,11 +34,11 @@ func TestFileDeviceEINTRRetry(t *testing.T) {
 
 	// EINTR after partial progress: re-issue from the current position.
 	d.vio = &shimVIO{steps: []shimStep{{max: bs, err: syscall.EINTR}}}
-	if err := d.WriteBlocks(8, want); err != nil {
+	if err := WriteBlocks(d, 8, want); err != nil {
 		t.Fatalf("write across mid-transfer EINTR: %v", err)
 	}
 	got := make([]byte, 2*bs)
-	if err := d.ReadBlocks(8, got); err != nil {
+	if err := ReadBlocks(d, 8, got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
@@ -61,7 +61,7 @@ func TestFileDeviceIovMaxCapping(t *testing.T) {
 	for i := 0; i < segs; i++ {
 		v = v.Append(want[i*bs : (i+1)*bs])
 	}
-	if err := d.WriteBlocksVec(0, v); err != nil {
+	if err := WriteBlocksVec(d, 0, v); err != nil {
 		t.Fatalf("IOV_MAX-wide vec write: %v", err)
 	}
 	sc := d.Syscalls()
@@ -69,7 +69,7 @@ func TestFileDeviceIovMaxCapping(t *testing.T) {
 		t.Fatalf("calls %d shorts %d, want 2 / 1", sc.PwritevCalls, sc.ShortTransfers)
 	}
 	got := make([]byte, segs*bs)
-	if err := d.ReadBlocks(0, got); err != nil {
+	if err := ReadBlocks(d, 0, got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {

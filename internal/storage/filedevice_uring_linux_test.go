@@ -76,7 +76,7 @@ func TestURingReapsAcrossInterruptedWaits(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for round := 0; round < 20; round++ {
 		reqs, want := batchOf(rng, bs, 32, 256)
-		if err := DoBatch(d, true, reqs); err != nil {
+		if err := doBatch(d, true, reqs); err != nil {
 			t.Fatalf("round %d write: %v", round, err)
 		}
 		if h, tl := atomic.LoadUint32(r.cqHead), atomic.LoadUint32(r.cqTail); h != tl {
@@ -88,7 +88,7 @@ func TestURingReapsAcrossInterruptedWaits(t *testing.T) {
 		for i := range reqs {
 			reqs[i].Vec = VecOne(bs, AlignedBuf(bs))
 		}
-		if err := DoBatch(d, false, reqs); err != nil {
+		if err := doBatch(d, false, reqs); err != nil {
 			t.Fatalf("round %d read: %v", round, err)
 		}
 		for i := range reqs {
@@ -124,7 +124,7 @@ func TestURingSubmitRefused(t *testing.T) {
 
 	refuse = syscall.EAGAIN
 	reqs, want := batchOf(rng, bs, 8, 64)
-	if err := DoBatch(d, true, reqs); err != nil {
+	if err := doBatch(d, true, reqs); err != nil {
 		t.Fatalf("EAGAIN at submission must degrade to the syscall path: %v", err)
 	}
 	if sc := d.Syscalls(); sc.PwritevCalls != 8 || sc.EintrRetries != 8 {
@@ -138,7 +138,7 @@ func TestURingSubmitRefused(t *testing.T) {
 
 	refuse = syscall.EBADF
 	reqs, _ = batchOf(rng, bs, 8, 64)
-	if err := DoBatch(d, true, reqs); !errors.Is(err, syscall.EBADF) || FirstFailed(reqs) != 0 {
+	if err := doBatch(d, true, reqs); !errors.Is(err, syscall.EBADF) || FirstFailed(reqs) != 0 {
 		t.Fatalf("refused submission: %v, first failed %d", err, FirstFailed(reqs))
 	}
 	if h, tl := atomic.LoadUint32(r.sqHead), atomic.LoadUint32(r.sqTail); h != tl {
@@ -147,7 +147,7 @@ func TestURingSubmitRefused(t *testing.T) {
 
 	refuse = 0
 	reqs, want = batchOf(rng, bs, 8, 64)
-	if err := DoBatch(d, true, reqs); err != nil {
+	if err := doBatch(d, true, reqs); err != nil {
 		t.Fatalf("ring unusable after a refused submission: %v", err)
 	}
 	for i, got := range readBack(t, d, reqs) {
@@ -164,7 +164,7 @@ func TestFileDeviceBatchCompletionEINTR(t *testing.T) {
 	d := newBatchDevice(t, bs, 64)
 	scriptRing(d, 8, map[int]shimStep{1: {err: syscall.EINTR}, 6: {err: syscall.EAGAIN}})
 	reqs, want := batchOf(rand.New(rand.NewSource(10)), bs, 8, 64)
-	if err := DoBatch(d, true, reqs); err != nil {
+	if err := doBatch(d, true, reqs); err != nil {
 		t.Fatalf("batch across interrupted completions: %v", err)
 	}
 	for i, got := range readBack(t, d, reqs) {
@@ -195,15 +195,15 @@ func TestURingIovMaxCapping(t *testing.T) {
 	}
 	small := AlignedBuf(bs)
 	rng.Read(small)
-	reqs := []IOReq{{Start: 0, Vec: wide}, {Start: segs + 3, Vec: VecOne(bs, small)}}
-	if err := DoBatch(d, true, reqs); err != nil {
+	reqs := []Req{{Start: 0, Vec: wide}, {Start: segs + 3, Vec: VecOne(bs, small)}}
+	if err := doBatch(d, true, reqs); err != nil {
 		t.Fatal(err)
 	}
 	if sc := d.Syscalls(); sc.ShortTransfers != 1 || sc.PwritevCalls != 2 || sc.BatchCalls != 1 {
 		t.Fatalf("capped extent: %+v", sc)
 	}
 	got := AlignedBuf(segs * bs)
-	if err := d.ReadBlocks(0, got); err != nil {
+	if err := ReadBlocks(d, 0, got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {

@@ -78,8 +78,8 @@ type flakyKey struct {
 //     added with AddBadBlock fails, forever, like a grown defect.
 //   - latency spikes: an op stalls for LatencySpike then completes.
 //
-// Range and vec operations are block-granular like FaultDevice: the prefix
-// before a faulting block transfers and the op fails with a PartialError,
+// Transfers are block-granular like FaultDevice: the prefix before a
+// faulting block transfers and the request fails with a PartialError,
 // so upper-layer partial-completion handling is exercised. Per-block op
 // counters (OpCount) number every block touched, giving the fault-sweep
 // harness a stable index space to enumerate. FlakyDevice is safe for
@@ -97,11 +97,6 @@ type FlakyDevice struct {
 	ops       [flakyOpCount]uint64
 	stats     FlakyStats
 }
-
-var (
-	_ RangeDevice = (*FlakyDevice)(nil)
-	_ VecDevice   = (*FlakyDevice)(nil)
-)
 
 // NewFlakyDevice wraps inner with the given fault configuration.
 func NewFlakyDevice(inner Device, opts FlakyOptions) *FlakyDevice {
@@ -254,129 +249,65 @@ func (d *FlakyDevice) BlockSize() int { return d.inner.BlockSize() }
 func (d *FlakyDevice) NumBlocks() uint64 { return d.inner.NumBlocks() }
 
 // ReadBlock implements Device.
-func (d *FlakyDevice) ReadBlock(idx uint64, dst []byte) error {
-	err, spike := d.checkOp(FlakyRead, idx)
-	if spike > 0 {
-		time.Sleep(spike)
-	}
-	if err != nil {
-		return err
-	}
-	return d.inner.ReadBlock(idx, dst)
-}
+func (d *FlakyDevice) ReadBlock(idx uint64, dst []byte) error { return DoBlock(d, OpRead, idx, dst) }
 
 // WriteBlock implements Device.
-func (d *FlakyDevice) WriteBlock(idx uint64, src []byte) error {
-	err, spike := d.checkOp(FlakyWrite, idx)
-	if spike > 0 {
-		time.Sleep(spike)
-	}
-	if err != nil {
-		return err
-	}
-	return d.inner.WriteBlock(idx, src)
-}
+func (d *FlakyDevice) WriteBlock(idx uint64, src []byte) error { return DoBlock(d, OpWrite, idx, src) }
 
-// ReadBlocks implements RangeDevice, block-granularly: the prefix before
-// the first faulting block transfers, then the op fails with a
-// PartialError carrying the completed count.
-func (d *FlakyDevice) ReadBlocks(start uint64, dst []byte) error {
-	bs := d.inner.BlockSize()
-	n := len(dst) / bs
-	done, ferr, spike := d.firstFault(FlakyRead, start, n)
-	if spike > 0 {
-		time.Sleep(spike)
-	}
-	if ferr == nil {
-		return ReadBlocks(d.inner, start, dst)
-	}
-	if done > 0 {
-		if err := ReadBlocks(d.inner, start, dst[:done*bs]); err != nil {
-			return err
+// Sync implements Device.
+func (d *FlakyDevice) Sync() error { return Sync(d) }
+
+// Do implements Doer, one request at a time and block-granularly: the
+// prefix before the first faulting block transfers — it may end
+// mid-segment — then the request fails with a PartialError carrying the
+// completed count. Sync faults are op-index based only (one-shot FailOpAt
+// with op FlakySync); rate-based and bad-block faults never hit a sync, so
+// barrier behaviour stays deterministic under rate injection.
+func (d *FlakyDevice) Do(reqs []Req) error {
+	return Each(reqs, func(one []Req) error {
+		r := &one[0]
+		switch r.Op {
+		case OpDiscard:
+			return Do(d.inner, one)
+		case OpSync:
+			if err := d.syncFault(); err != nil {
+				return err
+			}
+			return Do(d.inner, one)
 		}
-	}
-	return &PartialError{Done: done, Err: ferr}
-}
-
-// WriteBlocks implements RangeDevice with the same block-granular rule as
-// ReadBlocks.
-func (d *FlakyDevice) WriteBlocks(start uint64, src []byte) error {
-	bs := d.inner.BlockSize()
-	n := len(src) / bs
-	done, ferr, spike := d.firstFault(FlakyWrite, start, n)
-	if spike > 0 {
-		time.Sleep(spike)
-	}
-	if ferr == nil {
-		return WriteBlocks(d.inner, start, src)
-	}
-	if done > 0 {
-		if err := WriteBlocks(d.inner, start, src[:done*bs]); err != nil {
-			return err
+		op := FlakyRead
+		if r.Op == OpWrite {
+			op = FlakyWrite
 		}
-	}
-	return &PartialError{Done: done, Err: ferr}
-}
-
-// ReadBlocksVec implements VecDevice with the same block-granular rule as
-// ReadBlocks: the completed prefix may end mid-segment.
-func (d *FlakyDevice) ReadBlocksVec(start uint64, v BlockVec) error {
-	n := v.Len()
-	done, ferr, spike := d.firstFault(FlakyRead, start, n)
-	if spike > 0 {
-		time.Sleep(spike)
-	}
-	if ferr == nil {
-		return ReadBlocksVec(d.inner, start, v)
-	}
-	if done > 0 {
-		if err := ReadBlocksVec(d.inner, start, v.Slice(0, done)); err != nil {
-			return err
+		done, ferr, spike := d.firstFault(op, r.Start, r.Blocks())
+		if spike > 0 {
+			time.Sleep(spike)
 		}
-	}
-	return &PartialError{Done: done, Err: ferr}
-}
-
-// WriteBlocksVec implements VecDevice with the same block-granular rule as
-// ReadBlocksVec.
-func (d *FlakyDevice) WriteBlocksVec(start uint64, v BlockVec) error {
-	n := v.Len()
-	done, ferr, spike := d.firstFault(FlakyWrite, start, n)
-	if spike > 0 {
-		time.Sleep(spike)
-	}
-	if ferr == nil {
-		return WriteBlocksVec(d.inner, start, v)
-	}
-	if done > 0 {
-		if err := WriteBlocksVec(d.inner, start, v.Slice(0, done)); err != nil {
-			return err
+		if ferr == nil {
+			return Do(d.inner, one)
 		}
-	}
-	return &PartialError{Done: done, Err: ferr}
+		return failAfter(d.inner, one, done, ferr)
+	})
 }
 
-// Sync implements Device. Sync faults are op-index based only (one-shot
-// FailOpAt with op FlakySync); rate-based and bad-block faults never hit
-// Sync, so barrier behaviour stays deterministic under rate injection.
-func (d *FlakyDevice) Sync() error {
+// syncFault numbers one sync op and returns its armed one-shot fault, if
+// any.
+func (d *FlakyDevice) syncFault() error {
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	idx := d.ops[FlakySync]
 	d.ops[FlakySync]++
 	class, ok := d.oneShot[FlakySync][idx]
-	if ok {
-		delete(d.oneShot[FlakySync], idx)
-		if class == ErrTransient {
-			d.stats.Transient++
-		} else {
-			d.stats.Medium++
-		}
+	if !ok {
+		return nil
 	}
-	d.mu.Unlock()
-	if ok {
-		return fmt.Errorf("%w (%w): sync op %d", ErrInjected, class, idx)
+	delete(d.oneShot[FlakySync], idx)
+	if class == ErrTransient {
+		d.stats.Transient++
+	} else {
+		d.stats.Medium++
 	}
-	return d.inner.Sync()
+	return fmt.Errorf("%w (%w): sync op %d", ErrInjected, class, idx)
 }
 
 // Close implements Device.

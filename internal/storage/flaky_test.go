@@ -23,7 +23,7 @@ func TestErrorClassHelpers(t *testing.T) {
 	// Classification survives PartialError wrapping on range ops.
 	d.SetErrorClass(ErrMedium)
 	d.FailWritesAfter(1)
-	err = d.WriteBlocks(0, make([]byte, 3*testBlockSize))
+	err = WriteBlocks(d, 0, make([]byte, 3*testBlockSize))
 	var pe *PartialError
 	if !errors.As(err, &pe) || pe.Done != 1 {
 		t.Fatalf("range fault = %v", err)
@@ -95,7 +95,7 @@ func TestFlakyDeviceRangePartialPrefix(t *testing.T) {
 	// exactly 2 blocks and reports PartialError{Done: 2}.
 	d.FailOpAt(FlakyWrite, 2, nil)
 	src := bytes.Repeat([]byte{0x5C}, 5*testBlockSize)
-	err := d.WriteBlocks(4, src)
+	err := WriteBlocks(d, 4, src)
 	var pe *PartialError
 	if !errors.As(err, &pe) || pe.Done != 2 {
 		t.Fatalf("range write err = %v", err)
@@ -104,11 +104,11 @@ func TestFlakyDeviceRangePartialPrefix(t *testing.T) {
 		t.Fatalf("one-shot default class not transient: %v", err)
 	}
 	// The prefix landed; the retry of the whole range succeeds.
-	if err := d.WriteBlocks(4, src); err != nil {
+	if err := WriteBlocks(d, 4, src); err != nil {
 		t.Fatalf("range retry: %v", err)
 	}
 	got := make([]byte, 5*testBlockSize)
-	if err := d.ReadBlocks(4, got); err != nil {
+	if err := ReadBlocks(d, 4, got); err != nil {
 		t.Fatalf("readback: %v", err)
 	}
 	if !bytes.Equal(got, src) {
@@ -136,7 +136,7 @@ func TestFlakyDeviceStickyBadBlock(t *testing.T) {
 	if err := d.WriteBlock(4, buf); err != nil {
 		t.Fatalf("neighbour write: %v", err)
 	}
-	err := d.WriteBlocks(4, make([]byte, 3*testBlockSize))
+	err := WriteBlocks(d, 4, make([]byte, 3*testBlockSize))
 	var pe *PartialError
 	if !errors.As(err, &pe) || pe.Done != 1 || !IsMedium(err) {
 		t.Fatalf("spanning write err = %v", err)

@@ -2,15 +2,12 @@ package storage
 
 import "fmt"
 
-// RangeDevice is the optional vectored-I/O extension of Device. A range
-// operation moves len(buf)/BlockSize consecutive blocks in one call, which
-// lets implementations pay their fixed costs (lock acquisition, mapping
-// resolution, syscall, cipher setup) once per request instead of once per
-// block — the same economics the kernel gets from bio merging.
-//
-// Implementations must behave exactly like the equivalent sequence of
-// per-block calls, except that they may fail without partial effects or
-// with a prefix of the range transferred.
+// RangeDevice is the flat-buffer transfer surface of the two leaf devices
+// (MemDevice, FileDevice): a range operation moves len(buf)/BlockSize
+// consecutive blocks in one call. Nothing dispatches on it — Do reaches a
+// leaf through VecDevice, a flat buffer being a one-segment vec — and it
+// stays declared because the frozen bench module's timing shim asserts it
+// on the backends.
 type RangeDevice interface {
 	Device
 	// ReadBlocks copies blocks [start, start+len(dst)/BlockSize) into dst.
@@ -39,48 +36,6 @@ func checkRangeIO(start uint64, buf []byte, blockSize int, numBlocks uint64) err
 	return nil
 }
 
-// ReadBlocks reads len(dst)/BlockSize consecutive blocks of d starting at
-// start. Devices implementing RangeDevice serve the request natively in a
-// single call; any other Device is driven block by block, so every layer of
-// a stack can adopt the vectored path independently.
-func ReadBlocks(d Device, start uint64, dst []byte) error {
-	if rd, ok := d.(RangeDevice); ok {
-		return rd.ReadBlocks(start, dst)
-	}
-	return readBlocksSlow(d, start, dst)
-}
-
-// WriteBlocks writes len(src)/BlockSize consecutive blocks of d starting at
-// start, using the native vectored path when d implements RangeDevice.
-func WriteBlocks(d Device, start uint64, src []byte) error {
-	if rd, ok := d.(RangeDevice); ok {
-		return rd.WriteBlocks(start, src)
-	}
-	return writeBlocksSlow(d, start, src)
-}
-
-// Discarder is the optional TRIM extension of Device: DiscardRange drops
-// the contents of count blocks starting at start, letting thinly
-// provisioned layers reclaim the physical space. Stacking layers
-// (SliceDevice, dm targets) forward it to their inner device so a discard
-// issued at the top of a volume stack reaches the thin pool.
-type Discarder interface {
-	// DiscardRange unmaps blocks [start, start+count). Reading a
-	// discarded block afterwards returns zeros on provisioning layers.
-	DiscardRange(start, count uint64) error
-}
-
-// Discard forwards a TRIM to d when it supports one. Devices without
-// discard support ignore it, exactly as the kernel block layer drops
-// REQ_OP_DISCARD for devices that do not advertise it — the operation is
-// advisory.
-func Discard(d Device, start, count uint64) error {
-	if dd, ok := d.(Discarder); ok {
-		return dd.DiscardRange(start, count)
-	}
-	return nil
-}
-
 // ForEachRun walks a sorted slice of block indexes and invokes fn once per
 // maximal run of consecutive indexes, with the run's first index and
 // length. Callers use it to turn block sets into vectored range operations
@@ -95,36 +50,6 @@ func ForEachRun(sorted []uint64, fn func(start uint64, count int) error) error {
 			return err
 		}
 		i = j
-	}
-	return nil
-}
-
-// readBlocksSlow is the generic per-block fallback behind ReadBlocks.
-func readBlocksSlow(d Device, start uint64, dst []byte) error {
-	bs := d.BlockSize()
-	if len(dst)%bs != 0 {
-		return fmt.Errorf("%w: range buffer %d not a multiple of %d",
-			ErrBadBuffer, len(dst), bs)
-	}
-	for i := 0; i*bs < len(dst); i++ {
-		if err := d.ReadBlock(start+uint64(i), dst[i*bs:(i+1)*bs]); err != nil {
-			return fmt.Errorf("storage: reading block %d: %w", start+uint64(i), err)
-		}
-	}
-	return nil
-}
-
-// writeBlocksSlow is the generic per-block fallback behind WriteBlocks.
-func writeBlocksSlow(d Device, start uint64, src []byte) error {
-	bs := d.BlockSize()
-	if len(src)%bs != 0 {
-		return fmt.Errorf("%w: range buffer %d not a multiple of %d",
-			ErrBadBuffer, len(src), bs)
-	}
-	for i := 0; i*bs < len(src); i++ {
-		if err := d.WriteBlock(start+uint64(i), src[i*bs:(i+1)*bs]); err != nil {
-			return fmt.Errorf("storage: writing block %d: %w", start+uint64(i), err)
-		}
 	}
 	return nil
 }

@@ -3,113 +3,129 @@ package storage
 import (
 	"bytes"
 	"errors"
-	"math/rand"
 	"path/filepath"
 	"testing"
+
+	"mobiceal/internal/prng"
 )
 
-// blockOnly hides the RangeDevice methods of a device, forcing the generic
-// per-block fallback path through ReadBlocks/WriteBlocks.
-type blockOnly struct {
-	d Device
-}
+// plainDevice hides every transfer method of a device but the per-block
+// ones, exercising the ladder's last rung.
+type plainDevice struct{ Device }
 
-func (b blockOnly) ReadBlock(idx uint64, dst []byte) error  { return b.d.ReadBlock(idx, dst) }
-func (b blockOnly) WriteBlock(idx uint64, src []byte) error { return b.d.WriteBlock(idx, src) }
-func (b blockOnly) BlockSize() int                          { return b.d.BlockSize() }
-func (b blockOnly) NumBlocks() uint64                       { return b.d.NumBlocks() }
-func (b blockOnly) Sync() error                             { return b.d.Sync() }
-func (b blockOnly) Close() error                            { return b.d.Close() }
+// rangeOnlyDevice adds the flat RangeDevice methods and no vec ones.
+// Nothing dispatches on RangeDevice, so it too is driven block by block and
+// its methods must never be what serves a request.
+type rangeOnlyDevice struct{ plainDevice }
 
-// rangeDevices builds one instance of every range-capable device plus the
-// fallback wrapper, all with the same geometry.
-func rangeDevices(t *testing.T, blockSize int, numBlocks uint64) map[string]Device {
+func (d *rangeOnlyDevice) ReadBlocks(uint64, []byte) error  { panic("dispatched on RangeDevice") }
+func (d *rangeOnlyDevice) WriteBlocks(uint64, []byte) error { panic("dispatched on RangeDevice") }
+
+// testDevice builds one device of the given kind and geometry.
+func testDevice(t *testing.T, kind string, bs int, blocks uint64) Device {
 	t.Helper()
-	fd, err := CreateFileDevice(filepath.Join(t.TempDir(), "img.bin"), blockSize, numBlocks)
-	if err != nil {
-		t.Fatalf("CreateFileDevice: %v", err)
+	mem := NewMemDevice(bs, blocks)
+	switch kind {
+	case "mem":
+		return mem
+	case "noise":
+		return NewMemDeviceBackground(bs, blocks, NewNoiseBackground(99))
+	case "file":
+		fd, err := CreateFileDevice(filepath.Join(t.TempDir(), "img.bin"), bs, blocks)
+		if err != nil {
+			t.Fatalf("CreateFileDevice: %v", err)
+		}
+		t.Cleanup(func() { _ = fd.Close() })
+		return fd
+	case "slice":
+		slice, err := NewSliceDevice(NewMemDevice(bs, blocks+31), 17, blocks)
+		if err != nil {
+			t.Fatalf("NewSliceDevice: %v", err)
+		}
+		return slice
+	case "stats":
+		return NewStatsDevice(mem)
+	case "fault":
+		return NewFaultDevice(mem)
+	case "crash":
+		return NewCrashDevice(mem)
+	case "plain":
+		return plainDevice{mem}
+	case "rangeonly":
+		return &rangeOnlyDevice{plainDevice{mem}}
 	}
-	t.Cleanup(func() { _ = fd.Close() })
-	parent := NewMemDevice(blockSize, numBlocks+7)
-	slice, err := NewSliceDevice(parent, 7, numBlocks)
-	if err != nil {
-		t.Fatalf("NewSliceDevice: %v", err)
-	}
-	return map[string]Device{
-		"mem":      NewMemDevice(blockSize, numBlocks),
-		"memnoise": NewMemDeviceBackground(blockSize, numBlocks, NewNoiseBackground(99)),
-		"file":     fd,
-		"slice":    slice,
-		"stats":    NewStatsDevice(NewMemDevice(blockSize, numBlocks)),
-		"fault":    NewFaultDevice(NewMemDevice(blockSize, numBlocks)),
-		"fallback": blockOnly{NewMemDevice(blockSize, numBlocks)},
-	}
+	t.Fatalf("unknown device kind %q", kind)
+	return nil
 }
 
-// TestRangeMatchesBlockwise drives each device with a random mix of
-// vectored and per-block I/O and cross-checks every vectored result against
-// the per-block equivalent.
-func TestRangeMatchesBlockwise(t *testing.T) {
-	const (
-		blockSize = 512
-		numBlocks = 64
-	)
-	for name, dev := range rangeDevices(t, blockSize, numBlocks) {
+// shapeMatchesBlockwise drives one device per named kind with a random mix
+// of writes and reads moved through the given request shape, and
+// cross-checks every step — and the final image — against a shadow device
+// driven block by block.
+func shapeMatchesBlockwise(t *testing.T, kinds map[string]string, bs int, blocks uint64, maxLen uint64,
+	write, read func(src *prng.Source, d Device, start uint64, buf []byte) error) {
+	for name, kind := range kinds {
 		t.Run(name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(42))
-			shadow := NewMemDevice(blockSize, numBlocks)
+			src := prng.NewSource(0xd5e + uint64(len(name)))
+			dev := testDevice(t, kind, bs, blocks)
+			shadow := plainDevice{NewMemDevice(bs, blocks)}
 			// Mirror the initial background so unwritten reads compare.
-			init := make([]byte, numBlocks*blockSize)
-			if err := ReadBlocks(dev, 0, init); err != nil {
-				t.Fatalf("initial ReadBlocks: %v", err)
+			init := make([]byte, int(blocks)*bs)
+			if err := ReadBlocks(plainDevice{dev}, 0, init); err != nil {
+				t.Fatalf("initial image: %v", err)
 			}
 			if err := WriteBlocks(shadow, 0, init); err != nil {
 				t.Fatalf("priming shadow: %v", err)
 			}
-			for i := 0; i < 200; i++ {
-				start := uint64(rng.Intn(numBlocks))
-				n := uint64(rng.Intn(numBlocks-int(start))) + 1
-				buf := make([]byte, n*blockSize)
-				if rng.Intn(2) == 0 {
-					rng.Read(buf)
-					if err := WriteBlocks(dev, start, buf); err != nil {
-						t.Fatalf("WriteBlocks(%d, %d blocks): %v", start, n, err)
+			for r := 0; r < 300; r++ {
+				start := src.Uint64n(blocks)
+				n := min(1+src.Uint64n(blocks-start), maxLen)
+				buf, want := make([]byte, int(n)*bs), make([]byte, int(n)*bs)
+				if src.Uint64n(2) == 0 {
+					if _, err := src.Read(buf); err != nil {
+						t.Fatal(err)
 					}
-					// Shadow written per block: must be equivalent.
-					for j := uint64(0); j < n; j++ {
-						if err := shadow.WriteBlock(start+j, buf[j*blockSize:(j+1)*blockSize]); err != nil {
-							t.Fatalf("shadow WriteBlock: %v", err)
-						}
+					if err := write(src, dev, start, buf); err != nil {
+						t.Fatalf("round %d: write of %d blocks at %d: %v", r, n, start, err)
 					}
-				} else {
-					if err := ReadBlocks(dev, start, buf); err != nil {
-						t.Fatalf("ReadBlocks(%d, %d blocks): %v", start, n, err)
+					if err := WriteBlocks(shadow, start, buf); err != nil {
+						t.Fatal(err)
 					}
-					want := make([]byte, n*blockSize)
-					for j := uint64(0); j < n; j++ {
-						if err := shadow.ReadBlock(start+j, want[j*blockSize:(j+1)*blockSize]); err != nil {
-							t.Fatalf("shadow ReadBlock: %v", err)
-						}
-					}
-					if !bytes.Equal(buf, want) {
-						t.Fatalf("vectored read at %d (%d blocks) diverges from per-block", start, n)
-					}
+					continue
+				}
+				if err := read(src, dev, start, buf); err != nil {
+					t.Fatalf("round %d: read of %d blocks at %d: %v", r, n, start, err)
+				}
+				if err := ReadBlocks(shadow, start, want); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(buf, want) {
+					t.Fatalf("round %d: read at %d (%d blocks) diverges from per-block", r, start, n)
 				}
 			}
-			// Final image must match block for block.
-			got := make([]byte, numBlocks*blockSize)
-			if err := ReadBlocks(dev, 0, got); err != nil {
-				t.Fatalf("final ReadBlocks: %v", err)
+			got, want := make([]byte, len(init)), make([]byte, len(init))
+			if err := read(src, dev, 0, got); err != nil {
+				t.Fatalf("final read: %v", err)
 			}
-			want, err := ReadFull(shadow, 0, numBlocks)
-			if err != nil {
-				t.Fatalf("final shadow read: %v", err)
+			if err := ReadBlocks(shadow, 0, want); err != nil {
+				t.Fatal(err)
 			}
 			if !bytes.Equal(got, want) {
 				t.Fatal("final image diverges from per-block shadow")
 			}
 		})
 	}
+}
+
+// TestRangeMatchesBlockwise: a flat request of any length is the per-block
+// loop, on every device class and on the ladder's last rung.
+func TestRangeMatchesBlockwise(t *testing.T) {
+	kinds := map[string]string{"mem": "mem", "memnoise": "noise", "file": "file", "slice": "slice",
+		"stats": "stats", "fault": "fault", "fallback": "plain"}
+	flat := func(op func(Device, uint64, []byte) error) func(*prng.Source, Device, uint64, []byte) error {
+		return func(_ *prng.Source, d Device, start uint64, buf []byte) error { return op(d, start, buf) }
+	}
+	shapeMatchesBlockwise(t, kinds, 512, 64, 64, flat(WriteBlocks), flat(ReadBlocks))
 }
 
 func TestRangeValidation(t *testing.T) {
@@ -197,7 +213,7 @@ func TestSnapshotRangeRead(t *testing.T) {
 	if err := ReadBlocks(snap, 0, got); err != nil {
 		t.Fatalf("snapshot ReadBlocks: %v", err)
 	}
-	want, err := ReadFull(blockOnly{snap}, 0, 16)
+	want, err := ReadFull(plainDevice{snap}, 0, 16)
 	if err != nil {
 		t.Fatalf("snapshot per-block read: %v", err)
 	}

@@ -12,12 +12,6 @@ type SliceDevice struct {
 	length uint64
 }
 
-var (
-	_ RangeDevice = (*SliceDevice)(nil)
-	_ VecDevice   = (*SliceDevice)(nil)
-	_ Batcher     = (*SliceDevice)(nil)
-)
-
 // NewSliceDevice returns a view of parent covering blocks
 // [start, start+length). It fails if the range exceeds the parent.
 func NewSliceDevice(parent Device, start, length uint64) (*SliceDevice, error) {
@@ -35,91 +29,31 @@ func (d *SliceDevice) BlockSize() int { return d.parent.BlockSize() }
 func (d *SliceDevice) NumBlocks() uint64 { return d.length }
 
 // ReadBlock implements Device.
-func (d *SliceDevice) ReadBlock(idx uint64, dst []byte) error {
-	if idx >= d.length {
-		return fmt.Errorf("%w: block %d, slice has %d", ErrOutOfRange, idx, d.length)
-	}
-	return d.parent.ReadBlock(d.start+idx, dst)
-}
+func (d *SliceDevice) ReadBlock(idx uint64, dst []byte) error { return DoBlock(d, OpRead, idx, dst) }
 
 // WriteBlock implements Device.
-func (d *SliceDevice) WriteBlock(idx uint64, src []byte) error {
-	if idx >= d.length {
-		return fmt.Errorf("%w: block %d, slice has %d", ErrOutOfRange, idx, d.length)
-	}
-	return d.parent.WriteBlock(d.start+idx, src)
-}
-
-// ReadBlocks implements RangeDevice by offsetting the range into the
-// parent, preserving the parent's native vectored path.
-func (d *SliceDevice) ReadBlocks(start uint64, dst []byte) error {
-	if err := checkRangeIO(start, dst, d.BlockSize(), d.length); err != nil {
-		return err
-	}
-	return ReadBlocks(d.parent, d.start+start, dst)
-}
-
-// WriteBlocks implements RangeDevice.
-func (d *SliceDevice) WriteBlocks(start uint64, src []byte) error {
-	if err := checkRangeIO(start, src, d.BlockSize(), d.length); err != nil {
-		return err
-	}
-	return WriteBlocks(d.parent, d.start+start, src)
-}
-
-// ReadBlocksVec implements VecDevice by offsetting the vec into the
-// parent, preserving the parent's native scatter-gather path.
-func (d *SliceDevice) ReadBlocksVec(start uint64, v BlockVec) error {
-	if err := checkVecIO(start, v, d.BlockSize(), d.length); err != nil {
-		return err
-	}
-	return ReadBlocksVec(d.parent, d.start+start, v)
-}
-
-// WriteBlocksVec implements VecDevice.
-func (d *SliceDevice) WriteBlocksVec(start uint64, v BlockVec) error {
-	if err := checkVecIO(start, v, d.BlockSize(), d.length); err != nil {
-		return err
-	}
-	return WriteBlocksVec(d.parent, d.start+start, v)
-}
-
-// DoBatch implements Batcher by offsetting every request into the parent
-// for the duration of the call. A batch holding a request outside the
-// slice is declined, so the serial path reports the error at that request
-// with the ones before it executed.
-func (d *SliceDevice) DoBatch(write bool, reqs []IOReq) (bool, error) {
-	b, ok := d.parent.(Batcher)
-	if !ok {
-		return false, nil
-	}
-	for i := range reqs {
-		if checkVecIO(reqs[i].Start, reqs[i].Vec, d.BlockSize(), d.length) != nil {
-			return false, nil
-		}
-	}
-	for i := range reqs {
-		reqs[i].Start += d.start
-	}
-	handled, err := b.DoBatch(write, reqs)
-	for i := range reqs {
-		reqs[i].Start -= d.start
-	}
-	return handled, err
-}
-
-// DiscardRange implements Discarder by offsetting the range into the
-// parent; a parent without discard support ignores it.
-func (d *SliceDevice) DiscardRange(start, count uint64) error {
-	if count > 0 && (start >= d.length || count > d.length-start) {
-		return fmt.Errorf("%w: blocks [%d, %d) of %d-block slice",
-			ErrOutOfRange, start, start+count, d.length)
-	}
-	return Discard(d.parent, d.start+start, count)
-}
+func (d *SliceDevice) WriteBlock(idx uint64, src []byte) error { return DoBlock(d, OpWrite, idx, src) }
 
 // Sync implements Device.
-func (d *SliceDevice) Sync() error { return d.parent.Sync() }
+func (d *SliceDevice) Sync() error { return Sync(d) }
+
+// Do implements Doer: every request that lies inside the slice is offset
+// into the parent for the length of the call and the batch goes down whole,
+// so a parent that overlaps requests still sees all of them at once.
+func (d *SliceDevice) Do(reqs []Req) error {
+	return Forward(reqs,
+		func(r *Req) error { return checkReq(r, d.BlockSize(), d.length) },
+		func(ok []Req) error {
+			for i := range ok {
+				ok[i].Start += d.start
+			}
+			err := Do(d.parent, ok)
+			for i := range ok {
+				ok[i].Start -= d.start
+			}
+			return err
+		})
+}
 
 // Close implements Device. Closing a slice does not close the parent: the
 // parent owns the underlying resource and several slices share it.

@@ -22,11 +22,6 @@ type Snapshot struct {
 	bg        Background
 }
 
-var (
-	_ RangeDevice = (*Snapshot)(nil)
-	_ VecDevice   = (*Snapshot)(nil)
-)
-
 // BlockSize implements Device.
 func (s *Snapshot) BlockSize() int { return s.blockSize }
 
@@ -34,45 +29,35 @@ func (s *Snapshot) BlockSize() int { return s.blockSize }
 func (s *Snapshot) NumBlocks() uint64 { return s.numBlocks }
 
 // ReadBlock implements Device. Snapshots are immutable and always readable.
-func (s *Snapshot) ReadBlock(idx uint64, dst []byte) error {
-	if err := checkIO(idx, dst, s.blockSize, s.numBlocks); err != nil {
-		return err
-	}
-	readSlabBlock(slabAt(s.root, idx), idx, dst, s.blockSize, s.bg)
-	return nil
-}
+func (s *Snapshot) ReadBlock(idx uint64, dst []byte) error { return DoBlock(s, OpRead, idx, dst) }
 
 // WriteBlock implements Device; snapshots are read-only.
 func (s *Snapshot) WriteBlock(uint64, []byte) error { return ErrReadOnly }
 
-// ReadBlocks implements RangeDevice.
-func (s *Snapshot) ReadBlocks(start uint64, dst []byte) error {
-	if err := checkRangeIO(start, dst, s.blockSize, s.numBlocks); err != nil {
-		return err
-	}
-	readSlabRange(s.root, s.bg, s.blockSize, start, dst)
-	return nil
-}
+// Sync implements Device.
+func (s *Snapshot) Sync() error { return nil }
 
-// WriteBlocks implements RangeDevice; snapshots are read-only.
-func (s *Snapshot) WriteBlocks(uint64, []byte) error { return ErrReadOnly }
-
-// ReadBlocksVec implements VecDevice over the immutable slab tree.
-func (s *Snapshot) ReadBlocksVec(start uint64, v BlockVec) error {
-	if err := checkVecIO(start, v, s.blockSize, s.numBlocks); err != nil {
-		return err
-	}
-	return v.Range(func(off int, seg []byte) error {
-		readSlabRange(s.root, s.bg, s.blockSize, start+uint64(off), seg)
+// Do implements Doer over the immutable slab tree: reads are the device's
+// per-slab bulk copies, writes fail with ErrReadOnly, syncs and discards
+// have nothing to do.
+func (s *Snapshot) Do(reqs []Req) error {
+	return Each(reqs, func(one []Req) error {
+		r := &one[0]
+		switch r.Op {
+		case OpWrite:
+			return ErrReadOnly
+		case OpRead:
+			if err := checkVecIO(r.Start, r.Vec, s.blockSize, s.numBlocks); err != nil {
+				return err
+			}
+			return r.Vec.Range(func(off int, seg []byte) error {
+				readSlabRange(s.root, s.bg, s.blockSize, r.Start+uint64(off), seg)
+				return nil
+			})
+		}
 		return nil
 	})
 }
-
-// WriteBlocksVec implements VecDevice; snapshots are read-only.
-func (s *Snapshot) WriteBlocksVec(uint64, BlockVec) error { return ErrReadOnly }
-
-// Sync implements Device.
-func (s *Snapshot) Sync() error { return nil }
 
 // Close implements Device; closing a snapshot is a no-op so that adversary
 // code can treat snapshots uniformly with live devices.

@@ -101,16 +101,6 @@ type StatsDevice struct {
 	writeTrace []uint64
 }
 
-var (
-	_ RangeDevice       = (*StatsDevice)(nil)
-	_ VecDevice         = (*StatsDevice)(nil)
-	_ FlightBlockDevice = (*StatsDevice)(nil)
-	_ FlightRangeDevice = (*StatsDevice)(nil)
-	_ FlightVecDevice   = (*StatsDevice)(nil)
-	_ FlightSyncer      = (*StatsDevice)(nil)
-	_ Batcher           = (*StatsDevice)(nil)
-)
-
 // NewStatsDevice wraps inner with I/O accounting.
 func NewStatsDevice(inner Device) *StatsDevice {
 	return &StatsDevice{inner: inner}
@@ -200,215 +190,53 @@ func (d *StatsDevice) BlockSize() int { return d.inner.BlockSize() }
 func (d *StatsDevice) NumBlocks() uint64 { return d.inner.NumBlocks() }
 
 // ReadBlock implements Device.
-func (d *StatsDevice) ReadBlock(idx uint64, dst []byte) error {
-	return d.readBlockF(0, idx, dst)
-}
-
-// ReadBlockFlight implements FlightBlockDevice.
-func (d *StatsDevice) ReadBlockFlight(fid, idx uint64, dst []byte) error {
-	return d.readBlockF(fid, idx, dst)
-}
-
-func (d *StatsDevice) readBlockF(fid, idx uint64, dst []byte) error {
-	t0 := time.Now()
-	err := d.inner.ReadBlock(idx, dst)
-	d.devop(fid, obs.FOpRead, 1, err)
-	if err != nil {
-		return err
-	}
-	d.m.ReadLat.Since(t0)
-	d.m.ReadBlocks.Inc()
-	d.m.BytesRead.Add(uint64(len(dst)))
-	return nil
-}
+func (d *StatsDevice) ReadBlock(idx uint64, dst []byte) error { return DoBlock(d, OpRead, idx, dst) }
 
 // WriteBlock implements Device.
-func (d *StatsDevice) WriteBlock(idx uint64, src []byte) error {
-	return d.writeBlockF(0, idx, src)
-}
-
-// WriteBlockFlight implements FlightBlockDevice.
-func (d *StatsDevice) WriteBlockFlight(fid, idx uint64, src []byte) error {
-	return d.writeBlockF(fid, idx, src)
-}
-
-func (d *StatsDevice) writeBlockF(fid, idx uint64, src []byte) error {
-	t0 := time.Now()
-	err := d.inner.WriteBlock(idx, src)
-	d.devop(fid, obs.FOpWrite, 1, err)
-	if err != nil {
-		return err
-	}
-	d.m.WriteLat.Since(t0)
-	d.m.WriteBlocks.Inc()
-	d.m.BytesWrite.Add(uint64(len(src)))
-	if d.traceOn.Load() {
-		d.traceWrite(idx, 1)
-	}
-	return nil
-}
-
-// ReadBlocks implements RangeDevice; the n blocks count exactly as n
-// per-block reads would, so write-amplification accounting is unchanged by
-// vectoring. Latency is one observation per range op.
-func (d *StatsDevice) ReadBlocks(start uint64, dst []byte) error {
-	return d.readBlocksF(0, start, dst)
-}
-
-// ReadBlocksFlight implements FlightRangeDevice.
-func (d *StatsDevice) ReadBlocksFlight(fid, start uint64, dst []byte) error {
-	return d.readBlocksF(fid, start, dst)
-}
-
-func (d *StatsDevice) readBlocksF(fid, start uint64, dst []byte) error {
-	t0 := time.Now()
-	err := ReadBlocks(d.inner, start, dst)
-	d.devop(fid, obs.FOpRead, uint64(len(dst)/d.inner.BlockSize()), err)
-	if err != nil {
-		return err
-	}
-	d.m.ReadLat.Since(t0)
-	d.m.ReadBlocks.Add(uint64(len(dst) / d.inner.BlockSize()))
-	d.m.BytesRead.Add(uint64(len(dst)))
-	return nil
-}
-
-// WriteBlocks implements RangeDevice. The write trace records every block
-// of the range in ascending order, as the per-block path would.
-func (d *StatsDevice) WriteBlocks(start uint64, src []byte) error {
-	return d.writeBlocksF(0, start, src)
-}
-
-// WriteBlocksFlight implements FlightRangeDevice.
-func (d *StatsDevice) WriteBlocksFlight(fid, start uint64, src []byte) error {
-	return d.writeBlocksF(fid, start, src)
-}
-
-func (d *StatsDevice) writeBlocksF(fid, start uint64, src []byte) error {
-	t0 := time.Now()
-	err := WriteBlocks(d.inner, start, src)
-	d.devop(fid, obs.FOpWrite, uint64(len(src)/d.inner.BlockSize()), err)
-	if err != nil {
-		return err
-	}
-	d.m.WriteLat.Since(t0)
-	n := uint64(len(src) / d.inner.BlockSize())
-	d.m.WriteBlocks.Add(n)
-	d.m.BytesWrite.Add(uint64(len(src)))
-	if d.traceOn.Load() {
-		d.traceWrite(start, n)
-	}
-	return nil
-}
-
-// ReadBlocksVec implements VecDevice; the vec's blocks count exactly as the
-// per-block path would, so write-amplification accounting is unchanged by
-// scatter-gather.
-func (d *StatsDevice) ReadBlocksVec(start uint64, v BlockVec) error {
-	return d.readBlocksVecF(0, start, v)
-}
-
-// ReadBlocksVecFlight implements FlightVecDevice.
-func (d *StatsDevice) ReadBlocksVecFlight(fid, start uint64, v BlockVec) error {
-	return d.readBlocksVecF(fid, start, v)
-}
-
-func (d *StatsDevice) readBlocksVecF(fid, start uint64, v BlockVec) error {
-	t0 := time.Now()
-	err := ReadBlocksVec(d.inner, start, v)
-	d.noteVec(false, fid, start, v, t0, err)
-	return err
-}
-
-// noteVec accounts one completed vec transfer: the leaf flight event
-// always, and — for a success — one latency observation, the block and
-// byte counters and the write trace. The vec methods and DoBatch share
-// it, so a request counts the same whichever way it went down.
-func (d *StatsDevice) noteVec(write bool, fid, start uint64, v BlockVec, t0 time.Time, err error) {
-	n := uint64(v.Len())
-	if !write {
-		d.devop(fid, obs.FOpRead, n, err)
-		if err != nil {
-			return
-		}
-		d.m.ReadLat.Since(t0)
-		d.m.ReadBlocks.Add(n)
-		d.m.BytesRead.Add(uint64(v.Bytes()))
-		return
-	}
-	d.devop(fid, obs.FOpWrite, n, err)
-	if err != nil {
-		return
-	}
-	d.m.WriteLat.Since(t0)
-	d.m.WriteBlocks.Add(n)
-	d.m.BytesWrite.Add(uint64(v.Bytes()))
-	if d.traceOn.Load() {
-		d.traceWrite(start, n)
-	}
-}
-
-// WriteBlocksVec implements VecDevice. The write trace records every block
-// of the vec in ascending order, as the per-block path would.
-func (d *StatsDevice) WriteBlocksVec(start uint64, v BlockVec) error {
-	return d.writeBlocksVecF(0, start, v)
-}
-
-// WriteBlocksVecFlight implements FlightVecDevice.
-func (d *StatsDevice) WriteBlocksVecFlight(fid, start uint64, v BlockVec) error {
-	return d.writeBlocksVecF(fid, start, v)
-}
-
-func (d *StatsDevice) writeBlocksVecF(fid, start uint64, v BlockVec) error {
-	t0 := time.Now()
-	err := WriteBlocksVec(d.inner, start, v)
-	d.noteVec(true, fid, start, v, t0, err)
-	return err
-}
-
-// DoBatch implements Batcher: the batch goes to the inner device whole,
-// and each request that was attempted is accounted exactly as its own vec
-// call would have been — same counters, one flight event under its own id
-// — so byte accounting and trace signatures do not depend on whether a
-// request travelled alone or in a batch. The one thing a batch cannot
-// give is a per-request service time: every request of a batch observes
-// the batch's.
-func (d *StatsDevice) DoBatch(write bool, reqs []IOReq) (bool, error) {
-	b, ok := d.inner.(Batcher)
-	if !ok {
-		return false, nil
-	}
-	t0 := time.Now()
-	handled, err := b.DoBatch(write, reqs)
-	if !handled {
-		return false, nil
-	}
-	for i := range reqs {
-		r := &reqs[i]
-		if r.Err == nil && r.Done < r.Vec.Len() {
-			continue // not attempted: an earlier request failed
-		}
-		d.noteVec(write, r.FID, r.Start, r.Vec, t0, r.Err)
-	}
-	return true, err
-}
+func (d *StatsDevice) WriteBlock(idx uint64, src []byte) error { return DoBlock(d, OpWrite, idx, src) }
 
 // Sync implements Device.
-func (d *StatsDevice) Sync() error { return d.syncF(0) }
+func (d *StatsDevice) Sync() error { return Sync(d) }
 
-// SyncFlight implements FlightSyncer.
-func (d *StatsDevice) SyncFlight(fid uint64) error { return d.syncF(fid) }
-
-func (d *StatsDevice) syncF(fid uint64) error {
+// Do implements Doer: the call goes to the inner device whole, and every
+// request that was attempted is accounted on its own — the leaf flight
+// event under its own id always, and for a success one latency
+// observation, the block and byte counters (n blocks count exactly as n
+// per-block calls would, so write-amplification accounting does not depend
+// on segmentation or batching) and the write trace. The one thing a batch
+// cannot give is a per-request service time: every request of a call
+// observes the call's. Discards pass through uncounted.
+func (d *StatsDevice) Do(reqs []Req) error {
 	t0 := time.Now()
-	err := d.inner.Sync()
-	d.devop(fid, obs.FOpSync, 0, err)
-	if err != nil {
-		return err
+	err := Do(d.inner, reqs)
+	for i := range reqs {
+		r := &reqs[i]
+		if r.Op == OpDiscard || (r.Err == nil && !r.OK()) {
+			continue // uncounted, or not attempted: an earlier request failed
+		}
+		n := uint64(r.Blocks())
+		d.devop(r.FID, obs.FlightOp(r.Op), n, r.Err)
+		if r.Err != nil {
+			continue
+		}
+		switch r.Op {
+		case OpRead:
+			d.m.ReadLat.Since(t0)
+			d.m.ReadBlocks.Add(n)
+			d.m.BytesRead.Add(uint64(r.Vec.Bytes()))
+		case OpWrite:
+			d.m.WriteLat.Since(t0)
+			d.m.WriteBlocks.Add(n)
+			d.m.BytesWrite.Add(uint64(r.Vec.Bytes()))
+			if d.traceOn.Load() {
+				d.traceWrite(r.Start, n)
+			}
+		case OpSync:
+			d.m.SyncLat.Since(t0)
+			d.m.Syncs.Inc()
+		}
 	}
-	d.m.SyncLat.Since(t0)
-	d.m.Syncs.Inc()
-	return nil
+	return err
 }
 
 // Close implements Device.

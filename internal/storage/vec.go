@@ -1,9 +1,6 @@
 package storage
 
-import (
-	"errors"
-	"fmt"
-)
+import "fmt"
 
 // BlockVec is a scatter-gather buffer: an ordered list of byte segments,
 // each a whole number of blocks, addressing one contiguous block range of a
@@ -217,16 +214,13 @@ func (v BlockVec) CopyIn(src []byte) int {
 	return done
 }
 
-// VecDevice is the optional scatter-gather extension of Device: a vec
+// VecDevice is the native transfer surface of the two leaf devices
+// (MemDevice, FileDevice), and the middle rung of Do's ladder: a vec
 // operation moves v.Len() consecutive device blocks through the vec's
-// segments in order, in one call. It is RangeDevice generalized from one
-// destination buffer to many — implementations must behave exactly like
-// ReadBlocks/WriteBlocks over the flattened vec, without requiring the vec
-// to be flat.
-//
-// Like range ops, vec ops may fail with no partial effects or with a prefix
-// transferred; a block-granular implementation reports the prefix length
-// via PartialError (counted in blocks across all segments).
+// segments in order, in one call. It may fail with no partial effects or
+// with a prefix transferred, reported via PartialError (counted in blocks
+// across all segments). Stacking layers do not implement it — they
+// implement Doer.
 type VecDevice interface {
 	Device
 	// ReadBlocksVec copies blocks [start, start+v.Len()) into the vec's
@@ -254,85 +248,4 @@ func checkVecIO(start uint64, v BlockVec, blockSize int, numBlocks uint64) error
 			ErrOutOfRange, start, start+n, numBlocks)
 	}
 	return nil
-}
-
-// ReadBlocksVec reads v.Len() consecutive blocks of d starting at start,
-// scattered across v's segments. The fallback ladder: a VecDevice serves
-// the request natively; a single-segment vec degrades to the flat
-// ReadBlocks path (which itself falls back per block on plain Devices);
-// multi-segment vecs on non-vec devices degrade to one RangeDevice call
-// per segment, with PartialError block counts accumulated across the
-// segment boundary.
-func ReadBlocksVec(d Device, start uint64, v BlockVec) error {
-	if v.seg0 != nil && len(v.rest) == 0 && v.bs == d.BlockSize() {
-		// The degrade is only valid when the vec's block unit matches the
-		// device's; a mismatched vec falls through to the checked paths,
-		// which reject it with ErrBadBuffer.
-		return ReadBlocks(d, start, v.seg0)
-	}
-	if vd, ok := d.(VecDevice); ok {
-		return vd.ReadBlocksVec(start, v)
-	}
-	return readVecSegmented(d, start, v)
-}
-
-// WriteBlocksVec writes v's segments, in order, as v.Len() consecutive
-// blocks of d starting at start, with the same fallback ladder as
-// ReadBlocksVec.
-func WriteBlocksVec(d Device, start uint64, v BlockVec) error {
-	if v.seg0 != nil && len(v.rest) == 0 && v.bs == d.BlockSize() {
-		return WriteBlocks(d, start, v.seg0)
-	}
-	if vd, ok := d.(VecDevice); ok {
-		return vd.WriteBlocksVec(start, v)
-	}
-	return writeVecSegmented(d, start, v)
-}
-
-// readVecSegmented is the generic fallback behind ReadBlocksVec: one
-// RangeDevice read per segment. A segment failing with a PartialError has
-// the blocks of the preceding segments added to its Done count, so the
-// caller sees the transferred prefix of the whole vec.
-func readVecSegmented(d Device, start uint64, v BlockVec) error {
-	if err := checkVecIO(start, v, d.BlockSize(), d.NumBlocks()); err != nil {
-		return err
-	}
-	done := 0
-	return v.Range(func(_ int, s []byte) error {
-		if err := ReadBlocks(d, start+uint64(done), s); err != nil {
-			return vecSegmentError(err, done)
-		}
-		done += len(s) / v.bs
-		return nil
-	})
-}
-
-// writeVecSegmented is the generic fallback behind WriteBlocksVec.
-func writeVecSegmented(d Device, start uint64, v BlockVec) error {
-	if err := checkVecIO(start, v, d.BlockSize(), d.NumBlocks()); err != nil {
-		return err
-	}
-	done := 0
-	return v.Range(func(_ int, s []byte) error {
-		if err := WriteBlocks(d, start+uint64(done), s); err != nil {
-			return vecSegmentError(err, done)
-		}
-		done += len(s) / v.bs
-		return nil
-	})
-}
-
-// vecSegmentError rebases a segment-local error onto the whole vec: a
-// PartialError's Done count grows by the blocks the earlier segments
-// transferred. A failure with no partial-completion report after a
-// transferred prefix is itself a partial completion of the vec.
-func vecSegmentError(err error, before int) error {
-	var pe *PartialError
-	if errors.As(err, &pe) {
-		return &PartialError{Done: before + pe.Done, Err: pe.Err}
-	}
-	if before > 0 {
-		return &PartialError{Done: before, Err: err}
-	}
-	return err
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"path/filepath"
 	"testing"
 
 	"mobiceal/internal/prng"
@@ -105,143 +104,22 @@ func TestBlockVecHelpers(t *testing.T) {
 	}()
 }
 
-// plainDevice hides the Range/Vec fast paths of an inner device, exercising
-// the generic per-block and per-segment fallbacks.
-type plainDevice struct {
-	inner Device
-}
-
-func (d *plainDevice) ReadBlock(idx uint64, dst []byte) error  { return d.inner.ReadBlock(idx, dst) }
-func (d *plainDevice) WriteBlock(idx uint64, src []byte) error { return d.inner.WriteBlock(idx, src) }
-func (d *plainDevice) BlockSize() int                          { return d.inner.BlockSize() }
-func (d *plainDevice) NumBlocks() uint64                       { return d.inner.NumBlocks() }
-func (d *plainDevice) Sync() error                             { return d.inner.Sync() }
-func (d *plainDevice) Close() error                            { return d.inner.Close() }
-
-// rangeOnlyDevice exposes range ops but not vec ops, exercising the
-// per-segment fallback ladder rung.
-type rangeOnlyDevice struct {
-	plainDevice
-}
-
-func (d *rangeOnlyDevice) ReadBlocks(start uint64, dst []byte) error {
-	return ReadBlocks(d.inner, start, dst)
-}
-
-func (d *rangeOnlyDevice) WriteBlocks(start uint64, src []byte) error {
-	return WriteBlocks(d.inner, start, src)
-}
-
-// TestVecFlatEquivalenceRandomized drives every device implementation with
-// interleaved random vec and flat operations and asserts the vec path is
-// byte-equivalent to the flat path at every step: vec writes land exactly
-// like the flattened write would, vec reads return exactly what a flat
-// read does.
+// TestVecFlatEquivalenceRandomized: a request over any random segmentation
+// is the per-block loop — vec writes land exactly like the flattened write
+// would, vec reads return exactly what a flat read does — on every device
+// class and on the ladder's last rung.
 func TestVecFlatEquivalenceRandomized(t *testing.T) {
-	const (
-		bs     = 512
-		blocks = 257 // off power-of-two to cross slab/dir boundaries unevenly
-		rounds = 300
-	)
-	builders := map[string]func(t *testing.T) Device{
-		"mem": func(t *testing.T) Device {
-			return NewMemDevice(bs, blocks)
-		},
-		"mem-noise": func(t *testing.T) Device {
-			return NewMemDeviceBackground(bs, blocks, NewNoiseBackground(7))
-		},
-		"file": func(t *testing.T) Device {
-			d, err := CreateFileDevice(filepath.Join(t.TempDir(), "img"), bs, blocks)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return d
-		},
-		"slice-of-mem": func(t *testing.T) Device {
-			parent := NewMemDevice(bs, blocks+31)
-			d, err := NewSliceDevice(parent, 17, blocks)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return d
-		},
-		"stats": func(t *testing.T) Device {
-			return NewStatsDevice(NewMemDevice(bs, blocks))
-		},
-		"fault-disarmed": func(t *testing.T) Device {
-			return NewFaultDevice(NewMemDevice(bs, blocks))
-		},
-		"crash": func(t *testing.T) Device {
-			return NewCrashDevice(NewMemDevice(bs, blocks))
-		},
-		"plain-fallback": func(t *testing.T) Device {
-			return &plainDevice{inner: NewMemDevice(bs, blocks)}
-		},
-		"range-only-fallback": func(t *testing.T) Device {
-			return &rangeOnlyDevice{plainDevice{inner: NewMemDevice(bs, blocks)}}
-		},
+	const bs = 512
+	kinds := map[string]string{"mem": "mem", "mem-noise": "noise", "file": "file", "slice-of-mem": "slice",
+		"stats": "stats", "fault-disarmed": "fault", "crash": "crash",
+		"plain-fallback": "plain", "range-only-fallback": "rangeonly"}
+	vec := func(op func(Device, uint64, BlockVec) error) func(*prng.Source, Device, uint64, []byte) error {
+		return func(src *prng.Source, d Device, start uint64, buf []byte) error {
+			return op(d, start, randomVecOver(src, bs, buf))
+		}
 	}
-	for name, build := range builders {
-		t.Run(name, func(t *testing.T) {
-			src := prng.NewSource(0xd5e + uint64(len(name)))
-			dev := build(t)
-			ref := NewMemDevice(bs, blocks) // flat-path reference
-			payload := make([]byte, blocks*bs)
-			for r := 0; r < rounds; r++ {
-				start := src.Uint64n(blocks)
-				n := 1 + src.Uint64n(blocks-start)
-				if n > 24 {
-					n = 24
-				}
-				buf := payload[:int(n)*bs]
-				if _, err := src.Read(buf); err != nil {
-					t.Fatal(err)
-				}
-				// Vec write to the device under test, flat write to the
-				// reference.
-				if err := WriteBlocksVec(dev, start, randomVecOver(src, bs, buf)); err != nil {
-					t.Fatalf("round %d: vec write: %v", r, err)
-				}
-				if err := WriteBlocks(ref, start, buf); err != nil {
-					t.Fatal(err)
-				}
-				// Vec read back through a fresh random segmentation.
-				rstart := src.Uint64n(blocks)
-				rn := 1 + src.Uint64n(blocks-rstart)
-				if rn > 24 {
-					rn = 24
-				}
-				got := make([]byte, int(rn)*bs)
-				if err := ReadBlocksVec(dev, rstart, randomVecOver(src, bs, got)); err != nil {
-					t.Fatalf("round %d: vec read: %v", r, err)
-				}
-				want := make([]byte, len(got))
-				if err := ReadBlocks(dev, rstart, want); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(got, want) {
-					t.Fatalf("round %d: vec read disagrees with flat read", r)
-				}
-			}
-			// Final state: full image must match the flat-path reference,
-			// modulo background (compare only written coverage via full
-			// read on devices with zero background).
-			if name != "mem-noise" {
-				got := make([]byte, blocks*bs)
-				if err := ReadBlocks(dev, 0, got); err != nil {
-					t.Fatal(err)
-				}
-				want := make([]byte, blocks*bs)
-				if err := ReadBlocks(ref, 0, want); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(got, want) {
-					t.Fatal("final device image differs from flat-path reference")
-				}
-			}
-			_ = dev.Close()
-		})
-	}
+	// 257 blocks: off power-of-two to cross slab/dir boundaries unevenly.
+	shapeMatchesBlockwise(t, kinds, bs, 257, 24, vec(WriteBlocksVec), vec(ReadBlocksVec))
 }
 
 // TestSnapshotVecRead asserts vec reads of a snapshot agree with flat
@@ -269,7 +147,7 @@ func TestSnapshotVecRead(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := make([]byte, len(got))
-		if err := snap.ReadBlocks(start, want); err != nil {
+		if err := ReadBlocks(snap, start, want); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {
@@ -277,7 +155,7 @@ func TestSnapshotVecRead(t *testing.T) {
 		}
 	}
 	seg := make([]byte, bs)
-	if err := snap.WriteBlocksVec(0, Vec(bs, seg)); !errors.Is(err, ErrReadOnly) {
+	if err := WriteBlocksVec(snap, 0, Vec(bs, seg)); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("snapshot vec write: %v, want ErrReadOnly", err)
 	}
 }
@@ -295,7 +173,7 @@ func TestVecGeometryErrors(t *testing.T) {
 		t.Fatalf("out-of-range vec read: %v, want ErrOutOfRange", err)
 	}
 	other := Vec(64, make([]byte, 64), make([]byte, 64))
-	if err := d.WriteBlocksVec(0, other); !errors.Is(err, ErrBadBuffer) {
+	if err := WriteBlocksVec(d, 0, other); !errors.Is(err, ErrBadBuffer) {
 		t.Fatalf("wrong-block-size vec: %v, want ErrBadBuffer", err)
 	}
 	// The single-segment fast path must enforce the same rule: a
@@ -308,7 +186,7 @@ func TestVecGeometryErrors(t *testing.T) {
 	if err := ReadBlocksVec(d, 0, oneWrong); !errors.Is(err, ErrBadBuffer) {
 		t.Fatalf("wrong-block-size single-segment vec read: %v, want ErrBadBuffer", err)
 	}
-	if err := ReadBlocksVec(&plainDevice{inner: d}, 0, oneWrong); !errors.Is(err, ErrBadBuffer) {
+	if err := ReadBlocksVec(plainDevice{d}, 0, oneWrong); !errors.Is(err, ErrBadBuffer) {
 		t.Fatalf("wrong-block-size single-segment vec on plain device: %v, want ErrBadBuffer", err)
 	}
 	if err := WriteBlocksVec(d, blocks, Vec(bs)); err != nil {
@@ -334,7 +212,7 @@ func TestFaultDeviceVecPartial(t *testing.T) {
 		// at or inside a segment.
 		v := Vec(bs, payload[:3*bs], payload[3*bs:7*bs], payload[7*bs:])
 		fd.FailWritesAfter(budget)
-		err := fd.WriteBlocksVec(2, v)
+		err := WriteBlocksVec(fd, 2, v)
 		if budget >= 10 {
 			if err != nil {
 				t.Fatalf("budget %d: unexpected error %v", budget, err)
@@ -367,14 +245,14 @@ func TestFaultDeviceVecPartial(t *testing.T) {
 		fd2 := NewFaultDevice(mem)
 		fd2.FailReadsAfter(budget)
 		rv := Vec(bs, make([]byte, 3*bs), make([]byte, 4*bs), make([]byte, 3*bs))
-		rerr := fd2.ReadBlocksVec(2, rv)
+		rerr := ReadBlocksVec(fd2, 2, rv)
 		if !errors.As(rerr, &pe) || pe.Done != budget {
 			t.Fatalf("read budget %d: error %v", budget, rerr)
 		}
 	}
 }
 
-// TestVecSegmentErrorRebasing pins the generic fallback's PartialError
+// TestVecSegmentErrorRebasing pins the per-block rung's PartialError
 // accumulation: when a later segment of a multi-segment vec fails on a
 // non-vec device, the blocks transferred by earlier segments count into
 // Done.
@@ -382,9 +260,9 @@ func TestVecSegmentErrorRebasing(t *testing.T) {
 	const bs, blocks = 128, 64
 	mem := NewMemDevice(bs, blocks)
 	fd := NewFaultDevice(mem)
-	// Hide the vec capability: the fallback issues one range op per
-	// segment against the FaultDevice.
-	dev := &rangeOnlyDevice{plainDevice{inner: fd}}
+	// Hide the vec capability: the ladder drives the FaultDevice block by
+	// block.
+	dev := &rangeOnlyDevice{plainDevice{fd}}
 	payload := make([]byte, 8*bs)
 	v := Vec(bs, payload[:4*bs], payload[4*bs:])
 	fd.FailWritesAfter(6)
@@ -399,12 +277,11 @@ func TestVecSegmentErrorRebasing(t *testing.T) {
 		t.Fatalf("Done=%d, want 6", pe.Done)
 	}
 
-	// A clean failure on a later segment (no partial report from the
-	// device — per-block fallbacks return plain errors) still becomes a
-	// PartialError carrying the earlier segments' blocks.
+	// A failure on a later segment still becomes a PartialError carrying
+	// the earlier segments' blocks, through two per-block rungs.
 	mem2 := NewMemDevice(bs, blocks)
 	fd2 := NewFaultDevice(mem2)
-	dev2 := &rangeOnlyDevice{plainDevice{inner: &plainDevice{inner: fd2}}}
+	dev2 := &rangeOnlyDevice{plainDevice{plainDevice{fd2}}}
 	fd2.FailWritesAfter(2)
 	err = WriteBlocksVec(dev2, 0, Vec(bs, payload[:2*bs], payload[2*bs:6*bs]))
 	if !errors.As(err, &pe) {
@@ -417,7 +294,7 @@ func TestVecSegmentErrorRebasing(t *testing.T) {
 	// A vec that exceeds the device as a whole is rejected up front —
 	// validation, not partial completion.
 	small := NewMemDevice(bs, 4)
-	err = WriteBlocksVec(&rangeOnlyDevice{plainDevice{inner: small}}, 0,
+	err = WriteBlocksVec(&rangeOnlyDevice{plainDevice{small}}, 0,
 		Vec(bs, payload[:2*bs], payload[2*bs:6*bs]))
 	if errors.As(err, &pe) || !errors.Is(err, ErrOutOfRange) {
 		t.Fatalf("overflowing vec: %v, want plain ErrOutOfRange", err)
@@ -442,7 +319,7 @@ func TestCrashDeviceVecWriteOrder(t *testing.T) {
 		payload[i] = byte(i/bs) + 1 // nonzero: distinguishable from pre-image
 	}
 	v := Vec(bs, payload[:bs], payload[bs:4*bs], payload[4*bs:])
-	if err := cd.WriteBlocksVec(10, v); err != nil {
+	if err := WriteBlocksVec(cd, 10, v); err != nil {
 		t.Fatal(err)
 	}
 	if got := cd.InFlight(); got != 6 {
@@ -450,7 +327,7 @@ func TestCrashDeviceVecWriteOrder(t *testing.T) {
 	}
 	// Reads before the flush see the cache through the vec path too.
 	rv := make([]byte, 6*bs)
-	if err := cd.ReadBlocksVec(10, Vec(bs, rv[:2*bs], rv[2*bs:])); err != nil {
+	if err := ReadBlocksVec(cd, 10, Vec(bs, rv[:2*bs], rv[2*bs:])); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(rv, payload) {
@@ -483,8 +360,8 @@ func TestCrashDeviceVecWriteOrder(t *testing.T) {
 	}
 }
 
-// TestVecFallbackLadderDispatch pins which rung each device class lands
-// on: single-segment vecs use the flat range path even on vec devices.
+// TestVecFallbackLadderDispatch pins that a request counts the same
+// whether it arrives as one segment or several.
 func TestVecFallbackLadderDispatch(t *testing.T) {
 	const bs, blocks = 128, 16
 	mem := NewMemDevice(bs, blocks)

@@ -31,18 +31,18 @@ func TestThinOverwriteNoAllocs(t *testing.T) {
 	v := storage.Vec(4096, buf)
 	// Provision the blocks and materialize the MemDevice slabs so the
 	// measured loop is pure steady-state overwrite.
-	if err := thin.WriteBlocksVec(0, v); err != nil {
+	if err := storage.WriteBlocksVec(thin, 0, v); err != nil {
 		t.Fatal(err)
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
-		if err := thin.WriteBlocksVec(0, v); err != nil {
+		if err := storage.WriteBlocksVec(thin, 0, v); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
 		t.Errorf("overwrite WriteBlocksVec allocates %.1f/op, want 0", allocs)
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
-		if err := thin.ReadBlocksVec(0, v); err != nil {
+		if err := storage.ReadBlocksVec(thin, 0, v); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {

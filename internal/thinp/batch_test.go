@@ -22,9 +22,12 @@ type scatterDevice struct {
 	batches []int // requests per batch seen, writes and reads alike
 }
 
-func (d *scatterDevice) DoBatch(write bool, reqs []storage.IOReq) (bool, error) {
+func (d *scatterDevice) Do(reqs []storage.Req) error {
+	if op := reqs[0].Op; op != storage.OpRead && op != storage.OpWrite {
+		return storage.Each(reqs, func(one []storage.Req) error { return d.MemDevice.Sync() })
+	}
+	write := reqs[0].Op == storage.OpWrite
 	d.batches = append(d.batches, len(reqs))
-	var first error
 	for i := len(reqs) - 1; i >= 0; i-- { // back to front: no order to rely on
 		r := &reqs[i]
 		r.Done, r.Err = 0, nil
@@ -45,9 +48,9 @@ func (d *scatterDevice) DoBatch(write bool, reqs []storage.IOReq) (bool, error) 
 		d.failAt = -1
 	}
 	if i := storage.FirstFailed(reqs); i < len(reqs) {
-		first = reqs[i].Err
+		return reqs[i].Err
 	}
-	return true, first
+	return nil
 }
 
 // TestThinBatchPrefixRule: a fresh 8-block write goes down as one batch of
@@ -81,7 +84,7 @@ func TestThinBatchPrefixRule(t *testing.T) {
 	}
 
 	dev.failAt = 4
-	werr := thin.WriteBlocks(8, payload)
+	werr := storage.WriteBlocks(thin, 8, payload)
 	if !errors.Is(werr, errScatter) {
 		t.Fatalf("write = %v, want the scripted extent failure", werr)
 	}
@@ -93,7 +96,7 @@ func TestThinBatchPrefixRule(t *testing.T) {
 		t.Fatalf("mapped = %d, want 4: the prefix keeps its provisions and nothing else does", mapped)
 	}
 	got := make([]byte, 8*blockSize)
-	if err := thin.ReadBlocks(8, got); err != nil {
+	if err := storage.ReadBlocks(thin, 8, got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got[:4*blockSize], payload[:4*blockSize]) {
@@ -111,10 +114,10 @@ func TestThinBatchPrefixRule(t *testing.T) {
 
 	// The same write again succeeds and the read twin batches too.
 	dev.batches = nil
-	if err := thin.WriteBlocks(8, payload); err != nil {
+	if err := storage.WriteBlocks(thin, 8, payload); err != nil {
 		t.Fatal(err)
 	}
-	if err := thin.ReadBlocks(8, got); err != nil {
+	if err := storage.ReadBlocks(thin, 8, got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, payload) {
@@ -251,7 +254,7 @@ func TestTelemetryDeniabilityTwinPoolsOnFile(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := thin.WriteBlocks(start, storage.AlignedBuf(n*bs)); err != nil {
+		if err := storage.WriteBlocks(thin, start, storage.AlignedBuf(n*bs)); err != nil {
 			t.Fatalf("thin %d write: %v", thinID, err)
 		}
 	}

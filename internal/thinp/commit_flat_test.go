@@ -136,7 +136,7 @@ func TestFlatCommitEquivalenceRandomized(t *testing.T) {
 						return err
 					}
 					start := vb % (th.NumBlocks() - uint64(n))
-					return th.WriteBlocks(start, buf)
+					return storage.WriteBlocks(th, start, buf)
 				}
 				apply(inc, op)
 				apply(ref, op)
@@ -158,7 +158,7 @@ func TestFlatCommitEquivalenceRandomized(t *testing.T) {
 						return err
 					}
 					start := vb % (th.NumBlocks() - n)
-					return th.DiscardRange(start, n)
+					return storage.Discard(th, start, n)
 				}
 				apply(inc, op)
 				apply(ref, op)
@@ -275,13 +275,13 @@ func TestFlatCommitArenaRegrowKeepsInPlaceSegments(t *testing.T) {
 		return th
 	}
 	one := make([]byte, blockSize)
-	if err := thin(1).WriteBlocks(0, make([]byte, 8*blockSize)); err != nil {
+	if err := storage.WriteBlocks(thin(1), 0, make([]byte, 8*blockSize)); err != nil {
 		t.Fatal(err)
 	}
-	if err := thin(2).WriteBlocks(0, make([]byte, 8*blockSize)); err != nil {
+	if err := storage.WriteBlocks(thin(2), 0, make([]byte, 8*blockSize)); err != nil {
 		t.Fatal(err)
 	}
-	if err := thin(3).WriteBlocks(0, make([]byte, 8*blockSize)); err != nil {
+	if err := storage.WriteBlocks(thin(3), 0, make([]byte, 8*blockSize)); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Commit(); err != nil { // structural rebuild: arena capacity == exact size
@@ -293,10 +293,10 @@ func TestFlatCommitArenaRegrowKeepsInPlaceSegments(t *testing.T) {
 	if err := thin(1).Discard(0); err != nil {
 		t.Fatal(err)
 	}
-	if err := thin(1).WriteBlocks(100, one); err != nil {
+	if err := storage.WriteBlocks(thin(1), 100, one); err != nil {
 		t.Fatal(err)
 	}
-	if err := thin(3).WriteBlocks(8, make([]byte, 600*blockSize)); err != nil {
+	if err := storage.WriteBlocks(thin(3), 8, make([]byte, 600*blockSize)); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Commit(); err != nil {
@@ -304,7 +304,7 @@ func TestFlatCommitArenaRegrowKeepsInPlaceSegments(t *testing.T) {
 	}
 	// A later commit that shifts thin 2 and thin 3 writes their bytes out
 	// of the arena; if the regrow dropped them, this seals zeros to disk.
-	if err := thin(1).WriteBlocks(200, make([]byte, 4*blockSize)); err != nil {
+	if err := storage.WriteBlocks(thin(1), 200, make([]byte, 4*blockSize)); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Commit(); err != nil {
@@ -352,7 +352,7 @@ func TestFlatCommitUpdateInPlace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := thin.WriteBlocks(0, make([]byte, 4000*blockSize)); err != nil {
+	if err := storage.WriteBlocks(thin, 0, make([]byte, 4000*blockSize)); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Commit(); err != nil {
@@ -368,7 +368,7 @@ func TestFlatCommitUpdateInPlace(t *testing.T) {
 		if err := thin.Discard(vb); err != nil {
 			t.Fatal(err)
 		}
-		if err := thin.WriteBlocks(vb, one); err != nil {
+		if err := storage.WriteBlocks(thin, vb, one); err != nil {
 			t.Fatal(err)
 		}
 		metaStats.ResetStats()

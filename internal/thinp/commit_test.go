@@ -44,7 +44,7 @@ func driveMutations(t *testing.T, p *Pool, seed int64) {
 			}
 			big := make([]byte, n*blockSize)
 			rng.Read(big)
-			if err := thin.WriteBlocks(vb, big); err != nil {
+			if err := storage.WriteBlocks(thin, vb, big); err != nil {
 				t.Fatal(err)
 			}
 		case 3:
@@ -185,13 +185,13 @@ func TestIncrementalCommitRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := thin.WriteBlocks(0, make([]byte, 4*blockSize)); err != nil {
+	if err := storage.WriteBlocks(thin, 0, make([]byte, 4*blockSize)); err != nil {
 		t.Fatal(err)
 	}
 	if err := re.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if err := thin.WriteBlocks(8, make([]byte, 4*blockSize)); err != nil {
+	if err := storage.WriteBlocks(thin, 8, make([]byte, 4*blockSize)); err != nil {
 		t.Fatal(err)
 	}
 	if err := re.Commit(); err != nil {
@@ -226,7 +226,7 @@ func TestIncrementalCommitWriteDelta(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Map 10k blocks and commit them.
-	if err := thin.WriteBlocks(0, make([]byte, 10000*blockSize)); err != nil {
+	if err := storage.WriteBlocks(thin, 0, make([]byte, 10000*blockSize)); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Commit(); err != nil {
@@ -240,7 +240,7 @@ func TestIncrementalCommitWriteDelta(t *testing.T) {
 	fullWrites := metaStats.Stats().Writes
 	// Touch one already-mapped block (no metadata change) plus one fresh
 	// block, then commit incrementally.
-	if err := thin.WriteBlocks(10000, make([]byte, blockSize)); err != nil {
+	if err := storage.WriteBlocks(thin, 10000, make([]byte, blockSize)); err != nil {
 		t.Fatal(err)
 	}
 	metaStats.ResetStats()

@@ -190,7 +190,7 @@ func TestConcurrentPoolStress(t *testing.T) {
 						vb = virt - 8
 					}
 					rng.Read(big)
-					if err := thin.WriteBlocks(vb, big); err != nil {
+					if err := storage.WriteBlocks(thin, vb, big); err != nil {
 						t.Error(err)
 						return
 					}
@@ -317,7 +317,7 @@ func TestWriteDiscardReallocNoCrossThinCorruption(t *testing.T) {
 				return
 			default:
 			}
-			if err := thinA.DiscardRange(0, 16); err != nil {
+			if err := storage.Discard(thinA, 0, 16); err != nil {
 				t.Error(err)
 				return
 			}
@@ -358,7 +358,7 @@ func TestWriteDiscardReallocNoCrossThinCorruption(t *testing.T) {
 			t.Fatalf("round %d: thin B block %d corrupted by cross-thin traffic", r, vb)
 		}
 		if r%32 == 31 {
-			if err := thinB.DiscardRange(0, 8); err != nil {
+			if err := storage.Discard(thinB, 0, 8); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -92,7 +92,7 @@ func TestCrashEnumerationPoolCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 8*blockSize)
-	if err := thin.WriteBlocks(0, buf); err != nil {
+	if err := storage.WriteBlocks(thin, 0, buf); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Commit(); err != nil {
@@ -106,7 +106,7 @@ func TestCrashEnumerationPoolCommit(t *testing.T) {
 
 	// Commit 2: provisioning writes, an overwrite and a discard — an
 	// incremental delta.
-	if err := thin.WriteBlocks(32, buf); err != nil {
+	if err := storage.WriteBlocks(thin, 32, buf); err != nil {
 		t.Fatal(err)
 	}
 	if err := thin.WriteBlock(0, buf[:blockSize]); err != nil {
@@ -129,7 +129,7 @@ func TestCrashEnumerationPoolCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := thin2.WriteBlocks(10, buf[:4*blockSize]); err != nil {
+	if err := storage.WriteBlocks(thin2, 10, buf[:4*blockSize]); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Commit(); err != nil {
@@ -178,7 +178,7 @@ func TestOpenPoolRollsBackTornSuperblock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := thin.WriteBlocks(0, make([]byte, 4*blockSize)); err != nil {
+	if err := storage.WriteBlocks(thin, 0, make([]byte, 4*blockSize)); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Commit(); err != nil {
@@ -186,7 +186,7 @@ func TestOpenPoolRollsBackTornSuperblock(t *testing.T) {
 	}
 	prevSnap := snapPool(p)
 	prevTx := p.TransactionID()
-	if err := thin.WriteBlocks(8, make([]byte, 4*blockSize)); err != nil {
+	if err := storage.WriteBlocks(thin, 8, make([]byte, 4*blockSize)); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Commit(); err != nil {
@@ -275,7 +275,7 @@ func TestFreedBlockQuarantineUntilCommit(t *testing.T) {
 	if err := thin1.WriteBlock(0, make([]byte, blockSize)); err != nil {
 		t.Fatal(err)
 	}
-	if err := thin2.WriteBlocks(0, make([]byte, (dataBlocks-1)*blockSize)); err != nil {
+	if err := storage.WriteBlocks(thin2, 0, make([]byte, (dataBlocks-1)*blockSize)); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Commit(); err != nil {

@@ -319,13 +319,13 @@ type commitBatch struct {
 // and each caller still gets full durability: its mutations
 // happened-before it parked, and the leader snapshots the delta only
 // after every parked caller joined.
+//
+// A commit reached through a traced sync request carries the request's
+// flight id: the caller's park at the commit door records a commit-join,
+// and — if this caller ends up leading the round — the successful flip
+// records a commit-flip whose N is the number of callers the one A/B flip
+// covered.
 func (p *Pool) Commit() error { return p.groupCommit(false, 0) }
-
-// CommitFlight is Commit with flight-id plumbing: the caller's park at the
-// commit door records a commit-join, and — if this caller ends up leading
-// the round — the successful flip records a commit-flip whose N is the
-// number of callers the one A/B flip covered.
-func (p *Pool) CommitFlight(fid uint64) error { return p.groupCommit(false, fid) }
 
 // CommitFull persists the pool metadata by rebuilding the image from the
 // page tables and rewriting the target slot in its entirety, bypassing the

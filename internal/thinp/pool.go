@@ -807,6 +807,24 @@ func (p *Pool) PhysicalBlocks(id int) ([]uint64, error) {
 // nil is a valid always-disabled recorder).
 func (p *Pool) Flight() *obs.FlightRecorder { return p.flight }
 
+// chargeTraversal is the pool's one virtual-clock site for the thin target:
+// a completed n-block transfer pays one traversal per block, whatever the
+// request's segmentation (Sec. VI-B attributes stock thin provisioning's
+// read cost to exactly this added layer).
+func (p *Pool) chargeTraversal(op storage.Op, n int) {
+	meter := p.opts.Meter
+	if meter == nil {
+		return
+	}
+	for ; n > 0; n-- {
+		if op == storage.OpRead {
+			meter.ChargeTraversalRead()
+		} else {
+			meter.ChargeTraversalWrite()
+		}
+	}
+}
+
 // flightID returns fid unchanged when the request is already tagged.
 // Untagged calls (fid 0) get a fresh id while recording is enabled, so
 // direct Pool/Thin entry points — bypassing the I/O scheduler — still
@@ -974,9 +992,9 @@ func (p *Pool) execDummy(target, count int) error {
 			// the staging optimization.
 			p.opts.Meter.ChargeCrypto(len(noise))
 		}
-		batch.reqs = append(batch.reqs, storage.IOReq{Start: pb, Vec: storage.VecOne(bs, noise), FID: bfid})
+		batch.reqs = append(batch.reqs, storage.Req{Op: storage.OpWrite, Start: pb, Vec: storage.VecOne(bs, noise), FID: bfid})
 	}
-	werr := storage.DoBatch(p.data, true, batch.reqs)
+	werr := storage.Do(p.data, batch.reqs)
 	landed := storage.FirstFailed(batch.reqs)
 	p.dummyBlocksWritten.Add(uint64(landed))
 	// The device copied (or rejected) the payloads.

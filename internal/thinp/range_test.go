@@ -3,7 +3,7 @@ package thinp
 import (
 	"bytes"
 	"errors"
-	"math/rand"
+	"slices"
 	"testing"
 
 	"mobiceal/internal/prng"
@@ -27,96 +27,105 @@ func twinPools(t *testing.T, dataBlocks uint64, mkOpts func() Options) (a, b *Po
 	return build(), build()
 }
 
-// TestRangeMatchesBlockwiseThin cross-checks the vectored thin path against
-// the per-block path on a random workload with holes and mid-range
-// provisioning, under both allocators and with the dummy policy firing.
-func TestRangeMatchesBlockwiseThin(t *testing.T) {
-	cases := []struct {
-		name   string
-		mkOpts func() Options
-	}{
-		{"sequential", func() Options {
-			return Options{
-				Allocator: NewSequentialAllocator(),
-				Entropy:   prng.NewSeededEntropy(11),
-				DummySrc:  prng.NewSource(12),
-			}
-		}},
-		{"random", func() Options {
-			return Options{
-				Allocator: NewRandomAllocator(prng.NewSource(13)),
-				Entropy:   prng.NewSeededEntropy(11),
-				DummySrc:  prng.NewSource(12),
-			}
-		}},
-		{"dummy-policy", func() Options {
-			return Options{
-				Allocator: NewRandomAllocator(prng.NewSource(13)),
-				Policy:    &fixedPolicy{watch: 1, target: 2, count: 2},
-				Entropy:   prng.NewSeededEntropy(11),
-				DummySrc:  prng.NewSource(12),
-			}
-		}},
+// shape is one way of moving a block range through a thin: block by block,
+// as one flat request, or as one request over a random segmentation.
+type shape func(t *testing.T, src *prng.Source, thin *Thin, write bool, start uint64, buf []byte)
+
+func perBlock(t *testing.T, _ *prng.Source, thin *Thin, write bool, start uint64, buf []byte) {
+	for j := 0; j*blockSize < len(buf); j++ {
+		op, blk := thin.ReadBlock, buf[j*blockSize:(j+1)*blockSize]
+		if write {
+			op = thin.WriteBlock
+		}
+		if err := op(start+uint64(j), blk); err != nil {
+			t.Fatalf("block %d: %v", start+uint64(j), err)
+		}
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
+}
+
+func flat(t *testing.T, _ *prng.Source, thin *Thin, write bool, start uint64, buf []byte) {
+	op := storage.ReadBlocks
+	if write {
+		op = storage.WriteBlocks
+	}
+	if err := op(thin, start, buf); err != nil {
+		t.Fatalf("flat request at %d: %v", start, err)
+	}
+}
+
+func segmented(t *testing.T, src *prng.Source, thin *Thin, write bool, start uint64, buf []byte) {
+	op := storage.ReadBlocksVec
+	if write {
+		op = storage.WriteBlocksVec
+	}
+	if err := op(thin, start, vecOver(src, buf)); err != nil {
+		t.Fatalf("segmented request at %d: %v", start, err)
+	}
+}
+
+// requestShapeEquivalence drives twin pools with the same random workload
+// — holes, overwrites, mid-range provisioning, under both allocators and
+// with the dummy policy firing — one pool through shape a, the other
+// through shape b, and requires everything to agree: the bytes read, and
+// the pool state the two converge to (same mappings, same allocations,
+// same dummy traffic). How a range was cut into requests and segments must
+// not reach the allocator.
+func requestShapeEquivalence(t *testing.T, a, b shape, seed uint64, dummyCount int, caseNames [3]string) {
+	opts := func(alloc func() Allocator, policy DummyPolicy) func() Options {
+		return func() Options {
+			return Options{Allocator: alloc(), Policy: policy,
+				Entropy: prng.NewSeededEntropy(seed), DummySrc: prng.NewSource(seed + 1)}
+		}
+	}
+	random := func() Allocator { return NewRandomAllocator(prng.NewSource(seed + 2)) }
+	for i, mkOpts := range []func() Options{
+		opts(func() Allocator { return NewSequentialAllocator() }, nil),
+		opts(random, nil),
+		opts(random, &fixedPolicy{watch: 1, target: 2, count: dummyCount}),
+	} {
+		t.Run(caseNames[i], func(t *testing.T) {
 			const virt = 96
-			pa, pb := twinPools(t, 1024, tc.mkOpts)
-			for _, p := range []*Pool{pa, pb} {
+			pa, pb := twinPools(t, 1024, mkOpts)
+			var thins [2]*Thin
+			for k, p := range []*Pool{pa, pb} {
 				for id := 1; id <= 2; id++ {
 					if err := p.CreateThin(id, virt); err != nil {
 						t.Fatal(err)
 					}
 				}
-			}
-			ta, err := pa.Thin(1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tb, err := pb.Thin(1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rng := rand.New(rand.NewSource(7))
-			for i := 0; i < 100; i++ {
-				start := uint64(rng.Intn(virt))
-				n := uint64(rng.Intn(virt-int(start))) + 1
-				buf := make([]byte, n*blockSize)
-				if rng.Intn(3) > 0 {
-					rng.Read(buf)
-					// Per-block on pool A...
-					for j := uint64(0); j < n; j++ {
-						if err := ta.WriteBlock(start+j, buf[j*blockSize:(j+1)*blockSize]); err != nil {
-							t.Fatalf("WriteBlock: %v", err)
-						}
-					}
-					// ...vectored on pool B.
-					if err := tb.WriteBlocks(start, buf); err != nil {
-						t.Fatalf("WriteBlocks: %v", err)
-					}
-				} else {
-					gotA := make([]byte, n*blockSize)
-					for j := uint64(0); j < n; j++ {
-						if err := ta.ReadBlock(start+j, gotA[j*blockSize:(j+1)*blockSize]); err != nil {
-							t.Fatalf("ReadBlock: %v", err)
-						}
-					}
-					gotB := make([]byte, n*blockSize)
-					if err := tb.ReadBlocks(start, gotB); err != nil {
-						t.Fatalf("ReadBlocks: %v", err)
-					}
-					if !bytes.Equal(gotA, gotB) {
-						t.Fatalf("read mismatch at %d (%d blocks)", start, n)
-					}
+				var err error
+				if thins[k], err = p.Thin(1); err != nil {
+					t.Fatal(err)
 				}
+			}
+			src := prng.NewSource(777)
+			compare := func(start, n uint64) {
+				gotA, gotB := make([]byte, n*blockSize), make([]byte, n*blockSize)
+				a(t, src, thins[0], false, start, gotA)
+				b(t, src, thins[1], false, start, gotB)
+				if !bytes.Equal(gotA, gotB) {
+					t.Fatalf("read mismatch at %d (%d blocks)", start, n)
+				}
+			}
+			for i := 0; i < 120; i++ {
+				start := src.Uint64n(virt)
+				n := 1 + src.Uint64n(virt-start)
+				if src.Uint64n(3) == 0 {
+					compare(start, n)
+					continue
+				}
+				buf := make([]byte, n*blockSize)
+				if _, err := src.Read(buf); err != nil {
+					t.Fatal(err)
+				}
+				a(t, src, thins[0], true, start, buf)
+				b(t, src, thins[1], true, start, buf)
 			}
 			for _, p := range []*Pool{pa, pb} {
 				if err := p.CheckIntegrity(); err != nil {
 					t.Fatalf("CheckIntegrity: %v", err)
 				}
 			}
-			// Both paths must converge to identical pool state: same
-			// mappings, same allocations, same dummy traffic.
 			for id := 1; id <= 2; id++ {
 				blksA, err := pa.PhysicalBlocks(id)
 				if err != nil {
@@ -126,35 +135,26 @@ func TestRangeMatchesBlockwiseThin(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(blksA) != len(blksB) {
-					t.Fatalf("thin %d: %d vs %d physical blocks", id, len(blksA), len(blksB))
-				}
-				for i := range blksA {
-					if blksA[i] != blksB[i] {
-						t.Fatalf("thin %d: physical block %d differs: %d vs %d", id, i, blksA[i], blksB[i])
-					}
+				if !slices.Equal(blksA, blksB) {
+					t.Fatalf("thin %d: physical blocks differ:\n %v\n %v", id, blksA, blksB)
 				}
 			}
 			if pa.DummyBlocksWritten() != pb.DummyBlocksWritten() {
 				t.Fatalf("dummy blocks: %d vs %d", pa.DummyBlocksWritten(), pb.DummyBlocksWritten())
 			}
-			// Full-volume vectored read must equal per-block read.
-			full := virt * blockSize
-			gotA := make([]byte, full)
-			gotB := make([]byte, full)
-			for j := uint64(0); j < virt; j++ {
-				if err := ta.ReadBlock(j, gotA[j*blockSize:(j+1)*blockSize]); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := tb.ReadBlocks(0, gotB); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(gotA, gotB) {
-				t.Fatal("final volume content diverges")
-			}
+			compare(0, virt)
 		})
 	}
+}
+
+// TestRangeMatchesBlockwiseThin: one flat request is the per-block loop.
+func TestRangeMatchesBlockwiseThin(t *testing.T) {
+	requestShapeEquivalence(t, perBlock, flat, 11, 2, [3]string{"sequential", "random", "dummy-policy"})
+}
+
+// TestVecMatchesFlatThin: a random segmentation is the flat request.
+func TestVecMatchesFlatThin(t *testing.T) {
+	requestShapeEquivalence(t, flat, segmented, 21, 3, [3]string{"sequential", "random-alloc", "dummy-policy"})
 }
 
 func TestThinRangeValidation(t *testing.T) {
@@ -166,13 +166,13 @@ func TestThinRangeValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := thin.WriteBlocks(0, make([]byte, blockSize+1)); !errors.Is(err, storage.ErrBadBuffer) {
+	if err := storage.WriteBlocks(thin, 0, make([]byte, blockSize+1)); !errors.Is(err, storage.ErrBadBuffer) {
 		t.Fatalf("misaligned err = %v, want ErrBadBuffer", err)
 	}
-	if err := thin.ReadBlocks(14, make([]byte, 3*blockSize)); !errors.Is(err, storage.ErrOutOfRange) {
+	if err := storage.ReadBlocks(thin, 14, make([]byte, 3*blockSize)); !errors.Is(err, storage.ErrOutOfRange) {
 		t.Fatalf("overrun err = %v, want ErrOutOfRange", err)
 	}
-	if err := thin.WriteBlocks(0, nil); err != nil {
+	if err := storage.WriteBlocks(thin, 0, nil); err != nil {
 		t.Fatalf("zero-length write: %v", err)
 	}
 	if p.AllocatedBlocks() != 0 {
@@ -198,7 +198,7 @@ func TestThinRangeFaultPropagation(t *testing.T) {
 		t.Fatal(err)
 	}
 	fd.FailWritesAfter(4)
-	err = thin.WriteBlocks(0, bytes.Repeat([]byte{0xCD}, 16*blockSize))
+	err = storage.WriteBlocks(thin, 0, bytes.Repeat([]byte{0xCD}, 16*blockSize))
 	if !errors.Is(err, storage.ErrInjected) {
 		t.Fatalf("err = %v, want ErrInjected", err)
 	}
@@ -214,7 +214,7 @@ func TestThinRangeFaultPropagation(t *testing.T) {
 	}
 	fd.Disarm()
 	readBack := make([]byte, 16*blockSize)
-	if err := thin.ReadBlocks(0, readBack); err != nil {
+	if err := storage.ReadBlocks(thin, 0, readBack); err != nil {
 		t.Fatal(err)
 	}
 	for i, b := range readBack {
@@ -227,10 +227,10 @@ func TestThinRangeFaultPropagation(t *testing.T) {
 		}
 	}
 	// The volume remains usable after the fault clears.
-	if err := thin.WriteBlocks(0, make([]byte, 16*blockSize)); err != nil {
+	if err := storage.WriteBlocks(thin, 0, make([]byte, 16*blockSize)); err != nil {
 		t.Fatalf("write after disarm: %v", err)
 	}
-	if err := thin.ReadBlocks(0, make([]byte, 16*blockSize)); err != nil {
+	if err := storage.ReadBlocks(thin, 0, make([]byte, 16*blockSize)); err != nil {
 		t.Fatalf("read after disarm: %v", err)
 	}
 }
@@ -254,7 +254,7 @@ func TestBatchProvisionIntegrity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := thin.WriteBlocks(0, make([]byte, 256*blockSize)); err != nil {
+	if err := storage.WriteBlocks(thin, 0, make([]byte, 256*blockSize)); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.CheckIntegrity(); err != nil {
@@ -274,7 +274,7 @@ func TestBatchProvisionIntegrity(t *testing.T) {
 	}
 	// Overwriting the same range provisions nothing and fires nothing.
 	before := p.DummyBlocksWritten()
-	if err := thin.WriteBlocks(0, make([]byte, 256*blockSize)); err != nil {
+	if err := storage.WriteBlocks(thin, 0, make([]byte, 256*blockSize)); err != nil {
 		t.Fatal(err)
 	}
 	if p.DummyBlocksWritten() != before {
@@ -338,7 +338,7 @@ func TestDeleteThinClearsPendingAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := thin.WriteBlocks(0, make([]byte, 8*blockSize)); err != nil {
+	if err := storage.WriteBlocks(thin, 0, make([]byte, 8*blockSize)); err != nil {
 		t.Fatal(err)
 	}
 	if got := p.PendingAllocations(); got != 8 {
@@ -375,14 +375,14 @@ func TestDiscardRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Map blocks 0..15 and 32..39, leaving a hole in between.
-	if err := thin.WriteBlocks(0, bytes.Repeat([]byte{0xAB}, 16*blockSize)); err != nil {
+	if err := storage.WriteBlocks(thin, 0, bytes.Repeat([]byte{0xAB}, 16*blockSize)); err != nil {
 		t.Fatal(err)
 	}
-	if err := thin.WriteBlocks(32, bytes.Repeat([]byte{0xAB}, 8*blockSize)); err != nil {
+	if err := storage.WriteBlocks(thin, 32, bytes.Repeat([]byte{0xAB}, 8*blockSize)); err != nil {
 		t.Fatal(err)
 	}
 	// Discard [8, 36): 8 mapped + 16 holes + 4 mapped.
-	if err := thin.DiscardRange(8, 28); err != nil {
+	if err := storage.Discard(thin, 8, 28); err != nil {
 		t.Fatal(err)
 	}
 	mapped, err := p.MappedBlocks(1)
@@ -417,10 +417,10 @@ func TestDiscardRange(t *testing.T) {
 		}
 	}
 	// Out-of-range and empty ranges behave like the read/write range ops.
-	if err := thin.DiscardRange(120, 16); !errors.Is(err, storage.ErrOutOfRange) {
+	if err := storage.Discard(thin, 120, 16); !errors.Is(err, storage.ErrOutOfRange) {
 		t.Fatalf("overrun discard err = %v, want ErrOutOfRange", err)
 	}
-	if err := thin.DiscardRange(0, 0); err != nil {
+	if err := storage.Discard(thin, 0, 0); err != nil {
 		t.Fatalf("empty discard: %v", err)
 	}
 	// Round-trip: the discarded state survives commit and reload.

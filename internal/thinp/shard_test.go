@@ -36,7 +36,7 @@ func (p *everyNthPolicy) OnProvision(int) (int, int, bool) {
 func deviceImage(t *testing.T, dev *storage.MemDevice) []byte {
 	t.Helper()
 	buf := make([]byte, int(dev.NumBlocks())*dev.BlockSize())
-	if err := dev.ReadBlocks(0, buf); err != nil {
+	if err := storage.ReadBlocks(dev, 0, buf); err != nil {
 		t.Fatalf("reading device image: %v", err)
 	}
 	return buf
@@ -138,7 +138,7 @@ func TestShardedUnshardedEquivalence(t *testing.T) {
 				if o.vb+count > virt {
 					count = virt - o.vb
 				}
-				if err := r.thins[o.thin].DiscardRange(o.vb, count); err != nil {
+				if err := storage.Discard(r.thins[o.thin], o.vb, count); err != nil {
 					t.Fatalf("op %d: discard thin %d [%d,%d): %v", i, o.thin, o.vb, o.vb+count, err)
 				}
 			case 3:

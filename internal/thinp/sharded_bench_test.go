@@ -44,8 +44,7 @@ func reallocWrite(thin *Thin, vb uint64, buf []byte) error {
 // four they are the whole point. The benchmark deliberately uses only the
 // long-stable pool API (CreatePool/CreateThin/WriteBlock/Commit/
 // CommitStats) plus the duck-typed reallocWrite above, so the same file
-// drops into the pre-PR tree for the A/B pair committed in BENCH_PR8.json
-// (cmd/experiments/bench_pr8.sh automates that).
+// drops into the pre-PR tree for the A/B pair committed in BENCH_PR8.json.
 func BenchmarkShardedWriters(b *testing.B) {
 	const (
 		virt       = 1024
@@ -75,7 +74,7 @@ func BenchmarkShardedWriters(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					if err := thin.WriteBlocks(0, init); err != nil {
+					if err := storage.WriteBlocks(thin, 0, init); err != nil {
 						b.Fatal(err)
 					}
 				}

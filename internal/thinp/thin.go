@@ -36,17 +36,6 @@ func (t *Thin) SetAffinity(aff int) { t.aff.Store(int64(aff)) }
 // Affinity returns the allocation-shard affinity hint.
 func (t *Thin) Affinity() int { return int(t.aff.Load()) }
 
-var (
-	_ storage.RangeDevice = (*Thin)(nil)
-	_ storage.VecDevice   = (*Thin)(nil)
-
-	_ storage.FlightBlockDevice = (*Thin)(nil)
-	_ storage.FlightRangeDevice = (*Thin)(nil)
-	_ storage.FlightVecDevice   = (*Thin)(nil)
-	_ storage.FlightSyncer      = (*Thin)(nil)
-	_ storage.FlightDiscarder   = (*Thin)(nil)
-)
-
 // ID returns the thin device id.
 func (t *Thin) ID() int { return t.id }
 
@@ -64,103 +53,60 @@ func (t *Thin) NumBlocks() uint64 {
 	return tm.virtBlocks
 }
 
-// ReadBlock implements storage.Device. It is the single-block case of the
-// vectored read and shares its locking discipline.
+// ReadBlock implements storage.Device.
 func (t *Thin) ReadBlock(idx uint64, dst []byte) error {
-	if len(dst) != t.pool.data.BlockSize() {
-		return storage.ErrBadBuffer
-	}
-	return t.ReadBlocks(idx, dst)
+	return storage.DoBlock(t, storage.OpRead, idx, dst)
 }
 
-// WriteBlock implements storage.Device. It is the single-block case of the
-// vectored write and shares its locking discipline.
+// WriteBlock implements storage.Device.
 func (t *Thin) WriteBlock(idx uint64, src []byte) error {
-	if len(src) != t.pool.data.BlockSize() {
-		return storage.ErrBadBuffer
-	}
-	return t.WriteBlocks(idx, src)
+	return storage.DoBlock(t, storage.OpWrite, idx, src)
 }
 
-// ReadBlocks implements storage.RangeDevice as the single-segment case of
-// ReadBlocksVec.
-func (t *Thin) ReadBlocks(start uint64, dst []byte) error {
-	return t.ReadBlocksFlight(0, start, dst)
-}
+// Sync implements storage.Device.
+func (t *Thin) Sync() error { return storage.Sync(t) }
 
-// WriteBlocks implements storage.RangeDevice as the single-segment case of
-// WriteBlocksVec.
-func (t *Thin) WriteBlocks(start uint64, src []byte) error {
-	return t.WriteBlocksFlight(0, start, src)
-}
+// Discard unmaps virtual block idx, freeing its physical block (the TRIM
+// analogue the garbage collector uses to reclaim dummy space).
+func (t *Thin) Discard(idx uint64) error { return storage.Discard(t, idx, 1) }
 
-// ReadBlockFlight implements storage.FlightBlockDevice.
-func (t *Thin) ReadBlockFlight(fid, idx uint64, dst []byte) error {
-	if len(dst) != t.pool.data.BlockSize() {
-		return storage.ErrBadBuffer
-	}
-	return t.ReadBlocksFlight(fid, idx, dst)
-}
-
-// WriteBlockFlight implements storage.FlightBlockDevice.
-func (t *Thin) WriteBlockFlight(fid, idx uint64, src []byte) error {
-	if len(src) != t.pool.data.BlockSize() {
-		return storage.ErrBadBuffer
-	}
-	return t.WriteBlocksFlight(fid, idx, src)
-}
-
-// ReadBlocksFlight implements storage.FlightRangeDevice.
-func (t *Thin) ReadBlocksFlight(fid, start uint64, dst []byte) error {
-	v, err := t.vecOf(dst)
-	if err != nil {
+// Do implements storage.Doer, one request at a time: each request takes
+// the pool and stripe locks once, resolves its whole range, and sends the
+// extents the random allocator scattered it over to the data device as ONE
+// batch under the request's flight id.
+func (t *Thin) Do(reqs []storage.Req) error {
+	return storage.Each(reqs, func(one []storage.Req) error {
+		r := &one[0]
+		var err error
+		switch r.Op {
+		case storage.OpRead:
+			err = t.read(r)
+		case storage.OpWrite:
+			err = t.write(r)
+		case storage.OpDiscard:
+			return t.discard(r.Start, r.Count)
+		case storage.OpSync:
+			return t.sync(one)
+		default:
+			return fmt.Errorf("thinp: unknown request op %d", r.Op)
+		}
+		if err == nil {
+			t.pool.chargeTraversal(r.Op, r.Blocks())
+		}
 		return err
-	}
-	return t.readBlocksVecF(fid, start, v)
+	})
 }
 
-// WriteBlocksFlight implements storage.FlightRangeDevice.
-func (t *Thin) WriteBlocksFlight(fid, start uint64, src []byte) error {
-	v, err := t.vecOf(src)
-	if err != nil {
-		return err
-	}
-	return t.writeBlocksVecF(fid, start, v)
-}
-
-// ReadBlocksVecFlight implements storage.FlightVecDevice.
-func (t *Thin) ReadBlocksVecFlight(fid, start uint64, v storage.BlockVec) error {
-	return t.readBlocksVecF(fid, start, v)
-}
-
-// WriteBlocksVecFlight implements storage.FlightVecDevice.
-func (t *Thin) WriteBlocksVecFlight(fid, start uint64, v storage.BlockVec) error {
-	return t.writeBlocksVecF(fid, start, v)
-}
-
-// vecOf wraps a flat buffer as a vec. An empty buffer becomes the empty
-// vec (storage.Vec rejects empty segments; an empty range op is a valid
-// no-op that must still surface ErrNoSuchThin through the vec path).
-func (t *Thin) vecOf(buf []byte) (storage.BlockVec, error) {
-	if len(buf)%t.pool.data.BlockSize() != 0 {
-		return storage.BlockVec{}, storage.ErrBadBuffer
-	}
-	if len(buf) == 0 {
-		return storage.BlockVec{}, nil
-	}
-	return storage.VecOne(t.pool.data.BlockSize(), buf), nil
-}
-
-// ioBatch is a pooled request list for storage.DoBatch. The list reaches
+// ioBatch is a pooled request list for the data device. The list reaches
 // the device through an interface call, so a stack-backed one would be
 // moved to the heap on every request; pooling keeps the I/O paths at the
 // allocation count they had when they called the device per extent.
 type ioBatch struct {
-	reqs []storage.IOReq
+	reqs []storage.Req
 }
 
 var batchPool = sync.Pool{New: func() any {
-	return &ioBatch{reqs: make([]storage.IOReq, 0, 16)}
+	return &ioBatch{reqs: make([]storage.Req, 0, 16)}
 }}
 
 // getBatch returns an empty request list.
@@ -233,26 +179,20 @@ func (t *Thin) checkVecLocked(start uint64, v storage.BlockVec) (*thinMeta, uint
 	return tm, n, nil
 }
 
-// ReadBlocksVec implements storage.VecDevice. The pool's shared lock plus
-// this thin's stripe (shared) are taken once for the whole vec and held
-// across the data-device reads: the mapping resolution and the transfers it
-// authorizes are atomic against discard/commit, so a physical block can
-// never be freed, committed away and reallocated to another thin while a
-// read of it is in flight. Concurrent readers — of this thin or any other —
-// take both locks shared and never contend; fine-grained writers to OTHER
-// stripes proceed in parallel. Physically contiguous extent runs map to
+// read serves one read request. The pool's shared lock plus this thin's
+// stripe (shared) are taken once for the whole vec and held across the
+// data-device reads: the mapping resolution and the transfers it authorizes
+// are atomic against discard/commit, so a physical block can never be
+// freed, committed away and reallocated to another thin while a read of it
+// is in flight. Concurrent readers — of this thin or any other — take both
+// locks shared and never contend; fine-grained writers to OTHER stripes
+// proceed in parallel. Physically contiguous extent runs map to
 // sub-vectors of the caller's own segments (Slice shares memory, no bytes
-// move) and go down as single scatter-gather data-device reads; holes
-// zero-fill the destination segments directly.
-func (t *Thin) ReadBlocksVec(start uint64, v storage.BlockVec) error {
-	return t.readBlocksVecF(0, start, v)
-}
-
-// readBlocksVecF is ReadBlocksVec with flight-id plumbing: the map-resolve
-// stage is recorded once per request after the page-table walk, and the
-// data-device reads carry the id down to the leaf.
-func (t *Thin) readBlocksVecF(fid, start uint64, v storage.BlockVec) error {
-	fid = t.pool.flightID(fid)
+// move); holes zero-fill the destination segments directly. The
+// map-resolve stage is recorded once per request after the page-table walk.
+func (t *Thin) read(r *storage.Req) error {
+	start, v := r.Start, r.Vec
+	fid := t.pool.flightID(r.FID)
 	var extArr [16]extent
 	t.pool.mu.RLock()
 	// Reads survive every degradation short of PoolFail: a read-only pool
@@ -279,7 +219,6 @@ func (t *Thin) readBlocksVecF(fid, start uint64, v storage.BlockVec) error {
 		// this resolution.
 		t.pool.flight.Record(fid, obs.StageMapResolve, obs.FOpRead, uint32(n), obs.ClassNone, 0)
 	}
-	meter := t.pool.opts.Meter
 	// Holes zero-fill in place; the mapped extents — scattered over the
 	// data device by the random allocator — go down as ONE batch.
 	batch := getBatch()
@@ -292,25 +231,22 @@ func (t *Thin) readBlocksVecF(fid, start uint64, v storage.BlockVec) error {
 				return nil
 			})
 		} else {
-			batch.reqs = append(batch.reqs, storage.IOReq{Start: e.phys, Vec: sub, FID: fid})
+			batch.reqs = append(batch.reqs, storage.Req{Op: storage.OpRead, Start: e.phys, Vec: sub, FID: fid})
 		}
 		off += e.count
 	}
-	err = storage.DoBatch(t.pool.data, false, batch.reqs)
+	err = storage.Do(t.pool.data, batch.reqs)
 	putBatch(batch)
 	st.mu.RUnlock()
 	t.pool.mu.RUnlock()
-	if err != nil {
-		return err
-	}
-
-	if meter != nil {
-		for i := uint64(0); i < n; i++ {
-			meter.ChargeTraversalRead()
-		}
-	}
-	return nil
+	return err
 }
+
+// maxSpaceWaits bounds how many waitForSpace rounds one write request may
+// spend queued for reclaim. The bound matters beyond hygiene: a request
+// needing more blocks than the pool holds recovers the pool with its own
+// unwind every round, so without a cap it would retry forever.
+const maxSpaceWaits = 4
 
 // writeAttempts is the number of optimistic shared-lock passes a write
 // makes before falling back to the exclusive lock for guaranteed
@@ -320,7 +256,7 @@ func (t *Thin) readBlocksVecF(fid, start uint64, v storage.BlockVec) error {
 // but the fallback bounds the loop regardless.
 const writeAttempts = 4
 
-// WriteBlocksVec implements storage.VecDevice. The common paths — pure
+// write serves one write request. The common paths — pure
 // overwrites AND writes that provision — run under the pool's SHARED lock:
 // mapping mutation is serialized by the thin's stripe lock and allocation
 // by the per-shard locks, so concurrent writers to different thins proceed
@@ -336,25 +272,16 @@ const writeAttempts = 4
 // Extent runs map to sub-vectors of the caller's own segments; the data
 // device sees the caller's buffers directly — the thin layer moves no
 // payload bytes.
-// maxSpaceWaits bounds how many waitForSpace rounds one write request may
-// spend queued for reclaim. The bound matters beyond hygiene: a request
-// needing more blocks than the pool holds recovers the pool with its own
-// unwind every round, so without a cap it would retry forever.
-const maxSpaceWaits = 4
-
-func (t *Thin) WriteBlocksVec(start uint64, v storage.BlockVec) error {
-	return t.writeBlocksVecF(0, start, v)
-}
-
-// writeBlocksVecF is WriteBlocksVec with flight-id plumbing. Stage order
-// per request: provision events (one per hole, from inside allocate) fire
+//
+// Stage order per request: provision events (one per hole, from inside allocate) fire
 // on the provisioning pass; map-resolve is recorded exactly once, on the
 // final fully-mapped walk immediately before the transfer — never on a
 // hole-finding walk — so a fresh single-block write traces as
 // [provision, map-resolve, devop], byte-identical to the lifecycle a
 // dummy-write noise block emits (the trace-deniability invariant).
-func (t *Thin) writeBlocksVecF(fid, start uint64, v storage.BlockVec) error {
-	fid = t.pool.flightID(fid)
+func (t *Thin) write(r *storage.Req) error {
+	start, v := r.Start, r.Vec
+	fid := t.pool.flightID(r.FID)
 	t.pool.mutators.Add(1)
 	defer t.pool.mutators.Add(-1)
 	var extArr [16]extent
@@ -449,7 +376,6 @@ func (t *Thin) writeBlocksVecF(fid, start uint64, v storage.BlockVec) error {
 			// transfer serves, so it is the one the trace records.
 			t.pool.flight.Record(fid, obs.StageMapResolve, obs.FOpWrite, uint32(n), obs.ClassNone, 0)
 		}
-		meter := t.pool.opts.Meter
 		done, werr := t.writeExtentsLocked(fid, v, exts)
 		st.mu.RUnlock()
 		unlock()
@@ -461,14 +387,8 @@ func (t *Thin) writeBlocksVecF(fid, start uint64, v storage.BlockVec) error {
 			// transferred prefix keeps its provisions. (Dummy writes
 			// already performed stay — they are real, durable noise.)
 			t.unwindFresh(fresh, start+done)
-			return werr
 		}
-		if meter != nil {
-			for i := uint64(0); i < n; i++ {
-				meter.ChargeTraversalWrite()
-			}
-		}
-		return nil
+		return werr
 	}
 }
 
@@ -491,20 +411,16 @@ func (t *Thin) writeBlocksVecF(fid, start uint64, v storage.BlockVec) error {
 // Failure atomicity is write-like, not transactional: once the old
 // placement is surrendered, an allocation or transfer failure leaves the
 // vblock unmapped (reading zeros) rather than restoring the old data.
+//
+// In a trace the replace stage marks the reallocate-on-write discipline,
+// followed by the fresh provision, the resolve of the new placement, and
+// the leaf devop.
 func (t *Thin) ReplaceBlock(idx uint64, src []byte) error {
-	return t.ReplaceBlockFlight(0, idx, src)
-}
-
-// ReplaceBlockFlight is ReplaceBlock with flight-id plumbing: the replace
-// stage marks the reallocate-on-write discipline in the trace, followed by
-// the fresh provision, the resolve of the new placement, and the leaf
-// devop.
-func (t *Thin) ReplaceBlockFlight(fid, idx uint64, src []byte) error {
 	p := t.pool
 	if len(src) != p.data.BlockSize() {
 		return storage.ErrBadBuffer
 	}
-	fid = p.flightID(fid)
+	fid := p.flightID(0)
 	if fid != 0 {
 		p.flight.Record(fid, obs.StageReplace, obs.FOpWrite, 1, obs.ClassNone, 0)
 	}
@@ -578,17 +494,18 @@ func (t *Thin) ReplaceBlockFlight(fid, idx uint64, src []byte) error {
 		if fid != 0 {
 			p.flight.Record(fid, obs.StageMapResolve, obs.FOpWrite, 1, obs.ClassNone, 0)
 		}
-		meter := p.opts.Meter
-		werr := storage.WriteBlockFlight(p.data, fid, pb, src)
+		batch := getBatch()
+		batch.reqs = append(batch.reqs, storage.Req{
+			Op: storage.OpWrite, Start: pb, Vec: storage.VecOne(len(src), src), FID: fid})
+		werr := storage.Do(p.data, batch.reqs)
+		putBatch(batch)
 		st.mu.RUnlock()
 		unlock()
 		if werr != nil {
 			t.unwindFresh(fresh, idx)
 			return werr
 		}
-		if meter != nil {
-			meter.ChargeTraversalWrite()
-		}
+		p.chargeTraversal(storage.OpWrite, 1)
 		return nil
 	}
 }
@@ -661,10 +578,10 @@ func (t *Thin) writeExtentsLocked(fid uint64, v storage.BlockVec, exts []extent)
 	defer putBatch(batch)
 	off := 0
 	for _, e := range exts {
-		batch.reqs = append(batch.reqs, storage.IOReq{Start: e.phys, Vec: v.Slice(off, e.count), FID: fid})
+		batch.reqs = append(batch.reqs, storage.Req{Op: storage.OpWrite, Start: e.phys, Vec: v.Slice(off, e.count), FID: fid})
 		off += e.count
 	}
-	werr := storage.DoBatch(t.pool.data, true, batch.reqs)
+	werr := storage.Do(t.pool.data, batch.reqs)
 	if werr == nil {
 		return uint64(off), nil
 	}
@@ -694,31 +611,18 @@ func (t *Thin) unwindFresh(fresh []uint64, landedBelow uint64) {
 	t.pool.mu.Unlock()
 }
 
-// Discard unmaps virtual block idx, freeing its physical block (the TRIM
-// analogue the garbage collector uses to reclaim dummy space).
-func (t *Thin) Discard(idx uint64) error {
-	return t.DiscardRange(idx, 1)
-}
-
-// DiscardRange unmaps the count virtual blocks starting at start, freeing
+// discard unmaps the count virtual blocks starting at start, freeing
 // their physical blocks — the vectored TRIM the garbage collector issues
 // when it reclaims a run of dummy space. The whole range is processed under
-// one stripe-lock acquisition, the same economics the read/write range ops
-// get from bio merging — and like them it runs on the fine-grained path
-// (pool read lock + the thin's stripe lock + shard locks for the frees), so
+// one stripe-lock acquisition, the same economics reads and writes get
+// from bio merging — and like them it runs on the fine-grained path (pool
+// read lock + the thin's stripe lock + shard locks for the frees), so
 // discards on one thin never stall writers of other stripes, and the
 // canonical discard-then-rewrite cycle stays parallel end to end.
-// Unprovisioned blocks in the range are no-ops.
-func (t *Thin) DiscardRange(start, count uint64) error {
-	return t.DiscardFlight(0, start, count)
-}
-
-// DiscardFlight implements storage.FlightDiscarder. The discard itself
-// records no thinp stage — the unmap mutates metadata only, and the I/O
-// scheduler above already records the request's D/C lifecycle — but the
-// id is accepted so a traced discard traverses the same code path as an
-// untraced one.
-func (t *Thin) DiscardFlight(_, start, count uint64) error {
+// Unprovisioned blocks in the range are no-ops. The discard records no
+// thinp stage — the unmap mutates metadata only, and the scheduler above
+// already records the request's D/C lifecycle.
+func (t *Thin) discard(start, count uint64) error {
 	p := t.pool
 	p.mutators.Add(1)
 	defer p.mutators.Add(-1)
@@ -727,15 +631,10 @@ func (t *Thin) DiscardFlight(_, start, count uint64) error {
 		p.mu.RUnlock()
 		return err
 	}
-	tm, ok := p.thins[t.id]
-	if !ok {
+	tm, err := t.checkRangeLocked(start, count)
+	if err != nil {
 		p.mu.RUnlock()
-		return fmt.Errorf("%w: id %d", ErrNoSuchThin, t.id)
-	}
-	if count > 0 && (start >= tm.virtBlocks || count > tm.virtBlocks-start) {
-		p.mu.RUnlock()
-		return fmt.Errorf("%w: vblocks [%d, %d) of %d",
-			storage.ErrOutOfRange, start, start+count, tm.virtBlocks)
+		return err
 	}
 	st := p.stripeOf(t.id)
 	st.mu.Lock()
@@ -763,22 +662,21 @@ func (t *Thin) DiscardFlight(_, start, count uint64) error {
 	return nil
 }
 
-// Sync implements storage.Device: flushes the data device and commits pool
-// metadata, matching dm-thin's REQ_FLUSH handling.
-func (t *Thin) Sync() error {
-	return t.SyncFlight(0)
-}
-
-// SyncFlight implements storage.FlightSyncer: the data flush records a
-// leaf devop under the request's id, and the metadata commit records the
-// commit-join/commit-flip pair — so a traced Flush shows exactly which
-// group-commit round absorbed it and how long the door held.
-func (t *Thin) SyncFlight(fid uint64) error {
-	fid = t.pool.flightID(fid)
-	if err := storage.SyncFlight(t.pool.data, fid); err != nil {
+// sync serves one sync request, matching dm-thin's REQ_FLUSH handling: the
+// data flush goes down in the request's own slot and records a leaf devop
+// under its id, and the metadata commit records the commit-join/commit-flip
+// pair — so a traced Flush shows exactly which group-commit round absorbed
+// it and how long the door held.
+func (t *Thin) sync(one []storage.Req) error {
+	r := &one[0]
+	submitted, fid := r.FID, t.pool.flightID(r.FID)
+	r.FID = fid
+	err := storage.Do(t.pool.data, one)
+	r.FID = submitted
+	if err != nil {
 		return err
 	}
-	return t.pool.CommitFlight(fid)
+	return t.pool.groupCommit(false, fid)
 }
 
 // Close implements storage.Device. Thin views are cheap handles; closing

@@ -1,8 +1,6 @@
 package thinp
 
 import (
-	"fmt"
-	"sort"
 	"strings"
 	"testing"
 
@@ -10,38 +8,6 @@ import (
 	"mobiceal/internal/prng"
 	"mobiceal/internal/storage"
 )
-
-// traceSignatures reduces a flight snapshot to the adversary-visible part:
-// one signature string per request — the ordered list of its events with
-// stage, op, block count and error class — with timestamps dropped and
-// request ids erased by the grouping itself. Aux is kept only where it is
-// id-free (commit rounds); merge-head ids are normalized to a marker.
-// The returned multiset is sorted so two captures compare with one
-// reflect-free equality check.
-func traceSignatures(evs []obs.FlightEvent) []string {
-	byReq := map[uint64][]string{}
-	var order []uint64
-	for _, ev := range evs {
-		aux := ""
-		switch ev.Stage {
-		case obs.StageCommitJoin, obs.StageCommitFlip:
-			aux = fmt.Sprintf("@%d", ev.Aux)
-		case obs.StageMerged:
-			aux = "@head"
-		}
-		sig := fmt.Sprintf("%s/%s/%d/%s%s", ev.Stage, ev.Op, ev.N, ev.Err, aux)
-		if _, seen := byReq[ev.ReqID]; !seen {
-			order = append(order, ev.ReqID)
-		}
-		byReq[ev.ReqID] = append(byReq[ev.ReqID], sig)
-	}
-	sigs := make([]string, 0, len(order))
-	for _, id := range order {
-		sigs = append(sigs, strings.Join(byReq[id], " "))
-	}
-	sort.Strings(sigs)
-	return sigs
-}
 
 // TestTraceDeniabilityTwinPools pins the flight recorder's deniability
 // claim the same way TestTelemetryDeniabilityTwinPools pins the counter
@@ -127,8 +93,8 @@ func TestTraceDeniabilityTwinPools(t *testing.T) {
 		}
 	}
 
-	sd := traceSignatures(d.flight.Events())
-	sc := traceSignatures(c.flight.Events())
+	sd := obs.Signatures(d.flight.Events())
+	sc := obs.Signatures(c.flight.Events())
 	if len(sd) == 0 {
 		t.Fatal("no traced requests — recorder not wired through the pool")
 	}

@@ -24,131 +24,6 @@ func vecOver(src *prng.Source, buf []byte) storage.BlockVec {
 	return v
 }
 
-// TestVecMatchesFlatThin cross-checks the scatter-gather thin path against
-// the flat range path on a random workload with holes, overwrites and
-// mid-range provisioning, under both allocators and with the dummy policy
-// firing — the thin-layer leg of the vec-vs-flat equivalence suite.
-func TestVecMatchesFlatThin(t *testing.T) {
-	cases := []struct {
-		name   string
-		mkOpts func() Options
-	}{
-		{"sequential", func() Options {
-			return Options{
-				Allocator: NewSequentialAllocator(),
-				Entropy:   prng.NewSeededEntropy(21),
-				DummySrc:  prng.NewSource(22),
-			}
-		}},
-		{"random-alloc", func() Options {
-			return Options{
-				Allocator: NewRandomAllocator(prng.NewSource(23)),
-				Entropy:   prng.NewSeededEntropy(21),
-				DummySrc:  prng.NewSource(22),
-			}
-		}},
-		{"dummy-policy", func() Options {
-			return Options{
-				Allocator: NewRandomAllocator(prng.NewSource(23)),
-				Policy:    &fixedPolicy{watch: 1, target: 2, count: 3},
-				Entropy:   prng.NewSeededEntropy(21),
-				DummySrc:  prng.NewSource(22),
-			}
-		}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			const virt = 96
-			pa, pb := twinPools(t, 1024, tc.mkOpts)
-			for _, p := range []*Pool{pa, pb} {
-				for id := 1; id <= 2; id++ {
-					if err := p.CreateThin(id, virt); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			ta, err := pa.Thin(1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tb, err := pb.Thin(1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			src := prng.NewSource(777)
-			for i := 0; i < 120; i++ {
-				start := src.Uint64n(virt)
-				n := 1 + src.Uint64n(virt-start)
-				buf := make([]byte, n*blockSize)
-				if src.Uint64n(3) > 0 {
-					if _, err := src.Read(buf); err != nil {
-						t.Fatal(err)
-					}
-					// Flat on pool A...
-					if err := ta.WriteBlocks(start, buf); err != nil {
-						t.Fatalf("WriteBlocks: %v", err)
-					}
-					// ...scatter-gather on pool B, random segmentation.
-					if err := tb.WriteBlocksVec(start, vecOver(src, buf)); err != nil {
-						t.Fatalf("WriteBlocksVec: %v", err)
-					}
-				} else {
-					gotA := make([]byte, n*blockSize)
-					if err := ta.ReadBlocks(start, gotA); err != nil {
-						t.Fatalf("ReadBlocks: %v", err)
-					}
-					gotB := make([]byte, n*blockSize)
-					if err := tb.ReadBlocksVec(start, vecOver(src, gotB)); err != nil {
-						t.Fatalf("ReadBlocksVec: %v", err)
-					}
-					if !bytes.Equal(gotA, gotB) {
-						t.Fatalf("read mismatch at %d (%d blocks)", start, n)
-					}
-				}
-			}
-			for _, p := range []*Pool{pa, pb} {
-				if err := p.CheckIntegrity(); err != nil {
-					t.Fatalf("CheckIntegrity: %v", err)
-				}
-			}
-			// Both paths converge to identical pool state.
-			for id := 1; id <= 2; id++ {
-				blksA, err := pa.PhysicalBlocks(id)
-				if err != nil {
-					t.Fatal(err)
-				}
-				blksB, err := pb.PhysicalBlocks(id)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(blksA) != len(blksB) {
-					t.Fatalf("thin %d: %d vs %d physical blocks", id, len(blksA), len(blksB))
-				}
-				for i := range blksA {
-					if blksA[i] != blksB[i] {
-						t.Fatalf("thin %d: physical block %d differs", id, i)
-					}
-				}
-			}
-			if pa.DummyBlocksWritten() != pb.DummyBlocksWritten() {
-				t.Fatalf("dummy blocks: %d vs %d", pa.DummyBlocksWritten(), pb.DummyBlocksWritten())
-			}
-			// Full-volume reads agree.
-			gotA := make([]byte, virt*blockSize)
-			gotB := make([]byte, virt*blockSize)
-			if err := ta.ReadBlocks(0, gotA); err != nil {
-				t.Fatal(err)
-			}
-			if err := tb.ReadBlocksVec(0, vecOver(src, gotB)); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(gotA, gotB) {
-				t.Fatal("final volume content diverges")
-			}
-		})
-	}
-}
-
 // TestThinVecPartialWriteUnwind drives a scatter-gather write into a
 // fault-injected data device and asserts the thin layer's partial-
 // completion contract holds for vecs: the transferred prefix keeps its
@@ -182,7 +57,7 @@ func TestThinVecPartialWriteUnwind(t *testing.T) {
 	}
 	v := storage.Vec(blockSize, payload[:2*blockSize], payload[2*blockSize:6*blockSize], payload[6*blockSize:])
 	fd.FailWritesAfter(5)
-	werr := thin.WriteBlocksVec(4, v)
+	werr := storage.WriteBlocksVec(thin, 4, v)
 	var pe *storage.PartialError
 	if !errors.As(werr, &pe) {
 		t.Fatalf("error %v, want PartialError", werr)
@@ -200,7 +75,7 @@ func TestThinVecPartialWriteUnwind(t *testing.T) {
 	}
 	fd.Disarm()
 	got := make([]byte, 8*blockSize)
-	if err := thin.ReadBlocksVec(4, storage.Vec(blockSize, got[:3*blockSize], got[3*blockSize:])); err != nil {
+	if err := storage.ReadBlocksVec(thin, 4, storage.Vec(blockSize, got[:3*blockSize], got[3*blockSize:])); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got[:5*blockSize], payload[:5*blockSize]) {

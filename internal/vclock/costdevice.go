@@ -10,11 +10,6 @@ type CostDevice struct {
 	meter *Meter
 }
 
-var (
-	_ storage.RangeDevice = (*CostDevice)(nil)
-	_ storage.VecDevice   = (*CostDevice)(nil)
-)
-
 // NewCostDevice wraps inner so that all traffic is charged to meter.
 func NewCostDevice(inner storage.Device, meter *Meter) *CostDevice {
 	return &CostDevice{inner: inner, meter: meter}
@@ -31,164 +26,41 @@ func (d *CostDevice) NumBlocks() uint64 { return d.inner.NumBlocks() }
 
 // ReadBlock implements storage.Device.
 func (d *CostDevice) ReadBlock(idx uint64, dst []byte) error {
-	if err := d.inner.ReadBlock(idx, dst); err != nil {
-		return err
-	}
-	d.meter.ChargeRead(idx, len(dst))
-	return nil
+	return storage.DoBlock(d, storage.OpRead, idx, dst)
 }
 
 // WriteBlock implements storage.Device.
 func (d *CostDevice) WriteBlock(idx uint64, src []byte) error {
-	if err := d.inner.WriteBlock(idx, src); err != nil {
-		return err
-	}
-	d.meter.ChargeWrite(idx, len(src))
-	return nil
-}
-
-// ReadBlocks implements storage.RangeDevice. Each block of the range is
-// charged individually at consecutive indexes, so the meter prices the
-// request as one seek plus a streaming run — the cost a merged bio pays.
-func (d *CostDevice) ReadBlocks(start uint64, dst []byte) error {
-	if err := storage.ReadBlocks(d.inner, start, dst); err != nil {
-		return err
-	}
-	bs := d.inner.BlockSize()
-	for i := 0; i*bs < len(dst); i++ {
-		d.meter.ChargeRead(start+uint64(i), bs)
-	}
-	return nil
-}
-
-// WriteBlocks implements storage.RangeDevice with the same per-block
-// charging as ReadBlocks.
-func (d *CostDevice) WriteBlocks(start uint64, src []byte) error {
-	if err := storage.WriteBlocks(d.inner, start, src); err != nil {
-		return err
-	}
-	bs := d.inner.BlockSize()
-	for i := 0; i*bs < len(src); i++ {
-		d.meter.ChargeWrite(start+uint64(i), bs)
-	}
-	return nil
-}
-
-// ReadBlocksVec implements storage.VecDevice. Charges are per block at
-// consecutive indexes regardless of segmentation, so the virtual-clock
-// price of a request does not depend on how a scheduler scattered it.
-func (d *CostDevice) ReadBlocksVec(start uint64, v storage.BlockVec) error {
-	if err := storage.ReadBlocksVec(d.inner, start, v); err != nil {
-		return err
-	}
-	bs := d.inner.BlockSize()
-	n := v.Len()
-	for i := 0; i < n; i++ {
-		d.meter.ChargeRead(start+uint64(i), bs)
-	}
-	return nil
-}
-
-// WriteBlocksVec implements storage.VecDevice with the same per-block
-// charging as ReadBlocksVec.
-func (d *CostDevice) WriteBlocksVec(start uint64, v storage.BlockVec) error {
-	if err := storage.WriteBlocksVec(d.inner, start, v); err != nil {
-		return err
-	}
-	bs := d.inner.BlockSize()
-	n := v.Len()
-	for i := 0; i < n; i++ {
-		d.meter.ChargeWrite(start+uint64(i), bs)
-	}
-	return nil
+	return storage.DoBlock(d, storage.OpWrite, idx, src)
 }
 
 // Sync implements storage.Device.
-func (d *CostDevice) Sync() error { return d.inner.Sync() }
+func (d *CostDevice) Sync() error { return storage.Sync(d) }
+
+// Do implements storage.Doer: the call goes down whole, then every
+// transfer that completed is charged block by block at consecutive
+// indexes, in request order — so the meter prices a request as one seek
+// plus a streaming run, the cost a merged bio pays, and the virtual-clock
+// price does not depend on how a scheduler segmented or batched it, nor on
+// whether the request carried a flight id.
+func (d *CostDevice) Do(reqs []storage.Req) error {
+	err := storage.Do(d.inner, reqs)
+	bs := d.inner.BlockSize()
+	for i := range reqs {
+		r := &reqs[i]
+		if !r.OK() || (r.Op != storage.OpRead && r.Op != storage.OpWrite) {
+			continue
+		}
+		charge := d.meter.ChargeRead
+		if r.Op == storage.OpWrite {
+			charge = d.meter.ChargeWrite
+		}
+		for b := 0; b < r.Vec.Len(); b++ {
+			charge(r.Start+uint64(b), bs)
+		}
+	}
+	return err
+}
 
 // Close implements storage.Device.
 func (d *CostDevice) Close() error { return d.inner.Close() }
-
-// Flight twins: forward the request id to the inner device with charging
-// identical to the plain paths, so enabling the flight recorder cannot
-// perturb the `*_virt` reproduction metrics by a single charge.
-
-var (
-	_ storage.FlightBlockDevice = (*CostDevice)(nil)
-	_ storage.FlightRangeDevice = (*CostDevice)(nil)
-	_ storage.FlightVecDevice   = (*CostDevice)(nil)
-	_ storage.FlightSyncer      = (*CostDevice)(nil)
-)
-
-// ReadBlockFlight implements storage.FlightBlockDevice.
-func (d *CostDevice) ReadBlockFlight(fid, idx uint64, dst []byte) error {
-	if err := storage.ReadBlockFlight(d.inner, fid, idx, dst); err != nil {
-		return err
-	}
-	d.meter.ChargeRead(idx, len(dst))
-	return nil
-}
-
-// WriteBlockFlight implements storage.FlightBlockDevice.
-func (d *CostDevice) WriteBlockFlight(fid, idx uint64, src []byte) error {
-	if err := storage.WriteBlockFlight(d.inner, fid, idx, src); err != nil {
-		return err
-	}
-	d.meter.ChargeWrite(idx, len(src))
-	return nil
-}
-
-// ReadBlocksFlight implements storage.FlightRangeDevice.
-func (d *CostDevice) ReadBlocksFlight(fid, start uint64, dst []byte) error {
-	if err := storage.ReadBlocksFlight(d.inner, fid, start, dst); err != nil {
-		return err
-	}
-	bs := d.inner.BlockSize()
-	for i := 0; i*bs < len(dst); i++ {
-		d.meter.ChargeRead(start+uint64(i), bs)
-	}
-	return nil
-}
-
-// WriteBlocksFlight implements storage.FlightRangeDevice.
-func (d *CostDevice) WriteBlocksFlight(fid, start uint64, src []byte) error {
-	if err := storage.WriteBlocksFlight(d.inner, fid, start, src); err != nil {
-		return err
-	}
-	bs := d.inner.BlockSize()
-	for i := 0; i*bs < len(src); i++ {
-		d.meter.ChargeWrite(start+uint64(i), bs)
-	}
-	return nil
-}
-
-// ReadBlocksVecFlight implements storage.FlightVecDevice.
-func (d *CostDevice) ReadBlocksVecFlight(fid, start uint64, v storage.BlockVec) error {
-	if err := storage.ReadBlocksVecFlight(d.inner, fid, start, v); err != nil {
-		return err
-	}
-	bs := d.inner.BlockSize()
-	n := v.Len()
-	for i := 0; i < n; i++ {
-		d.meter.ChargeRead(start+uint64(i), bs)
-	}
-	return nil
-}
-
-// WriteBlocksVecFlight implements storage.FlightVecDevice.
-func (d *CostDevice) WriteBlocksVecFlight(fid, start uint64, v storage.BlockVec) error {
-	if err := storage.WriteBlocksVecFlight(d.inner, fid, start, v); err != nil {
-		return err
-	}
-	bs := d.inner.BlockSize()
-	n := v.Len()
-	for i := 0; i < n; i++ {
-		d.meter.ChargeWrite(start+uint64(i), bs)
-	}
-	return nil
-}
-
-// SyncFlight implements storage.FlightSyncer.
-func (d *CostDevice) SyncFlight(fid uint64) error {
-	return storage.SyncFlight(d.inner, fid)
-}
