@@ -216,7 +216,7 @@ func TestCLIStatusShardSummary(t *testing.T) {
 	out := captureStdout(t, func() error {
 		return run([]string{"status", "-image", image})
 	})
-	if !regexp.MustCompile(`shards \d+ free \d+\.\.\d+ bal \d+\.\d{2} steals \d+`).MatchString(out) {
+	if !regexp.MustCompile(`shards \d+ free \d+\.\.\d+ bal \d+\.\d{2}`).MatchString(out) {
 		t.Fatalf("status output missing shard summary: %q", out)
 	}
 }

@@ -101,11 +101,11 @@ func run() error {
 		return err
 	}
 
-	calls, flips := sys.Pool().CommitStats()
+	pm := sys.Pool().MetricsSnapshot()
 	fmt.Printf("served %d volumes × %d writers: %d writes, %d flushes in %v\n",
 		2, writers, writes, flushes, elapsed.Round(time.Millisecond))
 	fmt.Printf("group commit: %d commit calls, %d slot flips (%.1f commits/flip; the fold grows with flush concurrency and real device sync latency)\n",
-		calls, flips, float64(calls)/float64(flips))
+		pm.CommitCalls, pm.CommitFlips, pm.FoldRatio())
 
 	// The deniability story is unchanged by concurrency: the multi-
 	// snapshot adversary diffs its captures and finds only accountable,

@@ -174,8 +174,8 @@ func TestWriteAmplification(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := stats.Stats()
-	amp := float64(st.Writes) / n
+	st := stats.Metrics().Snapshot()
+	amp := float64(st.WriteBlocks) / n
 	// k=3 data-slot writes + IV-table writes + map writes per logical
 	// write: amplification must be well above 3.
 	if amp < 3 {
@@ -232,9 +232,9 @@ func TestReadsChargeMapLookup(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := stats.Stats()
-	if st.Reads < 2*reads {
-		t.Fatalf("physical reads %d < %d (map lookups not charged)", st.Reads, 2*reads)
+	st := stats.Metrics().Snapshot()
+	if st.ReadBlocks < 2*reads {
+		t.Fatalf("physical reads %d < %d (map lookups not charged)", st.ReadBlocks, 2*reads)
 	}
 }
 

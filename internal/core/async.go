@@ -92,13 +92,6 @@ func (s *System) FlushAll() error {
 func (v *Volume) queue() *ioq.VolumeQueue {
 	v.qOnce.Do(func() {
 		v.q = v.sys.volumeQueue(v.id, v.dev)
-		if v.thin != nil {
-			// Home this volume's provisioning on the shard matching its
-			// submission queue: writers draining distinct queues then
-			// allocate from distinct shards (affinity is a hint — the
-			// random allocator ignores it to keep placement uniform).
-			v.thin.SetAffinity(v.q.Index())
-		}
 	})
 	return v.q
 }

@@ -178,14 +178,14 @@ func TestFlushAllFoldsIntoOneCommit(t *testing.T) {
 	if err := ioq.WaitAll(futs...); err != nil {
 		t.Fatal(err)
 	}
-	callsBefore, flipsBefore := sys.Pool().CommitStats()
+	before := sys.Pool().MetricsSnapshot()
 	if err := sys.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
-	calls, flips := sys.Pool().CommitStats()
-	if calls-callsBefore != 1 || flips-flipsBefore != 1 {
-		t.Fatalf("FlushAll cost %d commits / %d flips, want 1/1",
-			calls-callsBefore, flips-flipsBefore)
+	after := sys.Pool().MetricsSnapshot()
+	calls, flips := after.CommitCalls-before.CommitCalls, after.CommitFlips-before.CommitFlips
+	if calls != 1 || flips != 1 {
+		t.Fatalf("FlushAll cost %d commits / %d flips, want 1/1", calls, flips)
 	}
 	if got := sys.Pool().PendingAllocations(); got != 0 {
 		t.Fatalf("%d allocations still pending after FlushAll", got)

@@ -47,10 +47,6 @@ func WritePrometheus(w io.Writer, t Telemetry) error {
 		lbl := fmt.Sprintf(`shard="%d"`, i)
 		pw.labeledGauge("mobiceal_pool_shard_free_blocks", "Free blocks of one allocation shard.", lbl, float64(sh.Free), i == 0)
 	}
-	for i, sh := range t.Pool.Shards {
-		lbl := fmt.Sprintf(`shard="%d"`, i)
-		pw.labeledCounter("mobiceal_pool_shard_steals_total", "Cross-shard allocations served by this shard.", lbl, float64(sh.Steals), i == 0)
-	}
 
 	pw.counter("mobiceal_io_submitted_total", "Requests submitted to the scheduler.", float64(t.IO.Submitted))
 	pw.counter("mobiceal_io_completed_total", "Requests completed by the scheduler.", float64(t.IO.Completed))
@@ -122,13 +118,6 @@ func (p *promWriter) gauge(name, help string, v float64) {
 func (p *promWriter) labeledGauge(name, help, label string, v float64, first bool) {
 	if first {
 		p.head(name, help, "gauge")
-	}
-	p.printf("%s{%s} %g\n", name, label, v)
-}
-
-func (p *promWriter) labeledCounter(name, help, label string, v float64, first bool) {
-	if first {
-		p.head(name, help, "counter")
 	}
 	p.printf("%s{%s} %g\n", name, label, v)
 }

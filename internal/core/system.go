@@ -443,8 +443,10 @@ type Health struct {
 	Mode thinp.PoolMode
 	// Reason explains the last degradation; empty while Mode is PoolWrite.
 	Reason string
-	// IO is the scheduler's cumulative fault accounting.
-	IO ioq.Stats
+	// IO is the scheduler's metrics snapshot; its Retries, Recovered,
+	// Timeouts, Failures and BarrierFails are the cumulative fault
+	// accounting.
+	IO ioq.MetricsSnapshot
 }
 
 // Healthy reports whether the system is fully operational.
@@ -457,7 +459,7 @@ func (h Health) Healthy() bool { return h.Mode == thinp.PoolWrite }
 // (Fail).
 func (s *System) Health() Health {
 	mode, reason := s.pool.Status()
-	return Health{Mode: mode, Reason: reason, IO: s.Scheduler().Stats()}
+	return Health{Mode: mode, Reason: reason, IO: s.Scheduler().MetricsSnapshot()}
 }
 
 // Recovery reports the mount-time A/B slot selection the pool performed

@@ -123,15 +123,14 @@ func (t Telemetry) String() string {
 // ShardSummary condenses the per-shard allocation gauges into one scannable
 // fragment: shard count, min..max free blocks, the min/max free balance
 // ratio (1.00 = perfectly even, small = one shard nearly drained while
-// another is full), and total cross-shard steals. Empty when the snapshot
-// carries no shard data (old snapshots, single-shard pools with no gauges).
+// another is full). Empty when the snapshot carries no shard data (old
+// snapshots, single-shard pools with no gauges).
 func (t Telemetry) ShardSummary() string {
 	shards := t.Pool.Shards
 	if len(shards) == 0 {
 		return ""
 	}
 	minFree, maxFree := shards[0].Free, shards[0].Free
-	var steals uint64
 	for _, sh := range shards {
 		if sh.Free < minFree {
 			minFree = sh.Free
@@ -139,12 +138,11 @@ func (t Telemetry) ShardSummary() string {
 		if sh.Free > maxFree {
 			maxFree = sh.Free
 		}
-		steals += sh.Steals
 	}
 	bal := 1.0
 	if maxFree > 0 {
 		bal = float64(minFree) / float64(maxFree)
 	}
-	return fmt.Sprintf("shards %d free %d..%d bal %.2f steals %d",
-		len(shards), minFree, maxFree, bal, steals)
+	return fmt.Sprintf("shards %d free %d..%d bal %.2f",
+		len(shards), minFree, maxFree, bal)
 }

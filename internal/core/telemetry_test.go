@@ -8,8 +8,8 @@ import (
 )
 
 // TestShardSummary pins the shard-imbalance fragment of the status
-// one-liner: min..max free range, min/max balance ratio, total steals —
-// and its absence when a snapshot carries no shard data.
+// one-liner: min..max free range, min/max balance ratio — and its
+// absence when a snapshot carries no shard data.
 func TestShardSummary(t *testing.T) {
 	mk := func(shards ...thinp.ShardSnapshot) Telemetry {
 		return Telemetry{Pool: thinp.PoolSnapshot{Shards: shards}}
@@ -23,15 +23,15 @@ func TestShardSummary(t *testing.T) {
 		{"balanced", mk(
 			thinp.ShardSnapshot{Free: 100},
 			thinp.ShardSnapshot{Free: 100},
-		), "shards 2 free 100..100 bal 1.00 steals 0"},
-		{"imbalanced with steals", mk(
-			thinp.ShardSnapshot{Free: 40, Steals: 3},
-			thinp.ShardSnapshot{Free: 100, Steals: 1},
-		), "shards 2 free 40..100 bal 0.40 steals 4"},
+		), "shards 2 free 100..100 bal 1.00"},
+		{"imbalanced", mk(
+			thinp.ShardSnapshot{Free: 40},
+			thinp.ShardSnapshot{Free: 100},
+		), "shards 2 free 40..100 bal 0.40"},
 		{"drained", mk(
 			thinp.ShardSnapshot{Free: 0},
 			thinp.ShardSnapshot{Free: 0},
-		), "shards 2 free 0..0 bal 1.00 steals 0"},
+		), "shards 2 free 0..0 bal 1.00"},
 	}
 	for _, tc := range cases {
 		if got := tc.t.ShardSummary(); got != tc.want {
@@ -39,8 +39,8 @@ func TestShardSummary(t *testing.T) {
 		}
 	}
 	// The one-liner embeds the fragment whenever shard data is present.
-	tel := mk(thinp.ShardSnapshot{Free: 7, Steals: 2})
-	if !strings.Contains(tel.String(), "shards 1 free 7..7 bal 1.00 steals 2") {
+	tel := mk(thinp.ShardSnapshot{Free: 7})
+	if !strings.Contains(tel.String(), "shards 1 free 7..7 bal 1.00") {
 		t.Errorf("String() missing shard summary: %q", tel.String())
 	}
 	if strings.Contains((Telemetry{}).String(), "shards") {

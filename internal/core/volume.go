@@ -8,7 +8,6 @@ import (
 	"mobiceal/internal/ioq"
 	"mobiceal/internal/minifs"
 	"mobiceal/internal/storage"
-	"mobiceal/internal/thinp"
 )
 
 // Mode distinguishes the two operating modes of a MobiCeal device.
@@ -43,10 +42,6 @@ type Volume struct {
 	id   int
 	mode Mode
 	dev  storage.Device
-	// thin is the pool-level handle under the crypt view; the async path
-	// re-homes its allocation affinity on the submission queue's index once
-	// the queue registers.
-	thin *thinp.Thin
 
 	qOnce sync.Once
 	q     *ioq.VolumeQueue
@@ -102,7 +97,6 @@ func (s *System) OpenPublic(password string) (*Volume, error) {
 		id:   PublicVolumeID,
 		mode: ModePublic,
 		dev:  dm.NewCrypt(thin, cipher, s.cfg.Meter),
-		thin: thin,
 	}, nil
 }
 
@@ -141,7 +135,7 @@ func (s *System) OpenHidden(password string) (*Volume, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: hidden volume view: %w", err)
 	}
-	return &Volume{sys: s, id: id, mode: ModeHidden, dev: fsDev, thin: thin}, nil
+	return &Volume{sys: s, id: id, mode: ModeHidden, dev: fsDev}, nil
 }
 
 // VerifyHidden reports whether password opens a hidden volume, without

@@ -1,3 +1,8 @@
+// Package dm reproduces the one Linux device-mapper target MobiCeal adds
+// to the stack above the thin pool: the crypt target. Android FDE is
+// dm-crypt over the userdata partition; MobiCeal stacks dm-crypt over
+// dm-thin volumes (Fig. 1/Fig. 2). The thin-pool and thin targets live in
+// package thinp and the linear target is storage.SliceDevice.
 package dm
 
 import (

@@ -2,7 +2,6 @@ package dm
 
 import (
 	"bytes"
-	"errors"
 	"testing"
 	"testing/quick"
 
@@ -162,45 +161,6 @@ func TestCryptWithESSIV(t *testing.T) {
 	}
 	if !bytes.Equal(plain, got) {
 		t.Fatal("ESSIV crypt roundtrip mismatch")
-	}
-}
-
-func TestRegistryLifecycle(t *testing.T) {
-	var r Registry
-	devA := storage.NewMemDevice(blockSize, 4)
-	if err := r.Create("userdata", devA); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Create("userdata", devA); !errors.Is(err, ErrExists) {
-		t.Fatalf("duplicate create err = %v, want ErrExists", err)
-	}
-	got, err := r.Get("userdata")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != storage.Device(devA) {
-		t.Fatal("Get returned a different device")
-	}
-	if err := r.Create("cache", storage.NewMemDevice(blockSize, 4)); err != nil {
-		t.Fatal(err)
-	}
-	names := r.Names()
-	if len(names) != 2 || names[0] != "cache" || names[1] != "userdata" {
-		t.Fatalf("Names = %v", names)
-	}
-	if err := r.Remove("userdata"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Get("userdata"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("Get removed err = %v, want ErrNotFound", err)
-	}
-	if err := r.Remove("userdata"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("double remove err = %v, want ErrNotFound", err)
-	}
-	// Removed device must be closed.
-	buf := make([]byte, blockSize)
-	if err := devA.ReadBlock(0, buf); !errors.Is(err, storage.ErrClosed) {
-		t.Fatalf("read after Remove err = %v, want ErrClosed", err)
 	}
 }
 

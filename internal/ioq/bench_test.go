@@ -128,7 +128,7 @@ func BenchmarkVolumeService(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
-				startCalls, startFlips := pool.CommitStats()
+				start := pool.MetricsSnapshot()
 				b.SetBytes(reqBlocks * blockSize)
 				b.ResetTimer()
 
@@ -180,9 +180,13 @@ func BenchmarkVolumeService(b *testing.B) {
 					s.Close()
 				}
 				b.StopTimer()
-				calls, flips := pool.CommitStats()
-				if flips-startFlips > 0 {
-					b.ReportMetric(float64(calls-startCalls)/float64(flips-startFlips), "commits/flip")
+				end := pool.MetricsSnapshot()
+				fold := thinp.PoolSnapshot{
+					CommitCalls: end.CommitCalls - start.CommitCalls,
+					CommitFlips: end.CommitFlips - start.CommitFlips,
+				}.FoldRatio()
+				if fold > 0 {
+					b.ReportMetric(fold, "commits/flip")
 				}
 			})
 		}
@@ -229,7 +233,7 @@ func BenchmarkRetryOverhead(b *testing.B) {
 					}
 				}
 				b.StopTimer()
-				if st := s.Stats(); st.Recovered > 0 {
+				if st := s.MetricsSnapshot(); st.Recovered > 0 {
 					b.ReportMetric(float64(st.Recovered), "recovered")
 				}
 			})

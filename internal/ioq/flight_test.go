@@ -46,7 +46,7 @@ func TestFlightTracingUnderFaults(t *testing.T) {
 		t.Fatalf("writes with transient faults: %v", err)
 	}
 
-	st := s.Stats()
+	st := s.MetricsSnapshot()
 	if st.Retries == 0 || st.Recovered == 0 || st.Failures != 0 {
 		t.Fatalf("unexpected fault stats: %+v", st)
 	}
@@ -141,7 +141,7 @@ func TestFlightTracingMediumFault(t *testing.T) {
 			t.Fatalf("req %d: %d dispatches / %d completions, want 1/1", fid, d, c)
 		}
 	}
-	if st := s.Stats(); st.Retries != 0 {
+	if st := s.MetricsSnapshot(); st.Retries != 0 {
 		t.Fatalf("medium fault was retried: %+v", st)
 	}
 }

@@ -1,16 +1,10 @@
 package ioq
 
-import "sync"
-
 // Future is the completion handle of one submitted request. It completes
-// exactly once; Wait, Done and OnComplete may be used from any number of
-// goroutines.
+// exactly once; Wait and Done may be used from any number of goroutines.
 type Future struct {
 	done chan struct{}
 	err  error
-
-	mu  sync.Mutex
-	cbs []func(error)
 }
 
 func newFuture() *Future {
@@ -27,32 +21,11 @@ func (f *Future) Wait() error {
 // select loops. After Done is closed, Wait returns immediately.
 func (f *Future) Done() <-chan struct{} { return f.done }
 
-// OnComplete registers fn to run when the request completes, with its
-// error. If the request already completed, fn runs inline; otherwise it
-// runs on the completing worker goroutine, so it must not block.
-func (f *Future) OnComplete(fn func(error)) {
-	f.mu.Lock()
-	select {
-	case <-f.done:
-		f.mu.Unlock()
-		fn(f.err)
-	default:
-		f.cbs = append(f.cbs, fn)
-		f.mu.Unlock()
-	}
-}
-
-// complete resolves the future. Must be called exactly once.
+// complete resolves the future. Must be called exactly once; the close
+// publishes err to every waiter.
 func (f *Future) complete(err error) {
-	f.mu.Lock()
 	f.err = err
 	close(f.done)
-	cbs := f.cbs
-	f.cbs = nil
-	f.mu.Unlock()
-	for _, fn := range cbs {
-		fn(err)
-	}
 }
 
 // WaitAll waits every future and returns the first error encountered.

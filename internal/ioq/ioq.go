@@ -145,26 +145,6 @@ func (o *Options) fill() {
 	o.Retry.fill()
 }
 
-// Stats is a snapshot of the scheduler's failure accounting. All counters
-// are cumulative since the scheduler started. It is a compatibility view
-// over Metrics — the obs counters are the single source of truth;
-// MetricsSnapshot carries the full surface (gauges, latencies, merge
-// accounting).
-type Stats struct {
-	// Retries counts re-executions after transient faults.
-	Retries uint64
-	// Recovered counts requests that ultimately succeeded after at least
-	// one retry — faults the scheduler absorbed invisibly.
-	Recovered uint64
-	// Timeouts counts requests completed with ErrDeadline.
-	Timeouts uint64
-	// Failures counts requests completed with any non-nil error.
-	Failures uint64
-	// BarrierFailures counts Flush barriers whose device Sync failed
-	// (after retries), poisoning the requests parked behind them.
-	BarrierFailures uint64
-}
-
 // Scheduler owns the worker pool and the ready list of volume queues with
 // pending work. One scheduler serves any number of volumes; Register each
 // device once and submit through the returned VolumeQueue.
@@ -189,18 +169,6 @@ type Scheduler struct {
 	flight *obs.FlightRecorder
 }
 
-// Stats snapshots the scheduler's cumulative failure accounting (a thin
-// view over Metrics).
-func (s *Scheduler) Stats() Stats {
-	return Stats{
-		Retries:         s.m.Retries.Load(),
-		Recovered:       s.m.Recovered.Load(),
-		Timeouts:        s.m.Timeouts.Load(),
-		Failures:        s.m.Failures.Load(),
-		BarrierFailures: s.m.BarrierFails.Load(),
-	}
-}
-
 // NewScheduler starts a scheduler with opts (zero value: defaults).
 func NewScheduler(opts Options) *Scheduler {
 	opts.fill()
@@ -218,12 +186,10 @@ func NewScheduler(opts Options) *Scheduler {
 // A registered queue is tracked for the scheduler's lifetime (Queues,
 // system-wide barriers), so callers serving long-lived systems should
 // register each volume once and reuse the queue rather than registering
-// per handle. The queue's registration index doubles as an allocation
-// affinity hint for layers below (the thin pool homes each queue's
-// provisioning on its own shard).
+// per handle.
 func (s *Scheduler) Register(dev storage.Device) *VolumeQueue {
 	s.mu.Lock()
-	q := &VolumeQueue{s: s, dev: dev, index: len(s.queues)}
+	q := &VolumeQueue{s: s, dev: dev}
 	if s.opts.MaxInFlight > 1 {
 		q.win = newDispatchWindow(s.opts.MaxInFlight, &s.m)
 	}

@@ -746,8 +746,7 @@ func TestSchedulerOverThinPool(t *testing.T) {
 			t.Fatalf("thin %d: %d live vs %d reloaded mappings", v, len(live), len(reloaded))
 		}
 	}
-	calls, flips := pool.CommitStats()
-	if flips > calls {
-		t.Fatalf("flips %d > calls %d", flips, calls)
+	if ms := pool.MetricsSnapshot(); ms.CommitFlips > ms.CommitCalls {
+		t.Fatalf("flips %d > calls %d", ms.CommitFlips, ms.CommitCalls)
 	}
 }

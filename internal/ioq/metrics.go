@@ -3,7 +3,7 @@ package ioq
 import "mobiceal/internal/obs"
 
 // Metrics is the scheduler's obs-backed accounting — the single source of
-// truth behind both the legacy Stats() view and the telemetry snapshot.
+// truth behind the telemetry snapshot.
 // Requests are counted at the queue level the same way for every volume:
 // there are no per-volume counters, so the numbers cannot attribute traffic
 // to the public or the hidden half of a system (see DESIGN.md
@@ -43,7 +43,12 @@ type Metrics struct {
 	ServiceLat obs.Histogram
 	TotalLat   obs.Histogram
 
-	// Failure accounting (the counters previously kept by schedStats).
+	// Failure accounting. Retries counts re-executions after transient
+	// faults; Recovered requests that ultimately succeeded after at least
+	// one retry — faults the scheduler absorbed invisibly; Timeouts requests
+	// completed with ErrDeadline; Failures requests completed with any
+	// non-nil error; BarrierFails Flush barriers whose device Sync failed
+	// (after retries), poisoning the requests parked behind them.
 	Retries      obs.Counter
 	Recovered    obs.Counter
 	Timeouts     obs.Counter

@@ -67,9 +67,6 @@ func (r *request) blocks() uint64 { return uint64(r.io[0].Blocks()) }
 type VolumeQueue struct {
 	s   *Scheduler
 	dev storage.Device
-	// index is the queue's registration order — a stable per-volume id the
-	// stack uses as the allocation-shard affinity hint.
-	index int
 
 	// win, when non-nil, is the queue's bounded in-flight dispatch window
 	// (Options.MaxInFlight > 1): coalesced runs execute concurrently
@@ -171,10 +168,6 @@ func (q *VolumeQueue) Quiesce() *Future {
 
 // Device returns the device stack this queue serves.
 func (q *VolumeQueue) Device() storage.Device { return q.dev }
-
-// Index returns the queue's registration index — the per-volume affinity
-// hint handed down to the allocation layer.
-func (q *VolumeQueue) Index() int { return q.index }
 
 func (q *VolumeQueue) submit(r *request) *Future {
 	if q.s.isClosed() {

@@ -30,7 +30,7 @@ func TestRetryAbsorbsTransientFaults(t *testing.T) {
 	if !bytes.Equal(dst, src) {
 		t.Fatal("readback mismatch")
 	}
-	st := s.Stats()
+	st := s.MetricsSnapshot()
 	if st.Retries == 0 || st.Recovered == 0 {
 		t.Fatalf("retry stats not accounted: %+v", st)
 	}
@@ -53,7 +53,7 @@ func TestRetryGivesUpOnPermanentFaults(t *testing.T) {
 	if !storage.IsMedium(err) {
 		t.Fatalf("bad-block write err = %v", err)
 	}
-	st := s.Stats()
+	st := s.MetricsSnapshot()
 	if st.Retries != 0 {
 		t.Fatalf("medium error was retried: %+v", st)
 	}
@@ -75,7 +75,7 @@ func TestRetryDisabled(t *testing.T) {
 	if !storage.IsTransient(err) {
 		t.Fatalf("want surfaced transient fault, got %v", err)
 	}
-	if st := s.Stats(); st.Retries != 0 {
+	if st := s.MetricsSnapshot(); st.Retries != 0 {
 		t.Fatalf("retry fired while disabled: %+v", st)
 	}
 }
@@ -116,7 +116,7 @@ func TestDeadlineExpiresParkedRequest(t *testing.T) {
 	if err := q.SubmitWrite(2, make([]byte, blockSize)).Wait(); err != nil {
 		t.Fatalf("post-timeout write: %v", err)
 	}
-	st := s.Stats()
+	st := s.MetricsSnapshot()
 	if st.Timeouts != 1 {
 		t.Fatalf("timeout not accounted: %+v", st)
 	}
@@ -210,8 +210,8 @@ func TestBarrierSyncErrorPropagatesToParked(t *testing.T) {
 	if err := q.Flush().Wait(); err != nil {
 		t.Fatalf("post-failure flush: %v", err)
 	}
-	st := s.Stats()
-	if st.BarrierFailures != 1 {
+	st := s.MetricsSnapshot()
+	if st.BarrierFails != 1 {
 		t.Fatalf("barrier failure not accounted: %+v", st)
 	}
 }
@@ -253,8 +253,8 @@ func TestTransientSyncRetriedAtBarrier(t *testing.T) {
 	if err := q.Flush().Wait(); err != nil {
 		t.Fatalf("flush with transient sync fault: %v", err)
 	}
-	st := s.Stats()
-	if st.Recovered == 0 || st.BarrierFailures != 0 {
+	st := s.MetricsSnapshot()
+	if st.Recovered == 0 || st.BarrierFails != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
 }

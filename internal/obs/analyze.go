@@ -93,8 +93,8 @@ type CommitRound struct {
 	DoorWait LatDist `json:"door_wait"` // per-joiner flip.At - join.At
 }
 
-// CommitStats aggregates commit-round attribution across the window.
-type CommitStats struct {
+// CommitSummary aggregates commit-round attribution across the window.
+type CommitSummary struct {
 	Rounds     int           `json:"rounds"`
 	Folded     int           `json:"folded"`
 	MeanFolded float64       `json:"mean_folded"`
@@ -128,7 +128,7 @@ type TraceReport struct {
 	QueueMean float64         `json:"queue_mean"` // time-weighted
 	FlightMax int             `json:"in_flight_max"`
 	Merge     MergeStats      `json:"merge"`
-	Commits   CommitStats     `json:"commits"`
+	Commits   CommitSummary     `json:"commits"`
 	Timeline  []TimelinePoint `json:"timeline,omitempty"`
 	Errors    map[string]int  `json:"errors,omitempty"` // error class -> completions
 }

@@ -13,7 +13,7 @@ package obs
 // The stage vocabulary mirrors blktrace actions where an analogue exists
 // (Q=queued, G=staged, M=merged-into, D=dispatched, C=completed) and adds
 // the thinp stages the kernel hides inside dm (map-resolve, provision,
-// replace, commit-join, commit-flip) plus the leaf device op recorded by
+// commit-join, commit-flip) plus the leaf device op recorded by
 // storage.StatsDevice.
 //
 // Design constraints, in order:
@@ -77,8 +77,6 @@ const (
 	// the allocator choke point, so real provisioning and dummy writes
 	// are indistinguishable here by construction.
 	StageProvision
-	// StageReplace: one block was reallocate-on-write replaced.
-	StageReplace
 	// StageCommitJoin: the request reached the group-commit door; Aux is
 	// the commit round it folded into.
 	StageCommitJoin
@@ -101,7 +99,6 @@ var stageNames = [stageCount]string{
 	StageComplete:   "C",
 	StageMapResolve: "map-resolve",
 	StageProvision:  "provision",
-	StageReplace:    "replace",
 	StageCommitJoin: "commit-join",
 	StageCommitFlip: "commit-flip",
 	StageDevOp:      "devop",

@@ -153,12 +153,12 @@ func TestStatsDeviceRangeAccounting(t *testing.T) {
 	if err := ReadBlocks(sd, 0, make([]byte, 3*512)); err != nil {
 		t.Fatalf("ReadBlocks: %v", err)
 	}
-	st := sd.Stats()
-	if st.Writes != 5 || st.BytesWrite != 5*512 {
-		t.Fatalf("writes = %d/%d bytes, want 5/%d", st.Writes, st.BytesWrite, 5*512)
+	st := sd.Metrics().Snapshot()
+	if st.WriteBlocks != 5 || st.BytesWrite != 5*512 {
+		t.Fatalf("writes = %d/%d bytes, want 5/%d", st.WriteBlocks, st.BytesWrite, 5*512)
 	}
-	if st.Reads != 3 || st.BytesRead != 3*512 {
-		t.Fatalf("reads = %d/%d bytes, want 3/%d", st.Reads, st.BytesRead, 3*512)
+	if st.ReadBlocks != 3 || st.BytesRead != 3*512 {
+		t.Fatalf("reads = %d/%d bytes, want 3/%d", st.ReadBlocks, st.BytesRead, 3*512)
 	}
 	trace := sd.WriteTrace()
 	want := []uint64{4, 5, 6, 7, 8}

@@ -8,23 +8,12 @@ import (
 	"mobiceal/internal/obs"
 )
 
-// IOStats aggregates traffic observed by a StatsDevice. It is a
-// compatibility view over DeviceMetrics — the obs counters are the single
-// source of truth.
-type IOStats struct {
-	Reads      uint64 // blocks read
-	Writes     uint64 // blocks written
-	BytesRead  uint64
-	BytesWrite uint64
-	Syncs      uint64
-}
-
 // DeviceMetrics is the obs-backed accounting a StatsDevice maintains:
 // per-op block/byte counters plus latency histograms. Counters cover
-// successful operations only (a failed I/O moved no data), matching the
-// historical IOStats contract the write-amplification experiments depend
-// on. All fields are independently atomic; a snapshot racing live traffic
-// may be off by the in-flight ops.
+// successful operations only (a failed I/O moved no data), the contract
+// the write-amplification experiments depend on. All fields are
+// independently atomic; a snapshot racing live traffic may be off by the
+// in-flight ops.
 type DeviceMetrics struct {
 	ReadBlocks  obs.Counter
 	WriteBlocks obs.Counter
@@ -151,18 +140,6 @@ func (d *StatsDevice) WriteTrace() []uint64 {
 	out := make([]uint64, len(d.writeTrace))
 	copy(out, d.writeTrace)
 	return out
-}
-
-// Stats returns a copy of the current counters as the historical IOStats
-// view.
-func (d *StatsDevice) Stats() IOStats {
-	return IOStats{
-		Reads:      d.m.ReadBlocks.Load(),
-		Writes:     d.m.WriteBlocks.Load(),
-		BytesRead:  d.m.BytesRead.Load(),
-		BytesWrite: d.m.BytesWrite.Load(),
-		Syncs:      d.m.Syncs.Load(),
-	}
 }
 
 // ResetStats zeroes the counters, histograms, and the write trace.

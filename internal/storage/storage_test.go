@@ -344,15 +344,15 @@ func TestStatsDeviceCounts(t *testing.T) {
 	if err := d.Sync(); err != nil {
 		t.Fatalf("Sync: %v", err)
 	}
-	st := d.Stats()
-	if st.Writes != 3 || st.Reads != 5 || st.Syncs != 1 {
+	st := d.Metrics().Snapshot()
+	if st.WriteBlocks != 3 || st.ReadBlocks != 5 || st.Syncs != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
 	if st.BytesWrite != 3*testBlockSize || st.BytesRead != 5*testBlockSize {
 		t.Fatalf("byte counts = %+v", st)
 	}
 	d.ResetStats()
-	if st := d.Stats(); st.Writes != 0 || st.Reads != 0 {
+	if st := d.Metrics().Snapshot(); st.WriteBlocks != 0 || st.ReadBlocks != 0 {
 		t.Fatalf("stats after reset = %+v", st)
 	}
 }
@@ -366,7 +366,7 @@ func TestStatsDeviceDoesNotCountFailedIO(t *testing.T) {
 	if err := d.ReadBlock(99, buf); err == nil {
 		t.Fatal("expected out-of-range error")
 	}
-	if st := d.Stats(); st.Writes != 0 || st.Reads != 0 {
+	if st := d.Metrics().Snapshot(); st.WriteBlocks != 0 || st.ReadBlocks != 0 {
 		t.Fatalf("failed I/O was counted: %+v", st)
 	}
 }

@@ -370,17 +370,17 @@ func TestVecFallbackLadderDispatch(t *testing.T) {
 	if err := WriteBlocksVec(sd, 0, one); err != nil {
 		t.Fatal(err)
 	}
-	if got := sd.Stats().Writes; got != 2 {
+	if got := sd.Metrics().WriteBlocks.Load(); got != 2 {
 		t.Fatalf("stats writes=%d, want 2", got)
 	}
 	multi := Vec(bs, make([]byte, bs), make([]byte, bs))
 	if err := WriteBlocksVec(sd, 4, multi); err != nil {
 		t.Fatal(err)
 	}
-	if got := sd.Stats().Writes; got != 4 {
+	if got := sd.Metrics().WriteBlocks.Load(); got != 4 {
 		t.Fatalf("stats writes=%d, want 4 (vec counted once per block)", got)
 	}
-	if fmt.Sprint(sd.Stats().BytesWrite) != fmt.Sprint(4*bs) {
-		t.Fatalf("bytes=%d", sd.Stats().BytesWrite)
+	if fmt.Sprint(sd.Metrics().BytesWrite.Load()) != fmt.Sprint(4*bs) {
+		t.Fatalf("bytes=%d", sd.Metrics().BytesWrite.Load())
 	}
 }

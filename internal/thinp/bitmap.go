@@ -247,31 +247,6 @@ func (b *Bitmap) nthFreeInRange(w0, w1 int, rank uint64) (uint64, bool) {
 	return 0, false
 }
 
-// nextFreeInRange returns the first free block at or after start within
-// words [w0, w1), wrapping around once inside the range — the sharded
-// sequential allocation order.
-func (b *Bitmap) nextFreeInRange(w0, w1 int, start uint64) (uint64, bool) {
-	lo := uint64(w0) * 64
-	hi := uint64(w1) * 64
-	if hi > b.nbits {
-		hi = b.nbits
-	}
-	if lo >= hi {
-		return 0, false
-	}
-	if start < lo || start >= hi {
-		start = lo
-	}
-	span := hi - lo
-	for off := uint64(0); off < span; off++ {
-		idx := lo + (start-lo+off)%span
-		if !b.IsAllocated(idx) {
-			return idx, true
-		}
-	}
-	return 0, false
-}
-
 func putUint64(b []byte, v uint64) {
 	for i := 0; i < 8; i++ {
 		b[i] = byte(v >> (8 * uint(i)))

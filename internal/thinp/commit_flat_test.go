@@ -378,7 +378,7 @@ func TestFlatCommitUpdateInPlace(t *testing.T) {
 		// One remapped entry + one or two bitmap words + carried delta
 		// from the previous commit + superblock: a handful of writes, not
 		// an image's worth.
-		if w := metaStats.Stats().Writes; w > 10 {
+		if w := metaStats.Metrics().WriteBlocks.Load(); w > 10 {
 			t.Fatalf("iteration %d: update-in-place commit wrote %d meta blocks", i, w)
 		}
 	}

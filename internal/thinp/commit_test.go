@@ -237,7 +237,7 @@ func TestIncrementalCommitWriteDelta(t *testing.T) {
 	if err := p.CommitFull(); err != nil {
 		t.Fatal(err)
 	}
-	fullWrites := metaStats.Stats().Writes
+	fullWrites := metaStats.Metrics().WriteBlocks.Load()
 	// Touch one already-mapped block (no metadata change) plus one fresh
 	// block, then commit incrementally.
 	if err := storage.WriteBlocks(thin, 10000, make([]byte, blockSize)); err != nil {
@@ -247,7 +247,7 @@ func TestIncrementalCommitWriteDelta(t *testing.T) {
 	if err := p.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	deltaWrites := metaStats.Stats().Writes
+	deltaWrites := metaStats.Metrics().WriteBlocks.Load()
 
 	if fullWrites < 100 {
 		t.Fatalf("full commit wrote %d blocks; expected a large image", fullWrites)
@@ -263,7 +263,7 @@ func TestIncrementalCommitWriteDelta(t *testing.T) {
 	if err := p.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	firstNoop := metaStats.Stats().Writes
+	firstNoop := metaStats.Metrics().WriteBlocks.Load()
 	if firstNoop*10 > fullWrites {
 		t.Fatalf("first no-op commit wrote %d of %d blocks; want <10%%", firstNoop, fullWrites)
 	}
@@ -271,7 +271,7 @@ func TestIncrementalCommitWriteDelta(t *testing.T) {
 	if err := p.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if got := metaStats.Stats().Writes; got != 1 {
+	if got := metaStats.Metrics().WriteBlocks.Load(); got != 1 {
 		t.Fatalf("steady-state no-op commit wrote %d blocks, want 1", got)
 	}
 }

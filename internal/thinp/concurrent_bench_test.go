@@ -60,7 +60,7 @@ func BenchmarkConcurrentWriters(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
-				startCalls, startFlips := p.CommitStats()
+				start := p.MetricsSnapshot()
 
 				b.SetBytes(blockSize)
 				b.ResetTimer()
@@ -100,12 +100,7 @@ func BenchmarkConcurrentWriters(b *testing.B) {
 				}
 				wg.Wait()
 				b.StopTimer()
-				calls, flips := p.CommitStats()
-				calls -= startCalls
-				flips -= startFlips
-				if flips > 0 {
-					b.ReportMetric(float64(calls)/float64(flips), "commits/flip")
-				}
+				reportFold(b, start, p.MetricsSnapshot())
 			})
 		}
 	}

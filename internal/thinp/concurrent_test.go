@@ -104,8 +104,7 @@ func TestGroupCommitFolds(t *testing.T) {
 	// Wait until every follower is parked at the door (calls counts each
 	// Commit on entry), then release the gate.
 	for {
-		calls, _ := p.CommitStats()
-		if calls == followers+1 {
+		if p.Metrics().CommitCalls.Load() == followers+1 {
 			break
 		}
 		time.Sleep(time.Millisecond)
@@ -113,7 +112,8 @@ func TestGroupCommitFolds(t *testing.T) {
 	close(meta.gate)
 	wg.Wait()
 
-	calls, flips := p.CommitStats()
+	ms := p.MetricsSnapshot()
+	calls, flips := ms.CommitCalls, ms.CommitFlips
 	if calls != followers+1 {
 		t.Fatalf("calls = %d, want %d", calls, followers+1)
 	}
@@ -254,9 +254,8 @@ func TestConcurrentPoolStress(t *testing.T) {
 			}
 		}
 	}
-	calls, flips := p.CommitStats()
-	if flips > calls {
-		t.Fatalf("flips %d > calls %d", flips, calls)
+	if ms := p.MetricsSnapshot(); ms.CommitFlips > ms.CommitCalls {
+		t.Fatalf("flips %d > calls %d", ms.CommitFlips, ms.CommitCalls)
 	}
 }
 

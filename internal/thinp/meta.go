@@ -7,7 +7,6 @@ import (
 	"math/bits"
 	"runtime"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -315,7 +314,7 @@ type commitBatch struct {
 // flight, later committers park at the commit door, and the first of them
 // leads a single follow-up commit whose one A/B slot flip covers every
 // parked caller's delta. N concurrent commit-per-write writers therefore
-// cost far fewer than N slot flips (CommitStats reports the fold ratio),
+// cost far fewer than N slot flips (PoolSnapshot.FoldRatio reports it),
 // and each caller still gets full durability: its mutations
 // happened-before it parked, and the leader snapshots the delta only
 // after every parked caller joined.
@@ -335,19 +334,6 @@ func (p *Pool) Commit() error { return p.groupCommit(false, 0) }
 // CommitFull folded into a group-commit round upgrades the whole round to
 // a full rewrite.
 func (p *Pool) CommitFull() error { return p.groupCommit(true, 0) }
-
-// CommitStats reports how many Commit/CommitFull calls the pool has served
-// and how many successful A/B slot flips they cost (failed rounds and the
-// format commit of CreatePool are not flips). calls/flips is the group
-// commit's folding factor; serial callers see exactly 1.0. It is a thin
-// view over PoolMetrics — the obs counters are the single source of truth;
-// flips is loaded first so calls >= flips holds even against racing
-// commits.
-func (p *Pool) CommitStats() (calls, flips uint64) {
-	flips = p.m.CommitFlips.Load()
-	calls = p.m.CommitCalls.Load()
-	return calls, flips
-}
 
 // groupCommit is the commit door. The first committer through becomes the
 // round's leader; committers arriving while the round has not yet started
@@ -423,13 +409,6 @@ func (p *Pool) groupCommit(full bool, fid uint64) error {
 	return b.err
 }
 
-// commitOnce performs one commit round in three phases: snapshot the
-// accumulated delta into the image arena under the mapping lock, write the
-// inactive slot and its superblock with the mapping lock released (reads
-// and writes proceed during the device I/O — the arena, pending sets and
-// superblock buffer are owned by commitMu, which the caller holds), then
-// flip the active slot under the mapping lock again. The caller must hold
-// commitMu or have exclusive access to a pool under construction.
 // Metadata slot writes retry transient device faults a few times before
 // the commit gives up and degrades the pool: rewriting the dirty runs of
 // an inactive slot is idempotent, so a controller hiccup should not cost
@@ -451,6 +430,16 @@ const (
 	doorHoldIdle  = 4
 )
 
+// commitOnce performs one commit round in three phases: fold the
+// accumulated delta into the image arena under the mapping lock, write the
+// inactive slot and its superblock with the mapping lock released (reads
+// and writes proceed during the device I/O), then flip the active slot
+// under the mapping lock again. One ownership rule covers the arena, its
+// checksum cache, the pending sets and the superblock buffer: they belong
+// to the commit in progress (commitMu), which writes the arena only in
+// phase 1, while it also holds p.mu exclusively, and only reads it in
+// phase 2. The caller must hold commitMu or have exclusive access to a
+// pool under construction.
 func (p *Pool) commitOnce(full bool, b *commitBatch) error {
 	t0 := time.Now()
 	p.mu.Lock()
@@ -483,7 +472,6 @@ func (p *Pool) commitOnce(full bool, b *commitBatch) error {
 	newTx := p.txID + 1
 	changed := p.changed
 	changed.clearAll()
-	var patches *commitPatch
 	switch {
 	case full || p.structDirty || p.image == nil:
 		// Structural change (thin created/deleted), explicit full commit,
@@ -495,19 +483,14 @@ func (p *Pool) commitOnce(full bool, b *commitBatch) error {
 	case len(p.dirtyThins) == 0 && len(p.dirtyBM) == 0:
 		// Nothing changed but the transaction id; the arena is current.
 	default:
-		// Try to capture the delta as fixed-position image patches so the
-		// arena work itself can run after p.mu is released; a delta that
-		// would move bytes around falls back to the in-lock fold.
-		if patches = p.snapshotDeltaLocked(); patches == nil {
-			if !p.applyDeltaLocked(changed) {
-				// The in-place accounting lost sync with the arena (or the
-				// image outgrew its slot): rebuild from the page tables and
-				// treat every block as changed.
-				changed.setAll()
-				if err := p.rebuildImageLocked(changed); err != nil {
-					p.mu.Unlock()
-					return err
-				}
+		if !p.applyDeltaLocked(changed) {
+			// The in-place accounting lost sync with the arena (or the
+			// image outgrew its slot): rebuild from the page tables and
+			// treat every block as changed.
+			changed.setAll()
+			if err := p.rebuildImageLocked(changed); err != nil {
+				p.mu.Unlock()
+				return err
 			}
 		}
 	}
@@ -527,16 +510,8 @@ func (p *Pool) commitOnce(full bool, b *commitBatch) error {
 	committedAlloc, committedFree := p.detachTxLocked()
 	p.inFlightAlloc = committedAlloc
 	p.mu.Unlock()
-	// Second half of the fold, now outside the mapping lock: when the
-	// delta snapshotted as pure patches, the arena writes, checksum
-	// refresh, and superblock marshal all happen here — with writers
-	// already provisioning the next round. That is safe because the
-	// arena, the checksum cache, and the pending sets are owned by
-	// commitMu, and every patch position and value was fixed under p.mu
-	// above.
-	if patches != nil {
-		p.applyPatches(patches, changed)
-	}
+	// The arena is final for this round: from here to the flip it is only
+	// read (superblock checksum fold, slot writes), under commitMu.
 	writeSet.or(changed)
 	if full {
 		writeSet.setAll()
@@ -667,8 +642,8 @@ func (p *Pool) rebuildImageLocked(changed *metaDirty) error {
 
 // refreshSums re-hashes the image blocks recorded in changed into the
 // per-block checksum cache, resizing the cache to the current image.
-// Caller owns the arena: p.mu exclusively on the rebuild/splice paths, or
-// commitMu alone on the out-of-lock patch path.
+// Caller holds p.mu exclusively (commit phase 1) or is loading a pool
+// under construction.
 func (p *Pool) refreshSums(changed *metaDirty) {
 	bs := p.meta.BlockSize()
 	nb := len(p.image) / bs
@@ -757,126 +732,11 @@ func (p *Pool) applyDeltaLocked(changed *metaDirty) bool {
 	return true
 }
 
-// commitPatch is a commit delta captured under the mapping lock as raw
-// fixed-position image patches: dirty bitmap words with their post-delta
-// values, and in-place (vblock, pblock) entry updates with their byte
-// positions. Because nothing in it shifts image bytes, it can be applied
-// to the arena after p.mu is released, under commitMu alone.
-type commitPatch struct {
-	words   []wordPatch
-	entries []entryPatch
-}
-
-// wordPatch is one dirty bitmap word: its index and post-delta value.
-type wordPatch struct {
-	w   uint64
-	val uint64
-}
-
-// entryPatch is one pure in-place mapping update: the image byte position
-// of a (vblock, pblock) entry and the new physical block for pos+8.
-type entryPatch struct {
-	pos int
-	pb  uint64
-}
-
-// snapshotDeltaLocked captures an all-pure commit delta — every dirty
-// bitmap word in range plus, for every dirty thin, an exact
-// discard-and-reprovision set whose entry positions are unchanged — as a
-// commitPatch, then resets the delta bookkeeping. It returns nil WITHOUT
-// mutating anything when any part of the delta would change the image
-// layout; the caller then falls through to applyDeltaLocked under the
-// lock as before. A successful snapshot is what lets the group-commit
-// leader release the mapping lock before touching the arena: the heavy
-// half of the fold (image writes, checksum refresh, superblock marshal)
-// runs with writers already provisioning the next round. Caller holds
-// p.mu exclusively.
-func (p *Pool) snapshotDeltaLocked() *commitPatch {
-	for w := range p.dirtyBM {
-		if int(w)*8+8 > p.bmLen() {
-			return nil
-		}
-	}
-	nEntries := 0
-	for id := range p.dirtyThins {
-		tm, ok := p.thins[id]
-		if !ok {
-			return nil
-		}
-		if len(tm.added) != len(tm.removed) {
-			return nil
-		}
-		for vb := range tm.added {
-			if _, ok := tm.removed[vb]; !ok {
-				return nil
-			}
-		}
-		nEntries += len(tm.added)
-	}
-	cp := &commitPatch{
-		words:   make([]wordPatch, 0, len(p.dirtyBM)),
-		entries: make([]entryPatch, 0, nEntries),
-	}
-	for w := range p.dirtyBM {
-		cp.words = append(cp.words, wordPatch{w: w, val: p.bm.words[w]})
-	}
-	for id := range p.dirtyThins {
-		tm := p.thins[id]
-		for vb := range tm.added {
-			pb, ok := tm.pt.get(vb)
-			if !ok {
-				return nil
-			}
-			pos := tm.segOff + thinHeaderLen + 16*int(tm.pt.rank(vb))
-			if pos+16 > tm.segOff+tm.segLen || getUint64(p.image[pos:]) != vb {
-				return nil
-			}
-			cp.entries = append(cp.entries, entryPatch{pos: pos, pb: pb})
-		}
-	}
-	// The whole delta validated; only now is the bookkeeping consumed.
-	for id := range p.dirtyThins {
-		tm := p.thins[id]
-		resetSet(&tm.added)
-		resetSet(&tm.removed)
-	}
-	resetSet(&p.dirtyThins)
-	resetSet(&p.dirtyBM)
-	return cp
-}
-
-// applyPatches writes a snapshotted pure delta into the arena, marks the
-// touched meta blocks in changed, and refreshes their checksums. Caller
-// holds commitMu, which owns the arena; the mapping lock is NOT held —
-// every position and value was fixed by snapshotDeltaLocked.
-func (p *Pool) applyPatches(cp *commitPatch, changed *metaDirty) {
-	bs := p.meta.BlockSize()
-	for _, wp := range cp.words {
-		putUint64(p.image[wp.w*8:], wp.val)
-		markBytes(changed, int(wp.w)*8, int(wp.w)*8+8, bs)
-	}
-	for _, ep := range cp.entries {
-		putUint64(p.image[ep.pos+8:], ep.pb)
-		markBytes(changed, ep.pos+8, ep.pos+16, bs)
-	}
-	p.refreshSums(changed)
-}
-
-// foldParallelMin is the dirty-word count below which the bitmap patch
-// stays serial: spawning workers costs more than patching a few hundred
-// words in place.
-const foldParallelMin = 512
-
 // patchBitmapLocked patches every dirty bitmap word into the arena and
-// marks the touched meta blocks in changed, reporting false when a word
-// falls outside the bitmap region (caller rebuilds). Large deltas — a
-// heavily parallel round dirties words across every shard — are patched by
-// a small worker pool over sorted, disjoint word ranges; each worker marks
-// its own metaDirty part and the parts are OR-ed into changed afterwards
-// (metaDirty is not concurrency-safe). Caller holds p.mu exclusively, so
-// the bitmap words and the arena are quiescent. The word positions are
-// fixed offsets in the image, which is what makes the fold embarrassingly
-// parallel.
+// marks the touched meta blocks in changed, reporting false — before
+// touching anything — when a word falls outside the bitmap region (caller
+// rebuilds). Caller holds p.mu exclusively, so the bitmap words and the
+// arena are quiescent.
 func (p *Pool) patchBitmapLocked(changed *metaDirty) bool {
 	bs := p.meta.BlockSize()
 	for w := range p.dirtyBM {
@@ -884,45 +744,9 @@ func (p *Pool) patchBitmapLocked(changed *metaDirty) bool {
 			return false
 		}
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > 8 {
-		workers = 8
-	}
-	if len(p.dirtyBM) < foldParallelMin || workers < 2 {
-		for w := range p.dirtyBM {
-			putUint64(p.image[w*8:], p.bm.words[w])
-			markBytes(changed, int(w)*8, int(w)*8+8, bs)
-		}
-		resetSet(&p.dirtyBM)
-		return true
-	}
-	words := make([]uint64, 0, len(p.dirtyBM))
 	for w := range p.dirtyBM {
-		words = append(words, w)
-	}
-	sort.Slice(words, func(i, j int) bool { return words[i] < words[j] })
-	chunk := (len(words) + workers - 1) / workers
-	parts := make([]*metaDirty, 0, workers)
-	var wg sync.WaitGroup
-	for lo := 0; lo < len(words); lo += chunk {
-		hi := lo + chunk
-		if hi > len(words) {
-			hi = len(words)
-		}
-		part := newMetaDirty(changed.n)
-		parts = append(parts, part)
-		wg.Add(1)
-		go func(ws []uint64, part *metaDirty) {
-			defer wg.Done()
-			for _, w := range ws {
-				putUint64(p.image[w*8:], p.bm.words[w])
-				markBytes(part, int(w)*8, int(w)*8+8, bs)
-			}
-		}(words[lo:hi], part)
-	}
-	wg.Wait()
-	for _, part := range parts {
-		changed.or(part)
+		putUint64(p.image[w*8:], p.bm.words[w])
+		markBytes(changed, int(w)*8, int(w)*8+8, bs)
 	}
 	resetSet(&p.dirtyBM)
 	return true

@@ -12,8 +12,8 @@ import "mobiceal/internal/obs"
 // experiments-only accessor and is deliberately absent from Snapshot (see
 // DESIGN.md "Observability"). The per-shard gauges follow the same rule:
 // shards partition physical space, not volumes, so per-shard free counts
-// and steal counters reveal layout churn only — which the random allocator
-// already makes volume-independent.
+// reveal layout churn only — which the random allocator already makes
+// volume-independent.
 type PoolMetrics struct {
 	// Provisions counts physical blocks handed out by the allocator; real
 	// provisioning and dummy-write allocations both pass through
@@ -27,7 +27,7 @@ type PoolMetrics struct {
 
 	// CommitCalls counts Commit/CommitFull calls served, CommitFlips the
 	// successful A/B superblock flips they cost; calls/flips is the group
-	// commit's folding factor (the CommitStats view reports the same pair).
+	// commit's folding factor (PoolSnapshot.FoldRatio).
 	CommitCalls obs.Counter
 	CommitFlips obs.Counter
 	// CommitFoldLat is commit phase 1 (delta fold into the image arena
@@ -47,12 +47,15 @@ type PoolMetrics struct {
 	Events obs.EventLog
 }
 
-// ShardSnapshot is the point-in-time view of one allocation shard:
-// current free blocks, cumulative steals (allocations served for an
-// affinity homed elsewhere), and the shard-lock acquire-latency
-// distribution — the contention triage signal.
+// ShardSnapshot is the point-in-time view of one allocation shard: current
+// free blocks and the shard-lock acquire-latency distribution — the
+// contention triage signal.
 type ShardSnapshot struct {
-	Free    int64            `json:"free"`
+	Free int64 `json:"free"`
+	// Steals is always zero: the work-stealing sequential picker that
+	// counted it is gone. The field survives as a declaration only because
+	// the frozen bench module reads it (thinp.shard_steals_per_op); the
+	// next benchmark PR drops both (ROADMAP).
 	Steals  uint64           `json:"steals"`
 	LockLat obs.HistSnapshot `json:"lock_lat"`
 }
@@ -103,7 +106,6 @@ func (p *Pool) MetricsSnapshot() PoolSnapshot {
 	for i, s := range p.shards {
 		shards[i] = ShardSnapshot{
 			Free:    s.free.Load(),
-			Steals:  s.steals.Load(),
 			LockLat: s.lockLat.Snapshot(),
 		}
 	}

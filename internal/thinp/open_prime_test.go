@@ -45,7 +45,7 @@ func TestOpenPrimesInactiveSlotPending(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenPool: %v", err)
 	}
-	base := stats.Stats().Writes
+	base := stats.Metrics().WriteBlocks.Load()
 
 	thin2, err := p2.Thin(1)
 	if err != nil {
@@ -57,7 +57,7 @@ func TestOpenPrimesInactiveSlotPending(t *testing.T) {
 	if err := p2.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	wrote := stats.Stats().Writes - base
+	wrote := stats.Metrics().WriteBlocks.Load() - base
 
 	// The first post-mount commit carries: the inter-slot divergence (the
 	// previous transaction's delta — a few blocks), this commit's own

@@ -72,21 +72,20 @@ type Options struct {
 	// ErrNoSpace — dm-thin's no_space_timeout. Zero (the default) fails
 	// fast, dm-thin's error_if_no_space behaviour.
 	NoSpaceTimeout time.Duration
-	// Shards overrides the allocation shard count (shard.go). Zero selects
-	// the default policy: the random allocator auto-shards (its sharded
-	// pick is exactly equivalent to the unsharded one), sequential and
-	// custom allocators run unsharded. The shard split is runtime-only —
-	// the on-disk format carries one logical bitmap either way.
-	Shards int
 	// Flight, when set, receives request-lifecycle events from the pool's
-	// internal stages (map-resolve, provision, replace, commit-join,
-	// commit-flip). It should be the same recorder the I/O scheduler above
-	// and the data-path StatsDevice below use, so one request id threads
-	// the whole stack. Events carry stage, op kind, block COUNTS and the
+	// internal stages (map-resolve, provision, commit-join, commit-flip).
+	// It should be the same recorder the I/O scheduler above and the
+	// data-path StatsDevice below use, so one request id threads the
+	// whole stack. Events carry stage, op kind, block COUNTS and the
 	// commit round only — never block addresses or thin ids — so the
 	// stream stays deniability-safe (see DESIGN.md "Observability"). nil,
 	// or a disabled recorder, costs one atomic load per hook.
 	Flight *obs.FlightRecorder
+
+	// shards, when positive, overrides the random allocator's automatic
+	// shard count (shard.go) — in-package tests build the one-shard
+	// reference pool with it. Production pools always auto-shard.
+	shards int
 }
 
 func (o *Options) fill() {
@@ -189,9 +188,10 @@ func (tm *thinMeta) noteUnmapped(vb uint64) {
 //     order.
 //   - commitMu serializes the commit machinery (the image arena, the
 //     per-slot pending sets, the slot device writes). Commit holds mu only
-//     while snapshotting the delta into the arena and while flipping the
-//     active slot; the metadata device I/O in between runs under commitMu
-//     alone, so reads and writes proceed while a commit is in flight.
+//     while folding the delta into the arena — the only time the arena is
+//     written — and while flipping the active slot; the metadata device
+//     I/O in between reads the arena under commitMu alone, so reads and
+//     writes proceed while a commit is in flight.
 //   - doorMu guards the group-commit door: concurrent committers park at
 //     the door and one leader folds every parked caller's delta into a
 //     single A/B slot flip (see Commit). With sharding the door is
@@ -252,8 +252,8 @@ type Pool struct {
 	// their ratio is the group commit's folding factor.
 	doorMu sync.Mutex
 	batch  *commitBatch
-	// mutators counts fine-path mutating requests (vec writes, replaces,
-	// discards) currently between their API boundary and their unlock — the
+	// mutators counts fine-path mutating requests (vec writes, discards)
+	// currently between their API boundary and their unlock — the
 	// jbd2 t_updates analogue. A group-commit leader that just acquired
 	// commitMu yields while it is non-zero (bounded, see doorHoldSpins):
 	// those requests are microseconds from the commit door, and holding the
@@ -561,9 +561,6 @@ func (p *Pool) bmLen() int { return int((p.data.NumBlocks()+63)/64) * 8 }
 // DataDevice returns the pool's data device.
 func (p *Pool) DataDevice() storage.Device { return p.data }
 
-// MetaDevice returns the pool's metadata device.
-func (p *Pool) MetaDevice() storage.Device { return p.meta }
-
 // AllocatorName reports the active allocation strategy.
 func (p *Pool) AllocatorName() string { return p.opts.Allocator.Name() }
 
@@ -677,17 +674,14 @@ func (p *Pool) DeleteThin(id int) error {
 	return nil
 }
 
-// Thin returns the block-device view of thin device id. The handle's
-// shard affinity defaults to the thin id; SetAffinity retargets it.
+// Thin returns the block-device view of thin device id.
 func (p *Pool) Thin(id int) (*Thin, error) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	if _, ok := p.thins[id]; !ok {
 		return nil, fmt.Errorf("%w: id %d", ErrNoSuchThin, id)
 	}
-	t := &Thin{pool: p, id: id}
-	t.aff.Store(int64(id))
-	return t, nil
+	return &Thin{pool: p, id: id}, nil
 }
 
 // ThinIDs returns the sorted ids of all thin devices.
@@ -853,13 +847,13 @@ func (p *Pool) flightID(fid uint64) uint64 {
 // of space degrades the pool to OutOfDataSpace in place; shared callers
 // handle the mode transition themselves after dropping the read lock
 // (noteNoSpace) — mode mutation needs mu exclusively.
-func (p *Pool) provisionVB(tm *thinMeta, st *mapStripe, vb uint64, aff int, exclusive bool, fid uint64) (bool, error) {
+func (p *Pool) provisionVB(tm *thinMeta, st *mapStripe, vb uint64, exclusive bool, fid uint64) (bool, error) {
 	st.mu.Lock()
 	if tm.pt.mapped(vb) {
 		st.mu.Unlock()
 		return false, nil
 	}
-	pb, err := p.allocate(fid, aff)
+	pb, err := p.allocate(fid)
 	if err != nil {
 		st.mu.Unlock()
 		if exclusive && errors.Is(err, ErrNoSpace) {
@@ -955,10 +949,7 @@ func (p *Pool) execDummy(target, count int) error {
 			break
 		}
 		bfid := p.flightID(0)
-		// Affinity is the target thin for the affinity-based strategies;
-		// the random picker ignores it — dummy placement must stay
-		// globally uniform (the deniability property).
-		pb, err := p.allocate(bfid, target)
+		pb, err := p.allocate(bfid)
 		if err != nil {
 			break // pool filled up mid-write; same best-effort rule
 		}

@@ -48,15 +48,9 @@ type allocShard struct {
 	// happen under mu; lock-free reads serve the rank decomposition and the
 	// telemetry snapshot, with the shard lock re-verifying before a claim.
 	free obs.Gauge
-	// steals counts allocations this shard served for a caller whose home
-	// shard was empty (sharded-sequential work stealing).
-	steals obs.Counter
 	// lockLat is the allocation-path acquire latency of mu — the direct
 	// contention signal for the per-shard gauges surface.
 	lockLat obs.Histogram
-
-	// cursor is the sharded-sequential roving cursor, confined to [lo, hi).
-	cursor uint64
 
 	// Per-shard slice of the transaction delta. txAlloc records blocks
 	// allocated since the last commit, txFree quarantines frees of
@@ -91,34 +85,23 @@ func autoShardCount(words int) int {
 // Called once from CreatePool/OpenPool after bm and allocBM exist, before
 // the pool is shared.
 //
-// Shard-count policy: an explicit Options.Shards wins (clamped to the word
-// count). Otherwise the RandomAllocator auto-shards — its sharded pick is
-// exactly serial-equivalent to the unsharded one, so sharding is free —
-// while the sequential and custom allocators default to one shard, which
-// preserves their physical layout and routes every pick through
-// Allocator.PickFree exactly as before. A custom allocator cannot be
-// decomposed across shards, so it is forced to one shard even when
-// Options.Shards asks for more.
+// Sharding means one thing, the rank decomposition of pickUniform, so only
+// the RandomAllocator shards — its sharded pick is exactly
+// serial-equivalent to the unsharded one, which makes sharding free. Every
+// other allocator gets exactly one shard and picks through
+// Allocator.PickFree: the sequential baseline's physical layout is the
+// point of it, and a custom allocator cannot be decomposed across shards.
+// opts.shards lets in-package tests build the unsharded reference pool.
 func (p *Pool) initShards() {
 	words := len(p.bm.words)
-	n := p.opts.Shards
-	_, random := p.opts.Allocator.(*RandomAllocator)
-	_, sequential := p.opts.Allocator.(*SequentialAllocator)
-	switch {
-	case !random && !sequential:
-		n = 1
-	case n > 0:
-		// explicit override
-	case random:
-		n = autoShardCount(words)
-	default:
-		n = 1
+	n := 1
+	if _, random := p.opts.Allocator.(*RandomAllocator); random {
+		if n = p.opts.shards; n <= 0 {
+			n = autoShardCount(words)
+		}
 	}
 	if n > words && words > 0 {
 		n = words
-	}
-	if n < 1 {
-		n = 1
 	}
 	wps := 1
 	if words > 0 {
@@ -147,7 +130,6 @@ func (p *Pool) initShards() {
 		s := &allocShard{
 			w0: w0, w1: w1,
 			lo: lo, hi: hi,
-			cursor:  lo,
 			txAlloc: make(map[uint64]struct{}),
 			txFree:  make(map[uint64]struct{}),
 			dirtyBM: make(map[uint64]struct{}),
@@ -196,9 +178,7 @@ func (p *Pool) claimShardLocked(s *allocShard, pb uint64) error {
 }
 
 // allocate picks and claims one free block through the sharded allocator.
-// aff selects the home shard for affinity-based strategies; the random
-// strategy deliberately ignores it (uniform placement is the deniability
-// property). Caller holds p.mu in either mode.
+// Caller holds p.mu in either mode.
 //
 // This is the telemetry choke point for provisioning: real provisions and
 // dummy-write allocations both land here, so the public count and latency
@@ -206,9 +186,9 @@ func (p *Pool) claimShardLocked(s *allocShard, pb uint64) error {
 // provision stage hangs off the same choke point for the same reason —
 // a tagged dummy allocation and a tagged real one emit the identical
 // event (stage, op, count only; never the block number).
-func (p *Pool) allocate(fid uint64, aff int) (uint64, error) {
+func (p *Pool) allocate(fid uint64) (uint64, error) {
 	t0 := time.Now()
-	pb, err := p.pickAndClaim(aff)
+	pb, err := p.pickAndClaim()
 	if err != nil {
 		return 0, err
 	}
@@ -224,34 +204,27 @@ func (p *Pool) allocate(fid uint64, aff int) (uint64, error) {
 // before falling back to the all-shards-locked exact pick.
 const pickRedraws = 16
 
-// pickAndClaim routes one allocation to the strategy-specific sharded
-// picker. Errors from the pick wrap as ErrNoSpace, preserving the
-// unsharded error chain.
-func (p *Pool) pickAndClaim(aff int) (uint64, error) {
-	if len(p.shards) == 1 {
-		// Single shard: the configured allocator picks directly from the
-		// allocator bitmap under the shard lock — exactly the unsharded
-		// pool, including for custom allocators.
-		s := p.shards[0]
-		s.lock()
-		defer s.mu.Unlock()
-		pb, err := p.opts.Allocator.PickFree(p.allocBM)
-		if err != nil {
-			return 0, fmt.Errorf("%w: %v", ErrNoSpace, err)
-		}
-		if err := p.claimShardLocked(s, pb); err != nil {
-			return 0, err
-		}
-		return pb, nil
+// pickAndClaim routes one allocation: a single-shard pool picks through
+// the configured allocator, a sharded one — always the RandomAllocator, see
+// initShards — through pickUniform. Errors from the pick wrap as
+// ErrNoSpace, preserving the unsharded error chain.
+func (p *Pool) pickAndClaim() (uint64, error) {
+	if len(p.shards) > 1 {
+		return p.pickUniform(p.opts.Allocator.(*RandomAllocator))
 	}
-	switch a := p.opts.Allocator.(type) {
-	case *RandomAllocator:
-		return p.pickUniform(a)
-	case *SequentialAllocator:
-		return p.pickAffine(aff)
+	// Single shard: the configured allocator picks directly from the
+	// allocator bitmap under the shard lock — exactly the unsharded pool.
+	s := p.shards[0]
+	s.lock()
+	defer s.mu.Unlock()
+	pb, err := p.opts.Allocator.PickFree(p.allocBM)
+	if err != nil {
+		return 0, fmt.Errorf("%w: %v", ErrNoSpace, err)
 	}
-	// initShards forces one shard for custom allocators; unreachable.
-	return 0, fmt.Errorf("%w: %v", ErrNoSpace, ErrBitmapFull)
+	if err := p.claimShardLocked(s, pb); err != nil {
+		return 0, err
+	}
+	return pb, nil
 }
 
 // pickUniform is the sharded random pick: one rank drawn uniformly over
@@ -343,70 +316,6 @@ func (p *Pool) pickUniformSlow(a *RandomAllocator) (uint64, error) {
 		local -= f
 	}
 	return 0, fmt.Errorf("%w: %v", ErrNoSpace, ErrBitmapFull)
-}
-
-// pickAffine is the sharded sequential pick: first-fit from the home
-// shard's roving cursor (home = affinity mod shard count), stealing from
-// the shard with the most free blocks when the home shard is empty, then
-// sweeping the rest. ErrNoSpace semantics stay exact: the pick fails only
-// when every shard is empty. Note that explicit sharding changes the
-// sequential allocator's physical layout (each affinity fills its own
-// region) — which is why sequential pools default to one shard.
-func (p *Pool) pickAffine(aff int) (uint64, error) {
-	n := len(p.shards)
-	if aff < 0 {
-		aff = -aff
-	}
-	home := aff % n
-	if pb, ok := p.trySeqShard(p.shards[home]); ok {
-		return pb, nil
-	}
-	// Work-steal from the least-loaded (most free blocks) shard.
-	best, bestFree := -1, int64(0)
-	for i, s := range p.shards {
-		if i == home {
-			continue
-		}
-		if f := s.free.Load(); f > bestFree {
-			best, bestFree = i, f
-		}
-	}
-	if best >= 0 {
-		if pb, ok := p.trySeqShard(p.shards[best]); ok {
-			p.shards[best].steals.Inc()
-			return pb, nil
-		}
-	}
-	// Racing allocators may have drained the snapshot's choice; sweep the
-	// rest for ground truth before declaring the pool full.
-	for i, s := range p.shards {
-		if i == home || i == best {
-			continue
-		}
-		if pb, ok := p.trySeqShard(s); ok {
-			s.steals.Inc()
-			return pb, nil
-		}
-	}
-	return 0, fmt.Errorf("%w: %v", ErrNoSpace, ErrBitmapFull)
-}
-
-// trySeqShard attempts one first-fit claim from s's cursor.
-func (p *Pool) trySeqShard(s *allocShard) (uint64, bool) {
-	s.lock()
-	defer s.mu.Unlock()
-	if s.free.Load() == 0 {
-		return 0, false
-	}
-	pb, ok := p.allocBM.nextFreeInRange(s.w0, s.w1, s.cursor)
-	if !ok {
-		return 0, false
-	}
-	s.cursor = pb + 1
-	if err := p.claimShardLocked(s, pb); err != nil {
-		return 0, false
-	}
-	return pb, true
 }
 
 // release frees physical block pb through its shard. A block allocated

@@ -72,7 +72,7 @@ func TestShardedUnshardedEquivalence(t *testing.T) {
 			Entropy:   prng.NewSeededEntropy(3),
 			DummySrc:  prng.NewSource(5),
 			Policy:    &everyNthPolicy{every: 5, target: 2, count: 2},
-			Shards:    shards,
+			shards:    shards,
 		})
 		if err != nil {
 			t.Fatalf("CreatePool(shards=%d): %v", shards, err)
@@ -97,12 +97,12 @@ func TestShardedUnshardedEquivalence(t *testing.T) {
 		t.Fatalf("auto shard count = %d, want > 1 (test would compare a pool with itself)", n)
 	}
 	if n := unsharded.pool.ShardCount(); n != 1 {
-		t.Fatalf("explicit Shards: 1 gave %d shards", n)
+		t.Fatalf("shards: 1 gave %d shards", n)
 	}
 
 	// One deterministic op script, applied to both rigs in lockstep.
 	type op struct {
-		kind  int // 0 = write, 1 = discard, 2 = commit, 3 = replace
+		kind  int // 0 = write, 1 = discard, 2 = commit, 3 = discard-then-write
 		thin  int
 		vb    uint64
 		count uint64
@@ -142,9 +142,14 @@ func TestShardedUnshardedEquivalence(t *testing.T) {
 					t.Fatalf("op %d: discard thin %d [%d,%d): %v", i, o.thin, o.vb, o.vb+count, err)
 				}
 			case 3:
+				// Same vblock, same round: a committed entry comes back
+				// with equal add and remove sets, the in-place entry patch.
 				buf[0], buf[1] = byte(i), byte(o.thin)
-				if err := r.thins[o.thin].ReplaceBlock(o.vb, buf); err != nil {
-					t.Fatalf("op %d: replace thin %d vb %d: %v", i, o.thin, o.vb, err)
+				if err := r.thins[o.thin].Discard(o.vb); err != nil {
+					t.Fatalf("op %d: discard thin %d vb %d: %v", i, o.thin, o.vb, err)
+				}
+				if err := r.thins[o.thin].WriteBlock(o.vb, buf); err != nil {
+					t.Fatalf("op %d: rewrite thin %d vb %d: %v", i, o.thin, o.vb, err)
 				}
 			case 2:
 				if err := r.pool.Commit(); err != nil {
@@ -324,33 +329,34 @@ func TestShardedPickerUniformity(t *testing.T) {
 }
 
 // shardView is the adversary-visible slice of one shard's telemetry:
-// gauge value, steal count and lock-acquire sample count, with wall-clock
-// durations stripped exactly as publicPoolView strips them.
+// gauge value and lock-acquire sample count, with wall-clock durations
+// stripped exactly as publicPoolView strips them.
 type shardView struct {
-	free   int64
-	steals uint64
-	lockN  uint64
+	free  int64
+	lockN uint64
 }
 
 func shardViews(p *Pool) []shardView {
 	snap := p.MetricsSnapshot()
 	out := make([]shardView, len(snap.Shards))
 	for i, s := range snap.Shards {
-		out[i] = shardView{free: s.Free, steals: s.Steals, lockN: s.LockLat.Count}
+		out[i] = shardView{free: s.Free, lockN: s.LockLat.Count}
 	}
 	return out
 }
 
 // TestShardedTwinPoolDeniability extends the twin-pool telemetry claim to
-// the per-shard gauge surface PR 8 adds: on a SHARDED pool, a run whose
-// extra traffic is hidden-volume writes and a run whose extra traffic is an
-// equal-sized dummy burst into the same thin must present identical
-// per-shard free gauges, steal counts and lock-acquire sample counts —
-// on top of the byte-identical pool/device telemetry the unsharded twin
-// test already pins. Both traffic kinds flow through the same allocate()
-// choke point with the same thin affinity, so every shard's counters move
-// identically by construction; a counter bumped on only one of the two
-// paths would split the twins here.
+// the per-shard gauge surface: on a SHARDED pool under the production
+// picker (RandomAllocator through pickUniform), a run whose extra traffic is
+// hidden-volume writes and a run whose extra traffic is an equal-sized
+// dummy burst into the same thin must present identical per-shard free
+// gauges and lock-acquire sample counts — on top of the byte-identical
+// pool/device telemetry the unsharded twin test already pins. Both traffic
+// kinds flow through the same allocate() choke point and cost exactly one
+// draw of the allocator's stream per block, whichever thin receives it, so
+// twins whose allocators start from the same seed place block k identically
+// and every shard's counters move in step; a draw or a counter spent on only
+// one of the two paths would split the twins here.
 func TestShardedTwinPoolDeniability(t *testing.T) {
 	const (
 		dataBlocks = 512
@@ -369,10 +375,11 @@ func TestShardedTwinPoolDeniability(t *testing.T) {
 		meta := storage.NewStatsDevice(storage.NewMemDevice(blockSize,
 			MetaBlocksNeeded(dataBlocks, blockSize)))
 		p, err := CreatePool(data, meta, Options{
-			Policy:   policy,
-			Entropy:  prng.NewSeededEntropy(seed),
-			DummySrc: prng.NewSource(seed + 1),
-			Shards:   shards,
+			Allocator: NewRandomAllocator(prng.NewSource(77)),
+			Policy:    policy,
+			Entropy:   prng.NewSeededEntropy(seed),
+			DummySrc:  prng.NewSource(seed + 1),
+			shards:    shards,
 		})
 		if err != nil {
 			t.Fatalf("CreatePool: %v", err)
@@ -402,16 +409,17 @@ func TestShardedTwinPoolDeniability(t *testing.T) {
 		}
 	}
 
-	// Different entropy seeds on purpose, as in the unsharded twin test: the
-	// per-shard equality must come from where the counters sit and from the
-	// shared thin-affinity homing, not from bitwise replay.
+	// Different entropy and dummy-offset seeds on purpose, as in the
+	// unsharded twin test: noise bytes and dummy vblocks differ between the
+	// twins, so the per-shard equality comes from where the counters sit and
+	// from the one-draw-per-block rule, not from bitwise replay.
 	d := build(quietPolicy{}, 31)
 	c := build(&onceBurstPolicy{watch: 1, target: 2, count: hidBlocks}, 42)
 
 	writeBlocks(d, 1, pubBlocks/2)
-	writeBlocks(d, 2, hidBlocks) // hidden writes, homed on thin 2's shard
+	writeBlocks(d, 2, hidBlocks) // hidden writes
 	writeBlocks(d, 1, pubBlocks)
-	writeBlocks(c, 1, pubBlocks/2) // burst fires here, homed on thin 2's shard
+	writeBlocks(c, 1, pubBlocks/2) // burst fires here
 	writeBlocks(c, 1, pubBlocks)
 
 	for _, tw := range []twin{d, c} {

@@ -11,40 +11,30 @@ import (
 	"mobiceal/internal/storage"
 )
 
-// blockReplacer matches the reallocate-on-write entry point. The benchmark
-// file also drops unchanged into the pre-PR tree (for the A/B baseline in
-// BENCH_PR8.json), where the same logical rewrite is the two-call
-// discard + write sequence — the assertion picks whichever the tree has.
-type blockReplacer interface {
-	ReplaceBlock(idx uint64, src []byte) error
+// reportFold reports the group-commit fold — commits per flip — over the
+// region between two snapshots.
+func reportFold(b *testing.B, start, end PoolSnapshot) {
+	fold := PoolSnapshot{
+		CommitCalls: end.CommitCalls - start.CommitCalls,
+		CommitFlips: end.CommitFlips - start.CommitFlips,
+	}.FoldRatio()
+	if fold > 0 {
+		b.ReportMetric(fold, "commits/flip")
+	}
 }
 
-// reallocWrite re-provisions vb with fresh payload: one ReplaceBlock where
-// available, discard + write otherwise.
-func reallocWrite(thin *Thin, vb uint64, buf []byte) error {
-	if r, ok := any(thin).(blockReplacer); ok {
-		return r.ReplaceBlock(vb, buf)
-	}
-	if err := thin.Discard(vb); err != nil {
-		return err
-	}
-	return thin.WriteBlock(vb, buf)
-}
-
-// BenchmarkShardedWriters is the PR 8 scaling sweep: N goroutines in a
-// commit-per-write loop where every op re-provisions its vblock (a
-// reallocate-on-write against the RANDOM allocator — the MobiCeal
-// production picker whose provisioning previously serialized every writer
-// on the pool's exclusive mapping lock) and every write commits. Each
-// thin's virtual space is fully provisioned before the timer starts, so
-// the timed region measures the steady state — every op allocates a fresh
-// block and frees one — rather than first-touch growth of the metadata
-// image. The sweep crosses writer counts with GOMAXPROCS 1 and 4: at one
-// proc the sharded locks can only add overhead (the regression guard), at
-// four they are the whole point. The benchmark deliberately uses only the
-// long-stable pool API (CreatePool/CreateThin/WriteBlock/Commit/
-// CommitStats) plus the duck-typed reallocWrite above, so the same file
-// drops into the pre-PR tree for the A/B pair committed in BENCH_PR8.json.
+// BenchmarkShardedWriters is the PR 8 scaling sweep on calls users can
+// make: N goroutines in a commit-per-write loop where every op discards its
+// vblock, writes it again — a fresh provision through the RANDOM allocator,
+// the MobiCeal production picker — and commits. Each thin's virtual space
+// is fully provisioned before the timer starts, so the timed region
+// measures the steady state — every op allocates a fresh block and frees
+// one — rather than first-touch growth of the metadata image. The sweep
+// crosses writer counts with GOMAXPROCS 1 and 4: at one proc the sharded
+// locks can only add overhead (the regression guard), at four they are the
+// whole point. commits/flip is the group-commit fold over the timed region;
+// DESIGN.md "Commit rounds" carries the table and what it rests on (the
+// door hold).
 func BenchmarkShardedWriters(b *testing.B) {
 	const (
 		virt       = 1024
@@ -81,7 +71,7 @@ func BenchmarkShardedWriters(b *testing.B) {
 				if err := p.Commit(); err != nil {
 					b.Fatal(err)
 				}
-				startCalls, startFlips := p.CommitStats()
+				start := p.MetricsSnapshot()
 
 				b.SetBytes(blockSize)
 				b.ResetTimer()
@@ -101,7 +91,11 @@ func BenchmarkShardedWriters(b *testing.B) {
 						for next.Add(1) <= int64(b.N) {
 							vb := i % virt
 							i++
-							if err := reallocWrite(thin, vb, buf); err != nil {
+							if err := thin.Discard(vb); err != nil {
+								b.Error(err)
+								return
+							}
+							if err := thin.WriteBlock(vb, buf); err != nil {
 								b.Error(err)
 								return
 							}
@@ -114,12 +108,7 @@ func BenchmarkShardedWriters(b *testing.B) {
 				}
 				wg.Wait()
 				b.StopTimer()
-				calls, flips := p.CommitStats()
-				calls -= startCalls
-				flips -= startFlips
-				if flips > 0 {
-					b.ReportMetric(float64(calls)/float64(flips), "commits/flip")
-				}
+				reportFold(b, start, p.MetricsSnapshot())
 			})
 		}
 	}

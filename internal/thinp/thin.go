@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"mobiceal/internal/obs"
 	"mobiceal/internal/storage"
@@ -13,28 +12,15 @@ import (
 // Thin is the block-device view of one thin volume. Reads of unprovisioned
 // blocks return zeros; the first write to a block provisions physical space
 // through the pool allocator (and, under MobiCeal's policy, may trigger a
-// dummy write). Thin is safe for concurrent use; it shares the pool's
-// shared lock plus its own mapping stripe, so writers to different thins
-// contend neither on metadata resolution nor on allocation (each affinity
-// homes on its own shard).
+// dummy write); an overwrite of a mapped block stays in place, as in stock
+// dm-thin. Thin is safe for concurrent use; it shares the pool's shared
+// lock plus its own mapping stripe, so writers to different thins contend
+// neither on metadata resolution nor, under the sharded random allocator,
+// on allocation.
 type Thin struct {
 	pool *Pool
 	id   int
-	// aff is the allocation-shard affinity hint handed to the pool on
-	// every provisioning allocation. It defaults to the thin id; the I/O
-	// stack overrides it with the submission-queue index so writers
-	// draining distinct queues home on distinct shards. Atomic because the
-	// stack learns the queue index lazily, at first submission, when the
-	// handle may already be shared. The random allocator ignores the hint —
-	// placement must stay globally uniform.
-	aff atomic.Int64
 }
-
-// SetAffinity sets the allocation-shard affinity hint.
-func (t *Thin) SetAffinity(aff int) { t.aff.Store(int64(aff)) }
-
-// Affinity returns the allocation-shard affinity hint.
-func (t *Thin) Affinity() int { return int(t.aff.Load()) }
 
 // ID returns the thin device id.
 func (t *Thin) ID() int { return t.id }
@@ -392,124 +378,6 @@ func (t *Thin) write(r *storage.Req) error {
 	}
 }
 
-// ReplaceBlock rewrites vblock idx through a fresh provision: the old
-// mapping (if any) is discarded and a new physical block allocated — under
-// the random allocator a uniformly-random free location — before the
-// payload lands there. This is the paper's reallocate-on-write discipline
-// (Sec. IV-B): an overwrite that stayed in place would pin a stable
-// physical address to a hot virtual block across snapshots, and update
-// patterns would leak to a multiple-snapshot adversary. WriteBlock keeps
-// plain overwrite-in-place semantics for callers that want them;
-// ReplaceBlock is the deniability-preserving rewrite.
-//
-// The discard and the re-provision run under ONE shared pool-lock
-// acquisition, so no commit can land between them: a commit-per-write
-// ReplaceBlock loop always presents the commit fold with pure in-place
-// deltas (equal adds and removes at unchanged entry positions), which is
-// what keeps the group-commit leader's exclusive lock hold O(delta).
-//
-// Failure atomicity is write-like, not transactional: once the old
-// placement is surrendered, an allocation or transfer failure leaves the
-// vblock unmapped (reading zeros) rather than restoring the old data.
-//
-// In a trace the replace stage marks the reallocate-on-write discipline,
-// followed by the fresh provision, the resolve of the new placement, and
-// the leaf devop.
-func (t *Thin) ReplaceBlock(idx uint64, src []byte) error {
-	p := t.pool
-	if len(src) != p.data.BlockSize() {
-		return storage.ErrBadBuffer
-	}
-	fid := p.flightID(0)
-	if fid != 0 {
-		p.flight.Record(fid, obs.StageReplace, obs.FOpWrite, 1, obs.ClassNone, 0)
-	}
-	p.mutators.Add(1)
-	defer p.mutators.Add(-1)
-	var freshArr [1]uint64
-	var fresh []uint64 // this request's provision, data not yet landed
-	spaceWaits := 0
-	for attempt := 0; ; attempt++ {
-		exclusive := attempt >= writeAttempts
-		lock, unlock := p.mu.RLock, p.mu.RUnlock
-		if exclusive {
-			lock, unlock = p.mu.Lock, p.mu.Unlock
-			p.stageNoise()
-		}
-		lock()
-		if err := p.checkMutableLocked(); err != nil {
-			unlock()
-			t.unwindFresh(fresh, idx)
-			return err
-		}
-		tm, err := t.checkRangeLocked(idx, 1)
-		if err != nil {
-			unlock()
-			t.unwindFresh(fresh, idx)
-			return err
-		}
-		st := t.pool.stripeOf(t.id)
-		st.mu.Lock()
-		err = p.discardStripeLocked(tm, st, idx)
-		st.mu.Unlock()
-		if err != nil {
-			unlock()
-			return err
-		}
-		holes := freshArr[:1]
-		holes[0] = idx
-		fresh = fresh[:0]
-		if exclusive {
-			err = t.provisionHolesLocked(tm, st, holes, &fresh, fid)
-		} else {
-			t.pool.stageNoise()
-			err = t.provisionHolesShared(tm, st, holes, &fresh, fid)
-		}
-		if err != nil {
-			unlock()
-			if errors.Is(err, ErrNoSpace) {
-				if !exclusive {
-					t.pool.noteNoSpace()
-				}
-				if spaceWaits < maxSpaceWaits && t.pool.waitForSpace() {
-					spaceWaits++
-					fresh = fresh[:0]
-					continue
-				}
-			} else if !exclusive {
-				t.pool.maybeRecoverSpace()
-			}
-			return err
-		}
-		st.mu.RLock()
-		pb, ok := tm.pt.get(idx)
-		if !ok {
-			// A racing discard unmapped the block between our provision and
-			// the transfer — undefined-content territory for the racing
-			// caller, but retry for guaranteed progress like the vec write.
-			st.mu.RUnlock()
-			unlock()
-			continue
-		}
-		if fid != 0 {
-			p.flight.Record(fid, obs.StageMapResolve, obs.FOpWrite, 1, obs.ClassNone, 0)
-		}
-		batch := getBatch()
-		batch.reqs = append(batch.reqs, storage.Req{
-			Op: storage.OpWrite, Start: pb, Vec: storage.VecOne(len(src), src), FID: fid})
-		werr := storage.Do(p.data, batch.reqs)
-		putBatch(batch)
-		st.mu.RUnlock()
-		unlock()
-		if werr != nil {
-			t.unwindFresh(fresh, idx)
-			return werr
-		}
-		p.chargeTraversal(storage.OpWrite, 1)
-		return nil
-	}
-}
-
 // provisionHolesShared provisions the listed unmapped vblocks under the
 // pool's SHARED lock — mapping mutation rides the stripe lock, allocation
 // the shard locks — appending the vblocks THIS request provisioned to
@@ -522,7 +390,7 @@ func (t *Thin) ReplaceBlock(idx uint64, src []byte) error {
 // recovery) are the caller's to apply after dropping the read lock.
 func (t *Thin) provisionHolesShared(tm *thinMeta, st *mapStripe, holes []uint64, fresh *[]uint64, fid uint64) error {
 	for _, vb := range holes {
-		provisioned, err := t.pool.provisionVB(tm, st, vb, int(t.aff.Load()), false, fid)
+		provisioned, err := t.pool.provisionVB(tm, st, vb, false, fid)
 		if err != nil {
 			st.mu.Lock()
 			for _, f := range *fresh {
@@ -544,7 +412,7 @@ func (t *Thin) provisionHolesShared(tm *thinMeta, st *mapStripe, holes []uint64,
 // place.
 func (t *Thin) provisionHolesLocked(tm *thinMeta, st *mapStripe, holes []uint64, fresh *[]uint64, fid uint64) error {
 	for _, vb := range holes {
-		provisioned, err := t.pool.provisionVB(tm, st, vb, int(t.aff.Load()), true, fid)
+		provisioned, err := t.pool.provisionVB(tm, st, vb, true, fid)
 		if err != nil {
 			st.mu.Lock()
 			for _, f := range *fresh {
