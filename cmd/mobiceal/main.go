@@ -27,13 +27,11 @@
 //	mobiceal -debug-addr localhost:6060 status -image disk.img
 //	curl http://localhost:6060/debug/vars   # includes the telemetry snapshot
 //
-// Two more global flags select the real-storage fast path: -direct opens
-// the image O_DIRECT (Linux file systems that support it; tmpfs and
-// non-Linux builds report a clean error), and -inflight N lets each
-// volume queue keep up to N non-overlapping coalesced runs at the device
-// at once (default 1 = serial dispatch):
+// The global -direct flag selects the real-storage path: it opens the
+// image O_DIRECT (Linux file systems that support it; tmpfs and non-Linux
+// builds report a clean error):
 //
-//	mobiceal -direct -inflight 4 put -image disk.img -pass PW -name f -from f
+//	mobiceal -direct put -image disk.img -pass PW -name f -from f
 package main
 
 import (
@@ -49,13 +47,10 @@ import (
 
 const blockSize = 4096
 
-// Global storage-path knobs, set by run() before the subcommand runs.
-// Every image open and every mobiceal.Open goes through openImageCLI /
-// createImageCLI / cliConfig so the flags apply uniformly.
-var (
-	directMode  bool
-	maxInFlight int
-)
+// directMode is the global -direct flag, set by run() before the
+// subcommand runs. Every image open goes through openImageCLI /
+// createImageCLI so the flag applies uniformly.
+var directMode bool
 
 // openImageCLI opens an existing image honouring the global -direct flag.
 func openImageCLI(path string) (mobiceal.Device, error) {
@@ -75,12 +70,6 @@ func createImageCLI(path string, numBlocks uint64) (mobiceal.Device, error) {
 	return dev, err
 }
 
-// cliConfig overlays the global -inflight flag on a per-command Config.
-func cliConfig(cfg mobiceal.Config) mobiceal.Config {
-	cfg.MaxInFlight = maxInFlight
-	return cfg
-}
-
 func main() {
 	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "mobiceal:", err)
@@ -96,14 +85,12 @@ func run(args []string) error {
 		"serve expvar and pprof debug endpoints on this address (e.g. localhost:6060)")
 	globals.BoolVar(&directMode, "direct", false,
 		"open the device image with O_DIRECT (page-cache bypass; Linux only)")
-	globals.IntVar(&maxInFlight, "inflight", 0,
-		"per-volume dispatch window: up to N non-overlapping runs in flight (0/1 = serial)")
 	if err := globals.Parse(args); err != nil {
 		return err
 	}
 	args = globals.Args()
 	if len(args) < 1 {
-		return errors.New("usage: mobiceal [-debug-addr ADDR] [-direct] [-inflight N] <init|put|get|ls|rm|gc|snap|check|status|trace> [flags]")
+		return errors.New("usage: mobiceal [-debug-addr ADDR] [-direct] <init|put|get|ls|rm|gc|snap|check|status|trace> [flags]")
 	}
 	if *debugAddr != "" {
 		if err := startDebugServer(*debugAddr); err != nil {
@@ -153,7 +140,7 @@ func cmdCheck(args []string) error {
 		return err
 	}
 	defer closeQuiet(dev)
-	sys, err := mobiceal.Open(dev, cliConfig(mobiceal.Config{}))
+	sys, err := mobiceal.Open(dev, mobiceal.Config{})
 	if err != nil {
 		return err
 	}
@@ -197,7 +184,7 @@ func cmdInit(args []string) error {
 	if *hidden != "" {
 		hiddenPwds = strings.Split(*hidden, ",")
 	}
-	sys, err := mobiceal.Setup(dev, cliConfig(mobiceal.Config{NumVolumes: *volumes}), *decoy, hiddenPwds)
+	sys, err := mobiceal.Setup(dev, mobiceal.Config{NumVolumes: *volumes}, *decoy, hiddenPwds)
 	if err != nil {
 		return err
 	}
@@ -232,7 +219,7 @@ func openVolume(image, password string) (*mobiceal.System, *mobiceal.Volume, *mo
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	sys, err := mobiceal.Open(dev, cliConfig(mobiceal.Config{}))
+	sys, err := mobiceal.Open(dev, mobiceal.Config{})
 	if err != nil {
 		closeQuiet(dev)
 		return nil, nil, nil, err
@@ -389,7 +376,7 @@ func cmdGC(args []string) error {
 		return err
 	}
 	defer closeQuiet(dev)
-	sys, err := mobiceal.Open(dev, cliConfig(mobiceal.Config{}))
+	sys, err := mobiceal.Open(dev, mobiceal.Config{})
 	if err != nil {
 		return err
 	}

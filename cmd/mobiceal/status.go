@@ -118,7 +118,7 @@ func cmdStatus(args []string) error {
 		return err
 	}
 	defer closeQuiet(dev)
-	sys, err := mobiceal.Open(dev, cliConfig(mobiceal.Config{}))
+	sys, err := mobiceal.Open(dev, mobiceal.Config{})
 	if err != nil {
 		return err
 	}

@@ -120,7 +120,7 @@ func workloadEvents(image, pass string, ops int) ([]mobiceal.FlightEvent, error)
 		return nil, err
 	}
 	defer closeQuiet(dev)
-	sys, err := mobiceal.Open(dev, cliConfig(mobiceal.Config{}))
+	sys, err := mobiceal.Open(dev, mobiceal.Config{})
 	if err != nil {
 		return nil, err
 	}

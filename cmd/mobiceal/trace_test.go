@@ -167,11 +167,8 @@ func TestCLIMetricsEndpoint(t *testing.T) {
 		`mobiceal_pool_shard_free_blocks{shard="0"}`,
 		"# TYPE mobiceal_io_queue_depth gauge",
 		"mobiceal_dev_meta_read_blocks_total",
-		// The real-storage fast path surfaces here: dispatch-window gauges
-		// always, file syscall accounting because the CLI image is a
-		// FileDevice.
-		"# TYPE mobiceal_io_window_max gauge",
-		"mobiceal_io_window_stalls_total",
+		// The real-storage fast path surfaces here: file syscall accounting
+		// because the CLI image is a FileDevice.
 		"# TYPE mobiceal_file_preadv_total counter",
 		"mobiceal_file_pwritev_total",
 		"mobiceal_file_direct_mode 0",

@@ -11,17 +11,19 @@ import (
 	"mobiceal/internal/storage"
 )
 
-// The PR 10 benchmark set: real-storage concurrent-writer throughput, A/B
-// across backend (MemDevice / buffered file / O_DIRECT file) and the
-// dispatch window (inflight=1 is the pre-window serialized dispatcher,
-// bit-for-bit). Committed numbers live in BENCH_PR10.json.
+// Real-storage concurrent-writer throughput across backend (MemDevice /
+// buffered file / O_DIRECT file). The queue benchmarks A/B the scheduler's
+// one parallelism setting — workers=1 hands a batch's runs out one at a
+// time, workers=4 keeps up to four at the device — and the full-stack
+// benchmark runs the default Config. BENCH_PR10.json is frozen history: it
+// measured the same shapes against the dispatch window this axis replaced;
+// DESIGN.md "ioq" has the before/after table.
 //
-// Run these with GOMAXPROCS >= the window size (the committed runs used 4).
-// At GOMAXPROCS=1 a goroutine blocking in preadv/pwritev holds its P
-// until sysmon retakes it — tens of microseconds, about the cost of the
-// whole syscall — so the in-flight runs serialize in the Go runtime before
-// the kernel ever sees them and both inflight settings measure the same
-// serial device path.
+// Run these with GOMAXPROCS >= the worker count (-cpu 4). At GOMAXPROCS=1
+// a goroutine blocking in preadv/pwritev holds its P until sysmon retakes
+// it — tens of microseconds, about the cost of the whole syscall — so the
+// in-flight runs serialize in the Go runtime before the kernel ever sees
+// them and both worker counts measure the same serial device path.
 
 const (
 	fbBlockSize   = 4096
@@ -69,21 +71,19 @@ func fbDevice(b *testing.B, backend string, numBlocks uint64) storage.Device {
 }
 
 // BenchmarkFileQueueWriters measures the scheduler alone — a VolumeQueue
-// straight over the backend, no crypto or thin mapping — so the dispatch
-// window's effect on real syscalls is undiluted. Each iteration submits
-// one disjoint chunk per writer and waits for all of them; with
-// inflight>1 those runs overlap at the device instead of queueing behind
-// one another.
+// straight over the backend, no crypto or thin mapping — so the effect of
+// handing runs to several workers on real syscalls is undiluted. Each
+// iteration submits one disjoint chunk per writer and waits for all of
+// them; with workers>1 those runs overlap at the device instead of
+// queueing behind one another.
 func BenchmarkFileQueueWriters(b *testing.B) {
 	for _, backend := range []string{"mem", "file", "direct"} {
 		for _, writers := range []int{1, 4} {
-			for _, inflight := range []int{1, 4} {
-				name := fmt.Sprintf("backend=%s/writers=%d/inflight=%d", backend, writers, inflight)
+			for _, workers := range []int{1, 4} {
+				name := fmt.Sprintf("backend=%s/writers=%d/workers=%d", backend, writers, workers)
 				b.Run(name, func(b *testing.B) {
 					dev := fbDevice(b, backend, uint64(writers*fbRegion+fbRegion))
-					s := ioq.NewScheduler(ioq.Options{
-						Workers: 1, MaxBatch: 32, MergeBlocks: 64, MaxInFlight: inflight,
-					})
+					s := ioq.NewScheduler(ioq.Options{Workers: workers})
 					defer s.Close()
 					q := s.Register(dev)
 
@@ -116,19 +116,17 @@ func BenchmarkFileQueueWriters(b *testing.B) {
 
 // BenchmarkFileQueueReaders is the read-side A/B. On hosts where direct
 // writes to one inode serialize in the kernel (single-queue virtio, the
-// ext4 allocation path), reads are where the window's overlap shows: a
-// direct read is a genuine device round trip the next run can hide
-// behind, so readers=4/inflight=4 should clearly beat inflight=1.
+// ext4 allocation path), reads are where the overlap shows: a direct read
+// is a genuine device round trip the next run can hide behind, so
+// readers=4/workers=4 should clearly beat workers=1.
 func BenchmarkFileQueueReaders(b *testing.B) {
 	for _, backend := range []string{"mem", "file", "direct"} {
 		for _, readers := range []int{1, 4} {
-			for _, inflight := range []int{1, 4} {
-				name := fmt.Sprintf("backend=%s/readers=%d/inflight=%d", backend, readers, inflight)
+			for _, workers := range []int{1, 4} {
+				name := fmt.Sprintf("backend=%s/readers=%d/workers=%d", backend, readers, workers)
 				b.Run(name, func(b *testing.B) {
 					dev := fbDevice(b, backend, uint64(readers*fbRegion+fbRegion))
-					s := ioq.NewScheduler(ioq.Options{
-						Workers: 1, MaxBatch: 32, MergeBlocks: 64, MaxInFlight: inflight,
-					})
+					s := ioq.NewScheduler(ioq.Options{Workers: workers})
 					defer s.Close()
 					q := s.Register(dev)
 
@@ -154,50 +152,45 @@ func BenchmarkFileQueueReaders(b *testing.B) {
 	}
 }
 
-// BenchmarkFileSystemWriters is the same A/B through the whole stack —
-// Setup, an open public volume, encryption, thin provisioning, pool
-// commits — so the committed numbers show what the fast path is worth
-// end to end, not just at the queue.
+// BenchmarkFileSystemWriters drives the same writers through the whole
+// stack — Setup, an open public volume, encryption, thin provisioning,
+// pool commits — under the default Config, so the committed numbers show
+// what the fast path is worth end to end, not just at the queue.
 func BenchmarkFileSystemWriters(b *testing.B) {
 	const writers = 4
 	for _, backend := range []string{"mem", "file", "direct"} {
-		for _, inflight := range []int{1, 4} {
-			name := fmt.Sprintf("backend=%s/inflight=%d", backend, inflight)
-			b.Run(name, func(b *testing.B) {
-				dev := fbDevice(b, backend, 4096)
-				cfg := testConfig(77)
-				cfg.MaxInFlight = inflight
-				sys, err := mobiceal.Setup(dev, cfg, "decoy", nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer sys.Close()
-				vol, err := sys.OpenPublic("decoy")
-				if err != nil {
-					b.Fatal(err)
-				}
+		b.Run("backend="+backend, func(b *testing.B) {
+			dev := fbDevice(b, backend, 4096)
+			sys, err := mobiceal.Setup(dev, testConfig(77), "decoy", nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer sys.Close()
+			vol, err := sys.OpenPublic("decoy")
+			if err != nil {
+				b.Fatal(err)
+			}
 
-				base := vol.Device().NumBlocks() - uint64(writers*fbRegion) - 8
-				bufs := make([][]byte, writers)
-				for w := range bufs {
-					bufs[w] = mobiceal.AlignedBuf(fbChunkBlocks * fbBlockSize)
-					for i := range bufs[w] {
-						bufs[w][i] = byte(w*17 + i)
-					}
+			base := vol.Device().NumBlocks() - uint64(writers*fbRegion) - 8
+			bufs := make([][]byte, writers)
+			for w := range bufs {
+				bufs[w] = mobiceal.AlignedBuf(fbChunkBlocks * fbBlockSize)
+				for i := range bufs[w] {
+					bufs[w][i] = byte(w*17 + i)
 				}
-				futs := make([]*mobiceal.Future, writers)
-				b.SetBytes(int64(writers * fbChunkBlocks * fbBlockSize))
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					for w := 0; w < writers; w++ {
-						off := base + uint64(w*fbRegion+(i%fbSlots)*fbChunkBlocks)
-						futs[w] = vol.SubmitWrite(off, bufs[w])
-					}
-					if err := mobiceal.WaitAll(futs...); err != nil {
-						b.Fatal(err)
-					}
+			}
+			futs := make([]*mobiceal.Future, writers)
+			b.SetBytes(int64(writers * fbChunkBlocks * fbBlockSize))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for w := 0; w < writers; w++ {
+					off := base + uint64(w*fbRegion+(i%fbSlots)*fbChunkBlocks)
+					futs[w] = vol.SubmitWrite(off, bufs[w])
 				}
-			})
-		}
+				if err := mobiceal.WaitAll(futs...); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

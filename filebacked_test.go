@@ -27,17 +27,9 @@ func (d serialFile) Do(reqs []storage.Req) error {
 func ringOn(d *storage.FileDevice) storage.Device  { return d }
 func ringOff(d *storage.FileDevice) storage.Device { return serialFile{d} }
 
-// fileConfig is testConfig with the dispatch window opened — the
-// real-storage fast-path configuration.
-func fileConfig(seed uint64, inflight int) mobiceal.Config {
-	cfg := testConfig(seed)
-	cfg.MaxInFlight = inflight
-	return cfg
-}
-
 // TestFileBackedSystem runs the full stack — Setup, public and hidden
 // volumes, concurrent async writers, FlushAll, close, reopen — over a real
-// file-backed image with a parallel dispatch window, and checks both
+// file-backed image, and checks both
 // durability across the reopen and the file-syscall telemetry surface.
 func TestFileBackedSystem(t *testing.T) {
 	runFileBackedSystem(t, mobiceal.FileOptions{}, ringOn)
@@ -64,7 +56,6 @@ func runFileBackedSystem(t *testing.T, fopts mobiceal.FileOptions, wrap func(*st
 	const (
 		blockSize = 4096
 		numBlocks = 4096
-		inflight  = 4
 		writers   = 3
 		opsEach   = 24
 	)
@@ -77,7 +68,7 @@ func runFileBackedSystem(t *testing.T, fopts mobiceal.FileOptions, wrap func(*st
 		t.Fatal(err)
 	}
 
-	sys, err := mobiceal.Setup(wrap(dev), fileConfig(99, inflight), "decoy", []string{"hush"})
+	sys, err := mobiceal.Setup(wrap(dev), testConfig(99), "decoy", []string{"hush"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,9 +131,6 @@ func runFileBackedSystem(t *testing.T, fopts mobiceal.FileOptions, wrap func(*st
 	if tel.File.Direct != fopts.Direct {
 		t.Fatalf("telemetry direct = %v, want %v", tel.File.Direct, fopts.Direct)
 	}
-	if tel.IO.WindowMax != inflight {
-		t.Fatalf("telemetry WindowMax = %d, want %d", tel.IO.WindowMax, inflight)
-	}
 	if err := sys.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +145,7 @@ func runFileBackedSystem(t *testing.T, fopts mobiceal.FileOptions, wrap func(*st
 		t.Fatal(err)
 	}
 	defer dev2.Close()
-	sys2, err := mobiceal.Open(wrap(dev2), fileConfig(99, inflight))
+	sys2, err := mobiceal.Open(wrap(dev2), testConfig(99))
 	if err != nil {
 		t.Fatal(err)
 	}

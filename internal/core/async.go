@@ -27,10 +27,9 @@ func syncRetried(dev storage.Device) error {
 func (s *System) Scheduler() *ioq.Scheduler {
 	s.asyncOnce.Do(func() {
 		s.sched = ioq.NewScheduler(ioq.Options{
-			Workers:     s.cfg.AsyncWorkers,
-			MaxInFlight: s.cfg.MaxInFlight,
-			Retry:       s.cfg.Retry,
-			Flight:      s.flight,
+			Workers: s.cfg.AsyncWorkers,
+			Retry:   s.cfg.Retry,
+			Flight:  s.flight,
 		})
 	})
 	return s.sched

@@ -52,9 +52,6 @@ func WritePrometheus(w io.Writer, t Telemetry) error {
 	pw.counter("mobiceal_io_completed_total", "Requests completed by the scheduler.", float64(t.IO.Completed))
 	pw.gauge("mobiceal_io_queue_depth", "Requests waiting in submission queues.", float64(t.IO.QueueDepth))
 	pw.gauge("mobiceal_io_in_flight", "Requests at the device right now.", float64(t.IO.InFlight))
-	pw.gauge("mobiceal_io_window_max", "Per-queue dispatch window size (1 = serial dispatch).", float64(t.IO.WindowMax))
-	pw.gauge("mobiceal_io_window_occupancy", "Coalesced runs executing inside dispatch windows.", float64(t.IO.WindowOccupancy))
-	pw.counter("mobiceal_io_window_stalls_total", "Run submissions that waited for a window slot or an overlapping extent.", float64(t.IO.WindowStalls))
 	pw.counter("mobiceal_io_retries_total", "Transient-fault retries fired.", float64(t.IO.Retries))
 	pw.counter("mobiceal_io_failures_total", "Requests failed hard.", float64(t.IO.Failures))
 	pw.histogram("mobiceal_io_queue_latency_seconds", "Submit-to-dispatch latency.", t.IO.QueueLat)

@@ -60,15 +60,11 @@ type Config struct {
 	// jiffies capture at simulation scale. Default 256.
 	PolicyRefreshEvery int
 	// AsyncWorkers is the worker count of the system's I/O scheduler
-	// (Volume.SubmitRead/SubmitWrite/Flush). 0 selects the scheduler's
-	// default (max(2, GOMAXPROCS)).
+	// (Volume.SubmitRead/SubmitWrite/Flush) — also the most requests of
+	// one volume at the device at once, so it bounds the queue depth a
+	// direct image sees. 0 selects the scheduler's default
+	// (max(2, GOMAXPROCS)).
 	AsyncWorkers int
-	// MaxInFlight bounds each volume queue's dispatch window: how many
-	// coalesced runs may execute against the device concurrently. 0 (the
-	// default) keeps the serial dispatch of earlier versions; values > 1
-	// let queue depth reach backends with real concurrency (a FileDevice,
-	// especially in direct mode). See ioq.Options.MaxInFlight.
-	MaxInFlight int
 	// NoSpaceTimeout bounds how long a write needing provisioning queues
 	// while the pool is out of data space before failing — dm-thin's
 	// no_space_timeout. 0 (the default) fails fast.

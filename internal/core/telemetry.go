@@ -97,9 +97,6 @@ func (t Telemetry) String() string {
 	fmt.Fprintf(&b, " io sub %d done %d qd %d inflight %d merge %.2f fail %d",
 		t.IO.Submitted, t.IO.Completed, t.IO.QueueDepth, t.IO.InFlight,
 		t.IO.MergeRatio(), t.IO.Failures)
-	if t.IO.WindowMax > 1 {
-		fmt.Fprintf(&b, " win %d/%d", t.IO.WindowOccupancy, t.IO.WindowMax)
-	}
 	fmt.Fprintf(&b, " dev w %d/%d", t.Data.WriteBlocks, t.Data.BytesWrite)
 	if s := t.ShardSummary(); s != "" {
 		fmt.Fprintf(&b, " %s", s)

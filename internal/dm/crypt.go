@@ -26,7 +26,7 @@ type Crypt struct {
 	// scratch holds reusable ciphertext buffers (the target's mempool in
 	// kernel terms) and twins the request lists they travel in, so the
 	// write path does not allocate per request.
-	scratch storage.BufPool
+	scratch storage.AlignedPool
 	twins   sync.Pool
 }
 

@@ -51,11 +51,7 @@ func BenchmarkMergedRun(b *testing.B) {
 		b.Run(fmt.Sprintf("zerocopy/%s/reqs=%d/blocks=%d", kind, reqs, reqBlocks), func(b *testing.B) {
 			mem := storage.NewMemDevice(blockSize, plugIdx+8)
 			plug := &plugDevice{Device: mem, plug: plugIdx}
-			s := NewScheduler(Options{
-				Workers:     1,
-				MaxBatch:    reqs,
-				MergeBlocks: reqs * reqBlocks,
-			})
+			s := NewScheduler(Options{Workers: 1})
 			defer s.Close()
 			q := s.Register(plug)
 			bufs := make([][]byte, reqs)

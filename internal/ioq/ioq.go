@@ -5,12 +5,13 @@
 // Callers submit read/write/discard/sync requests per volume and get a
 // Future back; a shared pool of workers drains each volume's staging
 // queue in batches, elevator-sorts the batch, coalesces runs of adjacent
-// blocks into single scatter-gather storage.Req descriptors, and completes the
-// futures. The scheduler is the userspace analogue of the kernel's
-// blk-mq: per-volume software queues feed a multi-producer/multi-consumer
-// ready list served by hardware-context-like workers, and request merging
-// recovers the bio-merge economics the synchronous path only gets when a
-// single caller happens to issue large requests.
+// blocks into single scatter-gather storage.Req descriptors — one run per
+// worker at a time — and completes the futures. The scheduler is the
+// userspace analogue of the kernel's blk-mq: per-volume software queues
+// feed a multi-producer/multi-consumer ready list served by
+// hardware-context-like workers, and request merging recovers the
+// bio-merge economics the synchronous path only gets when a single caller
+// happens to issue large requests.
 //
 // Ordering and durability semantics (the contract a file system above
 // this layer relies on):
@@ -89,31 +90,24 @@ func (p *RetryPolicy) fill() {
 	}
 }
 
+const (
+	// maxBatch is the most requests one drain takes from a volume queue.
+	maxBatch = 64
+	// mergeBlocks caps the size, in blocks, of one coalesced device
+	// operation.
+	mergeBlocks = 128
+)
+
 // Options configures a Scheduler.
 type Options struct {
-	// Workers is the number of dispatch goroutines. Workers > 1 lets
-	// different volumes dispatch in parallel and overlaps one volume's
-	// merge/CPU work with another's device latency; even at GOMAXPROCS=1
-	// extra workers keep the queue moving while one blocks in a commit.
+	// Workers is the number of dispatch goroutines, and with it the most
+	// coalesced runs — of one volume or of several — at the device at
+	// once: Workers > 1 lets different volumes, and different runs of one
+	// volume, dispatch in parallel and overlaps one run's merge/CPU work
+	// with another's device latency; even at GOMAXPROCS=1 extra workers
+	// keep the queue moving while one blocks in a commit.
 	// Default: max(2, GOMAXPROCS).
 	Workers int
-	// MaxBatch is the most requests one dispatch drains from a volume
-	// queue. Default 64.
-	MaxBatch int
-	// MergeBlocks caps the size, in blocks, of one coalesced device
-	// operation. Default 128.
-	MergeBlocks int
-	// MaxInFlight bounds each queue's dispatch window: how many coalesced
-	// runs of one volume may execute against the device concurrently.
-	// Default 1 — runs execute one at a time, the pre-window behaviour.
-	// With MaxInFlight > 1, non-overlapping runs of a batch dispatch in
-	// parallel (overlapping extents stay ordered, barriers still drain
-	// the whole window), which is what lets queue depth actually reach a
-	// real device: a file backend serving one run at a time is QD=1 no
-	// matter how well the elevator merged. Worth raising only on backends
-	// with real concurrency (a FileDevice, especially in direct mode);
-	// on MemDevice it just adds goroutine traffic.
-	MaxInFlight int
 	// Retry is the transient-fault retry policy. The zero value enables
 	// the default policy (3 attempts, 500µs base, 10ms cap); set
 	// MaxAttempts negative to disable retry.
@@ -132,15 +126,6 @@ func (o *Options) fill() {
 		if o.Workers < 2 {
 			o.Workers = 2
 		}
-	}
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = 64
-	}
-	if o.MergeBlocks <= 0 {
-		o.MergeBlocks = 128
-	}
-	if o.MaxInFlight <= 0 {
-		o.MaxInFlight = 1
 	}
 	o.Retry.fill()
 }
@@ -190,9 +175,6 @@ func NewScheduler(opts Options) *Scheduler {
 func (s *Scheduler) Register(dev storage.Device) *VolumeQueue {
 	s.mu.Lock()
 	q := &VolumeQueue{s: s, dev: dev}
-	if s.opts.MaxInFlight > 1 {
-		q.win = newDispatchWindow(s.opts.MaxInFlight, &s.m)
-	}
 	s.queues = append(s.queues, q)
 	s.mu.Unlock()
 	return q
@@ -240,12 +222,21 @@ func (s *Scheduler) enqueue(q *VolumeQueue) bool {
 	return true
 }
 
-// worker pulls ready queues and dispatches one batch each, round-robin by
-// arrival order so no volume starves.
+// worker pulls ready queues and dispatches one run each. A queue that still
+// has dispatchable work afterwards goes back on the TAIL of the ready list —
+// round-robin by arrival order, so a saturated volume cannot starve the
+// others — under the lock hold the worker needs for its next pull anyway,
+// and without a signal: the worker is about to pull itself, and waking a
+// sleeping one for the run measured no better (DESIGN.md, "One run per
+// dispatch").
 func (s *Scheduler) worker() {
 	defer s.wg.Done()
+	var again *VolumeQueue
 	for {
 		s.mu.Lock()
+		if again != nil {
+			s.ready = append(s.ready, again)
+		}
 		for len(s.ready) == 0 && !s.closed {
 			s.cond.Wait()
 		}
@@ -258,7 +249,10 @@ func (s *Scheduler) worker() {
 		q := s.ready[0]
 		s.ready = s.ready[1:]
 		s.mu.Unlock()
-		q.dispatch()
+		again = nil
+		if q.dispatch() {
+			again = q
+		}
 	}
 }
 

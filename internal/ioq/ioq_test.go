@@ -116,7 +116,7 @@ func TestErrorPropagation(t *testing.T) {
 func TestMisalignedSubmitRejectedBeforeMerge(t *testing.T) {
 	mem := storage.NewMemDevice(blockSize, 1024)
 	plug := &plugDevice{Device: mem, plug: 512}
-	s := NewScheduler(Options{Workers: 1, MaxBatch: 16, MergeBlocks: 64})
+	s := NewScheduler(Options{Workers: 1})
 	defer s.Close()
 	q := s.Register(plug)
 
@@ -402,7 +402,7 @@ func TestMergedDispatchMatchesSerialReference(t *testing.T) {
 	mem := storage.NewMemDevice(blockSize, blocks)
 	ref := storage.NewMemDevice(blockSize, blocks)
 	plug := &plugDevice{Device: mem, plug: plugIdx}
-	s := NewScheduler(Options{Workers: 1, MaxBatch: 64, MergeBlocks: 64})
+	s := NewScheduler(Options{Workers: 1})
 	defer s.Close()
 	q := s.Register(plug)
 	plugBuf := make([]byte, blockSize)
@@ -500,7 +500,7 @@ func TestMergedDispatchIsZeroCopy(t *testing.T) {
 	mem := storage.NewMemDevice(blockSize, 1024)
 	obs := &vecObserver{Device: mem}
 	plug := &plugDevice{Device: obs, plug: 512}
-	s := NewScheduler(Options{Workers: 1, MaxBatch: 16, MergeBlocks: 64})
+	s := NewScheduler(Options{Workers: 1})
 	defer s.Close()
 	q := s.Register(plug)
 

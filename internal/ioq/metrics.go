@@ -15,25 +15,18 @@ type Metrics struct {
 	Submitted obs.Counter
 	Completed obs.Counter
 
-	// Batches counts dispatch batches drained from volume queues.
+	// Batches counts batches drained from volume queues: one per drain,
+	// however many runs the batch is handed out as, and one per barrier.
 	// CoalescedOps counts merged device operations covering more than one
 	// request; CoalescedReqs counts the requests those operations carried.
 	Batches       obs.Counter
 	CoalescedOps  obs.Counter
 	CoalescedReqs obs.Counter
 
-	// QueueDepth is the number of submitted-but-undispatched requests
-	// across all queues; InFlight is dispatched-but-uncompleted.
+	// QueueDepth is the number of submitted requests not yet handed to a
+	// worker, across all queues; InFlight is handed-out-but-uncompleted.
 	QueueDepth obs.Gauge
 	InFlight   obs.Gauge
-
-	// WindowOccupancy is the number of coalesced runs currently executing
-	// inside dispatch windows across all queues (0 everywhere when
-	// MaxInFlight is 1 — no windows exist). WindowStalls counts run
-	// submissions that had to wait for a slot or for an overlapping
-	// in-flight extent to clear.
-	WindowOccupancy obs.Gauge
-	WindowStalls    obs.Counter
 
 	// QueueLat spans submit→dispatch, ServiceLat dispatch→complete,
 	// TotalLat submit→complete. Requests that die before dispatch (queue
@@ -69,12 +62,6 @@ type MetricsSnapshot struct {
 	QueueDepth int64 `json:"queue_depth"`
 	InFlight   int64 `json:"in_flight"`
 
-	// WindowMax echoes Options.MaxInFlight (1 = serial dispatch, no
-	// windows); occupancy and stalls are live only when it exceeds 1.
-	WindowMax       int64  `json:"window_max"`
-	WindowOccupancy int64  `json:"window_occupancy"`
-	WindowStalls    uint64 `json:"window_stalls"`
-
 	QueueLat   obs.HistSnapshot `json:"queue_lat"`
 	ServiceLat obs.HistSnapshot `json:"service_lat"`
 	TotalLat   obs.HistSnapshot `json:"total_lat"`
@@ -102,24 +89,21 @@ func (s *Scheduler) Metrics() *Metrics { return &s.m }
 func (s *Scheduler) MetricsSnapshot() MetricsSnapshot {
 	m := &s.m
 	return MetricsSnapshot{
-		Submitted:       m.Submitted.Load(),
-		Completed:       m.Completed.Load(),
-		Batches:         m.Batches.Load(),
-		CoalescedOps:    m.CoalescedOps.Load(),
-		CoalescedReqs:   m.CoalescedReqs.Load(),
-		QueueDepth:      m.QueueDepth.Load(),
-		InFlight:        m.InFlight.Load(),
-		WindowMax:       int64(s.opts.MaxInFlight),
-		WindowOccupancy: m.WindowOccupancy.Load(),
-		WindowStalls:    m.WindowStalls.Load(),
-		QueueLat:        m.QueueLat.Snapshot(),
-		ServiceLat:      m.ServiceLat.Snapshot(),
-		TotalLat:        m.TotalLat.Snapshot(),
-		Retries:         m.Retries.Load(),
-		Recovered:       m.Recovered.Load(),
-		Timeouts:        m.Timeouts.Load(),
-		Failures:        m.Failures.Load(),
-		BarrierFails:    m.BarrierFails.Load(),
+		Submitted:     m.Submitted.Load(),
+		Completed:     m.Completed.Load(),
+		Batches:       m.Batches.Load(),
+		CoalescedOps:  m.CoalescedOps.Load(),
+		CoalescedReqs: m.CoalescedReqs.Load(),
+		QueueDepth:    m.QueueDepth.Load(),
+		InFlight:      m.InFlight.Load(),
+		QueueLat:      m.QueueLat.Snapshot(),
+		ServiceLat:    m.ServiceLat.Snapshot(),
+		TotalLat:      m.TotalLat.Snapshot(),
+		Retries:       m.Retries.Load(),
+		Recovered:     m.Recovered.Load(),
+		Timeouts:      m.Timeouts.Load(),
+		Failures:      m.Failures.Load(),
+		BarrierFails:  m.BarrierFails.Load(),
 	}
 }
 

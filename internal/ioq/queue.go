@@ -37,11 +37,11 @@ type request struct {
 	deadline time.Time
 	// submitNS and dispatchNS are obs.NowNS stamps of the request's
 	// life-cycle edges. submitNS is 0 for requests rejected before
-	// entering a queue; dispatchNS is 0 for requests that never left
-	// pending (purged on close or behind a failed barrier). Only the
-	// goroutine currently owning the request touches them: submit writes
-	// submitNS before publishing, the dispatching worker writes
-	// dispatchNS after draining.
+	// entering a queue; dispatchNS is 0 for requests never handed to a
+	// worker (purged on close or behind a failed barrier, or expired at
+	// the drain). Only the goroutine currently owning the request touches
+	// them: submit writes submitNS before publishing, the dispatching
+	// worker writes dispatchNS at the hand-out.
 	submitNS   int64
 	dispatchNS int64
 }
@@ -60,28 +60,34 @@ func (r *request) fid() uint64    { return r.io[0].FID }
 func (r *request) blocks() uint64 { return uint64(r.io[0].Blocks()) }
 
 // VolumeQueue is the per-volume staging queue: submissions append under
-// the queue lock, workers drain batches. Sync requests are dispatch
-// barriers — a sync leaves the queue only when it is the oldest request
-// and nothing of this volume is in flight, and requests behind it wait
-// until it completes.
+// the queue lock, workers drain batches and hand out their coalesced runs
+// one per dispatch. Sync requests are dispatch barriers — a sync leaves the
+// queue only when it is the oldest request and nothing of this volume is
+// staged or in flight, and requests behind it wait until it completes.
 type VolumeQueue struct {
 	s   *Scheduler
 	dev storage.Device
 
-	// win, when non-nil, is the queue's bounded in-flight dispatch window
-	// (Options.MaxInFlight > 1): coalesced runs execute concurrently
-	// through it instead of one at a time. Set at Register, never mutated.
-	win *dispatchWindow
-
-	mu       sync.Mutex
-	pending  []*request
+	mu      sync.Mutex
+	pending []*request
+	// staged is the rest of the batch drained last: expired requests gone,
+	// elevator-sorted, not yet cut into runs. Each dispatch hands out its
+	// leading run; pending is drained again only once it is empty.
+	staged []*request
+	// inflight counts requests handed out to a worker and not yet
+	// completed.
 	inflight int
 	// syncActive marks a barrier's Sync as in flight: nothing else of
 	// this queue may dispatch until it completes — requests submitted
 	// after a Flush must not reach the device while the barrier's Sync
 	// is still running.
 	syncActive bool
-	queued     bool
+	// slots counts this queue's dispatches outstanding — entries on the
+	// scheduler's ready list plus dispatch calls running. Submissions take
+	// slots (at most Workers); a worker gives its slot back when a dispatch
+	// ends with nothing dispatchable. Whenever work is dispatchable at least
+	// one slot is out, so no request is ever stranded.
+	slots int
 }
 
 // SubmitRead asynchronously reads blocks [start, start+len(dst)/bs) into
@@ -190,17 +196,21 @@ func (q *VolumeQueue) submit(r *request) *Future {
 	q.s.m.QueueDepth.Inc()
 	q.mu.Lock()
 	q.pending = append(q.pending, r)
-	wake := !q.queued && q.dispatchableLocked()
+	// Only submissions wake workers, one wake per submission: a worker
+	// that finds more work at the end of a dispatch re-queues the queue
+	// itself (Scheduler.worker) and wakes nobody.
+	wake := q.slots < q.s.opts.Workers && q.dispatchableLocked()
 	if wake {
-		q.queued = true
+		q.slots++
 	}
 	q.mu.Unlock()
 	if wake && !q.s.enqueue(q) {
 		// The scheduler closed and its workers exited between the closed
 		// check and the wake: nothing will ever drain this queue again, so
-		// fail everything still staged.
+		// fail everything still pending (nothing can be staged — a staged
+		// batch holds a slot, and a slot holds a live worker).
 		q.mu.Lock()
-		q.queued = false
+		q.slots--
 		rest := q.pending
 		q.pending = nil
 		q.mu.Unlock()
@@ -214,90 +224,145 @@ func (q *VolumeQueue) submit(r *request) *Future {
 // dispatchableLocked reports whether a worker could make progress on this
 // queue right now. Caller holds q.mu.
 func (q *VolumeQueue) dispatchableLocked() bool {
-	if q.syncActive {
+	switch {
+	case q.syncActive:
 		// A barrier's Sync is executing; the queue is frozen until it
 		// completes (its completion re-evaluates).
 		return false
-	}
-	if len(q.pending) == 0 {
+	case len(q.staged) > 0:
+		return true
+	case len(q.pending) == 0:
 		return false
-	}
-	if isBarrier(q.pending[0].op()) && q.inflight > 0 {
-		// The barrier waits for the in-flight requests to drain; their
+	case isBarrier(q.pending[0].op()):
+		// The barrier waits for the handed-out requests to drain; their
 		// completion re-evaluates.
-		return false
+		return q.inflight == 0
 	}
 	return true
 }
 
-// dispatch drains one batch and executes it. Called by a worker; several
-// workers may dispatch different batches of the same queue concurrently
-// (the barrier rule is the only intra-volume ordering).
-func (q *VolumeQueue) dispatch() {
+// dispatch hands out one unit of work — the barrier at the head of the
+// queue, or the next coalesced run of the staged batch, draining a new
+// batch first when none is staged — and executes it. Several workers may
+// be inside dispatch for one queue at once, each with a different run: the
+// worker pool is the queue's only in-flight parallelism, and the barrier
+// rule its only intra-volume ordering. It reports whether the queue has
+// more dispatchable work; the calling worker then re-queues it, keeping
+// the dispatch slot, and otherwise the slot is given back here.
+func (q *VolumeQueue) dispatch() bool {
+	var run, expired []*request
+	barrier := false
 	q.mu.Lock()
-	var batch []*request
-	if q.syncActive {
-		// Raced with a barrier that started after this queue was put on
-		// the ready list; its completion re-enqueues.
-	} else if len(q.pending) > 0 && isBarrier(q.pending[0].op()) {
-		if q.inflight == 0 {
-			batch = q.pending[:1:1]
-			q.pending = q.pending[1:]
-			q.syncActive = true
+	if q.dispatchableLocked() {
+		if len(q.staged) == 0 {
+			if barrier = isBarrier(q.pending[0].op()); barrier {
+				run, q.pending = q.pending[:1:1], q.pending[1:]
+				q.syncActive = true
+				q.s.m.Batches.Inc() // a barrier is a drain of one
+			} else {
+				expired = q.stageLocked()
+			}
 		}
-	} else {
-		n := 0
-		for n < len(q.pending) && n < q.s.opts.MaxBatch && !isBarrier(q.pending[n].op()) {
-			n++
+		if len(q.staged) > 0 {
+			run = q.nextRunLocked()
 		}
-		batch = q.pending[:n:n]
-		q.pending = q.pending[n:]
 	}
-	q.inflight += len(batch)
-	q.queued = q.dispatchableLocked()
-	requeue := q.queued
+	// Expired requests count as handed out until their futures complete,
+	// so a barrier behind them cannot overtake even those.
+	held := len(run) + len(expired)
+	q.inflight += held
 	q.mu.Unlock()
-	if n := len(batch); n > 0 {
-		// Mark the submit→dispatch edge. This worker owns the batch now,
-		// so the stamps race with nothing.
+
+	for _, r := range expired {
+		q.finish(r, fmt.Errorf("%w: block %d", ErrDeadline, r.start()))
+	}
+	if n := len(run); n > 0 {
+		// Mark the submit→dispatch edge. This worker owns the run now, so
+		// the stamps race with nothing.
 		now := obs.NowNS()
-		q.s.m.Batches.Inc()
-		for _, r := range batch {
+		for _, r := range run {
 			r.dispatchNS = now
-			q.record(r, obs.StageStaged, obs.ClassNone, 0) // G: drained into a batch
+			q.record(r, obs.StageStaged, obs.ClassNone, 0) // G: handed to a worker
 			q.s.m.QueueLat.ObserveNS(now - r.submitNS)
 		}
 		q.s.m.QueueDepth.Add(-int64(n))
 		q.s.m.InFlight.Add(int64(n))
-	}
-	if requeue {
-		// More work is immediately dispatchable: hand the queue back so
-		// another worker can run the next batch in parallel with this one.
-		// (Enqueue cannot fail here — this worker is still live.)
-		q.s.enqueue(q)
-	}
-	nBatch := len(batch)
-	wasBarrier := nBatch == 1 && isBarrier(batch[0].op())
-	if wasBarrier {
-		q.runBarrier(batch[0])
-	} else if nBatch > 0 {
-		if live := q.expire(batch); len(live) > 0 {
-			q.run(live)
+		if barrier {
+			q.runBarrier(run[0])
+		} else {
+			q.exec(run)
 		}
 	}
+
 	q.mu.Lock()
-	q.inflight -= nBatch
-	if wasBarrier {
+	q.inflight -= held
+	if barrier {
 		q.syncActive = false
 	}
-	wake := !q.queued && q.dispatchableLocked()
-	if wake {
-		q.queued = true
+	more := q.dispatchableLocked()
+	if !more {
+		q.slots--
 	}
 	q.mu.Unlock()
-	if wake {
-		q.s.enqueue(q)
+	return more
+}
+
+// stageLocked drains one batch — up to maxBatch requests, stopping at a
+// barrier — from pending into staged. Requests whose deadline already
+// passed are taken out first and returned for the caller to complete, so
+// the survivors on either side of one are never merged across the gap;
+// the rest is elevator-sorted once. Caller holds q.mu.
+func (q *VolumeQueue) stageLocked() (expired []*request) {
+	n := 0
+	for n < len(q.pending) && n < maxBatch && !isBarrier(q.pending[n].op()) {
+		n++
 	}
+	batch := q.pending[:n:n]
+	q.pending = q.pending[n:]
+	q.s.m.Batches.Inc()
+	var now time.Time
+	live := batch[:0]
+	for _, r := range batch {
+		if !r.deadline.IsZero() {
+			if now.IsZero() {
+				now = time.Now()
+			}
+			if now.After(r.deadline) {
+				expired = append(expired, r)
+				continue
+			}
+		}
+		live = append(live, r)
+	}
+	if len(live) > 1 {
+		sort.SliceStable(live, func(i, j int) bool {
+			if live[i].op() != live[j].op() {
+				return live[i].op() < live[j].op()
+			}
+			return live[i].start() < live[j].start()
+		})
+	}
+	q.staged = live
+	return expired
+}
+
+// nextRunLocked cuts the leading run of adjacent same-kind requests, at
+// most mergeBlocks long, off the staged batch. Caller holds q.mu.
+func (q *VolumeQueue) nextRunLocked() []*request {
+	b := q.staged
+	total := b[0].blocks()
+	end := b[0].start() + total
+	j := 1
+	for j < len(b) &&
+		b[j].op() == b[0].op() &&
+		b[j].start() == end &&
+		total+b[j].blocks() <= mergeBlocks {
+		end += b[j].blocks()
+		total += b[j].blocks()
+		j++
+	}
+	q.staged = b[j:]
+	return b[:j:j]
 }
 
 // runBarrier executes a dispatched barrier. A Flush whose device Sync
@@ -322,26 +387,6 @@ func (q *VolumeQueue) runBarrier(r *request) {
 		}
 	}
 	q.finish(r, err)
-}
-
-// expire completes the requests of a drained batch whose deadline already
-// passed with ErrDeadline, returning the still-live remainder (in place).
-func (q *VolumeQueue) expire(batch []*request) []*request {
-	var now time.Time
-	live := batch[:0]
-	for _, r := range batch {
-		if !r.deadline.IsZero() {
-			if now.IsZero() {
-				now = time.Now()
-			}
-			if now.After(r.deadline) {
-				q.finish(r, fmt.Errorf("%w: block %d", ErrDeadline, r.start()))
-				continue
-			}
-		}
-		live = append(live, r)
-	}
-	return live
 }
 
 // record appends one flight event for a tagged request. Requests with
@@ -384,66 +429,6 @@ func (q *VolumeQueue) finish(r *request, err error) {
 	// the per-attempt C events the retry path records).
 	q.record(r, obs.StageComplete, storage.FlightClass(err), 0)
 	r.f.complete(err)
-}
-
-// run elevator-sorts a batch, splits it into runs of adjacent same-kind
-// requests, and executes each run as one coalesced device operation.
-// Without a dispatch window the runs execute one at a time, in elevator
-// order. With one (Options.MaxInFlight > 1) each run is submitted to the
-// window in elevator order and executes in its own goroutine: up to
-// MaxInFlight non-overlapping runs proceed at the device concurrently,
-// while a run overlapping an in-flight extent waits its turn — so
-// overlapping runs keep the serial dispatcher's ordering. run returns
-// only after every run it launched completed, which is what keeps the
-// queue's inflight accounting (and therefore barrier draining) exact:
-// a Flush behind this batch cannot dispatch until the whole window is
-// empty again.
-func (q *VolumeQueue) run(batch []*request) {
-	if len(batch) == 1 && q.win == nil {
-		q.exec(batch)
-		return
-	}
-	if len(batch) > 1 {
-		sort.SliceStable(batch, func(i, j int) bool {
-			if batch[i].op() != batch[j].op() {
-				return batch[i].op() < batch[j].op()
-			}
-			return batch[i].start() < batch[j].start()
-		})
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < len(batch); {
-		j := i + 1
-		total := batch[i].blocks()
-		end := batch[i].start() + total
-		for j < len(batch) &&
-			batch[j].op() == batch[i].op() &&
-			!isBarrier(batch[j].op()) &&
-			batch[j].start() == end &&
-			total+batch[j].blocks() <= uint64(q.s.opts.MergeBlocks) {
-			end += batch[j].blocks()
-			total += batch[j].blocks()
-			j++
-		}
-		run := batch[i:j]
-		i = j
-		if q.win == nil {
-			q.exec(run)
-			continue
-		}
-		// Submission order is elevator order: acquire happens here, in the
-		// loop, so a run overlapping an in-flight one parks the submitter
-		// (and everything behind it) until the earlier run completes.
-		sp := span{start: run[0].start(), end: end}
-		q.win.acquire(sp)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer q.win.release(sp)
-			q.exec(run)
-		}()
-	}
-	wg.Wait()
 }
 
 // exec executes one run of adjacent same-kind requests as a single device

@@ -38,11 +38,13 @@ func AlignedBuf(n int) []byte {
 	return raw[off : off+n : off+n]
 }
 
-// AlignedPool is BufPool for page-aligned buffers: Get returns a
-// DirectAlign-aligned buffer of exactly n bytes, reusing a pooled
-// allocation when one is large enough. The direct-mode FileDevice draws
-// its bounce buffers from one of these, so misaligned callers pay a copy
-// but not an allocation per transfer.
+// AlignedPool is a reusable pool of page-aligned I/O-path scratch buffers
+// (the mempool analogue): Get returns a DirectAlign-aligned buffer of
+// exactly n bytes, reusing a pooled allocation when one is large enough.
+// The direct-mode FileDevice draws its bounce buffers from one of these,
+// so misaligned callers pay a copy but not an allocation per transfer; the
+// dm-crypt target draws its ciphertext buffers from another, so what it
+// sends down is aligned by contract and never bounces.
 type AlignedPool struct {
 	p sync.Pool
 }

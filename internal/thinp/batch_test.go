@@ -289,6 +289,13 @@ func TestTelemetryDeniabilityTwinPoolsOnFile(t *testing.T) {
 	if vd.file.Ring && (vd.file.BatchCalls != 1 || vd.file.BatchReqs != hidBlocks) {
 		t.Fatalf("the 8-block write did not go down as one batch of 8: %+v", vd.file)
 	}
+	// Noise buffers are page-aligned by contract (storage.AlignedBuf), like
+	// the hidden write's: a bounce on one side only would be a telemetry
+	// split, and a bounce on either sends the batch down the serial path.
+	if vd.file.BounceCopies != 0 || vc.file.BounceCopies != 0 {
+		t.Fatalf("bounce copies: hidden twin %d, dummy twin %d, want 0 on both",
+			vd.file.BounceCopies, vc.file.BounceCopies)
+	}
 	if d.pool.DummyBlocksWritten() != 0 || c.pool.DummyBlocksWritten() != hidBlocks {
 		t.Fatalf("dummy blocks: D %d, C %d", d.pool.DummyBlocksWritten(), c.pool.DummyBlocksWritten())
 	}

@@ -398,7 +398,7 @@ func (p *Pool) stageNoise() {
 		if i < len(reuse) {
 			fresh[i] = reuse[i]
 		} else {
-			fresh[i] = make([]byte, bs)
+			fresh[i] = storage.AlignedBuf(bs)
 		}
 		burst.Fill(fresh[i])
 	}
@@ -972,7 +972,7 @@ func (p *Pool) execDummy(target, count int) error {
 			}
 			// The blocks of a burst are in flight together, so each needs
 			// a payload buffer of its own.
-			noise = make([]byte, bs)
+			noise = storage.AlignedBuf(bs)
 			burst.Fill(noise)
 		}
 		if p.opts.Meter != nil {

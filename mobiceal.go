@@ -44,6 +44,9 @@ import (
 type (
 	// Config configures Setup and Open; the zero value selects the
 	// paper's defaults (8 volumes, lambda=1, x=50, PBKDF2 2000 rounds).
+	// AsyncWorkers is the async API's one parallelism setting: it bounds
+	// how many requests — of one volume or of several — are at the device
+	// at once.
 	Config = core.Config
 	// System is an initialized MobiCeal device.
 	System = core.System
