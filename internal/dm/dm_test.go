@@ -211,3 +211,24 @@ func BenchmarkCryptWrite4K(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkCryptRead32K is the ledger's mem_read_32k seen at the target:
+// one 8-block request, ciphertext memcpy'd from RAM and decrypted in place.
+func BenchmarkCryptRead32K(b *testing.B) {
+	const blocks = 8
+	raw := storage.NewMemDevice(blockSize, 1024)
+	key := make([]byte, 64)
+	x, err := xcrypto.NewXTSPlain64(key)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := NewCrypt(raw, x, nil)
+	buf := make([]byte, blocks*blockSize)
+	b.SetBytes(int64(len(buf)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := storage.ReadBlocks(c, uint64(i*blocks)%1024, buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -299,7 +299,7 @@ func (t *Thin) write(r *storage.Req) error {
 		st := t.pool.stripeOf(t.id)
 		exts := extArr[:0]
 		holes := holeArr[:0]
-		st.mu.RLock()
+		st.rlock()
 		tm.pt.walkRange(start, n, func(off uint64, pb uint64, mapped bool) {
 			if !mapped {
 				holes = append(holes, start+off)

@@ -471,22 +471,6 @@ func TestFooterPropertyMarshalRoundtrip(t *testing.T) {
 	}
 }
 
-func BenchmarkXTSEncrypt4K(b *testing.B) {
-	key := make([]byte, 64)
-	x, err := NewXTS(key)
-	if err != nil {
-		b.Fatal(err)
-	}
-	buf := make([]byte, 4096)
-	b.SetBytes(4096)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := x.EncryptSector(uint64(i), buf, buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkESSIVEncrypt4K(b *testing.B) {
 	key := make([]byte, 32)
 	e, err := NewESSIV(key)
