@@ -16,6 +16,7 @@ package mobiceal_test
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -499,11 +500,16 @@ func BenchmarkCryptRange(b *testing.B) {
 // BenchmarkCommitIncremental measures metadata commit cost on pools of
 // increasing mapped size when only a single block changed between commits.
 // The incremental path should stay flat as the mapped count grows while
-// the full rewrite scales with it.
+// the full rewrite scales with it. incremental and full remap one block in
+// place (a pure patch); insert maps a fresh vblock at a random position
+// among the mapped ones, the suffix splice mem_commit_4k runs, whose
+// shifted blocks each commit re-hashes.
 func BenchmarkCommitIncremental(b *testing.B) {
 	for _, mapped := range []uint64{1000, 10000, 40000} {
 		mapped := mapped
-		setup := func(b *testing.B) (*thinp.Pool, *thinp.Thin) {
+		// setup maps mapped vblocks stride apart, leaving stride-1 holes
+		// after each.
+		setup := func(b *testing.B, stride uint64) (*thinp.Pool, *thinp.Thin) {
 			b.Helper()
 			dataBlocks := mapped + 8192
 			data := storage.NewMemDevice(benchBlockSize, dataBlocks)
@@ -512,14 +518,21 @@ func BenchmarkCommitIncremental(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if err := pool.CreateThin(1, dataBlocks); err != nil {
+			if err := pool.CreateThin(1, 2*dataBlocks); err != nil {
 				b.Fatal(err)
 			}
 			thin, err := pool.Thin(1)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if err := storage.WriteBlocks(thin, 0, make([]byte, mapped*uint64(benchBlockSize))); err != nil {
+			if stride == 1 {
+				err = storage.WriteBlocks(thin, 0, make([]byte, mapped*uint64(benchBlockSize)))
+			} else {
+				for vb := uint64(0); vb < stride*mapped && err == nil; vb += stride {
+					err = storage.WriteBlocks(thin, vb, make([]byte, benchBlockSize))
+				}
+			}
+			if err != nil {
 				b.Fatal(err)
 			}
 			if err := pool.Commit(); err != nil {
@@ -541,7 +554,7 @@ func BenchmarkCommitIncremental(b *testing.B) {
 			}
 		}
 		b.Run(fmt.Sprintf("mapped=%d/incremental", mapped), func(b *testing.B) {
-			pool, thin := setup(b)
+			pool, thin := setup(b, 1)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				mutate(b, thin, i)
@@ -551,11 +564,47 @@ func BenchmarkCommitIncremental(b *testing.B) {
 			}
 		})
 		b.Run(fmt.Sprintf("mapped=%d/full", mapped), func(b *testing.B) {
-			pool, thin := setup(b)
+			pool, thin := setup(b, 1)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				mutate(b, thin, i)
 				if err := pool.CommitFull(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("mapped=%d/insert", mapped), func(b *testing.B) {
+			pool, thin := setup(b, 2)
+			rng := rand.New(rand.NewSource(1))
+			// holes are the odd vblocks still to fill this round; a round
+			// ends, untimed, by discarding what it filled, so the pool
+			// never outgrows its 8192 spare blocks.
+			var holes, filled []uint64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if len(holes) == 0 {
+					b.StopTimer()
+					for _, vb := range filled {
+						if err := thin.Discard(vb); err != nil {
+							b.Fatal(err)
+						}
+					}
+					if err := pool.Commit(); err != nil {
+						b.Fatal(err)
+					}
+					filled = filled[:0]
+					for _, k := range rng.Perm(int(mapped))[:min(mapped, 4096)] {
+						holes = append(holes, 2*uint64(k)+1)
+					}
+					b.StartTimer()
+				}
+				vb := holes[len(holes)-1]
+				holes = holes[:len(holes)-1]
+				filled = append(filled, vb)
+				if err := storage.WriteBlocks(thin, vb, one); err != nil {
+					b.Fatal(err)
+				}
+				if err := pool.Commit(); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -2,10 +2,10 @@ package minifs
 
 import (
 	"fmt"
-	"hash/crc64"
 	"sort"
 	"time"
 
+	"mobiceal/internal/crc"
 	"mobiceal/internal/storage"
 )
 
@@ -37,9 +37,6 @@ import (
 // jdescHeaderLen is the fixed journal-descriptor prefix: generation u64 |
 // entry count u64 | checksum u64; entry addresses follow.
 const jdescHeaderLen = 8 + 8 + 8
-
-// crcTable drives the journal descriptor checksum.
-var crcTable = crc64.MakeTable(crc64.ECMA)
 
 // marshalBitmap serializes the block bitmap region.
 func (fs *FS) marshalBitmap() []byte {
@@ -289,11 +286,9 @@ func (fs *FS) commitTxn(addrs []uint64, txn map[uint64][]byte) error {
 // and count fields, the address table, and the entry contents. The checksum
 // field itself (desc[16:24]) is excluded.
 func journalChecksum(desc, entries []byte, count int) uint64 {
-	h := crc64.New(crcTable)
-	h.Write(desc[0:16])
-	h.Write(desc[jdescHeaderLen : jdescHeaderLen+8*count])
-	h.Write(entries)
-	return h.Sum64()
+	c := crc.Update(0, desc[0:16])
+	c = crc.Update(c, desc[jdescHeaderLen:jdescHeaderLen+8*count])
+	return crc.Update(c, entries)
 }
 
 // replayJournal validates the journal descriptor against the journal

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"mobiceal/internal/crc"
 	"mobiceal/internal/prng"
 	"mobiceal/internal/storage"
 )
@@ -23,10 +24,66 @@ func TestCRCBlockFolder(t *testing.T) {
 			rng.Read(data)
 			sums := make([]uint64, nBlocks)
 			for b := 0; b < nBlocks; b++ {
-				sums[b] = crc64.Checksum(data[b*bs:(b+1)*bs], crcTable)
+				sums[b] = crc64.Checksum(data[b*bs:(b+1)*bs], crc.Table)
 			}
-			if got, want := f.fold(sums), crc64.Checksum(data, crcTable); got != want {
+			if got, want := f.fold(sums), crc64.Checksum(data, crc.Table); got != want {
 				t.Fatalf("bs=%d n=%d: fold = %#x, want %#x", bs, nBlocks, got, want)
+			}
+		}
+	}
+}
+
+// TestSlotSumsAreStdlibCRC64 reads both A/B slots raw after a run of
+// splice-heavy commits (fresh vblocks at random positions, discards) and
+// checks every seal against hash/crc64 itself, not the crc package the pool
+// computes them with: images written before the kernel open after it, and
+// the other way round.
+func TestSlotSumsAreStdlibCRC64(t *testing.T) {
+	const dataBlocks = 4096
+	p, _, meta := newTestPool(t, dataBlocks, Options{})
+	if err := p.CreateThin(1, dataBlocks); err != nil {
+		t.Fatal(err)
+	}
+	th, err := p.Thin(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab := crc64.MakeTable(crc64.ECMA)
+	rng := rand.New(rand.NewSource(17))
+	buf := make([]byte, blockSize)
+	sb := make([]byte, blockSize)
+	for round := 0; round < 24; round++ {
+		for i := 0; i < 40; i++ {
+			vb := uint64(rng.Intn(dataBlocks / 2))
+			if i%8 == 7 {
+				err = th.Discard(vb)
+			} else {
+				err = th.WriteBlock(vb, buf)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := p.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if round == 0 {
+			continue // slot 1 not written yet
+		}
+		for slot := 0; slot < superSlots; slot++ {
+			if err := meta.ReadBlock(uint64(slot), sb); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := getUint64(sb[superSelfSumOff:]), crc64.Checksum(sb[:superSelfSumOff], tab); got != want {
+				t.Fatalf("round %d slot %d: selfSum %#x, stdlib %#x", round, slot, got, want)
+			}
+			imageLen := getUint64(sb[superImgLenOff:])
+			img, err := storage.ReadFull(meta, p.slotBase(slot), imageLen/blockSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := getUint64(sb[superImgSumOff:]), crc64.Checksum(img, tab); got != want {
+				t.Fatalf("round %d slot %d: imageSum %#x, stdlib %#x over %d bytes", round, slot, got, want, len(img))
 			}
 		}
 	}

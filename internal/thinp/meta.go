@@ -3,13 +3,13 @@ package thinp
 import (
 	"bytes"
 	"fmt"
-	"hash/crc64"
 	"math/bits"
 	"runtime"
 	"sort"
 	"sync/atomic"
 	"time"
 
+	"mobiceal/internal/crc"
 	"mobiceal/internal/obs"
 	"mobiceal/internal/storage"
 )
@@ -70,10 +70,9 @@ const (
 	superSelfSumOff = 56
 )
 
-// crcTable drives the superblock and image checksums (CRC64/ECMA — cheap,
+// The superblock and image checksums are crc.Checksum (CRC64/ECMA — cheap,
 // and torn-write detection needs error detection, not authentication).
-var crcTable = crc64.MakeTable(crc64.ECMA)
-
+//
 // crcBlockFolder combines per-block CRC64 checksums into the checksum of
 // the concatenated image, exploiting CRC linearity: for messages a and b,
 // Checksum(a||b) = Checksum(b) XOR L(Checksum(a)), where L is the linear
@@ -95,12 +94,12 @@ type crcBlockFolder struct {
 // by squaring the one-byte operator.
 func newCRCBlockFolder(blockSize int) *crcBlockFolder {
 	// One zero byte advances a raw (uninverted) CRC register c to
-	// crcTable[byte(c)] ^ (c >> 8); CRC tables are GF(2)-linear, so the
+	// crc.Table[byte(c)] ^ (c >> 8); CRC tables are GF(2)-linear, so the
 	// step is a linear operator we can exponentiate.
 	var one [64]uint64
 	for j := 0; j < 64; j++ {
 		c := uint64(1) << j
-		one[j] = crcTable[byte(c)] ^ (c >> 8)
+		one[j] = crc.Table[byte(c)] ^ (c >> 8)
 	}
 	var acc [64]uint64
 	for j := range acc {
@@ -150,7 +149,7 @@ func crcMatMul(a, b *[64]uint64) [64]uint64 {
 	return r
 }
 
-// fold returns crc64.Checksum of the concatenation of the equally-sized
+// fold returns crc.Checksum of the concatenation of the equally-sized
 // blocks whose individual checksums are sums.
 func (f *crcBlockFolder) fold(sums []uint64) uint64 {
 	if len(sums) == 0 {
@@ -656,7 +655,7 @@ func (p *Pool) refreshSums(changed *metaDirty) {
 	}
 	_ = changed.forEachRunBelow(uint64(nb), func(start, end uint64) error {
 		for b := start; b < end; b++ {
-			p.blockSums[b] = crc64.Checksum(p.image[b*uint64(bs):(b+1)*uint64(bs)], crcTable)
+			p.blockSums[b] = crc.Checksum(p.image[b*uint64(bs) : (b+1)*uint64(bs)])
 		}
 		return nil
 	})
@@ -1078,7 +1077,7 @@ func (p *Pool) marshalSuper(tx uint64, nThins int) []byte {
 	putUint32(buf[superCountOff:], uint32(nThins))
 	putUint64(buf[superImgLenOff:], uint64(len(p.image)))
 	putUint64(buf[superImgSumOff:], p.crcFold.fold(p.blockSums))
-	putUint64(buf[superSelfSumOff:], crc64.Checksum(buf[:superSelfSumOff], crcTable))
+	putUint64(buf[superSelfSumOff:], crc.Checksum(buf[:superSelfSumOff]))
 	return buf
 }
 
@@ -1167,7 +1166,7 @@ func (p *Pool) load() error {
 			reject(slot, "unsupported version %d", v)
 			continue
 		}
-		if crc64.Checksum(buf[:superSelfSumOff], crcTable) != getUint64(buf[superSelfSumOff:]) {
+		if crc.Checksum(buf[:superSelfSumOff]) != getUint64(buf[superSelfSumOff:]) {
 			reject(slot, "superblock checksum mismatch")
 			continue
 		}
@@ -1204,7 +1203,7 @@ func (p *Pool) load() error {
 		if err != nil {
 			return fmt.Errorf("thinp: reading metadata slot %d: %w", c.slot, err)
 		}
-		if crc64.Checksum(raw, crcTable) != c.imageSum {
+		if crc.Checksum(raw) != c.imageSum {
 			reject(c.slot, "image checksum mismatch at tx %d", c.txID)
 			continue
 		}
