@@ -472,10 +472,17 @@ func (fs *FS) writePtrBlock(abs uint64, ptrs []uint64) error {
 // flushPtrBlocks writes all dirty pointer blocks to the device. The caller
 // (Sync) has already shadow-paged every dirty pointer block of committed
 // metadata to a fresh location, so these writes never overwrite a block the
-// last durable transaction still references. Caller holds fs.mu.
+// last durable transaction still references. The blocks go down in address
+// order, not map order, so a run's device access pattern is reproducible.
+// Caller holds fs.mu.
 func (fs *FS) flushPtrBlocks() error {
 	buf := make([]byte, fs.sb.blockSize)
+	addrs := make([]uint64, 0, len(fs.ptrDirty))
 	for abs := range fs.ptrDirty {
+		addrs = append(addrs, abs)
+	}
+	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
+	for _, abs := range addrs {
 		ptrs := fs.ptrCache[abs]
 		for i := range buf {
 			buf[i] = 0
