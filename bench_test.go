@@ -472,7 +472,7 @@ func BenchmarkCryptRange(b *testing.B) {
 	chunk := make([]byte, chunkBlocks*benchBlockSize)
 	span := uint64(4096)
 	b.Run("vectored", func(b *testing.B) {
-		c := dm.NewCrypt(storage.NewMemDevice(benchBlockSize, span), cipher, nil)
+		c := dm.NewCrypt(storage.NewMemDevice(benchBlockSize, span), cipher)
 		b.SetBytes(int64(len(chunk)))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -483,7 +483,7 @@ func BenchmarkCryptRange(b *testing.B) {
 		}
 	})
 	b.Run("blockwise", func(b *testing.B) {
-		c := dm.NewCrypt(storage.NewMemDevice(benchBlockSize, span), cipher, nil)
+		c := dm.NewCrypt(storage.NewMemDevice(benchBlockSize, span), cipher)
 		b.SetBytes(int64(len(chunk)))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

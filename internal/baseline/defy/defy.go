@@ -175,9 +175,7 @@ func (d *Device) WriteBlock(idx uint64, src []byte) error {
 	putU64(iv[:], idx)
 	putU64(iv[8:], d.epochs[idx])
 	cipher.NewCTR(blk, iv[:]).XORKeyStream(ct, src)
-	if d.cfg.Meter != nil {
-		d.cfg.Meter.ChargeCrypto(len(src))
-	}
+	d.cfg.Meter.ChargeCrypto(len(src))
 	slot, err := d.appendLocked(ct)
 	if err != nil {
 		return err
@@ -197,9 +195,7 @@ func (d *Device) WriteBlock(idx uint64, src []byte) error {
 		putU64(nodeIV[:], uint64(level))
 		putU64(nodeIV[8:], d.epochs[idx])
 		cipher.NewCTR(nodeBlk, nodeIV[:]).XORKeyStream(nodeBuf, nodeBuf)
-		if d.cfg.Meter != nil {
-			d.cfg.Meter.ChargeCrypto(len(nodeBuf))
-		}
+		d.cfg.Meter.ChargeCrypto(len(nodeBuf))
 		if _, err := d.appendLocked(nodeBuf); err != nil {
 			return err
 		}
@@ -237,9 +233,7 @@ func (d *Device) ReadBlock(idx uint64, dst []byte) error {
 	putU64(iv[:], idx)
 	putU64(iv[8:], d.epochs[idx])
 	cipher.NewCTR(blk, iv[:]).XORKeyStream(dst, dst)
-	if d.cfg.Meter != nil {
-		d.cfg.Meter.ChargeCrypto(len(dst))
-	}
+	d.cfg.Meter.ChargeCrypto(len(dst))
 	return nil
 }
 
@@ -256,11 +250,7 @@ func (d *Device) LogHead() uint64 {
 // headroom factor 4 (log-structured stores need slack; no GC here).
 func NewOverProfile(blockSize int, logical uint64, meter *vclock.Meter, seed uint64) (*Device, error) {
 	mem := storage.NewMemDevice(blockSize, logical*8)
-	var phys storage.Device = mem
-	if meter != nil {
-		phys = vclock.NewCostDevice(mem, meter)
-	}
-	return New(phys, logical, Config{
+	return New(vclock.NewCostDevice(mem, meter, vclock.Flash), logical, Config{
 		Entropy: prng.NewSeededEntropy(seed),
 		Meter:   meter,
 	})

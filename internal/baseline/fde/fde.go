@@ -109,11 +109,8 @@ func (s *System) Unlock(password string) (storage.Device, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fde: data region: %w", err)
 	}
-	var base storage.Device = region
-	if s.cfg.Meter != nil {
-		base = vclock.NewCostDevice(region, s.cfg.Meter)
-	}
-	return dm.NewCrypt(base, cipher, s.cfg.Meter), nil
+	crypt := dm.NewCrypt(vclock.NewCostDevice(region, s.cfg.Meter, vclock.Flash), cipher)
+	return vclock.NewCostDevice(crypt, s.cfg.Meter, vclock.Crypt), nil
 }
 
 // Boot performs the Android boot flow: unlock with password and probe-mount

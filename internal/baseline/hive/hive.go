@@ -192,9 +192,7 @@ func (d *Device) encryptSlot(slot uint64, plain []byte) error {
 		return err
 	}
 	d.ivs[slot] = iv
-	if d.cfg.Meter != nil {
-		d.cfg.Meter.ChargeCrypto(len(plain))
-	}
+	d.cfg.Meter.ChargeCrypto(len(plain))
 	// Persist the IV-table block this slot lives in.
 	return d.writeIVBlock(slot)
 }
@@ -205,9 +203,7 @@ func (d *Device) decryptSlot(slot uint64, dst []byte) error {
 	}
 	iv := d.ivs[slot]
 	cipher.NewCTR(d.aesKey, iv[:]).XORKeyStream(dst, dst)
-	if d.cfg.Meter != nil {
-		d.cfg.Meter.ChargeCrypto(len(dst))
-	}
+	d.cfg.Meter.ChargeCrypto(len(dst))
 	return nil
 }
 
@@ -249,9 +245,7 @@ func (d *Device) writeMapBlock(l uint64) error {
 	putU64(iv[:], blockIdx)
 	putU64(iv[8:], d.mapVer[blockIdx])
 	cipher.NewCTR(d.aesKey, iv[:]).XORKeyStream(buf, buf)
-	if d.cfg.Meter != nil {
-		d.cfg.Meter.ChargeCrypto(len(buf))
-	}
+	d.cfg.Meter.ChargeCrypto(len(buf))
 	if err := d.phys.WriteBlock(d.mapStart+blockIdx, buf); err != nil {
 		return fmt.Errorf("hive: writing position map: %w", err)
 	}
@@ -271,9 +265,7 @@ func (d *Device) readMapBlock(l uint64) error {
 	if err := d.phys.ReadBlock(d.mapStart+blockIdx, buf); err != nil {
 		return fmt.Errorf("hive: reading position map: %w", err)
 	}
-	if d.cfg.Meter != nil {
-		d.cfg.Meter.ChargeCrypto(len(buf))
-	}
+	d.cfg.Meter.ChargeCrypto(len(buf))
 	return nil
 }
 
@@ -405,11 +397,7 @@ func (d *Device) findFreeSlot() (uint64, bool) {
 // over a fresh memory device charged against meter.
 func NewOverProfile(blockSize int, physBlocks uint64, key []byte, meter *vclock.Meter, seed uint64) (*Device, error) {
 	mem := storage.NewMemDevice(blockSize, physBlocks)
-	var phys storage.Device = mem
-	if meter != nil {
-		phys = vclock.NewCostDevice(mem, meter)
-	}
-	return New(phys, key, Config{
+	return New(vclock.NewCostDevice(mem, meter, vclock.Flash), key, Config{
 		Entropy: prng.NewSeededEntropy(seed),
 		Src:     prng.NewSource(seed),
 		Meter:   meter,

@@ -188,7 +188,7 @@ func TestMeterChargedForCrypto(t *testing.T) {
 	meter := vclock.NewMeter(&clock, vclock.HiveSSD())
 	key := make([]byte, 32)
 	mem := storage.NewMemDevice(blockSize, 512)
-	d, err := New(vclock.NewCostDevice(mem, meter), key, Config{
+	d, err := New(vclock.NewCostDevice(mem, meter, vclock.Flash), key, Config{
 		Entropy: prng.NewSeededEntropy(11),
 		Src:     prng.NewSource(12),
 		Meter:   meter,

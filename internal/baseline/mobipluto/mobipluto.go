@@ -178,14 +178,10 @@ func (s *System) buildPool(create bool) error {
 	if err != nil {
 		return fmt.Errorf("mobipluto: data region: %w", err)
 	}
-	var data storage.Device = dataDev
-	if s.cfg.Meter != nil {
-		data = vclock.NewCostDevice(dataDev, s.cfg.Meter)
-	}
+	data := vclock.NewCostDevice(dataDev, s.cfg.Meter, vclock.Flash)
 	opts := thinp.Options{
 		Allocator: thinp.NewSequentialAllocator(), // stock dm-thin
 		Entropy:   s.cfg.Entropy,
-		Meter:     s.cfg.Meter,
 	}
 	if create {
 		s.pool, err = thinp.CreatePool(data, metaDev, opts)
@@ -221,7 +217,8 @@ func (s *System) OpenPublic(password string) (storage.Device, error) {
 	if err != nil {
 		return nil, err
 	}
-	return dm.NewCrypt(thin, cipher, s.cfg.Meter), nil
+	crypt := dm.NewCrypt(vclock.NewCostDevice(thin, s.cfg.Meter, vclock.Thin), cipher)
+	return vclock.NewCostDevice(crypt, s.cfg.Meter, vclock.Crypt), nil
 }
 
 // hiddenRegion derives the secret hidden-volume placement for a password:
@@ -263,11 +260,8 @@ func (s *System) OpenHidden(password string) (storage.Device, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mobipluto: hidden region: %w", err)
 	}
-	var base storage.Device = region
-	if s.cfg.Meter != nil {
-		base = vclock.NewCostDevice(region, s.cfg.Meter)
-	}
-	return dm.NewCrypt(base, cipher, s.cfg.Meter), nil
+	crypt := dm.NewCrypt(vclock.NewCostDevice(region, s.cfg.Meter, vclock.Flash), cipher)
+	return vclock.NewCostDevice(crypt, s.cfg.Meter, vclock.Crypt), nil
 }
 
 // Boot probes password first as the decoy (public mount), then as a hidden

@@ -13,8 +13,8 @@ import (
 
 func TestSetupPropagatesDeviceFaults(t *testing.T) {
 	mem := storage.NewMemDevice(blockSize, 4096)
-	faulty := storage.NewFaultDevice(mem)
-	faulty.FailWritesAfter(2)
+	faulty := storage.NewFlakyDevice(mem, storage.FlakyOptions{})
+	faulty.FailAfter(storage.OpWrite, 2, nil)
 	if _, err := Setup(faulty, testConfig(30), "decoy", nil); !errors.Is(err, storage.ErrInjected) {
 		t.Fatalf("Setup err = %v, want ErrInjected", err)
 	}
@@ -22,7 +22,7 @@ func TestSetupPropagatesDeviceFaults(t *testing.T) {
 
 func TestSystemSurvivesTransientWriteFault(t *testing.T) {
 	mem := storage.NewMemDevice(blockSize, 4096)
-	faulty := storage.NewFaultDevice(mem)
+	faulty := storage.NewFlakyDevice(mem, storage.FlakyOptions{})
 	sys, err := Setup(faulty, testConfig(31), "decoy", []string{"hidden"})
 	if err != nil {
 		t.Fatal(err)
@@ -47,7 +47,7 @@ func TestSystemSurvivesTransientWriteFault(t *testing.T) {
 	}
 
 	// Device fails mid-workload.
-	faulty.FailWritesAfter(0)
+	faulty.FailAfter(storage.OpWrite, 0, nil)
 	big := make([]byte, 50*blockSize)
 	if _, err := f.WriteAt(big, blockSize); err == nil {
 		t.Fatal("write during device failure succeeded")

@@ -67,7 +67,7 @@ func (s *System) GC(protected []int, src *prng.Source) (GCReport, error) {
 		if err != nil {
 			return report, fmt.Errorf("core: listing volume %d: %w", id, err)
 		}
-		thin, err := s.pool.Thin(id)
+		thin, err := s.view(id, nil)
 		if err != nil {
 			return report, err
 		}

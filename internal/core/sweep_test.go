@@ -151,14 +151,14 @@ func analyzeEpoch(t *testing.T, label string, dev storage.Device, s0, s1 *storag
 func TestCoreFaultSweep(t *testing.T) {
 	// Baseline run: record the workload's device-op window with no faults.
 	sys, flaky, inner := newFaultSystem(t)
-	baseWrites := flaky.OpCount(storage.FlakyWrite)
-	baseSyncs := flaky.OpCount(storage.FlakySync)
+	baseWrites := flaky.OpCount(storage.OpWrite)
+	baseSyncs := flaky.OpCount(storage.OpSync)
 	s0 := inner.Snapshot()
 	if err := runCoreWorkload(sys); err != nil {
 		t.Fatalf("baseline workload: %v", err)
 	}
-	nWrites := flaky.OpCount(storage.FlakyWrite)
-	nSyncs := flaky.OpCount(storage.FlakySync)
+	nWrites := flaky.OpCount(storage.OpWrite)
+	nSyncs := flaky.OpCount(storage.OpSync)
 	if err := sys.Close(); err != nil {
 		t.Fatalf("baseline close: %v", err)
 	}
@@ -181,16 +181,16 @@ func TestCoreFaultSweep(t *testing.T) {
 	}
 
 	type point struct {
-		op  storage.FlakyOp
+		op  storage.Op
 		lo  uint64
 		hi  uint64
 		cls error
 	}
 	sweeps := []point{
-		{storage.FlakyWrite, baseWrites, nWrites, storage.ErrTransient},
-		{storage.FlakyWrite, baseWrites, nWrites, storage.ErrMedium},
-		{storage.FlakySync, baseSyncs, nSyncs, storage.ErrTransient},
-		{storage.FlakySync, baseSyncs, nSyncs, storage.ErrMedium},
+		{storage.OpWrite, baseWrites, nWrites, storage.ErrTransient},
+		{storage.OpWrite, baseWrites, nWrites, storage.ErrMedium},
+		{storage.OpSync, baseSyncs, nSyncs, storage.ErrTransient},
+		{storage.OpSync, baseSyncs, nSyncs, storage.ErrMedium},
 	}
 	for _, sw := range sweeps {
 		for idx := sw.lo; idx < sw.hi; idx += stride {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mobiceal/internal/dm"
@@ -49,7 +50,9 @@ type Config struct {
 	Seed uint64
 	// SeedSet marks Seed as intentional even when zero.
 	SeedSet bool
-	// Meter optionally charges virtual time for I/O-path layers.
+	// Meter, when set, runs the system on the virtual testbed: the data
+	// region, every thin view and every crypt view are wrapped in a
+	// vclock.CostDevice charging it (see view). Nothing below core knows.
 	Meter *vclock.Meter
 	// SequentialAlloc replaces the random allocator with the stock
 	// sequential one. FOR ABLATION EXPERIMENTS ONLY: it reintroduces the
@@ -152,6 +155,10 @@ type System struct {
 	// as the rest of the telemetry surface — every stage hook sits on a
 	// choke point real and dummy traffic traverse identically.
 	flight *obs.FlightRecorder
+
+	// noiseCharged is the high-water mark of dummy-write blocks already
+	// charged to cfg.Meter (chargeThin).
+	noiseCharged atomic.Uint64
 
 	// gcSrc is the source GC draws from when the caller passes none:
 	// created on the first such pass, advanced by every one (gc.go).
@@ -278,7 +285,7 @@ func Setup(dev storage.Device, cfg Config, decoyPassword string, hiddenPasswords
 		if err := xcrypto.FillNoise(cfg.Entropy, noise); err != nil {
 			return nil, fmt.Errorf("core: dummy cover noise: %w", err)
 		}
-		thin, err := sys.pool.Thin(id)
+		thin, err := sys.view(id, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -361,10 +368,7 @@ func (s *System) buildPool(create bool) error {
 	s.flight = obs.NewFlightRecorder(obs.DefaultFlightEvents)
 	s.dataStats.SetFlightRecorder(s.flight)
 	var meta storage.Device = s.metaStats
-	var data storage.Device = s.dataStats
-	if s.cfg.Meter != nil {
-		data = vclock.NewCostDevice(data, s.cfg.Meter)
-	}
+	data := vclock.NewCostDevice(s.dataStats, s.cfg.Meter, vclock.Flash)
 	src := prng.NewSource(s.cfg.Seed)
 	refreshEvery := s.cfg.PolicyRefreshEvery
 	if refreshEvery == 0 {
@@ -387,7 +391,6 @@ func (s *System) buildPool(create bool) error {
 		Policy:         s.policy,
 		Entropy:        s.cfg.Entropy,
 		DummySrc:       prng.NewSource(src.Uint64()),
-		Meter:          s.cfg.Meter,
 		NoSpaceTimeout: s.cfg.NoSpaceTimeout,
 		Flight:         s.flight,
 	}
@@ -464,6 +467,52 @@ func (s *System) Health() Health {
 // flow logs it; tests assert on it.
 func (s *System) Recovery() thinp.Recovery { return s.pool.Recovery() }
 
+// view returns volume id's block device as the system stacks it: the thin
+// view and, given a cipher, dm-crypt over it. A metered system (Config.Meter)
+// wraps each in its charging rule — the thin target's traversals plus the
+// dummy bursts its writes set off, then the crypt target's bytes and
+// traversals — so every view Setup, the verifier and the volumes use is
+// priced the same way. Without a meter the wrappers are not there.
+func (s *System) view(id int, cipher xcrypto.SectorCipher) (storage.Device, error) {
+	thin, err := s.pool.Thin(id)
+	if err != nil {
+		return nil, err
+	}
+	dev := vclock.NewCostDevice(thin, s.cfg.Meter, s.chargeThin)
+	if cipher == nil {
+		return dev, nil
+	}
+	return vclock.NewCostDevice(dm.NewCrypt(dev, cipher), s.cfg.Meter, vclock.Crypt), nil
+}
+
+// chargeThin is the thin rule plus the dummy noise. A burst runs
+// synchronously inside the public provisioning write that fired it, so when
+// that write's call returns its blocks are in the pool's DummyBlocksWritten
+// count; each is charged as the encryption pass it is (same algorithm,
+// discarded key), by whichever call moves noiseCharged past it.
+func (s *System) chargeThin(m *vclock.Meter, reqs []storage.Req, bs int) {
+	vclock.Thin(m, reqs, bs)
+	for n := advance(&s.noiseCharged, s.pool.DummyBlocksWritten()); n > 0; n-- {
+		m.ChargeCrypto(bs)
+	}
+}
+
+// advance moves mark up to n and returns how far it moved — 0 when mark is
+// already there. It moves by compare-and-swap only: a caller holding a stale
+// n must not set the mark back, or the blocks between would be charged
+// twice.
+func advance(mark *atomic.Uint64, n uint64) uint64 {
+	for {
+		seen := mark.Load()
+		if n <= seen {
+			return 0
+		}
+		if mark.CompareAndSwap(seen, n) {
+			return n - seen
+		}
+	}
+}
+
 // cipherFor builds the XTS sector cipher for a derived key, using the
 // Android dm-crypt default parameters (aes-xts-plain64, 256-bit key).
 func cipherFor(key []byte) (xcrypto.SectorCipher, error) {
@@ -497,11 +546,10 @@ func (s *System) writeVerifier(id int, password string) error {
 	if err != nil {
 		return err
 	}
-	thin, err := s.pool.Thin(id)
+	crypt, err := s.view(id, cipher)
 	if err != nil {
 		return err
 	}
-	crypt := dm.NewCrypt(thin, cipher, s.cfg.Meter)
 	if err := crypt.WriteBlock(0, verifierPlain(password, s.dev.BlockSize())); err != nil {
 		return fmt.Errorf("core: writing verifier: %w", err)
 	}
@@ -518,10 +566,6 @@ func (s *System) checkVerifier(id int, password string) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	thin, err := s.pool.Thin(id)
-	if err != nil {
-		return false, err
-	}
 	mapped, err := s.pool.MappedBlocks(id)
 	if err != nil {
 		return false, err
@@ -529,7 +573,10 @@ func (s *System) checkVerifier(id int, password string) (bool, error) {
 	if mapped == 0 {
 		return false, nil
 	}
-	crypt := dm.NewCrypt(thin, cipher, s.cfg.Meter)
+	crypt, err := s.view(id, cipher)
+	if err != nil {
+		return false, err
+	}
 	buf := make([]byte, s.dev.BlockSize())
 	if err := crypt.ReadBlock(0, buf); err != nil {
 		return false, fmt.Errorf("core: reading verifier: %w", err)

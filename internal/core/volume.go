@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"mobiceal/internal/dm"
 	"mobiceal/internal/ioq"
 	"mobiceal/internal/minifs"
 	"mobiceal/internal/storage"
@@ -88,16 +87,11 @@ func (s *System) OpenPublic(password string) (*Volume, error) {
 	if err != nil {
 		return nil, err
 	}
-	thin, err := s.pool.Thin(PublicVolumeID)
+	dev, err := s.view(PublicVolumeID, cipher)
 	if err != nil {
 		return nil, err
 	}
-	return &Volume{
-		sys:  s,
-		id:   PublicVolumeID,
-		mode: ModePublic,
-		dev:  dm.NewCrypt(thin, cipher, s.cfg.Meter),
-	}, nil
+	return &Volume{sys: s, id: PublicVolumeID, mode: ModePublic, dev: dev}, nil
 }
 
 // OpenHidden verifies password against its derived volume's verifier block
@@ -125,11 +119,10 @@ func (s *System) OpenHidden(password string) (*Volume, error) {
 	if err != nil {
 		return nil, err
 	}
-	thin, err := s.pool.Thin(id)
+	crypt, err := s.view(id, cipher)
 	if err != nil {
 		return nil, err
 	}
-	crypt := dm.NewCrypt(thin, cipher, s.cfg.Meter)
 	// Virtual block 0 is the verifier; the file system lives from block 1.
 	fsDev, err := storage.NewSliceDevice(crypt, 1, crypt.NumBlocks()-1)
 	if err != nil {

@@ -10,7 +10,6 @@ import (
 	"sync"
 
 	"mobiceal/internal/storage"
-	"mobiceal/internal/vclock"
 	"mobiceal/internal/xcrypto"
 )
 
@@ -22,7 +21,6 @@ import (
 type Crypt struct {
 	inner  storage.Device
 	cipher xcrypto.SectorCipher
-	meter  *vclock.Meter
 	// scratch holds reusable ciphertext buffers (the target's mempool in
 	// kernel terms) and twins the request lists they travel in, so the
 	// write path does not allocate per request.
@@ -37,11 +35,9 @@ type ctTwin struct {
 	segs [][]byte
 }
 
-// NewCrypt layers cipher over inner. meter may be nil; when set, crypto
-// work and target traversal are charged to it so experiments account for
-// encryption cost the way the paper's testbed pays it.
-func NewCrypt(inner storage.Device, cipher xcrypto.SectorCipher, meter *vclock.Meter) *Crypt {
-	return &Crypt{inner: inner, cipher: cipher, meter: meter}
+// NewCrypt layers cipher over inner.
+func NewCrypt(inner storage.Device, cipher xcrypto.SectorCipher) *Crypt {
+	return &Crypt{inner: inner, cipher: cipher}
 }
 
 // BlockSize implements storage.Device.
@@ -113,7 +109,6 @@ func (c *Crypt) Do(reqs []storage.Req) error {
 		ct.reqs, ct.segs = ct.reqs[:0], ct.segs[:0]
 		c.twins.Put(ct)
 	}
-	c.charge(reqs)
 	return err
 }
 
@@ -167,32 +162,6 @@ func (c *Crypt) decrypt(ok []storage.Req, err error, bs int) error {
 		return ok[k].Err
 	}
 	return err
-}
-
-// charge is the target's one virtual-clock site: every request that
-// completed pays its crypto bytes once and one traversal per block, so the
-// paper-calibrated testbed numbers do not depend on how a scheduler merged,
-// segmented or batched the blocks. A discard carries no payload to encrypt.
-func (c *Crypt) charge(reqs []storage.Req) {
-	if c.meter == nil {
-		return
-	}
-	for i := range reqs {
-		r := &reqs[i]
-		if !r.OK() || r.Op == storage.OpSync {
-			continue
-		}
-		if r.Op != storage.OpDiscard {
-			c.meter.ChargeCrypto(r.Vec.Bytes())
-		}
-		for n := r.Blocks(); n > 0; n-- {
-			if r.Op == storage.OpRead {
-				c.meter.ChargeTraversalRead()
-			} else {
-				c.meter.ChargeTraversalWrite()
-			}
-		}
-	}
 }
 
 // Close implements storage.Device. Closing the crypt view does not close

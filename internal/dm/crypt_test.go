@@ -5,11 +5,9 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
-	"time"
 
 	"mobiceal/internal/prng"
 	"mobiceal/internal/storage"
-	"mobiceal/internal/vclock"
 	"mobiceal/internal/xcrypto"
 )
 
@@ -24,7 +22,7 @@ func testCrypt(t *testing.T, blocks uint64) (*Crypt, *storage.MemDevice) {
 		t.Fatalf("NewXTS: %v", err)
 	}
 	inner := storage.NewMemDevice(512, blocks)
-	return NewCrypt(inner, cipher, nil), inner
+	return NewCrypt(inner, cipher), inner
 }
 
 // TestCryptRangeMatchesBlockwise checks that vectored and per-block crypt
@@ -128,8 +126,8 @@ func TestCryptVecFlatEquivalence(t *testing.T) {
 	}
 	innerVec := storage.NewMemDevice(bs, blocks)
 	innerFlat := storage.NewMemDevice(bs, blocks)
-	cVec := NewCrypt(innerVec, cipher, nil)
-	cFlat := NewCrypt(innerFlat, cipher, nil)
+	cVec := NewCrypt(innerVec, cipher)
+	cFlat := NewCrypt(innerFlat, cipher)
 
 	for r := 0; r < 200; r++ {
 		start := src.Uint64n(blocks)
@@ -175,42 +173,5 @@ func TestCryptVecFlatEquivalence(t *testing.T) {
 	}
 	if !bytes.Equal(a, b) {
 		t.Fatal("ciphertext differs between vec and flat write paths")
-	}
-}
-
-// TestCryptVecMeterParity asserts the virtual-clock charges of a vec op
-// equal the flat op's: per-block traversal, per-byte crypto — invariant to
-// segmentation, so testbed metrics cannot drift when schedulers merge.
-func TestCryptVecMeterParity(t *testing.T) {
-	const bs, blocks = 512, 64
-	src := prng.NewSource(7)
-	key := make([]byte, 64)
-	if _, err := src.Read(key); err != nil {
-		t.Fatal(err)
-	}
-	cipher, err := xcrypto.NewXTSPlain64(key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	charge := func(vec bool) time.Duration {
-		var clock vclock.Clock
-		meter := vclock.NewMeter(&clock, vclock.Nexus4())
-		c := NewCrypt(storage.NewMemDevice(bs, blocks), cipher, meter)
-		buf := make([]byte, 12*bs)
-		var werr, rerr error
-		if vec {
-			werr = storage.WriteBlocksVec(c, 3, vecOver(src, bs, buf))
-			rerr = storage.ReadBlocksVec(c, 3, vecOver(src, bs, buf))
-		} else {
-			werr = storage.WriteBlocks(c, 3, buf)
-			rerr = storage.ReadBlocks(c, 3, buf)
-		}
-		if werr != nil || rerr != nil {
-			t.Fatal(werr, rerr)
-		}
-		return meter.Clock().Now()
-	}
-	if flat, vec := charge(false), charge(true); flat != vec {
-		t.Fatalf("virtual time differs: flat %v, vec %v", flat, vec)
 	}
 }

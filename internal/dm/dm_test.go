@@ -7,7 +7,6 @@ import (
 
 	"mobiceal/internal/prng"
 	"mobiceal/internal/storage"
-	"mobiceal/internal/vclock"
 	"mobiceal/internal/xcrypto"
 )
 
@@ -28,7 +27,7 @@ func newXTS(t testing.TB, seed uint64) *xcrypto.XTS {
 
 func TestCryptRoundtrip(t *testing.T) {
 	raw := storage.NewMemDevice(blockSize, 32)
-	c := NewCrypt(raw, newXTS(t, 1), nil)
+	c := NewCrypt(raw, newXTS(t, 1))
 	plain := make([]byte, blockSize)
 	if _, err := prng.NewSource(9).Read(plain); err != nil {
 		t.Fatal(err)
@@ -47,7 +46,7 @@ func TestCryptRoundtrip(t *testing.T) {
 
 func TestCryptCiphertextOnDisk(t *testing.T) {
 	raw := storage.NewMemDevice(blockSize, 32)
-	c := NewCrypt(raw, newXTS(t, 2), nil)
+	c := NewCrypt(raw, newXTS(t, 2))
 	plain := bytes.Repeat([]byte("secret!!"), blockSize/8)
 	if err := c.WriteBlock(0, plain); err != nil {
 		t.Fatal(err)
@@ -66,7 +65,7 @@ func TestCryptCiphertextOnDisk(t *testing.T) {
 
 func TestCryptDoesNotMutateCallerBuffer(t *testing.T) {
 	raw := storage.NewMemDevice(blockSize, 8)
-	c := NewCrypt(raw, newXTS(t, 3), nil)
+	c := NewCrypt(raw, newXTS(t, 3))
 	plain := bytes.Repeat([]byte{0x42}, blockSize)
 	orig := append([]byte(nil), plain...)
 	if err := c.WriteBlock(1, plain); err != nil {
@@ -79,12 +78,12 @@ func TestCryptDoesNotMutateCallerBuffer(t *testing.T) {
 
 func TestCryptDifferentKeysSeeGarbage(t *testing.T) {
 	raw := storage.NewMemDevice(blockSize, 8)
-	cA := NewCrypt(raw, newXTS(t, 4), nil)
+	cA := NewCrypt(raw, newXTS(t, 4))
 	plain := bytes.Repeat([]byte{0x11}, blockSize)
 	if err := cA.WriteBlock(0, plain); err != nil {
 		t.Fatal(err)
 	}
-	cB := NewCrypt(raw, newXTS(t, 5), nil)
+	cB := NewCrypt(raw, newXTS(t, 5))
 	got := make([]byte, blockSize)
 	if err := cB.ReadBlock(0, got); err != nil {
 		t.Fatal(err)
@@ -96,7 +95,7 @@ func TestCryptDifferentKeysSeeGarbage(t *testing.T) {
 
 func TestCryptSamePlaintextDifferentBlocksDiffers(t *testing.T) {
 	raw := storage.NewMemDevice(blockSize, 8)
-	c := NewCrypt(raw, newXTS(t, 6), nil)
+	c := NewCrypt(raw, newXTS(t, 6))
 	plain := bytes.Repeat([]byte{0x77}, blockSize)
 	if err := c.WriteBlock(0, plain); err != nil {
 		t.Fatal(err)
@@ -117,26 +116,6 @@ func TestCryptSamePlaintextDifferentBlocksDiffers(t *testing.T) {
 	}
 }
 
-func TestCryptChargesMeter(t *testing.T) {
-	var clock vclock.Clock
-	meter := vclock.NewMeter(&clock, vclock.Profile{CryptBps: 1024 * 1024})
-	raw := storage.NewMemDevice(blockSize, 8)
-	c := NewCrypt(raw, newXTS(t, 7), meter)
-	buf := make([]byte, blockSize)
-	if err := c.WriteBlock(0, buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.ReadBlock(0, buf); err != nil {
-		t.Fatal(err)
-	}
-	if meter.CryptoBytes() != 2*blockSize {
-		t.Fatalf("CryptoBytes = %d, want %d", meter.CryptoBytes(), 2*blockSize)
-	}
-	if clock.Now() == 0 {
-		t.Fatal("crypto cost not charged to clock")
-	}
-}
-
 func TestCryptWithESSIV(t *testing.T) {
 	key, err := prng.Bytes(prng.NewSeededEntropy(8), 32)
 	if err != nil {
@@ -147,7 +126,7 @@ func TestCryptWithESSIV(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw := storage.NewMemDevice(blockSize, 8)
-	c := NewCrypt(raw, essiv, nil)
+	c := NewCrypt(raw, essiv)
 	plain := make([]byte, blockSize)
 	if _, err := prng.NewSource(1).Read(plain); err != nil {
 		t.Fatal(err)
@@ -173,7 +152,7 @@ func TestPropertyCryptOverLinearRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewCrypt(lin, newXTS(t, 10), nil)
+	c := NewCrypt(lin, newXTS(t, 10))
 	f := func(idxRaw uint16, seed uint64) bool {
 		idx := uint64(idxRaw) % 64
 		plain := make([]byte, blockSize)
@@ -201,7 +180,7 @@ func BenchmarkCryptWrite4K(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	c := NewCrypt(raw, x, nil)
+	c := NewCrypt(raw, x)
 	buf := make([]byte, blockSize)
 	b.SetBytes(blockSize)
 	b.ResetTimer()
@@ -222,7 +201,7 @@ func BenchmarkCryptRead32K(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	c := NewCrypt(raw, x, nil)
+	c := NewCrypt(raw, x)
 	buf := make([]byte, blocks*blockSize)
 	b.SetBytes(int64(len(buf)))
 	b.ResetTimer()

@@ -200,10 +200,9 @@ func buildThinStack(cfg Fig4Config, hidden bool) (*Stack, error) {
 	if err != nil {
 		return nil, err
 	}
-	pool, err := thinp.CreatePool(vclock.NewCostDevice(dataDev, meter), metaDev, thinp.Options{
+	pool, err := thinp.CreatePool(vclock.NewCostDevice(dataDev, meter, vclock.Flash), metaDev, thinp.Options{
 		Allocator: thinp.NewSequentialAllocator(),
 		Entropy:   prng.NewSeededEntropy(cfg.Seed),
-		Meter:     meter,
 	})
 	if err != nil {
 		return nil, err
@@ -229,7 +228,8 @@ func buildThinStack(cfg Fig4Config, hidden bool) (*Stack, error) {
 	if err != nil {
 		return nil, err
 	}
-	fs, err := minifs.Format(dm.NewCrypt(thin, cipher, meter), 1024)
+	crypt := dm.NewCrypt(vclock.NewCostDevice(thin, meter, vclock.Thin), cipher)
+	fs, err := minifs.Format(vclock.NewCostDevice(crypt, meter, vclock.Crypt), 1024)
 	if err != nil {
 		return nil, err
 	}

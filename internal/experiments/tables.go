@@ -140,7 +140,7 @@ func rawThroughput(profile vclock.Profile, size int64, seed uint64) (float64, er
 	var clock vclock.Clock
 	meter := vclock.NewMeter(&clock, profile)
 	dev := vclock.NewCostDevice(
-		storage.NewMemDevice(blockSize, deviceBlocksFor(int(size>>20))), meter)
+		storage.NewMemDevice(blockSize, deviceBlocksFor(int(size>>20))), meter, vclock.Flash)
 	fs, err := minifs.Format(dev, 256)
 	if err != nil {
 		return 0, err

@@ -242,7 +242,7 @@ func TestQuiesceBarrierNeverPoisons(t *testing.T) {
 func TestTransientSyncRetriedAtBarrier(t *testing.T) {
 	dev := storage.NewFlakyDevice(storage.NewMemDevice(blockSize, 64),
 		storage.FlakyOptions{Seed: 2})
-	dev.FailOpAt(storage.FlakySync, 0, storage.ErrTransient)
+	dev.FailOpAt(storage.OpSync, 0, storage.ErrTransient)
 	s := NewScheduler(Options{Workers: 2})
 	defer s.Close()
 	q := s.Register(dev)

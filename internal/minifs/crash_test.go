@@ -253,7 +253,7 @@ func TestMinifsSyncRetryAfterFault(t *testing.T) {
 	contentB := bytes.Repeat([]byte{0x62}, 1400)
 	for n := 0; ; n++ {
 		crash := storage.NewCrashDevice(storage.NewMemDevice(512, 1024))
-		fd := storage.NewFaultDevice(crash)
+		fd := storage.NewFlakyDevice(crash, storage.FlakyOptions{})
 		fs, err := Format(fd, 32)
 		if err != nil {
 			t.Fatal(err)
@@ -266,7 +266,7 @@ func TestMinifsSyncRetryAfterFault(t *testing.T) {
 			t.Fatal(err)
 		}
 		writeFile(t, fs, "bravo", contentB)
-		fd.FailWritesAfter(n)
+		fd.FailAfter(storage.OpWrite, n, nil)
 		syncErr := fs.Sync()
 		fd.Disarm()
 		if syncErr != nil {

@@ -27,7 +27,7 @@ func (p plainDevice) Close() error                            { return p.d.Close
 // stale stain.
 func TestWriteAtUnwindsFreshBlocksOnFailure(t *testing.T) {
 	mem := storage.NewMemDevice(blockSize, 256)
-	fd := storage.NewFaultDevice(mem)
+	fd := storage.NewFlakyDevice(mem, storage.FlakyOptions{})
 	fs, err := Format(fd, 16)
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +53,7 @@ func TestWriteAtUnwindsFreshBlocksOnFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Fail the device mid-way through an 8-block write into the hole.
-	fd.FailWritesAfter(0)
+	fd.FailAfter(storage.OpWrite, 0, nil)
 	if _, err := f.WriteAt(make([]byte, 8*blockSize), 8*blockSize); err == nil {
 		t.Fatal("write over failing device succeeded")
 	}

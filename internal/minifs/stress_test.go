@@ -162,7 +162,7 @@ func TestSparseFileHoles(t *testing.T) {
 // The FS must propagate device faults without corrupting its cached state.
 func TestFSSurvivesDeviceFault(t *testing.T) {
 	mem := storage.NewMemDevice(blockSize, 2048)
-	faulty := storage.NewFaultDevice(mem)
+	faulty := storage.NewFlakyDevice(mem, storage.FlakyOptions{})
 	fs, err := Format(faulty, 32)
 	if err != nil {
 		t.Fatal(err)
@@ -177,7 +177,7 @@ func TestFSSurvivesDeviceFault(t *testing.T) {
 	if err := fs.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	faulty.FailWritesAfter(0)
+	faulty.FailAfter(storage.OpWrite, 0, nil)
 	if _, err := f.WriteAt(make([]byte, 10*blockSize), blockSize); err == nil {
 		t.Fatal("write during fault succeeded")
 	}

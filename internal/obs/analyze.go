@@ -128,7 +128,7 @@ type TraceReport struct {
 	QueueMean float64         `json:"queue_mean"` // time-weighted
 	FlightMax int             `json:"in_flight_max"`
 	Merge     MergeStats      `json:"merge"`
-	Commits   CommitSummary     `json:"commits"`
+	Commits   CommitSummary   `json:"commits"`
 	Timeline  []TimelinePoint `json:"timeline,omitempty"`
 	Errors    map[string]int  `json:"errors,omitempty"` // error class -> completions
 }

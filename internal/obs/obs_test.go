@@ -307,7 +307,6 @@ func BenchmarkHistogramObserve(b *testing.B) {
 	}
 }
 
-
 func BenchmarkHistogramObserveParallel(b *testing.B) {
 	var h Histogram
 	b.ReportAllocs()

@@ -135,7 +135,7 @@ func readBack(t *testing.T, d Device, reqs []Req) [][]byte {
 // after it were never attempted.
 func TestDoBatchSerialPrefix(t *testing.T) {
 	const bs = 512
-	fd := NewFaultDevice(NewMemDevice(bs, 64))
+	fd := NewFlakyDevice(NewMemDevice(bs, 64), FlakyOptions{})
 	rng := rand.New(rand.NewSource(5))
 	reqs := make([]Req, 4)
 	for i := range reqs {
@@ -143,7 +143,7 @@ func TestDoBatchSerialPrefix(t *testing.T) {
 		rng.Read(buf)
 		reqs[i] = Req{Start: uint64(10 * i), Vec: VecOne(bs, buf)}
 	}
-	fd.FailWritesAfter(5) // requests 0 and 1 land, request 2 lands one block
+	fd.FailAfter(OpWrite, 5, nil) // requests 0 and 1 land, request 2 lands one block
 	err := doBatch(fd, true, reqs)
 	if !errors.Is(err, ErrInjected) {
 		t.Fatalf("DoBatch = %v, want the injected fault", err)

@@ -88,6 +88,13 @@ func over(n uint64, wrap func(t testing.TB, lf *leaf) storage.Device) func(testi
 	}
 }
 
+// costOver builds a layer charging a Nexus 4 meter by rule.
+func costOver(rule vclock.Rule) func(testing.TB, []byte) (storage.Device, *leaf) {
+	return over(cblocks, func(_ testing.TB, lf *leaf) storage.Device {
+		return vclock.NewCostDevice(lf, vclock.NewMeter(new(vclock.Clock), vclock.Nexus4()), rule)
+	})
+}
+
 // bare builds a leafless layer: a view of a MemDevice holding the image.
 func bare(view func(*storage.MemDevice) storage.Device) func(testing.TB, []byte) (storage.Device, *leaf) {
 	return func(t testing.TB, image []byte) (storage.Device, *leaf) {
@@ -112,20 +119,30 @@ func layers() []layer {
 			return d
 		})},
 		{name: "stats", oneToOne: true, build: over(cblocks, func(_ testing.TB, lf *leaf) storage.Device { return storage.NewStatsDevice(lf) })},
-		{name: "fault", oneToOne: true, build: over(cblocks, func(_ testing.TB, lf *leaf) storage.Device { return storage.NewFaultDevice(lf) })},
+		// The fault budget armed but never spent: every block op takes the
+		// budget path and passes.
+		{name: "fault", oneToOne: true, build: over(cblocks, func(_ testing.TB, lf *leaf) storage.Device {
+			d := storage.NewFlakyDevice(lf, storage.FlakyOptions{})
+			for _, op := range []storage.Op{storage.OpRead, storage.OpWrite, storage.OpSync} {
+				d.FailAfter(op, 1<<30, nil)
+			}
+			return d
+		})},
 		{name: "flaky", oneToOne: true, build: over(cblocks, func(_ testing.TB, lf *leaf) storage.Device {
 			return storage.NewFlakyDevice(lf, storage.FlakyOptions{})
 		})},
 		{name: "crash", build: over(cblocks, func(_ testing.TB, lf *leaf) storage.Device { return storage.NewCrashDevice(lf) })},
-		{name: "cost", oneToOne: true, build: over(cblocks, func(_ testing.TB, lf *leaf) storage.Device {
-			return vclock.NewCostDevice(lf, vclock.NewMeter(new(vclock.Clock), vclock.Nexus4()))
-		})},
+		// The virtual testbed's charging wrapper, one row per rule: flash,
+		// thin and crypt pricing of the same forwarded call.
+		{name: "cost", oneToOne: true, build: costOver(vclock.Flash)},
+		{name: "cost-thin", oneToOne: true, build: costOver(vclock.Thin)},
+		{name: "cost-crypt", oneToOne: true, build: costOver(vclock.Crypt)},
 		{name: "crypt", oneToOne: true, build: over(cblocks, func(t testing.TB, lf *leaf) storage.Device {
 			x, err := xcrypto.NewXTSPlain64(key)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return dm.NewCrypt(lf, x, nil)
+			return dm.NewCrypt(lf, x)
 		})},
 		{name: "thin", provisioning: true, rangeChecksDiscard: true, build: over(4*cblocks, func(t testing.TB, lf *leaf) storage.Device {
 			meta := storage.NewMemDevice(cbs, thinp.MetaBlocksNeeded(4*cblocks, cbs))

@@ -13,7 +13,6 @@ import (
 var (
 	_ storage.Doer = (*storage.SliceDevice)(nil)
 	_ storage.Doer = (*storage.StatsDevice)(nil)
-	_ storage.Doer = (*storage.FaultDevice)(nil)
 	_ storage.Doer = (*storage.FlakyDevice)(nil)
 	_ storage.Doer = (*storage.CrashDevice)(nil)
 	_ storage.Doer = (*storage.Snapshot)(nil)

@@ -258,7 +258,7 @@ func TestCrashDevicePowerCutSubset(t *testing.T) {
 // landed.
 func TestCrashDeviceFlushRetryAfterInnerFault(t *testing.T) {
 	mem := NewMemDevice(testBlockSize, 16)
-	faulty := NewFaultDevice(mem)
+	faulty := NewFlakyDevice(mem, FlakyOptions{})
 	d := NewCrashDevice(faulty)
 	if err := d.StartRecording(); err != nil {
 		t.Fatal(err)
@@ -272,7 +272,7 @@ func TestCrashDeviceFlushRetryAfterInnerFault(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	faulty.FailWritesAfter(3)
+	faulty.FailAfter(OpWrite, 3, nil)
 	if err := d.Sync(); !errors.Is(err, ErrInjected) {
 		t.Fatalf("sync with inner fault err = %v, want ErrInjected", err)
 	}

@@ -5,8 +5,11 @@ import (
 	"testing"
 )
 
+// The fault-budget shape of FlakyDevice (FailAfter, Disarm): a device that
+// dies after n block ops of a kind and stays dead until disarmed.
+
 func TestFaultDeviceDisarmedPassesThrough(t *testing.T) {
-	d := NewFaultDevice(NewMemDevice(testBlockSize, 8))
+	d := NewFlakyDevice(NewMemDevice(testBlockSize, 8), FlakyOptions{})
 	buf := make([]byte, testBlockSize)
 	for i := 0; i < 20; i++ {
 		if err := d.WriteBlock(0, buf); err != nil {
@@ -16,14 +19,14 @@ func TestFaultDeviceDisarmedPassesThrough(t *testing.T) {
 			t.Fatalf("read %d: %v", i, err)
 		}
 	}
-	if r, w := d.InjectedFailures(); r != 0 || w != 0 {
-		t.Fatalf("failures = %d/%d", r, w)
+	if s := d.Stats(); s.Budget[OpRead] != 0 || s.Budget[OpWrite] != 0 {
+		t.Fatalf("failures = %d/%d", s.Budget[OpRead], s.Budget[OpWrite])
 	}
 }
 
 func TestFaultDeviceFailsAfterBudget(t *testing.T) {
-	d := NewFaultDevice(NewMemDevice(testBlockSize, 8))
-	d.FailWritesAfter(3)
+	d := NewFlakyDevice(NewMemDevice(testBlockSize, 8), FlakyOptions{})
+	d.FailAfter(OpWrite, 3, nil)
 	buf := make([]byte, testBlockSize)
 	for i := 0; i < 3; i++ {
 		if err := d.WriteBlock(0, buf); err != nil {
@@ -40,14 +43,14 @@ func TestFaultDeviceFailsAfterBudget(t *testing.T) {
 	if err := d.ReadBlock(0, buf); err != nil {
 		t.Fatalf("read: %v", err)
 	}
-	if _, w := d.InjectedFailures(); w != 2 {
+	if w := d.Stats().Budget[OpWrite]; w != 2 {
 		t.Fatalf("failed writes = %d", w)
 	}
 }
 
 func TestFaultDeviceReadFaultsAndDisarm(t *testing.T) {
-	d := NewFaultDevice(NewMemDevice(testBlockSize, 8))
-	d.FailReadsAfter(0)
+	d := NewFlakyDevice(NewMemDevice(testBlockSize, 8), FlakyOptions{})
+	d.FailAfter(OpRead, 0, nil)
 	buf := make([]byte, testBlockSize)
 	if err := d.ReadBlock(0, buf); !errors.Is(err, ErrInjected) {
 		t.Fatalf("read err = %v", err)
@@ -60,8 +63,8 @@ func TestFaultDeviceReadFaultsAndDisarm(t *testing.T) {
 
 func TestFaultDeviceRangePartialCompletion(t *testing.T) {
 	mem := NewMemDevice(testBlockSize, 16)
-	d := NewFaultDevice(mem)
-	d.FailWritesAfter(3)
+	d := NewFlakyDevice(mem, FlakyOptions{})
+	d.FailAfter(OpWrite, 3, nil)
 	src := make([]byte, 8*testBlockSize)
 	for i := 0; i < 8; i++ {
 		fillPattern(src[i*testBlockSize:(i+1)*testBlockSize], byte(10+i))
@@ -106,8 +109,8 @@ func TestFaultDeviceRangeReadPartialCompletion(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	d := NewFaultDevice(mem)
-	d.FailReadsAfter(5)
+	d := NewFlakyDevice(mem, FlakyOptions{})
+	d.FailAfter(OpRead, 5, nil)
 	dst := make([]byte, 8*testBlockSize)
 	err := ReadBlocks(d, 0, dst)
 	var pe *PartialError
@@ -128,13 +131,13 @@ func TestFaultDeviceRangeReadPartialCompletion(t *testing.T) {
 
 func TestFaultDeviceDoesNotWriteOnFault(t *testing.T) {
 	mem := NewMemDevice(testBlockSize, 8)
-	d := NewFaultDevice(mem)
+	d := NewFlakyDevice(mem, FlakyOptions{})
 	good := make([]byte, testBlockSize)
 	fillPattern(good, 7)
 	if err := d.WriteBlock(2, good); err != nil {
 		t.Fatal(err)
 	}
-	d.FailWritesAfter(0)
+	d.FailAfter(OpWrite, 0, nil)
 	bad := make([]byte, testBlockSize)
 	fillPattern(bad, 9)
 	if err := d.WriteBlock(2, bad); !errors.Is(err, ErrInjected) {

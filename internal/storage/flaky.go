@@ -3,36 +3,9 @@ package storage
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"mobiceal/internal/prng"
 )
-
-// FlakyOp names an operation kind on a FlakyDevice for fault targeting and
-// op-index accounting.
-type FlakyOp int
-
-// Operation kinds a FlakyDevice tracks.
-const (
-	FlakyRead FlakyOp = iota
-	FlakyWrite
-	FlakySync
-	flakyOpCount
-)
-
-// String implements fmt.Stringer.
-func (o FlakyOp) String() string {
-	switch o {
-	case FlakyRead:
-		return "read"
-	case FlakyWrite:
-		return "write"
-	case FlakySync:
-		return "sync"
-	default:
-		return fmt.Sprintf("FlakyOp(%d)", int(o))
-	}
-}
 
 // FlakyOptions configures a FlakyDevice. The zero value injects nothing.
 type FlakyOptions struct {
@@ -46,45 +19,54 @@ type FlakyOptions struct {
 	// operation on that pair is guaranteed to pass, modelling a
 	// controller hiccup that clears for good once ridden out.
 	TransientRate float64
-	// LatencyRate is the per-block probability of a latency spike.
-	LatencyRate float64
-	// LatencySpike is how long a spiking operation stalls before
-	// completing normally. Ignored when LatencyRate is 0.
-	LatencySpike time.Duration
 }
 
 // FlakyStats counts the faults a FlakyDevice injected.
 type FlakyStats struct {
 	// Transient counts injected transient faults (rate-based and one-shot).
 	Transient uint64
-	// Medium counts operations failed against sticky bad blocks.
+	// Medium counts operations failed against sticky bad blocks, and
+	// one-shots of the medium class.
 	Medium uint64
-	// Spikes counts latency spikes served.
-	Spikes uint64
+	// Budget counts the requests an exhausted budget failed, indexed by Op.
+	Budget [OpSync + 1]uint64
 }
 
-type flakyKey struct {
-	op  FlakyOp
-	blk uint64
+// opKey names one op of a kind: a block for the recovered set, an op index
+// for the one-shots.
+type opKey struct {
+	op Op
+	n  uint64
+}
+
+// budget is an armed sticky fault: left more block ops (calls, for a sync)
+// pass, then every one fails with class.
+type budget struct {
+	armed bool
+	left  int
+	class error
 }
 
 // FlakyDevice wraps a Device with deterministic, seeded misbehaviour — the
-// three failure shapes real flash exhibits and the stack must absorb:
+// failure shapes real flash exhibits and the stack must absorb:
 //
 //   - transient faults (ErrTransient): an op fails once, its retry
 //     succeeds. Injected at a configured rate and/or at explicit op
 //     indexes via FailOpAt (the fault-sweep harness's injection hook).
 //   - sticky bad blocks (ErrMedium): every read and write of a block
 //     added with AddBadBlock fails, forever, like a grown defect.
-//   - latency spikes: an op stalls for LatencySpike then completes.
+//   - a dying device: FailAfter arms a budget per op kind, after which
+//     every op of that kind fails until Disarm — a flash controller going
+//     bad mid-write, which the upper layers must report cleanly rather
+//     than corrupt state over.
 //
-// Transfers are block-granular like FaultDevice: the prefix before a
-// faulting block transfers and the request fails with a PartialError,
-// so upper-layer partial-completion handling is exercised. Per-block op
-// counters (OpCount) number every block touched, giving the fault-sweep
-// harness a stable index space to enumerate. FlakyDevice is safe for
-// concurrent use; under concurrency the rate-based stream is still seeded
-// but op interleaving decides which ops draw which faults.
+// Transfers are block-granular: the prefix before a faulting block
+// transfers and the request fails with a PartialError, so upper-layer
+// partial-completion handling is exercised. Per-block op counters (OpCount)
+// number every block touched, giving the fault-sweep harness a stable index
+// space to enumerate. FlakyDevice is safe for concurrent use; under
+// concurrency the rate-based stream is still seeded but op interleaving
+// decides which ops draw which faults.
 type FlakyDevice struct {
 	inner Device
 
@@ -92,25 +74,34 @@ type FlakyDevice struct {
 	opts      FlakyOptions
 	src       *prng.Source
 	bad       map[uint64]struct{}
-	oneShot   [flakyOpCount]map[uint64]error
-	recovered map[flakyKey]struct{}
-	ops       [flakyOpCount]uint64
+	oneShot   map[opKey]error
+	recovered map[opKey]struct{}
+	budget    [OpSync + 1]budget
+	ops       [OpSync + 1]uint64
 	stats     FlakyStats
 }
 
 // NewFlakyDevice wraps inner with the given fault configuration.
 func NewFlakyDevice(inner Device, opts FlakyOptions) *FlakyDevice {
-	d := &FlakyDevice{
+	return &FlakyDevice{
 		inner:     inner,
 		opts:      opts,
 		src:       prng.NewSource(opts.Seed),
 		bad:       make(map[uint64]struct{}),
-		recovered: make(map[flakyKey]struct{}),
+		oneShot:   make(map[opKey]error),
+		recovered: make(map[opKey]struct{}),
 	}
-	for i := range d.oneShot {
-		d.oneShot[i] = make(map[uint64]error)
+}
+
+// injected builds an injected fault, classified by class (ErrTransient or
+// ErrMedium) when it is non-nil, so errors.Is sees both ErrInjected and the
+// class. An unclassified fault is one upper layers treat as permanent.
+func injected(class error, format string, args ...any) error {
+	msg := fmt.Sprintf(format, args...)
+	if class == nil {
+		return fmt.Errorf("%w: %s", ErrInjected, msg)
 	}
-	return d
+	return fmt.Errorf("%w (%w): %s", ErrInjected, class, msg)
 }
 
 // AddBadBlock marks blk as a sticky bad block: all subsequent reads and
@@ -128,34 +119,53 @@ func (d *FlakyDevice) ClearBadBlocks() {
 	d.bad = make(map[uint64]struct{})
 }
 
-// FailOpAt arms a one-shot fault: the op-index'th block operation of the
-// given kind (as numbered by OpCount) fails with class (ErrTransient or
-// ErrMedium; nil defaults to ErrTransient). The fault fires exactly once —
-// a retry of the same block passes — which is what lets a fault sweep
-// assert that a single transient error at ANY index is fully absorbed.
-func (d *FlakyDevice) FailOpAt(op FlakyOp, opIndex uint64, class error) {
+// FailOpAt arms a one-shot fault: the op-index'th block operation of kind op
+// (as numbered by OpCount) fails with class (ErrTransient or ErrMedium; nil
+// defaults to ErrTransient). The fault fires exactly once — a retry of the
+// same block passes — which is what lets a fault sweep assert that a single
+// transient error at ANY index is fully absorbed.
+func (d *FlakyDevice) FailOpAt(op Op, opIndex uint64, class error) {
 	if class == nil {
 		class = ErrTransient
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.oneShot[op][opIndex] = class
+	d.oneShot[opKey{op, opIndex}] = class
 }
 
-// SetRates replaces the rate-based fault configuration (transient and
-// latency rates) without disturbing counters, bad blocks or one-shots.
-// Passing zeros disarms rate-based injection.
-func (d *FlakyDevice) SetRates(transient, latency float64) {
+// FailAfter arms a sticky budget for op (OpRead, OpWrite or OpSync): the
+// next n block ops of that kind — calls, for a sync — pass, and every later
+// one fails with ErrInjected, classified by class when it is non-nil, until
+// Disarm. Arming again replaces the budget. A request that runs out of
+// budget mid-transfer completes exactly the blocks the budget covered, as a
+// PartialError; a failed sync never reaches the inner device, the way a
+// flush command times out at a dying controller before any durability is
+// established.
+func (d *FlakyDevice) FailAfter(op Op, n int, class error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.opts.TransientRate = transient
-	d.opts.LatencyRate = latency
+	d.budget[op] = budget{armed: true, left: n, class: class}
 }
 
-// OpCount reports how many block operations of the given kind have been
-// issued so far. Block ops are counted per block: a 4-block range write is
-// four write ops. Sync counts one op per call.
-func (d *FlakyDevice) OpCount(op FlakyOp) uint64 {
+// Disarm clears every armed budget.
+func (d *FlakyDevice) Disarm() {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.budget = [OpSync + 1]budget{}
+}
+
+// SetTransientRate replaces TransientRate without disturbing counters, bad
+// blocks, budgets or one-shots. Zero disarms rate-based injection.
+func (d *FlakyDevice) SetTransientRate(rate float64) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.opts.TransientRate = rate
+}
+
+// OpCount reports how many block operations of kind op have been issued so
+// far. Block ops are counted per block: a 4-block range write is four write
+// ops. Sync counts one op per call.
+func (d *FlakyDevice) OpCount(op Op) uint64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.ops[op]
@@ -168,78 +178,72 @@ func (d *FlakyDevice) Stats() FlakyStats {
 	return d.stats
 }
 
-// checkOp decides the fate of one block op. It returns a non-nil error if
-// the op must fail, and the spike duration to serve before completing
-// (zero for none). Caller must not hold d.mu.
-func (d *FlakyDevice) checkOp(op FlakyOp, blk uint64) (error, time.Duration) {
+// exhaustedLocked takes one unit of op's armed budget and reports whether
+// there was none left: the device is dead for op. Caller holds d.mu.
+func (d *FlakyDevice) exhaustedLocked(op Op) bool {
+	b := &d.budget[op]
+	if !b.armed {
+		return false
+	}
+	if b.left > 0 {
+		b.left--
+		return false
+	}
+	d.stats.Budget[op]++
+	return true
+}
+
+// fault numbers one op of kind op — a block op at blk, or a sync call — and
+// returns the fault it draws, nil when it passes. Rate-based and bad-block
+// faults never hit a sync, so barrier behaviour stays deterministic under
+// rate injection.
+func (d *FlakyDevice) fault(op Op, blk uint64) error {
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	idx := d.ops[op]
 	d.ops[op]++
 
-	// Sticky bad block: dominates everything, fails forever.
-	if op != FlakySync {
-		if _, isBad := d.bad[blk]; isBad {
-			d.stats.Medium++
-			d.mu.Unlock()
-			return fmt.Errorf("%w (%w): %v of bad block %d",
-				ErrInjected, ErrMedium, op, blk), 0
-		}
+	// An exhausted budget is a dead device: nothing else matters.
+	if d.exhaustedLocked(op) {
+		return injected(d.budget[op].class, "%v op %d past the budget (failure %d)",
+			op, idx, d.stats.Budget[op])
+	}
+
+	// Sticky bad block: fails forever.
+	if _, isBad := d.bad[blk]; isBad && op != OpSync {
+		d.stats.Medium++
+		return injected(ErrMedium, "%v of bad block %d", op, blk)
 	}
 
 	// One-shot injection at this op index.
-	if class, ok := d.oneShot[op][idx]; ok {
-		delete(d.oneShot[op], idx)
+	if class, ok := d.oneShot[opKey{op, idx}]; ok {
+		delete(d.oneShot, opKey{op, idx})
 		if class == ErrTransient {
 			d.stats.Transient++
 			// Guarantee the retry passes even if rates are armed.
-			d.recovered[flakyKey{op, blk}] = struct{}{}
+			d.recovered[opKey{op, blk}] = struct{}{}
 		} else {
 			d.stats.Medium++
 		}
-		d.mu.Unlock()
-		return fmt.Errorf("%w (%w): %v op %d (block %d)",
-			ErrInjected, class, op, idx, blk), 0
+		return injected(class, "%v op %d (block %d)", op, idx, blk)
+	}
+	if op == OpSync {
+		return nil
 	}
 
 	// Rate-based transient: the first touch of an (op, block) pair may
 	// fail; after a fault the pair stays recovered for good, like a
 	// controller remapping after a hiccup, so retries always converge.
-	key := flakyKey{op, blk}
+	key := opKey{op, blk}
 	if _, ok := d.recovered[key]; ok {
-		d.mu.Unlock()
-		return nil, 0
+		return nil
 	}
 	if d.opts.TransientRate > 0 && d.src.Float64() < d.opts.TransientRate {
 		d.recovered[key] = struct{}{}
 		d.stats.Transient++
-		d.mu.Unlock()
-		return fmt.Errorf("%w (%w): %v of block %d",
-			ErrInjected, ErrTransient, op, blk), 0
+		return injected(ErrTransient, "%v of block %d", op, blk)
 	}
-
-	var spike time.Duration
-	if d.opts.LatencyRate > 0 && d.opts.LatencySpike > 0 &&
-		d.src.Float64() < d.opts.LatencyRate {
-		d.stats.Spikes++
-		spike = d.opts.LatencySpike
-	}
-	d.mu.Unlock()
-	return nil, spike
-}
-
-// firstFault scans a block range and returns the index of the first block
-// whose op faults, its error, and the accumulated spike duration for the
-// blocks that pass. ok=false means the whole range passes.
-func (d *FlakyDevice) firstFault(op FlakyOp, start uint64, n int) (int, error, time.Duration) {
-	var spike time.Duration
-	for i := 0; i < n; i++ {
-		err, s := d.checkOp(op, start+uint64(i))
-		spike += s
-		if err != nil {
-			return i, err, spike
-		}
-	}
-	return n, nil, spike
+	return nil
 }
 
 // BlockSize implements Device.
@@ -260,54 +264,25 @@ func (d *FlakyDevice) Sync() error { return Sync(d) }
 // Do implements Doer, one request at a time and block-granularly: the
 // prefix before the first faulting block transfers — it may end
 // mid-segment — then the request fails with a PartialError carrying the
-// completed count. Sync faults are op-index based only (one-shot FailOpAt
-// with op FlakySync); rate-based and bad-block faults never hit a sync, so
-// barrier behaviour stays deterministic under rate injection.
+// completed count. A faulted sync never reaches the inner device. Discards
+// pass through untouched.
 func (d *FlakyDevice) Do(reqs []Req) error {
 	return Each(reqs, func(one []Req) error {
 		r := &one[0]
 		switch r.Op {
-		case OpDiscard:
-			return Do(d.inner, one)
+		case OpRead, OpWrite:
+			for i := 0; i < r.Blocks(); i++ {
+				if err := d.fault(r.Op, r.Start+uint64(i)); err != nil {
+					return failAfter(d.inner, one, i, err)
+				}
+			}
 		case OpSync:
-			if err := d.syncFault(); err != nil {
+			if err := d.fault(OpSync, 0); err != nil {
 				return err
 			}
-			return Do(d.inner, one)
 		}
-		op := FlakyRead
-		if r.Op == OpWrite {
-			op = FlakyWrite
-		}
-		done, ferr, spike := d.firstFault(op, r.Start, r.Blocks())
-		if spike > 0 {
-			time.Sleep(spike)
-		}
-		if ferr == nil {
-			return Do(d.inner, one)
-		}
-		return failAfter(d.inner, one, done, ferr)
+		return Do(d.inner, one)
 	})
-}
-
-// syncFault numbers one sync op and returns its armed one-shot fault, if
-// any.
-func (d *FlakyDevice) syncFault() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	idx := d.ops[FlakySync]
-	d.ops[FlakySync]++
-	class, ok := d.oneShot[FlakySync][idx]
-	if !ok {
-		return nil
-	}
-	delete(d.oneShot[FlakySync], idx)
-	if class == ErrTransient {
-		d.stats.Transient++
-	} else {
-		d.stats.Medium++
-	}
-	return fmt.Errorf("%w (%w): sync op %d", ErrInjected, class, idx)
 }
 
 // Close implements Device.

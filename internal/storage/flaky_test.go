@@ -7,9 +7,8 @@ import (
 )
 
 func TestErrorClassHelpers(t *testing.T) {
-	d := NewFaultDevice(NewMemDevice(testBlockSize, 8))
-	d.SetErrorClass(ErrTransient)
-	d.FailWritesAfter(0)
+	d := NewFlakyDevice(NewMemDevice(testBlockSize, 8), FlakyOptions{})
+	d.FailAfter(OpWrite, 0, ErrTransient)
 	buf := make([]byte, testBlockSize)
 	err := d.WriteBlock(0, buf)
 	if !errors.Is(err, ErrInjected) || !IsTransient(err) {
@@ -21,8 +20,7 @@ func TestErrorClassHelpers(t *testing.T) {
 	}
 
 	// Classification survives PartialError wrapping on range ops.
-	d.SetErrorClass(ErrMedium)
-	d.FailWritesAfter(1)
+	d.FailAfter(OpWrite, 1, ErrMedium)
 	err = WriteBlocks(d, 0, make([]byte, 3*testBlockSize))
 	var pe *PartialError
 	if !errors.As(err, &pe) || pe.Done != 1 {
@@ -38,8 +36,8 @@ func TestErrorClassHelpers(t *testing.T) {
 }
 
 func TestFaultDeviceFailSyncsAfter(t *testing.T) {
-	d := NewFaultDevice(NewMemDevice(testBlockSize, 8))
-	d.FailSyncsAfter(2)
+	d := NewFlakyDevice(NewMemDevice(testBlockSize, 8), FlakyOptions{})
+	d.FailAfter(OpSync, 2, nil)
 	for i := 0; i < 2; i++ {
 		if err := d.Sync(); err != nil {
 			t.Fatalf("sync %d within budget: %v", i, err)
@@ -93,7 +91,7 @@ func TestFlakyDeviceRangePartialPrefix(t *testing.T) {
 		FlakyOptions{Seed: 7})
 	// Fault the 3rd write op (index 2): a 5-block range write lands
 	// exactly 2 blocks and reports PartialError{Done: 2}.
-	d.FailOpAt(FlakyWrite, 2, nil)
+	d.FailOpAt(OpWrite, 2, nil)
 	src := bytes.Repeat([]byte{0x5C}, 5*testBlockSize)
 	err := WriteBlocks(d, 4, src)
 	var pe *PartialError
@@ -114,7 +112,7 @@ func TestFlakyDeviceRangePartialPrefix(t *testing.T) {
 	if !bytes.Equal(got, src) {
 		t.Fatal("range content wrong after retry")
 	}
-	if n := d.OpCount(FlakyWrite); n != 8 {
+	if n := d.OpCount(OpWrite); n != 8 {
 		t.Fatalf("write op count = %d, want 8 (3 checked on faulted attempt + 5 retry)", n)
 	}
 }
@@ -152,14 +150,14 @@ func TestFlakyDeviceSyncOneShot(t *testing.T) {
 	if err := d.Sync(); err != nil {
 		t.Fatalf("sync 0: %v", err)
 	}
-	d.FailOpAt(FlakySync, 1, ErrMedium)
+	d.FailOpAt(OpSync, 1, ErrMedium)
 	if err := d.Sync(); !IsMedium(err) {
 		t.Fatalf("sync 1 err = %v", err)
 	}
 	if err := d.Sync(); err != nil {
 		t.Fatalf("sync 2: %v", err)
 	}
-	if n := d.OpCount(FlakySync); n != 3 {
+	if n := d.OpCount(OpSync); n != 3 {
 		t.Fatalf("sync op count = %d", n)
 	}
 }

@@ -46,7 +46,7 @@ func testDevice(t *testing.T, kind string, bs int, blocks uint64) Device {
 	case "stats":
 		return NewStatsDevice(mem)
 	case "fault":
-		return NewFaultDevice(mem)
+		return NewFlakyDevice(mem, FlakyOptions{})
 	case "crash":
 		return NewCrashDevice(mem)
 	case "plain":
@@ -173,8 +173,8 @@ func TestStatsDeviceRangeAccounting(t *testing.T) {
 }
 
 func TestFaultDeviceRangeBudget(t *testing.T) {
-	fd := NewFaultDevice(NewMemDevice(512, 32))
-	fd.FailWritesAfter(8)
+	fd := NewFlakyDevice(NewMemDevice(512, 32), FlakyOptions{})
+	fd.FailAfter(OpWrite, 8, nil)
 	// A range within budget succeeds and consumes one unit per block.
 	if err := WriteBlocks(fd, 0, make([]byte, 5*512)); err != nil {
 		t.Fatalf("in-budget range write: %v", err)
@@ -184,7 +184,7 @@ func TestFaultDeviceRangeBudget(t *testing.T) {
 	if err := WriteBlocks(fd, 0, make([]byte, 4*512)); !errors.Is(err, ErrInjected) {
 		t.Fatalf("over-budget range err = %v, want ErrInjected", err)
 	}
-	if _, writes := fd.InjectedFailures(); writes != 1 {
+	if writes := fd.Stats().Budget[OpWrite]; writes != 1 {
 		t.Fatalf("failed writes = %d, want 1", writes)
 	}
 	// Once failed, the device stays failed (the documented arming

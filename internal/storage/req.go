@@ -20,6 +20,9 @@ const (
 	OpSync    = Op(obs.FOpSync)
 )
 
+// String names the op as the flight recorder does: "read", "write", ...
+func (o Op) String() string { return obs.FlightOp(o).String() }
+
 // Req is the one request descriptor of the device stack — the struct bio of
 // this repo. A read or write moves Vec.Len() consecutive blocks starting at
 // Start through the vec's segments; a discard drops Count blocks starting

@@ -203,7 +203,7 @@ func TestFaultDeviceVecPartial(t *testing.T) {
 	src := prng.NewSource(4242)
 	for budget := 0; budget <= 10; budget++ {
 		mem := NewMemDevice(bs, blocks)
-		fd := NewFaultDevice(mem)
+		fd := NewFlakyDevice(mem, FlakyOptions{})
 		payload := make([]byte, 10*bs)
 		if _, err := src.Read(payload); err != nil {
 			t.Fatal(err)
@@ -211,7 +211,7 @@ func TestFaultDeviceVecPartial(t *testing.T) {
 		// Segmentation 3+4+3 guarantees every budget in (0,10) cuts either
 		// at or inside a segment.
 		v := Vec(bs, payload[:3*bs], payload[3*bs:7*bs], payload[7*bs:])
-		fd.FailWritesAfter(budget)
+		fd.FailAfter(OpWrite, budget, nil)
 		err := WriteBlocksVec(fd, 2, v)
 		if budget >= 10 {
 			if err != nil {
@@ -242,8 +242,8 @@ func TestFaultDeviceVecPartial(t *testing.T) {
 		}
 
 		// Same contract on the read side.
-		fd2 := NewFaultDevice(mem)
-		fd2.FailReadsAfter(budget)
+		fd2 := NewFlakyDevice(mem, FlakyOptions{})
+		fd2.FailAfter(OpRead, budget, nil)
 		rv := Vec(bs, make([]byte, 3*bs), make([]byte, 4*bs), make([]byte, 3*bs))
 		rerr := ReadBlocksVec(fd2, 2, rv)
 		if !errors.As(rerr, &pe) || pe.Done != budget {
@@ -259,13 +259,13 @@ func TestFaultDeviceVecPartial(t *testing.T) {
 func TestVecSegmentErrorRebasing(t *testing.T) {
 	const bs, blocks = 128, 64
 	mem := NewMemDevice(bs, blocks)
-	fd := NewFaultDevice(mem)
-	// Hide the vec capability: the ladder drives the FaultDevice block by
+	fd := NewFlakyDevice(mem, FlakyOptions{})
+	// Hide the vec capability: the ladder drives the FlakyDevice block by
 	// block.
 	dev := &rangeOnlyDevice{plainDevice{fd}}
 	payload := make([]byte, 8*bs)
 	v := Vec(bs, payload[:4*bs], payload[4*bs:])
-	fd.FailWritesAfter(6)
+	fd.FailAfter(OpWrite, 6, nil)
 	err := WriteBlocksVec(dev, 0, v)
 	var pe *PartialError
 	if !errors.As(err, &pe) {
@@ -280,9 +280,9 @@ func TestVecSegmentErrorRebasing(t *testing.T) {
 	// A failure on a later segment still becomes a PartialError carrying
 	// the earlier segments' blocks, through two per-block rungs.
 	mem2 := NewMemDevice(bs, blocks)
-	fd2 := NewFaultDevice(mem2)
+	fd2 := NewFlakyDevice(mem2, FlakyOptions{})
 	dev2 := &rangeOnlyDevice{plainDevice{plainDevice{fd2}}}
-	fd2.FailWritesAfter(2)
+	fd2.FailAfter(OpWrite, 2, nil)
 	err = WriteBlocksVec(dev2, 0, Vec(bs, payload[:2*bs], payload[2*bs:6*bs]))
 	if !errors.As(err, &pe) {
 		t.Fatalf("error %v, want PartialError", err)

@@ -14,7 +14,7 @@ import (
 // recovers.
 func TestPoolSurvivesDataDeviceWriteFaults(t *testing.T) {
 	mem := storage.NewMemDevice(blockSize, 128)
-	faulty := storage.NewFaultDevice(mem)
+	faulty := storage.NewFlakyDevice(mem, storage.FlakyOptions{})
 	meta := storage.NewMemDevice(blockSize, MetaBlocksNeeded(128, blockSize))
 	p, err := CreatePool(faulty, meta, Options{Entropy: prng.NewSeededEntropy(1)})
 	if err != nil {
@@ -31,7 +31,7 @@ func TestPoolSurvivesDataDeviceWriteFaults(t *testing.T) {
 	if err := thin.WriteBlock(0, buf); err != nil {
 		t.Fatal(err)
 	}
-	faulty.FailWritesAfter(0)
+	faulty.FailAfter(storage.OpWrite, 0, nil)
 	err = thin.WriteBlock(1, buf)
 	if !errors.Is(err, storage.ErrInjected) {
 		t.Fatalf("err = %v, want ErrInjected", err)
@@ -49,7 +49,7 @@ func TestPoolSurvivesDataDeviceWriteFaults(t *testing.T) {
 func TestPoolCommitPropagatesMetaFaults(t *testing.T) {
 	data := storage.NewMemDevice(blockSize, 128)
 	metaMem := storage.NewMemDevice(blockSize, MetaBlocksNeeded(128, blockSize))
-	faulty := storage.NewFaultDevice(metaMem)
+	faulty := storage.NewFlakyDevice(metaMem, storage.FlakyOptions{})
 	p, err := CreatePool(data, faulty, Options{Entropy: prng.NewSeededEntropy(2)})
 	if err != nil {
 		t.Fatal(err)
@@ -57,7 +57,7 @@ func TestPoolCommitPropagatesMetaFaults(t *testing.T) {
 	if err := p.CreateThin(1, 64); err != nil {
 		t.Fatal(err)
 	}
-	faulty.FailWritesAfter(0)
+	faulty.FailAfter(storage.OpWrite, 0, nil)
 	if err := p.Commit(); !errors.Is(err, storage.ErrInjected) {
 		t.Fatalf("commit err = %v, want ErrInjected", err)
 	}
@@ -99,7 +99,7 @@ func TestPoolCommitPropagatesMetaFaults(t *testing.T) {
 
 func TestThinReadFaultPropagates(t *testing.T) {
 	mem := storage.NewMemDevice(blockSize, 128)
-	faulty := storage.NewFaultDevice(mem)
+	faulty := storage.NewFlakyDevice(mem, storage.FlakyOptions{})
 	meta := storage.NewMemDevice(blockSize, MetaBlocksNeeded(128, blockSize))
 	p, err := CreatePool(faulty, meta, Options{Entropy: prng.NewSeededEntropy(3)})
 	if err != nil {
@@ -116,7 +116,7 @@ func TestThinReadFaultPropagates(t *testing.T) {
 	if err := thin.WriteBlock(5, buf); err != nil {
 		t.Fatal(err)
 	}
-	faulty.FailReadsAfter(0)
+	faulty.FailAfter(storage.OpRead, 0, nil)
 	if err := thin.ReadBlock(5, buf); !errors.Is(err, storage.ErrInjected) {
 		t.Fatalf("read err = %v, want ErrInjected", err)
 	}

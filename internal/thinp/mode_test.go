@@ -200,7 +200,7 @@ func TestModeTransientMetaFaultAbsorbedByCommitRetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Fault the very next metadata write op, transient class.
-	flaky.FailOpAt(storage.FlakyWrite, flaky.OpCount(storage.FlakyWrite), storage.ErrTransient)
+	flaky.FailOpAt(storage.OpWrite, flaky.OpCount(storage.OpWrite), storage.ErrTransient)
 	if err := p.Commit(); err != nil {
 		t.Fatalf("commit with transient meta fault: %v", err)
 	}
@@ -208,7 +208,7 @@ func TestModeTransientMetaFaultAbsorbedByCommitRetry(t *testing.T) {
 		t.Fatalf("mode = %v, want write (transient fault absorbed)", m)
 	}
 	// A transient sync hiccup is absorbed the same way.
-	flaky.FailOpAt(storage.FlakySync, flaky.OpCount(storage.FlakySync), storage.ErrTransient)
+	flaky.FailOpAt(storage.OpSync, flaky.OpCount(storage.OpSync), storage.ErrTransient)
 	if err := thin.WriteBlock(1, make([]byte, blockSize)); err != nil {
 		t.Fatal(err)
 	}

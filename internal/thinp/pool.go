@@ -12,7 +12,6 @@ import (
 	"mobiceal/internal/obs"
 	"mobiceal/internal/prng"
 	"mobiceal/internal/storage"
-	"mobiceal/internal/vclock"
 	"mobiceal/internal/xcrypto"
 )
 
@@ -65,9 +64,6 @@ type Options struct {
 	// DummySrc drives random virtual-offset choice for dummy mappings;
 	// nil seeds from Entropy.
 	DummySrc *prng.Source
-	// Meter, when set, charges device-mapper target traversal per thin
-	// I/O request.
-	Meter *vclock.Meter
 	// NoSpaceTimeout bounds how long a write needing provisioning queues
 	// while the pool sits in PoolOutOfDataSpace before failing with
 	// ErrNoSpace — dm-thin's no_space_timeout. Zero (the default) fails
@@ -846,24 +842,6 @@ func (p *Pool) PhysicalBlocks(id int) ([]uint64, error) {
 // nil is a valid always-disabled recorder).
 func (p *Pool) Flight() *obs.FlightRecorder { return p.flight }
 
-// chargeTraversal is the pool's one virtual-clock site for the thin target:
-// a completed n-block transfer pays one traversal per block, whatever the
-// request's segmentation (Sec. VI-B attributes stock thin provisioning's
-// read cost to exactly this added layer).
-func (p *Pool) chargeTraversal(op storage.Op, n int) {
-	meter := p.opts.Meter
-	if meter == nil {
-		return
-	}
-	for ; n > 0; n-- {
-		if op == storage.OpRead {
-			meter.ChargeTraversalRead()
-		} else {
-			meter.ChargeTraversalWrite()
-		}
-	}
-}
-
 // flightID returns fid unchanged when the request is already tagged.
 // Untagged calls (fid 0) get a fresh id while recording is enabled, so
 // direct Pool/Thin entry points — bypassing the I/O scheduler — still
@@ -1019,14 +997,6 @@ func (p *Pool) execDummy(target, count int) error {
 			// a payload buffer of its own.
 			noise = storage.AlignedBuf(bs)
 			burst.Fill(noise)
-		}
-		if p.opts.Meter != nil {
-			// Noise generation is an encryption pass (same algorithm,
-			// discarded key) and costs the same CPU time. It is charged at
-			// consumption regardless of whether the keystream was staged
-			// ahead of the lock, so virtual-clock metrics do not depend on
-			// the staging optimization.
-			p.opts.Meter.ChargeCrypto(len(noise))
 		}
 		batch.reqs = append(batch.reqs, storage.Req{Op: storage.OpWrite, Start: pb, Vec: storage.VecOne(bs, noise), FID: bfid})
 	}

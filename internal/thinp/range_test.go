@@ -184,7 +184,7 @@ func TestThinRangeValidation(t *testing.T) {
 // verifies the vectored write reports it and leaves the pool consistent.
 func TestThinRangeFaultPropagation(t *testing.T) {
 	inner := storage.NewMemDevice(blockSize, 256)
-	fd := storage.NewFaultDevice(inner)
+	fd := storage.NewFlakyDevice(inner, storage.FlakyOptions{})
 	meta := storage.NewMemDevice(blockSize, MetaBlocksNeeded(256, blockSize))
 	p, err := CreatePool(fd, meta, Options{Entropy: prng.NewSeededEntropy(3)})
 	if err != nil {
@@ -197,7 +197,7 @@ func TestThinRangeFaultPropagation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fd.FailWritesAfter(4)
+	fd.FailAfter(storage.OpWrite, 4, nil)
 	err = storage.WriteBlocks(thin, 0, bytes.Repeat([]byte{0xCD}, 16*blockSize))
 	if !errors.Is(err, storage.ErrInjected) {
 		t.Fatalf("err = %v, want ErrInjected", err)
@@ -287,7 +287,7 @@ func TestBatchProvisionIntegrity(t *testing.T) {
 // the vblock unmapped (reads zeros) and the pool consistent.
 func TestProvisionUnwindOnDummyFailure(t *testing.T) {
 	inner := storage.NewMemDevice(blockSize, 256)
-	fd := storage.NewFaultDevice(inner)
+	fd := storage.NewFlakyDevice(inner, storage.FlakyOptions{})
 	meta := storage.NewMemDevice(blockSize, MetaBlocksNeeded(256, blockSize))
 	p, err := CreatePool(fd, meta, Options{
 		Policy:   &fixedPolicy{watch: 1, target: 2, count: 1},
@@ -306,7 +306,7 @@ func TestProvisionUnwindOnDummyFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fd.FailWritesAfter(0) // the very first write — the dummy noise — fails
+	fd.FailAfter(storage.OpWrite, 0, nil) // the very first write — the dummy noise — fails
 	src := bytes.Repeat([]byte{0xAB}, blockSize)
 	if err := thin.WriteBlock(5, src); err == nil {
 		t.Fatal("write with failing dummy noise succeeded")

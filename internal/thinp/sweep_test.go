@@ -254,19 +254,19 @@ func TestFaultSweepMetaDevice(t *testing.T) {
 		storage.FlakyOptions{Seed: 1})
 	var baseWrites, baseSyncs uint64
 	if r := runSweepWorkload(t, baseData, baseMeta, func() {
-		baseWrites = baseMeta.OpCount(storage.FlakyWrite)
-		baseSyncs = baseMeta.OpCount(storage.FlakySync)
+		baseWrites = baseMeta.OpCount(storage.OpWrite)
+		baseSyncs = baseMeta.OpCount(storage.OpSync)
 	}); r.err != nil {
 		t.Fatalf("baseline run failed: %v", r.err)
 	}
-	nWrites := baseMeta.OpCount(storage.FlakyWrite)
-	nSyncs := baseMeta.OpCount(storage.FlakySync)
+	nWrites := baseMeta.OpCount(storage.OpWrite)
+	nSyncs := baseMeta.OpCount(storage.OpSync)
 	if nWrites <= baseWrites || nSyncs <= baseSyncs {
 		t.Fatalf("degenerate baseline: writes [%d,%d), syncs [%d,%d)",
 			baseWrites, nWrites, baseSyncs, nSyncs)
 	}
 
-	sweep := func(op storage.FlakyOp, lo, hi uint64, class error) {
+	sweep := func(op storage.Op, lo, hi uint64, class error) {
 		for i := lo; i < hi; i++ {
 			label := fmt.Sprintf("meta %v op %d class %v", op, i, class)
 			dataMem := storage.NewMemDevice(blockSize, sweepDataBlocks)
@@ -310,8 +310,8 @@ func TestFaultSweepMetaDevice(t *testing.T) {
 		}
 	}
 	for _, class := range []error{storage.ErrTransient, storage.ErrMedium} {
-		sweep(storage.FlakyWrite, baseWrites, nWrites, class)
-		sweep(storage.FlakySync, baseSyncs, nSyncs, class)
+		sweep(storage.OpWrite, baseWrites, nWrites, class)
+		sweep(storage.OpSync, baseSyncs, nSyncs, class)
 	}
 }
 
@@ -325,11 +325,11 @@ func TestFaultSweepDataDevice(t *testing.T) {
 	baseMeta := storage.NewMemDevice(blockSize, MetaBlocksNeeded(sweepDataBlocks, blockSize))
 	var baseWrites uint64
 	if r := runSweepWorkload(t, baseData, baseMeta, func() {
-		baseWrites = baseData.OpCount(storage.FlakyWrite)
+		baseWrites = baseData.OpCount(storage.OpWrite)
 	}); r.err != nil {
 		t.Fatalf("baseline run failed: %v", r.err)
 	}
-	nWrites := baseData.OpCount(storage.FlakyWrite)
+	nWrites := baseData.OpCount(storage.OpWrite)
 	if nWrites <= baseWrites {
 		t.Fatal("degenerate baseline")
 	}
@@ -341,7 +341,7 @@ func TestFaultSweepDataDevice(t *testing.T) {
 			metaMem := storage.NewMemDevice(blockSize, MetaBlocksNeeded(sweepDataBlocks, blockSize))
 			flaky := storage.NewFlakyDevice(dataMem, storage.FlakyOptions{Seed: 2})
 			r := runSweepWorkload(t, dataMem2dev(flaky), metaMem, func() {
-				flaky.FailOpAt(storage.FlakyWrite, i, class)
+				flaky.FailOpAt(storage.OpWrite, i, class)
 			})
 
 			// The thin data path performs no retry itself (that is the I/O

@@ -63,12 +63,11 @@ func (t *Thin) Discard(idx uint64) error { return storage.Discard(t, idx, 1) }
 func (t *Thin) Do(reqs []storage.Req) error {
 	return storage.Each(reqs, func(one []storage.Req) error {
 		r := &one[0]
-		var err error
 		switch r.Op {
 		case storage.OpRead:
-			err = t.read(r)
+			return t.read(r)
 		case storage.OpWrite:
-			err = t.write(r)
+			return t.write(r)
 		case storage.OpDiscard:
 			return t.discard(r.Start, r.Count)
 		case storage.OpSync:
@@ -76,10 +75,6 @@ func (t *Thin) Do(reqs []storage.Req) error {
 		default:
 			return fmt.Errorf("thinp: unknown request op %d", r.Op)
 		}
-		if err == nil {
-			t.pool.chargeTraversal(r.Op, r.Blocks())
-		}
-		return err
 	})
 }
 

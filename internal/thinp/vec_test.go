@@ -33,7 +33,7 @@ func vecOver(src *prng.Source, buf []byte) storage.BlockVec {
 func TestThinVecPartialWriteUnwind(t *testing.T) {
 	const virt = 32
 	data := storage.NewMemDevice(blockSize, 256)
-	fd := storage.NewFaultDevice(data)
+	fd := storage.NewFlakyDevice(data, storage.FlakyOptions{})
 	meta := storage.NewMemDevice(blockSize, MetaBlocksNeeded(256, blockSize))
 	p, err := CreatePool(fd, meta, Options{
 		Allocator: NewSequentialAllocator(),
@@ -56,7 +56,7 @@ func TestThinVecPartialWriteUnwind(t *testing.T) {
 		payload[i] = byte(i%250) + 1
 	}
 	v := storage.Vec(blockSize, payload[:2*blockSize], payload[2*blockSize:6*blockSize], payload[6*blockSize:])
-	fd.FailWritesAfter(5)
+	fd.FailAfter(storage.OpWrite, 5, nil)
 	werr := storage.WriteBlocksVec(thin, 4, v)
 	var pe *storage.PartialError
 	if !errors.As(werr, &pe) {

@@ -72,8 +72,9 @@ func bytesDuration(n uint64, bps float64) time.Duration {
 }
 
 // Meter charges elementary operations against a Clock according to a
-// Profile. Subsystems (cost devices, dm-crypt, the Android control plane)
-// share one Meter so a full experiment accumulates on a single timeline.
+// Profile. Subsystems (the cost devices wrapped around each priced layer,
+// the baseline schemes, the Android control plane) share one Meter so a full
+// experiment accumulates on a single timeline.
 type Meter struct {
 	clock   *Clock
 	profile Profile
@@ -133,8 +134,12 @@ func (m *Meter) ChargeWrite(idx uint64, n int) {
 	m.clock.Advance(d)
 }
 
-// ChargeCrypto charges encryption or decryption of n bytes.
+// ChargeCrypto charges encryption or decryption of n bytes. A nil meter
+// charges nothing, so an unmetered scheme calls it unguarded.
 func (m *Meter) ChargeCrypto(n int) {
+	if m == nil {
+		return
+	}
 	m.mu.Lock()
 	m.cryptoBytes += uint64(n)
 	m.mu.Unlock()

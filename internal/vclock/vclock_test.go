@@ -4,7 +4,10 @@ import (
 	"testing"
 	"time"
 
+	"mobiceal/internal/dm"
+	"mobiceal/internal/prng"
 	"mobiceal/internal/storage"
+	"mobiceal/internal/xcrypto"
 )
 
 func TestClockAdvance(t *testing.T) {
@@ -145,7 +148,7 @@ func TestCostDeviceChargesMeter(t *testing.T) {
 	var c Clock
 	m := NewMeter(&c, profile)
 	mem := storage.NewMemDevice(4096, 16)
-	d := NewCostDevice(mem, m)
+	d := NewCostDevice(mem, m, Flash)
 
 	buf := make([]byte, 4096)
 	if err := d.WriteBlock(0, buf); err != nil {
@@ -165,13 +168,102 @@ func TestCostDeviceChargesMeter(t *testing.T) {
 func TestCostDeviceDoesNotChargeFailedIO(t *testing.T) {
 	var c Clock
 	m := NewMeter(&c, Profile{RandWritePenalty: time.Second})
-	d := NewCostDevice(storage.NewMemDevice(4096, 2), m)
+	d := NewCostDevice(storage.NewMemDevice(4096, 2), m, Flash)
 	buf := make([]byte, 4096)
 	if err := d.WriteBlock(5, buf); err == nil {
 		t.Fatal("expected out-of-range error")
 	}
 	if c.Now() != 0 {
 		t.Fatalf("failed I/O charged %v", c.Now())
+	}
+}
+
+func TestNilMeterWrapsNothing(t *testing.T) {
+	mem := storage.NewMemDevice(4096, 2)
+	for _, rule := range []Rule{Flash, Thin, Crypt} {
+		if d := NewCostDevice(mem, nil, rule); d != storage.Device(mem) {
+			t.Fatalf("nil meter wrapped the device: %T", d)
+		}
+	}
+	var m *Meter
+	m.ChargeCrypto(4096) // a nil meter charges nothing
+}
+
+// cryptOver is a crypt view of a fresh MemDevice, charged to m by the crypt
+// rule the way a metered system charges it.
+func cryptOver(t *testing.T, m *Meter, bs int, blocks uint64) storage.Device {
+	t.Helper()
+	key, err := prng.Bytes(prng.NewSeededEntropy(7), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cipher, err := xcrypto.NewXTSPlain64(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return NewCostDevice(dm.NewCrypt(storage.NewMemDevice(bs, blocks), cipher), m, Crypt)
+}
+
+func TestCryptChargesMeter(t *testing.T) {
+	const bs = 4096
+	var clock Clock
+	meter := NewMeter(&clock, Profile{CryptBps: 1024 * 1024})
+	c := cryptOver(t, meter, bs, 8)
+	buf := make([]byte, bs)
+	if err := c.WriteBlock(0, buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.ReadBlock(0, buf); err != nil {
+		t.Fatal(err)
+	}
+	if meter.CryptoBytes() != 2*bs {
+		t.Fatalf("CryptoBytes = %d, want %d", meter.CryptoBytes(), 2*bs)
+	}
+	if clock.Now() == 0 {
+		t.Fatal("crypto cost not charged to clock")
+	}
+}
+
+// TestCryptVecMeterParity asserts the virtual-clock charges of a vec op
+// equal the flat op's: per-block traversal, per-byte crypto — invariant to
+// segmentation, so testbed metrics cannot drift when schedulers merge.
+func TestCryptVecMeterParity(t *testing.T) {
+	const bs, blocks = 512, 64
+	src := prng.NewSource(7)
+	// vecOver carves buf into a random whole-block segmentation.
+	vecOver := func(buf []byte) storage.BlockVec {
+		v := storage.Vec(bs)
+		n := len(buf) / bs
+		for off := 0; off < n; {
+			seg := 1 + int(src.Uint64n(4))
+			if seg > n-off {
+				seg = n - off
+			}
+			v = v.Append(buf[off*bs : (off+seg)*bs])
+			off += seg
+		}
+		return v
+	}
+	charge := func(vec bool) time.Duration {
+		var clock Clock
+		meter := NewMeter(&clock, Nexus4())
+		c := cryptOver(t, meter, bs, blocks)
+		buf := make([]byte, 12*bs)
+		var werr, rerr error
+		if vec {
+			werr = storage.WriteBlocksVec(c, 3, vecOver(buf))
+			rerr = storage.ReadBlocksVec(c, 3, vecOver(buf))
+		} else {
+			werr = storage.WriteBlocks(c, 3, buf)
+			rerr = storage.ReadBlocks(c, 3, buf)
+		}
+		if werr != nil || rerr != nil {
+			t.Fatal(werr, rerr)
+		}
+		return meter.Clock().Now()
+	}
+	if flat, vec := charge(false), charge(true); flat != vec {
+		t.Fatalf("virtual time differs: flat %v, vec %v", flat, vec)
 	}
 }
 

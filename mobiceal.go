@@ -93,8 +93,8 @@ type (
 	// RetryPolicy tunes Config.Retry, the scheduler's transient-fault
 	// retry/backoff behaviour.
 	RetryPolicy = ioq.RetryPolicy
-	// FlakyDevice injects deterministic transient/medium faults and
-	// latency spikes into a wrapped device, for resilience testing.
+	// FlakyDevice injects deterministic transient, medium and
+	// dying-device faults into a wrapped device, for resilience testing.
 	FlakyDevice = storage.FlakyDevice
 	// FlakyOptions seeds and rates a FlakyDevice.
 	FlakyOptions = storage.FlakyOptions

@@ -49,7 +49,7 @@ func TestFaultStressDeniability(t *testing.T) {
 
 	// Arm the fault stream only now: setup and unlock use the synchronous
 	// path; the resilience contract under test is the async API's.
-	flaky.SetRates(0.08, 0)
+	flaky.SetTransientRate(0.08)
 
 	// fill is the deterministic plaintext of a worker's virtual block, so
 	// read-back verification needs no shared bookkeeping.
@@ -157,7 +157,7 @@ func TestFaultStressDeniability(t *testing.T) {
 
 	// Post-fault epoch: disarm the faults, run ordinary traffic, and demand
 	// the full verdict — every change accountable and random-looking.
-	flaky.SetRates(0, 0)
+	flaky.SetTransientRate(0)
 	for vi, vol := range []*mobiceal.Volume{pub, hid} {
 		base := uint64(1 + (vi*workers+workers)*region)
 		for vb := base; vb < base+8; vb++ {
