@@ -30,11 +30,12 @@ loc:
 
 # Ten seconds of every fuzz target (the CI step): the request descriptor
 # against its per-block oracle on every stack layer, the XTS kernel against
-# the Go loop, the CRC kernel against hash/crc64. The engine also minimizes
+# the Go loop, the CRC kernel against hash/crc64, the on-disk bitmap parser
+# and its rank index against a recount and a linear scan. The engine also minimizes
 # every input that merely widens coverage, by default for up to a minute
 # each — six of the ten seconds went there for the multi-KiB XTS inputs —
 # hence the cap.
-FUZZ_TARGETS = FuzzDo:./internal/storage/ FuzzXTSKernel:./internal/xcrypto/ FuzzCRC:./internal/crc/
+FUZZ_TARGETS = FuzzDo:./internal/storage/ FuzzXTSKernel:./internal/xcrypto/ FuzzCRC:./internal/crc/ FuzzBitmap:./internal/thinp/
 fuzz:
 	@for t in $(FUZZ_TARGETS); do \
 		$(GO) test -run '^$$' -fuzz="^$${t%%:*}$$" -fuzztime=10s -fuzzminimizetime=2s "$${t#*:}" || exit 1; \
@@ -43,7 +44,7 @@ fuzz:
 # Contention triage: the writer-scaling sweep with mutex profiling; the
 # profile lands in /tmp/mutex.out for `go tool pprof`.
 mutexprofile:
-	$(GO) test -run XXX -bench 'BenchmarkShardedWriters/procs=4' \
+	$(GO) test -run XXX -bench 'BenchmarkConcurrentWriters/procs=4' \
 		-benchtime 8000x -mutexprofile /tmp/mutex.out ./internal/thinp/
 	@echo "profile: go tool pprof -top /tmp/mutex.out"
 

@@ -164,7 +164,6 @@ func TestCLIMetricsEndpoint(t *testing.T) {
 		"# TYPE mobiceal_pool_alloc_latency_seconds histogram",
 		`mobiceal_pool_alloc_latency_seconds_bucket{le="+Inf"}`,
 		"mobiceal_pool_alloc_latency_seconds_count",
-		`mobiceal_pool_shard_free_blocks{shard="0"}`,
 		"# TYPE mobiceal_io_queue_depth gauge",
 		"mobiceal_dev_meta_read_blocks_total",
 		// The real-storage fast path surfaces here: file syscall accounting
@@ -187,13 +186,13 @@ func TestCLIMetricsEndpoint(t *testing.T) {
 		if !sample.MatchString(line) {
 			t.Fatalf("malformed exposition line %q", line)
 		}
-		// Deniability: the only labels ever emitted are the histogram
-		// bucket edge and the shard index — never a volume, hidden, dummy
-		// or real/user attribution.
+		// Deniability: the only label ever emitted is the histogram
+		// bucket edge — never a volume, hidden, dummy or real/user
+		// attribution.
 		if m := labels.FindStringSubmatch(line); m != nil {
 			for _, kv := range strings.Split(m[1], ",") {
 				key := strings.SplitN(kv, "=", 2)[0]
-				if key != "le" && key != "shard" {
+				if key != "le" {
 					t.Fatalf("unexpected label %q in %q", key, line)
 				}
 			}
@@ -203,17 +202,5 @@ func TestCLIMetricsEndpoint(t *testing.T) {
 		if strings.Contains(body, leak) {
 			t.Fatalf("metrics leak %q:\n%s", leak, body)
 		}
-	}
-}
-
-// TestCLIStatusShardSummary: the status one-liner carries the per-shard
-// allocation imbalance summary PR 8's sharded pool introduced.
-func TestCLIStatusShardSummary(t *testing.T) {
-	image := initTestImage(t)
-	out := captureStdout(t, func() error {
-		return run([]string{"status", "-image", image})
-	})
-	if !regexp.MustCompile(`shards \d+ free \d+\.\.\d+ bal \d+\.\d{2}`).MatchString(out) {
-		t.Fatalf("status output missing shard summary: %q", out)
 	}
 }

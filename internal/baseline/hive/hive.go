@@ -16,6 +16,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 	"sync"
 
 	"mobiceal/internal/prng"
@@ -316,33 +318,27 @@ func (d *Device) WriteBlock(idx uint64, src []byte) error {
 	copy(cp, src)
 	d.stash[idx] = cp
 
-	// Touch k distinct uniformly random slots.
+	// Touch k distinct uniformly random slots, in ascending order. Every
+	// walk over chosen and the stash goes in sorted order: the device's
+	// placements and the seek model's charges must not depend on Go's
+	// randomized map iteration.
 	chosen := make(map[uint64]bool, d.cfg.K)
 	for len(chosen) < d.cfg.K {
 		chosen[d.cfg.Src.Uint64n(d.slots)] = true
 	}
 	scratch := make([]byte, d.phys.BlockSize())
-	for slot := range chosen {
+	for _, slot := range slices.Sorted(maps.Keys(chosen)) {
 		owner := d.inverse[slot]
 		switch {
 		case owner == freeSlot:
-			// Free slot: place a stash block if one is pending, else
-			// write fresh garbage (indistinguishable either way).
-			placed := false
-			for l, data := range d.stash {
-				if err := d.encryptSlot(slot, data); err != nil {
+			// Free slot: place the lowest pending stash block if there is
+			// one, else write fresh garbage (indistinguishable either way).
+			if len(d.stash) > 0 {
+				l := slices.Min(slices.Collect(maps.Keys(d.stash)))
+				if err := d.placeStashed(l, slot); err != nil {
 					return err
 				}
-				d.posMap[l] = slot
-				d.inverse[slot] = l
-				delete(d.stash, l)
-				if err := d.writeMapBlock(l); err != nil {
-					return err
-				}
-				placed = true
-				break
-			}
-			if !placed {
+			} else {
 				if _, err := io.ReadFull(d.cfg.Entropy, scratch); err != nil {
 					return fmt.Errorf("hive: garbage fill: %w", err)
 				}
@@ -365,23 +361,29 @@ func (d *Device) WriteBlock(idx uint64, src []byte) error {
 		// Forced drain: place remaining stash blocks in the first free
 		// slots. A real HIVE would block; either way the device stays
 		// correct.
-		for l, data := range d.stash {
+		for _, l := range slices.Sorted(maps.Keys(d.stash)) {
 			slot, ok := d.findFreeSlot()
 			if !ok {
 				return ErrStashOverflow
 			}
-			if err := d.encryptSlot(slot, data); err != nil {
-				return err
-			}
-			d.posMap[l] = slot
-			d.inverse[slot] = l
-			delete(d.stash, l)
-			if err := d.writeMapBlock(l); err != nil {
+			if err := d.placeStashed(l, slot); err != nil {
 				return err
 			}
 		}
 	}
 	return nil
+}
+
+// placeStashed moves stash block l into free slot: encrypt it there,
+// record the mapping and persist the map entry.
+func (d *Device) placeStashed(l, slot uint64) error {
+	if err := d.encryptSlot(slot, d.stash[l]); err != nil {
+		return err
+	}
+	d.posMap[l] = slot
+	d.inverse[slot] = l
+	delete(d.stash, l)
+	return d.writeMapBlock(l)
 }
 
 func (d *Device) findFreeSlot() (uint64, bool) {

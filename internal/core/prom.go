@@ -8,7 +8,7 @@ package core
 // The metric set is exactly the Telemetry struct — which is already
 // deniability-safe by construction — re-keyed for scraping. The same rule
 // carries over to labels: the only label ever emitted is the power-of-two
-// histogram bucket edge `le` and the shard index on the per-shard gauges.
+// histogram bucket edge `le`.
 // There are no volume, hidden, dummy or real labels anywhere (pinned by
 // TestPrometheusNoLeakyLabels).
 
@@ -42,11 +42,6 @@ func WritePrometheus(w io.Writer, t Telemetry) error {
 	pw.counter("mobiceal_pool_commit_flips_total", "Metadata superblock slot flips.", float64(t.Pool.CommitFlips))
 	pw.histogram("mobiceal_pool_commit_total_latency_seconds", "Whole commit-round latency.", t.Pool.CommitTotalLat)
 	pw.gauge("mobiceal_pool_noise_staged", "Pre-generated noise payloads staged for writes.", float64(t.Pool.NoiseStaged))
-
-	for i, sh := range t.Pool.Shards {
-		lbl := fmt.Sprintf(`shard="%d"`, i)
-		pw.labeledGauge("mobiceal_pool_shard_free_blocks", "Free blocks of one allocation shard.", lbl, float64(sh.Free), i == 0)
-	}
 
 	pw.counter("mobiceal_io_submitted_total", "Requests submitted to the scheduler.", float64(t.IO.Submitted))
 	pw.counter("mobiceal_io_completed_total", "Requests completed by the scheduler.", float64(t.IO.Completed))
@@ -110,13 +105,6 @@ func (p *promWriter) counter(name, help string, v float64) {
 func (p *promWriter) gauge(name, help string, v float64) {
 	p.head(name, help, "gauge")
 	p.printf("%s %g\n", name, v)
-}
-
-func (p *promWriter) labeledGauge(name, help, label string, v float64, first bool) {
-	if first {
-		p.head(name, help, "gauge")
-	}
-	p.printf("%s{%s} %g\n", name, label, v)
 }
 
 // histogram renders the power-of-two nanosecond buckets as cumulative

@@ -98,9 +98,6 @@ func (t Telemetry) String() string {
 		t.IO.Submitted, t.IO.Completed, t.IO.QueueDepth, t.IO.InFlight,
 		t.IO.MergeRatio(), t.IO.Failures)
 	fmt.Fprintf(&b, " dev w %d/%d", t.Data.WriteBlocks, t.Data.BytesWrite)
-	if s := t.ShardSummary(); s != "" {
-		fmt.Fprintf(&b, " %s", s)
-	}
 	if f := t.File; f != nil {
 		mode := "buffered"
 		if f.Direct {
@@ -115,31 +112,4 @@ func (t Telemetry) String() string {
 			f.BatchCalls, f.BatchReqs, ring)
 	}
 	return b.String()
-}
-
-// ShardSummary condenses the per-shard allocation gauges into one scannable
-// fragment: shard count, min..max free blocks, the min/max free balance
-// ratio (1.00 = perfectly even, small = one shard nearly drained while
-// another is full). Empty when the snapshot carries no shard data (old
-// snapshots, single-shard pools with no gauges).
-func (t Telemetry) ShardSummary() string {
-	shards := t.Pool.Shards
-	if len(shards) == 0 {
-		return ""
-	}
-	minFree, maxFree := shards[0].Free, shards[0].Free
-	for _, sh := range shards {
-		if sh.Free < minFree {
-			minFree = sh.Free
-		}
-		if sh.Free > maxFree {
-			maxFree = sh.Free
-		}
-	}
-	bal := 1.0
-	if maxFree > 0 {
-		bal = float64(minFree) / float64(maxFree)
-	}
-	return fmt.Sprintf("shards %d free %d..%d bal %.2f",
-		len(shards), minFree, maxFree, bal)
 }

@@ -6,12 +6,12 @@ import (
 )
 
 // TestVirtualTestbedPinned holds the virtual-testbed reproduction fixed to
-// the last bit: every Fig. 4 cell, every Table II duration and every row of
-// the default dummy-rate ablation, compared with exact equality against the
-// values the stack produced when they were recorded. The *Shape tests only
-// check the paper's ordering claims and would let a 1 % drift through; a
-// refactor of how the testbed is charged must leave every number here
-// untouched.
+// the last bit: every Fig. 4 cell, every Table I cell, every Table II
+// duration and every row of the default dummy-rate ablation, compared with
+// exact equality against the values the stack produced when they were
+// recorded. The *Shape tests only check the paper's ordering claims and
+// would let a 1 % drift through; a refactor of how the testbed is charged
+// must leave every number here untouched.
 func TestVirtualTestbedPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full storage stacks")
@@ -25,6 +25,25 @@ func TestVirtualTestbedPinned(t *testing.T) {
 			{"MC-H", 18296.623361508846, 17243.33977053813, 18296.6336595053, 17243.348917009916},
 		}
 		got, err := Fig4(Fig4Config{FileMB: 8, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%d rows, want %d", len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("row %d:\n got %#v\nwant %#v", i, got[i], want[i])
+			}
+		}
+	})
+	t.Run("TableI", func(t *testing.T) {
+		want := []TableIRow{
+			{"DEFY", "defy-nandsim", 1241.0075429989722, 31.30746191126357, 97.47725450277223},
+			{"HIVE", "hive-ssd", 226.55005833097627, 3.256173700859591, 98.56271336902394},
+			{"MobiCeal", "nexus4", 21.378286225397783, 14.009995105275474, 34.466238511526},
+		}
+		got, err := TableI(TableIConfig{FileMB: 8, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -26,15 +26,19 @@ var ErrBitmapFull = errors.New("thinp: no free blocks")
 // marked here like any others, and the marking is deniable because dummy
 // allocations look identical.
 //
-// The bitmap itself is not a synchronized structure: word mutation is the
-// caller's problem. The sharded pool partitions the words into disjoint
-// per-shard ranges and serializes mutation of each range under its shard
-// lock; the allocation count is atomic so Free/Allocated stay coherent
-// across concurrent shard-disjoint mutation.
+// A rank index (allocated counts per 512-block group) rides along, so the
+// random allocator's "i-th free block" resolves in O(log n) plus a scan of
+// at most eight words instead of a walk over the whole bitmap.
+//
+// The bitmap is not a synchronized structure: mutation is the caller's
+// problem, and the pool serializes it under its allocation mutex. The
+// allocation count is atomic so Free/Allocated can be read without that
+// lock.
 type Bitmap struct {
 	words  []uint64
 	nbits  uint64
 	nalloc atomic.Uint64
+	idx    rankIndex
 }
 
 // NewBitmap returns an all-free bitmap tracking nbits blocks.
@@ -42,6 +46,7 @@ func NewBitmap(nbits uint64) *Bitmap {
 	return &Bitmap{
 		words: make([]uint64, (nbits+63)/64),
 		nbits: nbits,
+		idx:   newRankIndex(nbits),
 	}
 }
 
@@ -79,6 +84,7 @@ func (b *Bitmap) Set(i uint64) error {
 	if b.words[w]&m == 0 {
 		b.words[w] |= m
 		b.nalloc.Add(1)
+		b.idx.add(int(i>>rankGroupBits), 1)
 	}
 	return nil
 }
@@ -92,6 +98,7 @@ func (b *Bitmap) Clear(i uint64) error {
 	if b.words[w]&m != 0 {
 		b.words[w] &^= m
 		b.nalloc.Add(^uint64(0))
+		b.idx.add(int(i>>rankGroupBits), ^uint64(0))
 	}
 	return nil
 }
@@ -100,35 +107,16 @@ func (b *Bitmap) Clear(i uint64) error {
 // order. It fails with ErrBitmapFull if fewer than n+1 blocks are free.
 // Random allocation is built on this: pick n uniformly in [0, Free()) and
 // take the n-th free block (paper Sec. V-A "we generate a random number i
-// between 1 and x; the i-th free block is the result").
+// between 1 and x; the i-th free block is the result"). The rank index
+// finds the group holding it; the group's words resolve the rest.
 func (b *Bitmap) NthFree(n uint64) (uint64, error) {
 	if n >= b.Free() {
 		return 0, fmt.Errorf("%w: want %d-th free of %d", ErrBitmapFull, n, b.Free())
 	}
-	remaining := n
-	for w, word := range b.words {
-		freeInWord := uint64(64 - popcount(word))
-		if uint64(w) == uint64(len(b.words)-1) {
-			// The last word may extend past nbits; count only real bits.
-			tail := b.nbits - uint64(w)*64
-			freeInWord = tail - uint64(popcount(word&mask(tail)))
-		}
-		if remaining >= freeInWord {
-			remaining -= freeInWord
-			continue
-		}
-		for bit := uint64(0); bit < 64; bit++ {
-			idx := uint64(w)*64 + bit
-			if idx >= b.nbits {
-				break
-			}
-			if word&(1<<bit) == 0 {
-				if remaining == 0 {
-					return idx, nil
-				}
-				remaining--
-			}
-		}
+	g, rem := b.idx.selectFree(n)
+	w0, w1 := b.groupWords(g)
+	if pb, ok := b.nthFreeInRange(w0, w1, rem); ok {
+		return pb, nil
 	}
 	return 0, ErrBitmapFull
 }
@@ -155,7 +143,7 @@ func (b *Bitmap) NextFree(start uint64) (uint64, error) {
 func (b *Bitmap) Clone() *Bitmap {
 	words := make([]uint64, len(b.words))
 	copy(words, b.words)
-	c := &Bitmap{words: words, nbits: b.nbits}
+	c := &Bitmap{words: words, nbits: b.nbits, idx: b.idx.clone()}
 	c.nalloc.Store(b.nalloc.Load())
 	return c
 }
@@ -184,9 +172,10 @@ func UnmarshalBitmap(nbits uint64, buf []byte) (*Bitmap, error) {
 	}
 	var nalloc uint64
 	for i := range b.words {
-		b.words[i] = getUint64(buf[i*8:])
-		nalloc += uint64(popcount(b.words[i] & wordMask(uint64(i), nbits)))
-		b.words[i] &= wordMask(uint64(i), nbits)
+		b.words[i] = getUint64(buf[i*8:]) & wordMask(uint64(i), nbits)
+		n := uint64(popcount(b.words[i]))
+		nalloc += n
+		b.idx.add(i>>(rankGroupBits-6), n)
 	}
 	b.nalloc.Store(nalloc)
 	return b, nil
@@ -212,22 +201,36 @@ func mask(n uint64) uint64 {
 
 func popcount(x uint64) int { return bits.OnesCount64(x) }
 
-// freeInRange counts the free bits covered by words [w0, w1), honoring the
-// nbits boundary in the final word.
-func (b *Bitmap) freeInRange(w0, w1 int) uint64 {
-	var free uint64
-	for w := w0; w < w1; w++ {
-		m := wordMask(uint64(w), b.nbits)
-		free += uint64(popcount(m)) - uint64(popcount(b.words[w]&m))
+// groupWords returns the bitmap words [w0, w1) of rank-index group g.
+func (b *Bitmap) groupWords(g int) (w0, w1 int) {
+	w0 = g << (rankGroupBits - 6)
+	return w0, min(w0+1<<(rankGroupBits-6), len(b.words))
+}
+
+// checkIndex verifies the rank index and the allocation count against a
+// recount of the words.
+func (b *Bitmap) checkIndex() error {
+	var total uint64
+	for g := 0; g < b.idx.groups(); g++ {
+		w0, w1 := b.groupWords(g)
+		var n uint64
+		for _, w := range b.words[w0:w1] {
+			n += uint64(popcount(w))
+		}
+		if got := b.idx.prefix(g+1) - b.idx.prefix(g); got != n {
+			return fmt.Errorf("thinp: bitmap group %d indexed with %d allocated, recount %d", g, got, n)
+		}
+		total += n
 	}
-	return free
+	if total != b.Allocated() {
+		return fmt.Errorf("thinp: bitmap counts %d allocated, recount %d", b.Allocated(), total)
+	}
+	return nil
 }
 
 // nthFreeInRange returns the block index of the rank-th free bit (0-based,
 // ascending) within words [w0, w1). It reports false if the range holds
-// fewer than rank+1 free bits. Because shards own ascending contiguous word
-// ranges, decomposing a global rank across shards and resolving the local
-// remainder here selects exactly the block the global NthFree would.
+// fewer than rank+1 free bits.
 func (b *Bitmap) nthFreeInRange(w0, w1 int, rank uint64) (uint64, bool) {
 	remaining := rank
 	for w := w0; w < w1; w++ {

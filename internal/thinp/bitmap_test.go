@@ -1,7 +1,9 @@
 package thinp
 
 import (
+	"bytes"
 	"errors"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -197,6 +199,134 @@ func TestBitmapPropertyNthFree(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
 	}
+}
+
+// scanFree is the linear reference for NthFree: every free block in
+// ascending order, so scanFree(b)[n] is the n-th free block.
+func scanFree(b *Bitmap) []uint64 {
+	var free []uint64
+	for i := uint64(0); i < b.Size(); i++ {
+		if b.words[i/64]&(1<<(i%64)) == 0 {
+			free = append(free, i)
+		}
+	}
+	return free
+}
+
+// checkAgainstScan requires b's rank index to equal a recount and NthFree
+// to equal the linear reference at every rank, and one past the last.
+func checkAgainstScan(t testing.TB, b *Bitmap) {
+	t.Helper()
+	if err := b.checkIndex(); err != nil {
+		t.Fatal(err)
+	}
+	free := scanFree(b)
+	if uint64(len(free)) != b.Free() {
+		t.Fatalf("Free() = %d, reference scan finds %d", b.Free(), len(free))
+	}
+	for n, want := range free {
+		if got, err := b.NthFree(uint64(n)); err != nil || got != want {
+			t.Fatalf("NthFree(%d) of %d bits = %d, %v; reference scan says %d", n, b.Size(), got, err, want)
+		}
+	}
+	if _, err := b.NthFree(uint64(len(free))); !errors.Is(err, ErrBitmapFull) {
+		t.Fatalf("NthFree(%d) past the free count: err = %v, want ErrBitmapFull", len(free), err)
+	}
+}
+
+// TestBitmapNthFreeMatchesScan checks the indexed NthFree against the
+// linear reference at every rank, after random Set/Clear/Clone/
+// UnmarshalBitmap sequences, on sizes at and around the word and the
+// 512-block index group boundaries. Each run sweeps the allocation
+// density up to nearly full and back, so empty, partial and full groups
+// all occur.
+func TestBitmapNthFreeMatchesScan(t *testing.T) {
+	for _, nbits := range []uint64{1, 63, 64, 511, 513, 1500, 2048 + 77} {
+		rng := rand.New(rand.NewSource(int64(nbits)))
+		b := NewBitmap(nbits)
+		checkAgainstScan(t, b)
+		const steps = 60
+		for step := 0; step < steps; step++ {
+			// Density ramps up over the first half and down over the second.
+			setP := 0.9
+			if step >= steps/2 {
+				setP = 0.1
+			}
+			for k := 0; k < int(nbits/8)+1; k++ {
+				i := uint64(rng.Int63n(int64(nbits)))
+				var err error
+				if rng.Float64() < setP {
+					err = b.Set(i)
+				} else {
+					err = b.Clear(i)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			switch rng.Intn(4) {
+			case 0:
+				c := b.Clone()
+				// The clone's index is its own: mutating it leaves b intact.
+				_ = c.Set(uint64(rng.Int63n(int64(nbits))))
+				_ = c.Clear(uint64(rng.Int63n(int64(nbits))))
+				checkAgainstScan(t, c)
+				checkAgainstScan(t, b)
+				b = c
+			case 1:
+				buf := make([]byte, b.MarshaledLen())
+				if _, err := b.MarshalTo(buf); err != nil {
+					t.Fatal(err)
+				}
+				u, err := UnmarshalBitmap(nbits, buf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b = u
+			}
+			checkAgainstScan(t, b)
+		}
+		for i := uint64(0); i < nbits; i++ {
+			if err := b.Set(i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		checkAgainstScan(t, b) // full: every rank is past the end
+	}
+}
+
+// FuzzBitmap feeds arbitrary bytes to UnmarshalBitmap, the parser of the
+// on-disk bitmap region, and requires the rebuilt rank index to equal a
+// recount and NthFree to equal the linear reference — before and after a
+// few Set/Clear steps driven by the same bytes.
+func FuzzBitmap(f *testing.F) {
+	f.Add(uint16(1), []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
+	f.Add(uint16(64), []byte{0x55, 0, 0, 0, 0, 0, 0, 0x80})
+	f.Add(uint16(513), make([]byte, 72))
+	f.Add(uint16(1500), bytes.Repeat([]byte{0xf0, 0x0f, 0xff, 0}, 47))
+	f.Fuzz(func(t *testing.T, n uint16, raw []byte) {
+		nbits := uint64(n % 4096)
+		b, err := UnmarshalBitmap(nbits, raw)
+		if err != nil {
+			if len(raw) >= int((nbits+63)/64*8) {
+				t.Fatalf("UnmarshalBitmap(%d, %d bytes): %v", nbits, len(raw), err)
+			}
+			return
+		}
+		checkAgainstScan(t, b)
+		if nbits == 0 {
+			return
+		}
+		for k, c := range raw[:min(len(raw), 16)] {
+			i := (uint64(c) << 4 * uint64(k+1)) % nbits
+			if c&1 == 0 {
+				_ = b.Set(i)
+			} else {
+				_ = b.Clear(i)
+			}
+		}
+		checkAgainstScan(t, b)
+	})
 }
 
 func TestSequentialAllocatorAscending(t *testing.T) {

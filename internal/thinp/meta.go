@@ -3,6 +3,7 @@ package thinp
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"math/bits"
 	"runtime"
 	"sort"
@@ -460,10 +461,9 @@ func (p *Pool) commitOnce(full bool, b *commitBatch) error {
 		p.mu.Unlock()
 		return err
 	}
-	// First level of the two-level door: fold the per-shard and per-stripe
-	// deltas — dirty bitmap words, dirty thin ids — into the pool-global
-	// sets the arena fold below consumes. Writers park on mu (held
-	// exclusively here), so the drain sees a quiescent delta.
+	// Fold the per-stripe dirty thin ids into the pool-global set the arena
+	// fold below consumes. Writers park on mu (held exclusively here), so
+	// the drain sees a quiescent delta.
 	p.drainDirtyLocked()
 	// The new transaction id is published to p.txID only at the phase-3
 	// flip: until the superblock lands, TransactionID() must keep
@@ -499,14 +499,17 @@ func (p *Pool) commitOnce(full bool, b *commitBatch) error {
 	nThins := len(p.thins)
 	// Detach the transaction record: this commit makes exactly these
 	// allocations and frees durable. Mutations that land while the slot
-	// I/O is in flight accumulate in fresh maps and belong to the next
+	// I/O is in flight accumulate in fresh maps (sized like this round's,
+	// so they do not regrow under allocMu) and belong to the next
 	// commit — including frees of the blocks detached here, which
 	// quarantine as frees of committed state (their mappings are durable
 	// the moment this commit's superblock lands). The detached record
 	// stays visible through inFlightAlloc: the allocations are still
 	// pending (not durable) until the flip, and PendingAllocations must
 	// say so.
-	committedAlloc, committedFree := p.detachTxLocked()
+	committedAlloc, committedFree := p.txAlloc, p.txFree
+	p.txAlloc = make(map[uint64]struct{}, len(committedAlloc))
+	p.txFree = make(map[uint64]struct{}, len(committedFree))
 	p.inFlightAlloc = committedAlloc
 	p.mu.Unlock()
 	// The arena is final for this round: from here to the flip it is only
@@ -547,7 +550,8 @@ func (p *Pool) commitOnce(full bool, b *commitBatch) error {
 		// the same slot, so no duplicate id can reach stable storage.)
 		writeSet.setAll()
 		p.pending[p.active].or(changed)
-		p.mergeTxBackLocked(committedAlloc, committedFree)
+		maps.Copy(p.txAlloc, committedAlloc)
+		maps.Copy(p.txFree, committedFree)
 		// The metadata device will not take a commit: nothing new can
 		// become durable, so the pool degrades to read-only. The merge-back
 		// above left the in-memory delta intact, so reads keep serving the
@@ -561,9 +565,9 @@ func (p *Pool) commitOnce(full bool, b *commitBatch) error {
 	p.active = target
 	p.txID = newTx
 	// The frees are durable now: quarantined blocks return to the
-	// allocator's view (and their home shards' free gauges).
+	// allocator's view.
 	for pb := range committedFree {
-		if err := p.releaseQuarantinedLocked(pb); err != nil {
+		if err := p.allocBM.Clear(pb); err != nil {
 			// The superblock flip already landed but the allocator view
 			// cannot be reconciled: in-memory state is no longer
 			// trustworthy. Fail the pool — only a reopen, which reloads

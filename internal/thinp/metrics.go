@@ -10,19 +10,16 @@ import "mobiceal/internal/obs"
 // surface cannot attribute traffic to the public or hidden half of a
 // system; the per-kind split (DummyBlocksWritten) stays an internal
 // experiments-only accessor and is deliberately absent from Snapshot (see
-// DESIGN.md "Observability"). The per-shard gauges follow the same rule:
-// shards partition physical space, not volumes, so per-shard free counts
-// reveal layout churn only — which the random allocator already makes
-// volume-independent.
+// DESIGN.md "Observability").
 type PoolMetrics struct {
 	// Provisions counts physical blocks handed out by the allocator; real
-	// provisioning and dummy-write allocations both pass through
-	// allocateLocked, so their counts are indistinguishable by
-	// construction. Releases counts blocks freed back (discards, unwinds).
+	// provisioning and dummy-write allocations both pass through allocate,
+	// so their counts are indistinguishable by construction. Releases
+	// counts blocks freed back (discards, unwinds).
 	Provisions obs.Counter
 	Releases   obs.Counter
-	// AllocLat is the latency of one allocateLocked call (free-block pick
-	// plus bitmap bookkeeping), observed at the same choke point.
+	// AllocLat is the latency of one allocate call (allocMu wait, free-block
+	// pick and bitmap bookkeeping), observed at the same choke point.
 	AllocLat obs.Histogram
 
 	// CommitCalls counts Commit/CommitFull calls served, CommitFlips the
@@ -47,15 +44,13 @@ type PoolMetrics struct {
 	Events obs.EventLog
 }
 
-// ShardSnapshot is the point-in-time view of one allocation shard: current
-// free blocks and the shard-lock acquire-latency distribution — the
-// contention triage signal.
+// ShardSnapshot is a declaration only: the pool has one allocator and no
+// shards, so PoolSnapshot.Shards is always empty. It survives because the
+// frozen bench module reads it (thinp.shard_steals_per_op,
+// thinp.shard_lock_wait_us); the next benchmark PR drops all three
+// (ROADMAP).
 type ShardSnapshot struct {
-	Free int64 `json:"free"`
-	// Steals is always zero: the work-stealing sequential picker that
-	// counted it is gone. The field survives as a declaration only because
-	// the frozen bench module reads it (thinp.shard_steals_per_op); the
-	// next benchmark PR drops both (ROADMAP).
+	Free    int64            `json:"free"`
 	Steals  uint64           `json:"steals"`
 	LockLat obs.HistSnapshot `json:"lock_lat"`
 }
@@ -75,7 +70,7 @@ type PoolSnapshot struct {
 
 	NoiseStaged int64 `json:"noise_staged"`
 
-	// Shards reports the per-allocation-shard gauges in shard order.
+	// Shards is always empty (see ShardSnapshot).
 	Shards []ShardSnapshot `json:"shards,omitempty"`
 
 	Events []obs.Event `json:"events"`
@@ -100,15 +95,6 @@ func (p *Pool) Metrics() *PoolMetrics { return &p.m }
 func (p *Pool) MetricsSnapshot() PoolSnapshot {
 	m := &p.m
 	flips := m.CommitFlips.Load()
-	// The shard slice is immutable after pool construction; the gauges
-	// inside are atomics, so no pool lock is needed here.
-	shards := make([]ShardSnapshot, len(p.shards))
-	for i, s := range p.shards {
-		shards[i] = ShardSnapshot{
-			Free:    s.free.Load(),
-			LockLat: s.lockLat.Snapshot(),
-		}
-	}
 	return PoolSnapshot{
 		Provisions:     m.Provisions.Load(),
 		Releases:       m.Releases.Load(),
@@ -119,7 +105,6 @@ func (p *Pool) MetricsSnapshot() PoolSnapshot {
 		CommitWriteLat: m.CommitWriteLat.Snapshot(),
 		CommitTotalLat: m.CommitTotalLat.Snapshot(),
 		NoiseStaged:    m.NoiseStaged.Load(),
-		Shards:         shards,
 		Events:         m.Events.Snapshot(),
 	}
 }

@@ -153,8 +153,8 @@ func (r *refPool) crash() {
 	}
 }
 
-// TestReferenceModelLockstep drives the real pool — RandomAllocator, so
-// auto-sharded, with a dummy policy — and refPool with one seeded op stream
+// TestReferenceModelLockstep drives the real pool — RandomAllocator, with
+// a dummy policy — and refPool with one seeded op stream
 // and compares them after every op: thin ids, per-thin mapped counts, every
 // logical block, allocated/free/pending counts, and which writes fail for
 // lack of space. Every commit additionally passes CheckIntegrity and

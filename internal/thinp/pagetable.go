@@ -1,7 +1,5 @@
 package thinp
 
-import "math/bits"
-
 // The per-thin mapping structure: a two-level dense page table keyed by
 // virtual block. Leaves are fixed-size arrays of physical block numbers
 // (ptUnmapped marking holes), so the hot-path lookup a thin I/O performs is
@@ -9,14 +7,14 @@ import "math/bits"
 // vblock order with no sort, and extent-run coalescing in the range ops
 // touches memory sequentially.
 //
-// A Fenwick tree over per-leaf occupancy counts supports two queries the
-// flat-cost commit and the dummy-write picker need in O(log leaves):
-// rank(vb) — the byte position of an entry inside the marshaled segment —
-// and selectUnmapped(r) — the r-th unmapped virtual block, which replaces
-// the linear-scan fallback that made late dummy writes on dense volumes
-// scale with the volume size.
+// A rank index over per-leaf occupancy counts (rank.go) supports two
+// queries the flat-cost commit and the dummy-write picker need in
+// O(log leaves): rank(vb) — the byte position of an entry inside the
+// marshaled segment — and selectUnmapped(r) — the r-th unmapped virtual
+// block, which replaces the linear-scan fallback that made late dummy
+// writes on dense volumes scale with the volume size.
 const (
-	ptLeafBits = 9
+	ptLeafBits = rankGroupBits // one leaf per index group
 	ptLeafSize = 1 << ptLeafBits
 	ptLeafMask = ptLeafSize - 1
 	// ptUnmapped marks a hole. No physical block can collide with it: it
@@ -35,7 +33,7 @@ type pageTable struct {
 	virtBlocks uint64
 	count      uint64
 	leaves     []*ptLeaf
-	fen        []uint64 // 1-based Fenwick tree over per-leaf occupancy
+	idx        rankIndex // per-leaf occupancy
 }
 
 // newPageTable returns an empty table over virtBlocks virtual blocks.
@@ -44,7 +42,7 @@ func newPageTable(virtBlocks uint64) *pageTable {
 	return &pageTable{
 		virtBlocks: virtBlocks,
 		leaves:     make([]*ptLeaf, n),
-		fen:        make([]uint64, n+1),
+		idx:        newRankIndex(virtBlocks),
 	}
 }
 
@@ -89,7 +87,7 @@ func (p *pageTable) set(vb, pb uint64) {
 	if l.ents[vb&ptLeafMask] == ptUnmapped {
 		l.occ++
 		p.count++
-		p.fenAdd(li, 1)
+		p.idx.add(li, 1)
 	}
 	l.ents[vb&ptLeafMask] = pb
 }
@@ -107,24 +105,8 @@ func (p *pageTable) delete(vb uint64) bool {
 	l.ents[vb&ptLeafMask] = ptUnmapped
 	l.occ--
 	p.count--
-	p.fenAdd(li, ^uint64(0)) // -1 in two's complement
+	p.idx.add(li, ^uint64(0))
 	return true
-}
-
-// fenAdd adds delta to leaf li's occupancy sum.
-func (p *pageTable) fenAdd(li int, delta uint64) {
-	for i := li + 1; i < len(p.fen); i += i & -i {
-		p.fen[i] += delta
-	}
-}
-
-// fenPrefix returns the total occupancy of leaves [0, n).
-func (p *pageTable) fenPrefix(n int) uint64 {
-	var s uint64
-	for i := n; i > 0; i -= i & -i {
-		s += p.fen[i]
-	}
-	return s
 }
 
 // rank returns how many mapped virtual blocks are strictly below vb — the
@@ -137,7 +119,7 @@ func (p *pageTable) rank(vb uint64) uint64 {
 	if li >= len(p.leaves) {
 		return p.count
 	}
-	r := p.fenPrefix(li)
+	r := p.idx.prefix(li)
 	if l := p.leaves[li]; l != nil {
 		for i := uint64(0); i < vb&ptLeafMask; i++ {
 			if l.ents[i] != ptUnmapped {
@@ -148,18 +130,8 @@ func (p *pageTable) rank(vb uint64) uint64 {
 	return r
 }
 
-// capPrefix returns how many virtual blocks the first n leaves cover (the
-// last leaf may extend past virtBlocks).
-func (p *pageTable) capPrefix(n int) uint64 {
-	c := uint64(n) << ptLeafBits
-	if c > p.virtBlocks {
-		c = p.virtBlocks
-	}
-	return c
-}
-
 // selectUnmapped returns the r-th (0-based, ascending) unmapped virtual
-// block. r must be below virtBlocks-count; the Fenwick descent finds the
+// block. r must be below virtBlocks-count; the index descent finds the
 // leaf in O(log leaves) and one in-leaf scan finds the slot, so the cost is
 // independent of the volume size — the property that keeps late dummy
 // writes on dense volumes off the O(virtBlocks) cliff.
@@ -167,26 +139,13 @@ func (p *pageTable) selectUnmapped(r uint64) (uint64, bool) {
 	if r >= p.virtBlocks-p.count {
 		return 0, false
 	}
-	pos, rem := 0, r
-	if n := len(p.leaves); n > 0 {
-		for bit := 1 << (bits.Len(uint(n)) - 1); bit > 0; bit >>= 1 {
-			next := pos + bit
-			if next > n {
-				continue
-			}
-			free := p.capPrefix(next) - p.capPrefix(pos) - p.fen[next]
-			if rem >= free {
-				rem -= free
-				pos = next
-			}
-		}
-	}
+	pos, rem := p.idx.selectFree(r)
 	start := uint64(pos) << ptLeafBits
 	l := p.leaves[pos]
 	if l == nil {
 		return start + rem, true
 	}
-	end := p.capPrefix(pos+1) - start
+	end := p.idx.capPrefix(pos+1) - start
 	for i := uint64(0); i < end; i++ {
 		if l.ents[i] == ptUnmapped {
 			if rem == 0 {

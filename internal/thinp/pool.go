@@ -78,11 +78,6 @@ type Options struct {
 	// stream stays deniability-safe (see DESIGN.md "Observability"). nil,
 	// or a disabled recorder, costs one atomic load per hook.
 	Flight *obs.FlightRecorder
-
-	// shards, when positive, overrides the random allocator's automatic
-	// shard count (shard.go) — in-package tests build the one-shard
-	// reference pool with it. Production pools always auto-shard.
-	shards int
 }
 
 func (o *Options) fill() {
@@ -171,18 +166,17 @@ func (tm *thinMeta) noteUnmapped(vb uint64) {
 //     exclusive write fallback) own everything. SHARED holders — all thin
 //     I/O, including provisioning writes — own nothing by themselves:
 //     under RLock, per-thin mapping state is guarded by the thin's mapping
-//     stripe (stripes, keyed by thin id) and allocator/bitmap state by the
-//     owning allocation shard (shards, keyed by block number, shard.go).
-//     The invariant: stripe- or shard-guarded state is touched only while
-//     holding (mu shared + the inner lock) or mu exclusively. Since every
-//     fine-grained writer holds mu shared for the duration, an exclusive
-//     acquisition is still the pool-wide quiescence point the commit flip
-//     and discard/reallocation atomicity rely on.
-//   - Lock order: mu ≻ stripe ≻ shard ≻ leaves (noise stage, dummyMu,
+//     stripe (stripes, keyed by thin id) and allocator state (both bitmaps,
+//     the transaction record, dirtyBM) by allocMu. The invariant: stripe-
+//     or allocMu-guarded state is touched only while holding (mu shared +
+//     the inner lock) or mu exclusively. Since every fine-grained writer
+//     holds mu shared for the duration, an exclusive acquisition is still
+//     the pool-wide quiescence point the commit flip and
+//     discard/reallocation atomicity rely on.
+//   - Lock order: mu ≻ stripe ≻ alloc ≻ leaves (noise stage, dummyMu,
 //     allocator, policy). At most one stripe is held at a time — a dummy
 //     burst releases the triggering thin's stripe before locking the
-//     target's — and multi-shard fallbacks take shard locks in ascending
-//     order.
+//     target's.
 //   - commitMu serializes the commit machinery (the image arena, the
 //     per-slot pending sets, the slot device writes). Commit holds mu only
 //     while folding the delta into the arena — the only time the arena is
@@ -191,11 +185,9 @@ func (tm *thinMeta) noteUnmapped(vb uint64) {
 //     writes proceed while a commit is in flight.
 //   - doorMu guards the group-commit door: concurrent committers park at
 //     the door and one leader folds every parked caller's delta into a
-//     single A/B slot flip (see Commit). With sharding the door is
-//     two-level: writers fold their deltas into per-shard/per-stripe sets
-//     as they go, and the leader's phase 1 drains those concurrent-side
-//     arenas into the global delta (drainDirtyLocked) before the single
-//     flip.
+//     single A/B slot flip (see Commit). Writers record dirty thin ids in
+//     per-stripe sets as they go, and the leader's phase 1 drains those
+//     into the global delta (drainDirtyLocked) before the single flip.
 type Pool struct {
 	mu    sync.RWMutex
 	data  storage.Device
@@ -204,16 +196,21 @@ type Pool struct {
 	thins map[int]*thinMeta
 	opts  Options
 	txID  uint64
-	// The transaction record — blocks allocated since the last commit (the
+	// allocMu guards bm, allocBM, txAlloc, txFree and dirtyBM for
+	// fine-grained writers (mu shared); exclusive holders of mu own them
+	// outright.
+	allocMu sync.Mutex
+	// The transaction record: blocks allocated since the last commit (the
 	// paper's fix for the transaction problem, Sec. V-A) and blocks freed
-	// from *committed* state quarantined until the free is durable — lives
-	// sharded: each allocation shard carries the txAlloc/txFree slice for
-	// its block range (shard.go). allocBM is the allocator's view: bm plus
-	// the quarantine. The last durable metadata still maps quarantined
-	// blocks, so reusing one before the free commits would let a crash
-	// rollback resurrect a committed mapping that now points at another
-	// volume's fresh data. Blocks allocated and freed within the same
-	// transaction are exempt — no committed mapping references them.
+	// from *committed* state, quarantined until the free is durable.
+	// allocBM is the allocator's view: bm plus the quarantine. The last
+	// durable metadata still maps quarantined blocks, so reusing one before
+	// the free commits would let a crash rollback resurrect a committed
+	// mapping that now points at another volume's fresh data. Blocks
+	// allocated and freed within the same transaction are exempt — no
+	// committed mapping references them.
+	txAlloc map[uint64]struct{}
+	txFree  map[uint64]struct{}
 	allocBM *Bitmap
 	// inFlightAlloc is the detached txAlloc of a commit whose slot I/O is
 	// in flight: those allocations are not durable until the flip, so
@@ -221,14 +218,6 @@ type Pool struct {
 	// commit's phase 1 and phase 3.
 	inFlightAlloc map[uint64]struct{}
 
-	// shards is the runtime partition of the data space into allocation
-	// shards (shard.go): per-shard lock, free gauge and transaction delta.
-	// The live txAlloc/txFree reside in the shards; the pool-level maps
-	// above hold only drained/merged state around commits. Built once at
-	// pool construction, immutable afterwards. wordsPerShard is the fixed
-	// bitmap-word width of every shard but the last.
-	shards        []*allocShard
-	wordsPerShard int
 	// stripes are the per-thin mapping locks, keyed by thin id mod
 	// mapStripes. A fine-grained writer (holding mu shared) mutates a
 	// thin's page table and delta bookkeeping only under its stripe.
@@ -386,6 +375,25 @@ func (p *Pool) stripeOf(id int) *mapStripe {
 	return &p.stripes[uint(id)%mapStripes]
 }
 
+// drainDirtyLocked folds every stripe's dirty thin ids into the pool-global
+// set the commit fold consumes. Caller holds p.mu exclusively (commit phase
+// 1), so no fine-grained writer is mutating the stripes; the len probe
+// skips untouched stripes, keeping the drain O(dirty) on every commit.
+func (p *Pool) drainDirtyLocked() {
+	for i := range p.stripes {
+		st := &p.stripes[i]
+		if len(st.dirty) == 0 {
+			continue
+		}
+		st.mu.Lock()
+		for id := range st.dirty {
+			p.dirtyThins[id] = struct{}{}
+		}
+		clear(st.dirty)
+		st.mu.Unlock()
+	}
+}
+
 // noiseStage is the pre-generated dummy-noise buffer stock, guarded by its
 // own mutex so refills never touch the pool's mapping lock. Consumed
 // buffers come back through free and are refilled with fresh keystream by
@@ -516,6 +524,8 @@ func newPool(data, meta storage.Device, opts Options) *Pool {
 		thins:       make(map[int]*thinMeta),
 		dirtyThins:  make(map[int]struct{}),
 		dirtyBM:     make(map[uint64]struct{}),
+		txAlloc:     make(map[uint64]struct{}),
+		txFree:      make(map[uint64]struct{}),
 		structDirty: true,
 		flight:      opts.Flight,
 	}
@@ -541,7 +551,6 @@ func CreatePool(data, meta storage.Device, opts Options) (*Pool, error) {
 	p := newPool(data, meta, opts)
 	p.bm = NewBitmap(data.NumBlocks())
 	p.allocBM = NewBitmap(data.NumBlocks())
-	p.initShards()
 	// Start with slot 1 nominally active so the format commit below lands
 	// transaction 1 in slot 0.
 	p.active = 1
@@ -572,7 +581,6 @@ func OpenPool(data, meta storage.Device, opts Options) (*Pool, error) {
 		return nil, err
 	}
 	p.allocBM = p.bm.Clone()
-	p.initShards()
 	p.m.Events.Append("open", fmt.Sprintf("pool opened, recovered tx %d from slot %d",
 		p.recovery.TxID, p.recovery.Slot))
 	return p, nil
@@ -655,13 +663,9 @@ func (p *Pool) Recovery() Recovery {
 func (p *Pool) PendingAllocations() int {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	n := len(p.inFlightAlloc)
-	for _, s := range p.shards {
-		s.mu.Lock()
-		n += len(s.txAlloc)
-		s.mu.Unlock()
-	}
-	return n
+	p.allocMu.Lock()
+	defer p.allocMu.Unlock()
+	return len(p.inFlightAlloc) + len(p.txAlloc)
 }
 
 // CreateThin registers a thin device with the given id and virtual size.

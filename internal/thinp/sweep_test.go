@@ -191,7 +191,7 @@ func verifyCommittedState(t *testing.T, label string, data, meta storage.Device,
 		t.Fatalf("%s: reopened pool integrity: %v", label, err)
 	}
 	if err := p.CheckConsistency(); err != nil {
-		t.Fatalf("%s: reopened pool shard consistency: %v", label, err)
+		t.Fatalf("%s: reopened pool allocator consistency: %v", label, err)
 	}
 	var actual sweepModel // nil: thin absent
 	thin, err := p.Thin(1)
@@ -360,7 +360,7 @@ func TestFaultSweepDataDevice(t *testing.T) {
 				t.Fatalf("%s: integrity after fault: %v", label, err)
 			}
 			if err := r.pool.CheckConsistency(); err != nil {
-				t.Fatalf("%s: shard consistency after fault: %v", label, err)
+				t.Fatalf("%s: allocator consistency after fault: %v", label, err)
 			}
 			// The pool is still fully writable after the fault: the failed
 			// request unwound cleanly.

@@ -95,7 +95,21 @@ func publicView(t *testing.T, p *Pool, data, meta *storage.StatsDevice) publicPo
 // the cover story an adversary must find equally plausible: the same P
 // public writes, with the policy firing one H-block dummy burst into thin 2
 // instead. Identical totals in, identical telemetry out.
+//
+// It runs under both allocators. Under the random one the twins share the
+// allocator seed: hidden writes and dummy blocks each cost exactly one draw
+// at the same choke point, so block k lands identically in both twins and
+// the bitmap words, and with them the metadata writes, move in step.
 func TestTelemetryDeniabilityTwinPools(t *testing.T) {
+	t.Run("sequential", func(t *testing.T) {
+		twinPoolTelemetry(t, func() Allocator { return NewSequentialAllocator() })
+	})
+	t.Run("random", func(t *testing.T) {
+		twinPoolTelemetry(t, func() Allocator { return NewRandomAllocator(prng.NewSource(77)) })
+	})
+}
+
+func twinPoolTelemetry(t *testing.T, newAlloc func() Allocator) {
 	const (
 		dataBlocks = 512
 		pubBlocks  = 16 // P: public writes in both runs
@@ -112,9 +126,10 @@ func TestTelemetryDeniabilityTwinPools(t *testing.T) {
 		meta := storage.NewStatsDevice(storage.NewMemDevice(blockSize,
 			MetaBlocksNeeded(dataBlocks, blockSize)))
 		p, err := CreatePool(data, meta, Options{
-			Policy:   policy,
-			Entropy:  prng.NewSeededEntropy(seed),
-			DummySrc: prng.NewSource(seed + 1),
+			Allocator: newAlloc(),
+			Policy:    policy,
+			Entropy:   prng.NewSeededEntropy(seed),
+			DummySrc:  prng.NewSource(seed + 1),
 		})
 		if err != nil {
 			t.Fatalf("CreatePool: %v", err)

@@ -14,9 +14,9 @@ import (
 // through the pool allocator (and, under MobiCeal's policy, may trigger a
 // dummy write); an overwrite of a mapped block stays in place, as in stock
 // dm-thin. Thin is safe for concurrent use; it shares the pool's shared
-// lock plus its own mapping stripe, so writers to different thins contend
-// neither on metadata resolution nor, under the sharded random allocator,
-// on allocation.
+// lock plus its own mapping stripe, so writers to different thins do not
+// contend on metadata resolution, and on allocation only for the few
+// hundred nanoseconds the pool's allocation mutex is held.
 type Thin struct {
 	pool *Pool
 	id   int
@@ -240,8 +240,8 @@ const writeAttempts = 4
 // write serves one write request. The common paths — pure
 // overwrites AND writes that provision — run under the pool's SHARED lock:
 // mapping mutation is serialized by the thin's stripe lock and allocation
-// by the per-shard locks, so concurrent writers to different thins proceed
-// fully in parallel, provisioning included. Holding pool+stripe across the
+// by the pool's allocation mutex, so concurrent writers to different thins
+// proceed in parallel, provisioning included. Holding pool+stripe across the
 // transfer means a concurrent discard+commit can never free a block and
 // hand it to another thin while this request's data is in flight. The
 // dummy-write policy is still consulted per provisioned block, preserving
@@ -375,7 +375,7 @@ func (t *Thin) write(r *storage.Req) error {
 
 // provisionHolesShared provisions the listed unmapped vblocks under the
 // pool's SHARED lock — mapping mutation rides the stripe lock, allocation
-// the shard locks — appending the vblocks THIS request provisioned to
+// the allocation mutex — appending the vblocks THIS request provisioned to
 // *fresh (holes a racing writer mapped first are skipped and stay theirs).
 // On failure every vblock in *fresh is discarded: none of this request's
 // data has been written yet, and a mapped block whose data was never
@@ -479,9 +479,9 @@ func (t *Thin) unwindFresh(fresh []uint64, landedBelow uint64) {
 // when it reclaims a run of dummy space. The whole range is processed under
 // one stripe-lock acquisition, the same economics reads and writes get
 // from bio merging — and like them it runs on the fine-grained path (pool
-// read lock + the thin's stripe lock + shard locks for the frees), so
-// discards on one thin never stall writers of other stripes, and the
-// canonical discard-then-rewrite cycle stays parallel end to end.
+// read lock + the thin's stripe lock + the allocation mutex for the
+// frees), so discards on one thin never stall writers of other stripes,
+// and the canonical discard-then-rewrite cycle stays parallel end to end.
 // Unprovisioned blocks in the range are no-ops. The discard records no
 // thinp stage — the unmap mutates metadata only, and the scheduler above
 // already records the request's D/C lifecycle.
