@@ -202,7 +202,7 @@ func exportJSONL(path string, events []mobiceal.FlightEvent) error {
 }
 
 // renderTraceReport prints the human tables: window summary, stage counts,
-// per-op Q2D/D2C/Q2C, queueing, merges, commit folding, errors.
+// per-op Q2D/D2C/Q2C, queueing, commit folding, errors.
 func renderTraceReport(w io.Writer, rep *mobiceal.TraceReport) {
 	fmt.Fprintf(w, "trace: %d events, %d requests (%d completed) over %v\n",
 		rep.Events, rep.Requests, rep.Completed, time.Duration(rep.SpanNS))
@@ -225,10 +225,6 @@ func renderTraceReport(w io.Writer, rep *mobiceal.TraceReport) {
 
 	fmt.Fprintf(w, "\nqueue depth: max %d mean %.2f; in flight: max %d\n",
 		rep.QueueMax, rep.QueueMean, rep.FlightMax)
-	if rep.Merge.Chains > 0 {
-		fmt.Fprintf(w, "merges: %d chains, %d merged, max chain %d, mean %.2f\n",
-			rep.Merge.Chains, rep.Merge.Merged, rep.Merge.MaxChain, rep.Merge.MeanChain)
-	}
 	if rep.Commits.Rounds > 0 {
 		fmt.Fprintf(w, "commits: %d rounds, %d folded (mean %.2f); door wait %s\n",
 			rep.Commits.Rounds, rep.Commits.Folded, rep.Commits.MeanFolded,

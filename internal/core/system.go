@@ -435,7 +435,7 @@ func (s *System) Commit() error { return s.pool.Commit() }
 // Health is a snapshot of the system's degradation state: the thin pool's
 // health-ladder mode with the reason for the last degradation, and the I/O
 // scheduler's fault counters (retries fired, requests recovered by retry,
-// deadline timeouts, hard failures, failed durability barriers).
+// hard failures, failed durability barriers).
 type Health struct {
 	// Mode is the pool health mode: thinp.PoolWrite in normal operation,
 	// escalating through OutOfDataSpace and ReadOnly to Fail.
@@ -443,8 +443,7 @@ type Health struct {
 	// Reason explains the last degradation; empty while Mode is PoolWrite.
 	Reason string
 	// IO is the scheduler's metrics snapshot; its Retries, Recovered,
-	// Timeouts, Failures and BarrierFails are the cumulative fault
-	// accounting.
+	// Failures and BarrierFails are the cumulative fault accounting.
 	IO ioq.MetricsSnapshot
 }
 

@@ -74,7 +74,7 @@ func (s *System) Telemetry() Telemetry {
 // String renders the snapshot as a dm-thin-`status`-style one-liner:
 //
 //	rw tx 7 data 120/4096 commits 12/3 alloc(n=120 mean=1µs p50≤2µs p99≤4µs)
-//	io sub 240 done 240 qd 0 inflight 0 merge 0.42 fail 0 dev w 140/573440
+//	io sub 240 done 240 qd 0 inflight 0 fail 0 dev w 140/573440
 //
 // Fixed-position fields first (mode, transaction, space), then the
 // machinery gauges a human scans for.
@@ -94,9 +94,9 @@ func (t Telemetry) String() string {
 	}
 	fmt.Fprintf(&b, " commits %d/%d alloc(%s)",
 		t.Pool.CommitCalls, t.Pool.CommitFlips, t.Pool.AllocLat)
-	fmt.Fprintf(&b, " io sub %d done %d qd %d inflight %d merge %.2f fail %d",
+	fmt.Fprintf(&b, " io sub %d done %d qd %d inflight %d fail %d",
 		t.IO.Submitted, t.IO.Completed, t.IO.QueueDepth, t.IO.InFlight,
-		t.IO.MergeRatio(), t.IO.Failures)
+		t.IO.Failures)
 	fmt.Fprintf(&b, " dev w %d/%d", t.Data.WriteBlocks, t.Data.BytesWrite)
 	if f := t.File; f != nil {
 		mode := "buffered"

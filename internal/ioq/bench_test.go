@@ -11,82 +11,6 @@ import (
 	"mobiceal/internal/thinp"
 )
 
-// plugDevice lets a benchmark iteration pile requests into the staging
-// queue deterministically: while armed, a write to the plug block parks
-// the (only) worker inside the device until the gate opens, so everything
-// submitted meanwhile drains as one batch and merges into one run.
-type plugDevice struct {
-	storage.Device
-	plug    uint64
-	armed   atomic.Bool
-	gate    chan struct{}
-	entered chan struct{}
-}
-
-func (d *plugDevice) arm() {
-	d.gate = make(chan struct{})
-	d.entered = make(chan struct{})
-	d.armed.Store(true)
-}
-
-func (d *plugDevice) Do(reqs []storage.Req) error {
-	if r := &reqs[0]; r.Op == storage.OpWrite && r.Start == d.plug && d.armed.CompareAndSwap(true, false) {
-		close(d.entered)
-		<-d.gate
-	}
-	return storage.Do(d.Device, reqs)
-}
-
-// BenchmarkMergedRun measures one large coalesced dispatch: a plug write
-// parks the only worker, reqs adjacent same-kind requests stage behind it,
-// and the batch drains as a single merged device operation: the merged run
-// dispatches the callers' own buffers as one scatter-gather request.
-func BenchmarkMergedRun(b *testing.B) {
-	const (
-		reqs      = 32
-		reqBlocks = 4
-		plugIdx   = reqs * reqBlocks * 2
-	)
-	for _, kind := range []string{"write", "read"} {
-		b.Run(fmt.Sprintf("zerocopy/%s/reqs=%d/blocks=%d", kind, reqs, reqBlocks), func(b *testing.B) {
-			mem := storage.NewMemDevice(blockSize, plugIdx+8)
-			plug := &plugDevice{Device: mem, plug: plugIdx}
-			s := NewScheduler(Options{Workers: 1})
-			defer s.Close()
-			q := s.Register(plug)
-			bufs := make([][]byte, reqs)
-			for i := range bufs {
-				bufs[i] = make([]byte, reqBlocks*blockSize)
-			}
-			plugBuf := make([]byte, blockSize)
-			futs := make([]*Future, reqs)
-			b.SetBytes(reqs * reqBlocks * blockSize)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				plug.arm()
-				pf := q.SubmitWrite(plugIdx, plugBuf)
-				<-plug.entered
-				for r := 0; r < reqs; r++ {
-					start := uint64(r * reqBlocks)
-					if kind == "write" {
-						futs[r] = q.SubmitWrite(start, bufs[r])
-					} else {
-						futs[r] = q.SubmitRead(start, bufs[r])
-					}
-				}
-				close(plug.gate)
-				if err := pf.Wait(); err != nil {
-					b.Fatal(err)
-				}
-				if err := WaitAll(futs...); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkVolumeService measures the concurrent volume service end to
 // end: V thin volumes on one pool, each driven by its own submitter
 // goroutine issuing 4-block async writes with a durability flush every 8
@@ -191,8 +115,8 @@ func BenchmarkVolumeService(b *testing.B) {
 
 // BenchmarkRetryOverhead pits the scheduler with retry disabled against the
 // default retry policy on a fault-free device. The resilience machinery —
-// per-attempt bookkeeping, transient classification, deadline checks — sits
-// on every dispatch, so its no-fault cost must stay at zero; the committed
+// per-attempt bookkeeping, transient classification — sits on every
+// dispatch, so its no-fault cost must stay at zero; the committed
 // BENCH_PR6.json pair pins that. The faulty=1 variants run the same loop
 // with a seeded 2% transient-fault stream, showing what absorbing real
 // faults costs end to end (retried requests pay the backoff sleep).

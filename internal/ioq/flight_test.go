@@ -34,9 +34,8 @@ func TestFlightTracingUnderFaults(t *testing.T) {
 	defer s.Close()
 	q := s.Register(dev)
 
-	// Non-adjacent single-block writes: same batch, but no merge runs, so
-	// every request takes the retrying execOne path. TransientRate 1 makes
-	// the first touch of each block fail and the retry succeed.
+	// Single-block writes: TransientRate 1 makes the first touch of each
+	// block fail and the retry succeed.
 	const writes = 4
 	futs := make([]*Future, writes)
 	for i := 0; i < writes; i++ {
@@ -61,8 +60,6 @@ func TestFlightTracingUnderFaults(t *testing.T) {
 		var lastDAux uint64
 		for _, ev := range evs {
 			switch ev.Stage {
-			case obs.StageMerged:
-				t.Fatalf("req %d: unexpected merge event (non-adjacent writes)", fid)
 			case obs.StageDispatch:
 				d++
 				if ev.Aux != uint64(d) {

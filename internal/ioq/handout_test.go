@@ -2,7 +2,6 @@ package ioq
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -14,24 +13,20 @@ import (
 )
 
 // The hand-out suite: a queue's only in-flight parallelism is the worker
-// pool — one coalesced run per dispatch, as many dispatches at once as
-// there are workers. These tests pin what that buys (disjoint runs overlap
-// at the device), what it must not cost (barriers, deadlines, final image,
-// fairness across volumes) and the crash view of a Flush behind it.
-
-// devWrite is one write operation as the device saw it.
-type devWrite struct{ start, blocks uint64 }
+// pool — one request per dispatch, in arrival order, as many dispatches at
+// once as there are workers. These tests pin what that buys (disjoint
+// requests overlap at the device), what it must not cost (barriers, final
+// image, fairness across volumes) and the crash view of a Flush behind it.
 
 // holdDevice gates writes by their start block: a write whose start has a
 // registered gate announces itself on entered and parks until the gate
-// opens. It makes "which runs are at the device right now" observable from
-// the outside, and records every write operation and sync it serves.
+// opens. It makes "which requests are at the device right now" observable
+// from the outside, and counts the syncs it serves.
 type holdDevice struct {
 	storage.Device
 	mu       sync.Mutex
 	gates    map[uint64]chan struct{}
 	releases []func()
-	writes   []devWrite
 	entered  chan uint64
 	syncs    atomic.Int64
 }
@@ -73,7 +68,6 @@ func (d *holdDevice) Do(reqs []storage.Req) error {
 		d.syncs.Add(1)
 	case storage.OpWrite:
 		d.mu.Lock()
-		d.writes = append(d.writes, devWrite{r.Start, uint64(r.Blocks())})
 		g := d.gates[r.Start]
 		delete(d.gates, r.Start)
 		d.mu.Unlock()
@@ -85,22 +79,8 @@ func (d *holdDevice) Do(reqs []storage.Req) error {
 	return storage.Do(d.Device, reqs)
 }
 
-// writesBelow returns the recorded write operations that start below
-// limit, in arrival order (the plugs sit above it).
-func (d *holdDevice) writesBelow(limit uint64) []devWrite {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	var out []devWrite
-	for _, w := range d.writes {
-		if w.start < limit {
-			out = append(out, w)
-		}
-	}
-	return out
-}
-
 // waitEntered fails the test unless a gated write reaches the device
-// within the deadline.
+// within five seconds.
 func waitEntered(t *testing.T, d *holdDevice) uint64 {
 	t.Helper()
 	select {
@@ -126,8 +106,8 @@ func assertNotEntered(t *testing.T, d *holdDevice) {
 const plugBase = 1000 // plug writes start here, two blocks apart
 
 // plug parks every one of the scheduler's workers inside the device on a
-// write of q's, so that everything submitted to q meanwhile piles up and is
-// drained as ONE batch once the returned function opens the plugs.
+// write of q's, so that everything submitted to q meanwhile piles up in the
+// queue until the returned function opens the plugs.
 func plug(t *testing.T, q *VolumeQueue, dev *holdDevice, workers int) (unplug func()) {
 	t.Helper()
 	rels := make([]func(), workers)
@@ -177,57 +157,67 @@ func holdWrites(q *VolumeQueue, dev *holdDevice, starts []uint64) (map[uint64]fu
 }
 
 // TestHandOutDisjointRunsRunConcurrently is the parallelism proof: the
-// disjoint runs of one batch are at the device together, as many as there
-// are workers and no more, and a finished worker takes the next staged run.
+// disjoint requests piled up in one queue are at the device together, as
+// many as there are workers and no more, in submission order whatever
+// their block order, and a finished worker takes the next queued request.
 func TestHandOutDisjointRunsRunConcurrently(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			s, q, dev, unplug := plugged(t, workers, nil)
-			starts := []uint64{10, 20, 30}
-			rel, futs := holdWrites(q, dev, starts)
-			unplug()
-
-			// Elevator order: the first `workers` runs enter together, the
-			// rest stay staged — nobody but a worker executes a run.
-			at := map[uint64]bool{}
-			for i := 0; i < workers; i++ {
-				at[waitEntered(t, dev)] = true
-			}
-			for _, st := range starts[:workers] {
-				if !at[st] {
-					t.Fatalf("at the device: %v, want the first %d of %v", at, workers, starts)
-				}
-			}
-			assertNotEntered(t, dev)
-
-			// Each completion frees its worker for the next staged run.
-			for i, st := range starts {
-				rel[st]()
-				if next := i + workers; next < len(starts) {
-					if got := waitEntered(t, dev); got != starts[next] {
-						t.Fatalf("after %d completed, entered %d, want %d", st, got, starts[next])
-					}
-				}
-			}
-			if err := WaitAll(futs...); err != nil {
-				t.Fatal(err)
-			}
-			m := s.MetricsSnapshot()
-			if m.InFlight != 0 || m.QueueDepth != 0 {
-				t.Fatalf("gauges did not unwind: in flight %d, depth %d", m.InFlight, m.QueueDepth)
-			}
-			// One drain for the three writes, however many hand-outs it
-			// took (the plugs before it were one drain each).
-			if want := uint64(workers + 1); m.Batches != want {
-				t.Fatalf("Batches = %d, want %d", m.Batches, want)
+			for _, starts := range [][]uint64{{10, 20, 30}, {30, 10, 20}} {
+				t.Run(fmt.Sprintf("starts=%v", starts), func(t *testing.T) {
+					handOutInOrder(t, workers, starts)
+				})
 			}
 		})
 	}
 }
 
-// TestHandOutBarrierWaitsForStagedAndInFlight: a Flush behind a staged
-// batch must not reach the device's Sync while any handed-out run is
-// parked at the device, nor while a run of the batch is still staged with
+// handOutInOrder submits one held write per start behind every worker
+// plugged, opens the plugs and requires the writes to reach the device in
+// submission order, `workers` at a time.
+func handOutInOrder(t *testing.T, workers int, starts []uint64) {
+	s, q, dev, unplug := plugged(t, workers, nil)
+	rel, futs := holdWrites(q, dev, starts)
+	unplug()
+
+	// Arrival order: the first `workers` requests enter together, the
+	// rest stay queued — nobody but a worker executes a request.
+	at := map[uint64]bool{}
+	for i := 0; i < workers; i++ {
+		at[waitEntered(t, dev)] = true
+	}
+	for _, st := range starts[:workers] {
+		if !at[st] {
+			t.Fatalf("at the device: %v, want the first %d of %v", at, workers, starts)
+		}
+	}
+	assertNotEntered(t, dev)
+
+	// Each completion frees its worker for the next queued request.
+	for i, st := range starts {
+		rel[st]()
+		if next := i + workers; next < len(starts) {
+			if got := waitEntered(t, dev); got != starts[next] {
+				t.Fatalf("after %d completed, entered %d, want %d", st, got, starts[next])
+			}
+		}
+	}
+	if err := WaitAll(futs...); err != nil {
+		t.Fatal(err)
+	}
+	m := s.MetricsSnapshot()
+	if m.InFlight != 0 || m.QueueDepth != 0 {
+		t.Fatalf("gauges did not unwind: in flight %d, depth %d", m.InFlight, m.QueueDepth)
+	}
+	// One dispatch per request: the plugs and the held writes.
+	if want := uint64(workers + len(starts)); m.Batches != want {
+		t.Fatalf("Batches = %d, want %d", m.Batches, want)
+	}
+}
+
+// TestHandOutBarrierWaitsForStagedAndInFlight: a Flush behind queued
+// writes must not reach the device's Sync while any handed-out write is
+// parked at the device, nor while a write ahead of it is still queued with
 // nothing in flight (workers=1: every completion leaves exactly that
 // state).
 func TestHandOutBarrierWaitsForStagedAndInFlight(t *testing.T) {
@@ -256,7 +246,7 @@ func TestHandOutBarrierWaitsForStagedAndInFlight(t *testing.T) {
 			for i := 0; i < workers; i++ {
 				waitEntered(t, dev)
 			}
-			notYet("with every worker's run parked at the device")
+			notYet("with every worker's write parked at the device")
 			for i, st := range starts {
 				rel[st]()
 				if next := i + workers; next < len(starts) {
@@ -349,42 +339,6 @@ func TestHandOutMatchesSerialReference(t *testing.T) {
 	}
 }
 
-// TestHandOutExpiredMiddleSplitsRun: three adjacent writes would merge into
-// one device operation; when the middle one's deadline passes while they
-// queue, it completes with ErrDeadline and the survivors execute as two
-// operations — never one merged across the hole, which would write the
-// expired request's block with somebody else's bytes.
-func TestHandOutExpiredMiddleSplitsRun(t *testing.T) {
-	s, q, dev, unplug := plugged(t, 1, nil)
-	payload := func(b byte) []byte { return bytes.Repeat([]byte{b}, blockSize) }
-	left := q.SubmitWrite(10, payload(0xA1))
-	doomed := q.SubmitWriteOpts(11, payload(0xEE), ReqOptions{Deadline: time.Now().Add(time.Millisecond)})
-	right := q.SubmitWrite(12, payload(0xC3))
-	time.Sleep(5 * time.Millisecond)
-	unplug()
-
-	if err := doomed.Wait(); !errors.Is(err, ErrDeadline) {
-		t.Fatalf("middle write err = %v, want ErrDeadline", err)
-	}
-	if err := WaitAll(left, right); err != nil {
-		t.Fatalf("survivors: %v", err)
-	}
-	want := []devWrite{{10, 1}, {12, 1}}
-	if got := dev.writesBelow(plugBase); len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
-		t.Fatalf("device writes %v, want %v", got, want)
-	}
-	got := make([]byte, 3*blockSize)
-	if err := q.SubmitRead(10, got).Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if got[0] != 0xA1 || got[blockSize] != 0 || got[2*blockSize] != 0xC3 {
-		t.Fatalf("blocks 10..12 start %#x %#x %#x, want a1 00 c3", got[0], got[blockSize], got[2*blockSize])
-	}
-	if m := s.MetricsSnapshot(); m.Timeouts != 1 || m.CoalescedOps != 0 || m.InFlight != 0 || m.QueueDepth != 0 {
-		t.Fatalf("accounting after the expiry: %+v", m)
-	}
-}
-
 // resubmitDevice keeps its queue saturated from the inside: every device
 // operation submits the queue's next request before it returns, so each
 // dispatch ends with work left. At operation number probeAt it also
@@ -463,7 +417,7 @@ func TestHandOutRoundRobinAcrossQueues(t *testing.T) {
 
 // TestHandOutCrashImagesHoldFlushedWrites is the crash view of the barrier
 // under concurrent hand-out (ROADMAP verification item (c), in small): K
-// disjoint writes drained as one batch and handed to four workers, then a
+// disjoint writes piled up in the queue and handed to four workers, then a
 // Flush, over a CrashDevice. Whatever the workers' interleaving, the
 // flush's Sync must come after all K reached the device: every crash image
 // at or after the point the Flush completed holds all K payloads.

@@ -3,21 +3,19 @@
 // storage.Device stack.
 //
 // Callers submit read/write/discard/sync requests per volume and get a
-// Future back; a shared pool of workers drains each volume's staging
-// queue in batches, elevator-sorts the batch, coalesces runs of adjacent
-// blocks into single scatter-gather storage.Req descriptors — one run per
-// worker at a time — and completes the futures. The scheduler is the
-// userspace analogue of the kernel's blk-mq: per-volume software queues
-// feed a multi-producer/multi-consumer ready list served by
-// hardware-context-like workers, and request merging recovers the
-// bio-merge economics the synchronous path only gets when a single caller
-// happens to issue large requests.
+// Future back; a shared pool of workers takes requests off each volume's
+// queue one per dispatch, in arrival order, hands each to the device stack
+// as its own storage.Req and completes its future. The scheduler is the
+// userspace analogue of the kernel's blk-mq with the `none` scheduler:
+// per-volume software queues feed a multi-producer/multi-consumer ready
+// list served by hardware-context-like workers, with no sorting or
+// merging in between.
 //
 // Ordering and durability semantics (the contract a file system above
 // this layer relies on):
 //
-//   - Requests between two barriers are unordered: the scheduler may
-//     reorder and merge them freely, exactly like an I/O scheduler.
+//   - Requests between two barriers are unordered: up to Workers of them
+//     are at the device at once and may complete in any order.
 //     Overlapping in-flight requests to the same blocks have undefined
 //     relative order — a caller that cares must wait the earlier future
 //     before submitting the later request.
@@ -46,11 +44,6 @@ import (
 
 // ErrClosed reports a submission to a closed scheduler.
 var ErrClosed = errors.New("ioq: scheduler closed")
-
-// ErrDeadline reports a request that exceeded its per-request deadline
-// before it could execute (or finish retrying). The request did not
-// necessarily reach the device.
-var ErrDeadline = errors.New("ioq: request deadline exceeded")
 
 // ErrBarrier reports a request failed because the Flush barrier it was
 // parked behind could not establish durability: the device Sync failed
@@ -90,20 +83,12 @@ func (p *RetryPolicy) fill() {
 	}
 }
 
-const (
-	// maxBatch is the most requests one drain takes from a volume queue.
-	maxBatch = 64
-	// mergeBlocks caps the size, in blocks, of one coalesced device
-	// operation.
-	mergeBlocks = 128
-)
-
 // Options configures a Scheduler.
 type Options struct {
 	// Workers is the number of dispatch goroutines, and with it the most
-	// coalesced runs — of one volume or of several — at the device at
-	// once: Workers > 1 lets different volumes, and different runs of one
-	// volume, dispatch in parallel and overlaps one run's merge/CPU work
+	// requests — of one volume or of several — at the device at once:
+	// Workers > 1 lets different volumes, and different requests of one
+	// volume, dispatch in parallel and overlaps one request's CPU work
 	// with another's device latency; even at GOMAXPROCS=1 extra workers
 	// keep the queue moving while one blocks in a commit.
 	// Default: max(2, GOMAXPROCS).
@@ -113,7 +98,7 @@ type Options struct {
 	// MaxAttempts negative to disable retry.
 	Retry RetryPolicy
 	// Flight, when set, receives blktrace-style lifecycle events
-	// (Q/G/M/D/C) for every request while recording is enabled. The same
+	// (Q/G/D/C) for every request while recording is enabled. The same
 	// recorder should be attached to the layers below (thinp, the data
 	// StatsDevice) so one request id threads the whole stack. nil, or a
 	// disabled recorder, costs one atomic load per stage hook.
@@ -222,13 +207,13 @@ func (s *Scheduler) enqueue(q *VolumeQueue) bool {
 	return true
 }
 
-// worker pulls ready queues and dispatches one run each. A queue that still
-// has dispatchable work afterwards goes back on the TAIL of the ready list —
-// round-robin by arrival order, so a saturated volume cannot starve the
-// others — under the lock hold the worker needs for its next pull anyway,
-// and without a signal: the worker is about to pull itself, and waking a
-// sleeping one for the run measured no better (DESIGN.md, "One run per
-// dispatch").
+// worker pulls ready queues and dispatches one request each. A queue that
+// still has dispatchable work afterwards goes back on the TAIL of the ready
+// list — round-robin by arrival order, so a saturated volume cannot starve
+// the others — under the lock hold the worker needs for its next pull
+// anyway, and without a signal: the worker is about to pull itself, and
+// waking a sleeping one for the next request measured no better
+// (DESIGN.md, "One request per dispatch").
 func (s *Scheduler) worker() {
 	defer s.wg.Done()
 	var again *VolumeQueue

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-	"unsafe"
 
 	"mobiceal/internal/prng"
 	"mobiceal/internal/storage"
@@ -17,8 +16,8 @@ import (
 
 const blockSize = 512
 
-// countingDevice counts device requests so merge tests can assert
-// coalescing, and records the op sequence for barrier tests.
+// countingDevice counts device requests and records the op sequence for
+// barrier tests.
 type countingDevice struct {
 	storage.Device
 	mu         sync.Mutex
@@ -47,22 +46,28 @@ func (d *countingDevice) Do(reqs []storage.Req) error {
 	return storage.Do(d.Device, reqs)
 }
 
-// blockingDevice stalls the first write while the gate is held, letting tests
-// pile requests into the staging queue deterministically.
-type blockingDevice struct {
+// plugDevice lets a test pile requests into the queue deterministically:
+// while armed, a write to the plug block parks the worker serving it inside
+// the device until the gate opens, so everything submitted meanwhile waits
+// in the queue.
+type plugDevice struct {
 	storage.Device
+	plug    uint64
+	armed   atomic.Bool
 	gate    chan struct{}
 	entered chan struct{}
-	once    sync.Once
-	armed   atomic.Bool
 }
 
-func (d *blockingDevice) Do(reqs []storage.Req) error {
-	if reqs[0].Op == storage.OpWrite && d.armed.Load() {
-		d.once.Do(func() {
-			close(d.entered)
-			<-d.gate
-		})
+func (d *plugDevice) arm() {
+	d.gate = make(chan struct{})
+	d.entered = make(chan struct{})
+	d.armed.Store(true)
+}
+
+func (d *plugDevice) Do(reqs []storage.Req) error {
+	if r := &reqs[0]; r.Op == storage.OpWrite && r.Start == d.plug && d.armed.CompareAndSwap(true, false) {
+		close(d.entered)
+		<-d.gate
 	}
 	return storage.Do(d.Device, reqs)
 }
@@ -110,9 +115,8 @@ func TestErrorPropagation(t *testing.T) {
 
 // TestMisalignedSubmitRejectedBeforeMerge pins the submission-time
 // alignment check: a buffer that is not a whole number of blocks fails
-// its own future immediately and never enters the staging queue, so it
-// can never poison a merged run (the zero-copy vec dispatch requires
-// whole-block segments).
+// its own future immediately and never enters the queue, while the
+// aligned requests around it run.
 func TestMisalignedSubmitRejectedBeforeMerge(t *testing.T) {
 	mem := storage.NewMemDevice(blockSize, 1024)
 	plug := &plugDevice{Device: mem, plug: 512}
@@ -123,8 +127,8 @@ func TestMisalignedSubmitRejectedBeforeMerge(t *testing.T) {
 	plug.arm()
 	pf := q.SubmitWrite(512, make([]byte, blockSize))
 	<-plug.entered
-	// A misaligned write between two mergeable aligned ones: it must fail
-	// cleanly at submission while its aligned neighbors merge and land.
+	// A misaligned write between two adjacent aligned ones: it must fail
+	// cleanly at submission while its aligned neighbors land.
 	a := q.SubmitWrite(0, make([]byte, blockSize))
 	bad := q.SubmitWrite(1, make([]byte, blockSize+3))
 	if err := bad.Wait(); !errors.Is(err, storage.ErrBadBuffer) {
@@ -137,62 +141,6 @@ func TestMisalignedSubmitRejectedBeforeMerge(t *testing.T) {
 	close(plug.gate)
 	if err := WaitAll(pf, a, b); err != nil {
 		t.Fatalf("aligned neighbors of a rejected request failed: %v", err)
-	}
-}
-
-// TestAdjacentWritesMerge holds the device closed while adjacent writes
-// pile up, then asserts the drained batch reached the device as a single
-// vectored call with the bytes intact.
-func TestAdjacentWritesMerge(t *testing.T) {
-	const n = 8
-	mem := storage.NewMemDevice(blockSize, 1024)
-	counter := &countingDevice{Device: mem}
-	dev := &blockingDevice{
-		Device:  counter,
-		gate:    make(chan struct{}),
-		entered: make(chan struct{}),
-	}
-	s := NewScheduler(Options{Workers: 1})
-	defer s.Close()
-	q := s.Register(dev)
-
-	// First write occupies the only worker inside the device.
-	dev.armed.Store(true)
-	first := q.SubmitWrite(512, make([]byte, blockSize))
-	<-dev.entered
-
-	// n adjacent single-block writes stage while the worker is stuck.
-	futures := make([]*Future, n)
-	want := make([]byte, n*blockSize)
-	for i := 0; i < n; i++ {
-		buf := make([]byte, blockSize)
-		for j := range buf {
-			buf[j] = byte(i + 1)
-		}
-		copy(want[i*blockSize:], buf)
-		futures[i] = q.SubmitWrite(uint64(i), buf)
-	}
-	close(dev.gate)
-	if err := first.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if err := WaitAll(futures...); err != nil {
-		t.Fatal(err)
-	}
-
-	counter.mu.Lock()
-	writeCalls := counter.writeCalls
-	counter.mu.Unlock()
-	// One call for the gate write, one for the merged batch.
-	if writeCalls != 2 {
-		t.Fatalf("device saw %d write calls, want 2 (gate + merged batch)", writeCalls)
-	}
-	got := make([]byte, n*blockSize)
-	if err := storage.ReadBlocks(mem, 0, got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("merged write bytes differ")
 	}
 }
 
@@ -236,9 +184,8 @@ func TestFlushBarrier(t *testing.T) {
 			writesBefore++
 		}
 	}
-	// The 16 pre-flush writes may merge into fewer calls, but all their
-	// blocks must land before the sync; the post-flush write must come
-	// after. Verify via block accounting: count blocks, not calls.
+	// The 16 pre-flush writes must all land before the sync; the
+	// post-flush write must come after. Verify via block accounting.
 	if got := mem.WrittenBlocks(); got != 17 {
 		t.Fatalf("device holds %d written blocks, want 17", got)
 	}
@@ -388,10 +335,10 @@ func TestSerialSemanticsMatchReference(t *testing.T) {
 }
 
 // TestMergedDispatchMatchesSerialReference is the ioq leg of the
-// vec-vs-flat equivalence suite: batches of disjoint random requests are
-// piled deterministically behind a plug write, dispatch as merged
-// scatter-gather runs, and must be byte-equivalent to the same operations
-// applied serially to a reference device.
+// vec-vs-flat equivalence suite: rounds of disjoint random requests are
+// piled deterministically behind a plug write, dispatch once it opens, and
+// must be byte-equivalent to the same operations applied serially to a
+// reference device.
 func TestMergedDispatchMatchesSerialReference(t *testing.T) {
 	const (
 		blocks  = 512
@@ -411,8 +358,8 @@ func TestMergedDispatchMatchesSerialReference(t *testing.T) {
 		plug.arm()
 		pf := q.SubmitWrite(plugIdx, plugBuf)
 		<-plug.entered
-		// Disjoint random requests: shuffle block regions so merged runs
-		// form from out-of-order adjacent submissions.
+		// Disjoint random requests over shuffled block regions, so adjacent
+		// regions arrive out of order.
 		type pendingRead struct {
 			got, want []byte
 		}
@@ -448,7 +395,7 @@ func TestMergedDispatchMatchesSerialReference(t *testing.T) {
 		}
 		for i, pr := range reads {
 			if !bytes.Equal(pr.got, pr.want) {
-				t.Fatalf("round %d: merged read %d diverges from serial reference", round, i)
+				t.Fatalf("round %d: read %d diverges from serial reference", round, i)
 			}
 		}
 	}
@@ -465,92 +412,18 @@ func TestMergedDispatchMatchesSerialReference(t *testing.T) {
 	}
 }
 
-// vecObserver records the segmentation of merged writes reaching the device,
-// so tests can assert the merged dispatch really hands down the callers'
-// buffers unflattened.
-type vecObserver struct {
-	storage.Device
-	mu   sync.Mutex
-	segs [][]int // one entry per vec call: the segment block counts
-	ptrs []uintptr
-}
-
-func (d *vecObserver) Do(reqs []storage.Req) error {
-	for _, r := range reqs {
-		if r.Op != storage.OpWrite || r.Vec.Segments() < 2 {
-			continue // only merged runs are of interest
-		}
-		d.mu.Lock()
-		var counts []int
-		for i, v := 0, r.Vec; i < v.Segments(); i++ {
-			counts = append(counts, len(v.Seg(i))/d.BlockSize())
-			d.ptrs = append(d.ptrs, uintptr(unsafe.Pointer(&v.Seg(i)[0])))
-		}
-		d.segs = append(d.segs, counts)
-		d.mu.Unlock()
-	}
-	return storage.Do(d.Device, reqs)
-}
-
-// TestMergedDispatchIsZeroCopy pins the zero-copy contract: a merged run
-// reaches the device as ONE vec whose segments are the submitters' own
-// buffers (pointer-identical), not copies.
-func TestMergedDispatchIsZeroCopy(t *testing.T) {
-	const n = 6
-	mem := storage.NewMemDevice(blockSize, 1024)
-	obs := &vecObserver{Device: mem}
-	plug := &plugDevice{Device: obs, plug: 512}
-	s := NewScheduler(Options{Workers: 1})
-	defer s.Close()
-	q := s.Register(plug)
-
-	plug.arm()
-	pf := q.SubmitWrite(512, make([]byte, blockSize))
-	<-plug.entered
-	bufs := make([][]byte, n)
-	futs := make([]*Future, n)
-	for i := 0; i < n; i++ {
-		bufs[i] = make([]byte, 2*blockSize)
-		futs[i] = q.SubmitWrite(uint64(i*2), bufs[i])
-	}
-	close(plug.gate)
-	if err := pf.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if err := WaitAll(futs...); err != nil {
-		t.Fatal(err)
-	}
-	obs.mu.Lock()
-	defer obs.mu.Unlock()
-	if len(obs.segs) != 1 {
-		t.Fatalf("device saw %d vec calls, want 1 merged dispatch (segs: %v)", len(obs.segs), obs.segs)
-	}
-	if len(obs.segs[0]) != n {
-		t.Fatalf("merged vec has %d segments, want %d", len(obs.segs[0]), n)
-	}
-	for i, p := range obs.ptrs {
-		if p != uintptr(unsafe.Pointer(&bufs[i][0])) {
-			t.Fatalf("segment %d is not the submitter's buffer (copied?)", i)
-		}
-	}
-}
-
 // TestQuiesceBarrier pins Quiesce semantics: it completes only after every
 // older request drains, it runs NO device sync, and requests behind it
 // wait for it.
 func TestQuiesceBarrier(t *testing.T) {
 	mem := storage.NewMemDevice(blockSize, 64)
 	counter := &countingDevice{Device: mem}
-	dev := &blockingDevice{
-		Device:  counter,
-		gate:    make(chan struct{}),
-		entered: make(chan struct{}),
-	}
+	dev := &plugDevice{Device: counter, plug: 0}
 	s := NewScheduler(Options{Workers: 2})
 	defer s.Close()
 	q := s.Register(dev)
 
-	dev.armed.Store(true)
+	dev.arm()
 	w := q.SubmitWrite(0, make([]byte, blockSize))
 	<-dev.entered
 	qf := q.Quiesce()
@@ -597,18 +470,13 @@ func TestConcurrentDisjointWriters(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(w)))
 			base := uint64(w * perWriter)
-			var last *Future
-			var lastBuf []byte
+			var futs []*Future
 			for r := 0; r < rounds; r++ {
 				n := rng.Intn(4) + 1
 				off := uint64(rng.Intn(perWriter - n))
 				buf := make([]byte, n*blockSize)
 				rng.Read(buf)
-				f := q.SubmitWrite(base+off, buf)
-				if r == rounds-1 {
-					last, lastBuf = f, buf
-					_ = lastBuf
-				}
+				futs = append(futs, q.SubmitWrite(base+off, buf))
 				if rng.Intn(5) == 0 {
 					if err := q.Flush().Wait(); err != nil {
 						t.Error(err)
@@ -616,9 +484,10 @@ func TestConcurrentDisjointWriters(t *testing.T) {
 					}
 				}
 			}
-			// Overlapping async writes within a region are this writer's
-			// own; serialize the tail so the final content is defined.
-			if err := last.Wait(); err != nil {
+			// Overlapping in-flight writes are unordered, and any of this
+			// writer's may still be at the device on another worker: wait
+			// them all so the final write's content is defined.
+			if err := WaitAll(futs...); err != nil {
 				t.Error(err)
 				return
 			}

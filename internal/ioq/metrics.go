@@ -15,13 +15,9 @@ type Metrics struct {
 	Submitted obs.Counter
 	Completed obs.Counter
 
-	// Batches counts batches drained from volume queues: one per drain,
-	// however many runs the batch is handed out as, and one per barrier.
-	// CoalescedOps counts merged device operations covering more than one
-	// request; CoalescedReqs counts the requests those operations carried.
-	Batches       obs.Counter
-	CoalescedOps  obs.Counter
-	CoalescedReqs obs.Counter
+	// Batches counts dispatches: one per request handed to a worker,
+	// barriers included.
+	Batches obs.Counter
 
 	// QueueDepth is the number of submitted requests not yet handed to a
 	// worker, across all queues; InFlight is handed-out-but-uncompleted.
@@ -38,13 +34,12 @@ type Metrics struct {
 
 	// Failure accounting. Retries counts re-executions after transient
 	// faults; Recovered requests that ultimately succeeded after at least
-	// one retry — faults the scheduler absorbed invisibly; Timeouts requests
-	// completed with ErrDeadline; Failures requests completed with any
-	// non-nil error; BarrierFails Flush barriers whose device Sync failed
-	// (after retries), poisoning the requests parked behind them.
+	// one retry — faults the scheduler absorbed invisibly; Failures requests
+	// completed with any non-nil error; BarrierFails Flush barriers whose
+	// device Sync failed (after retries), poisoning the requests parked
+	// behind them.
 	Retries      obs.Counter
 	Recovered    obs.Counter
-	Timeouts     obs.Counter
 	Failures     obs.Counter
 	BarrierFails obs.Counter
 }
@@ -55,8 +50,9 @@ type MetricsSnapshot struct {
 	Submitted uint64 `json:"submitted"`
 	Completed uint64 `json:"completed"`
 
-	Batches       uint64 `json:"batches"`
-	CoalescedOps  uint64 `json:"coalesced_ops"`
+	Batches uint64 `json:"batches"`
+	// CoalescedReqs is always zero: the scheduler merges nothing. It is
+	// declared only because the benchmark harness still reads it.
 	CoalescedReqs uint64 `json:"coalesced_reqs"`
 
 	QueueDepth int64 `json:"queue_depth"`
@@ -68,18 +64,8 @@ type MetricsSnapshot struct {
 
 	Retries      uint64 `json:"retries"`
 	Recovered    uint64 `json:"recovered"`
-	Timeouts     uint64 `json:"timeouts"`
 	Failures     uint64 `json:"failures"`
 	BarrierFails uint64 `json:"barrier_fails"`
-}
-
-// MergeRatio is the fraction of completed requests that rode a coalesced
-// device operation — the scheduler's bio-merge economics in one number.
-func (s MetricsSnapshot) MergeRatio() float64 {
-	if s.Completed == 0 {
-		return 0
-	}
-	return float64(s.CoalescedReqs) / float64(s.Completed)
 }
 
 // Metrics exposes the scheduler's live counters.
@@ -89,26 +75,23 @@ func (s *Scheduler) Metrics() *Metrics { return &s.m }
 func (s *Scheduler) MetricsSnapshot() MetricsSnapshot {
 	m := &s.m
 	return MetricsSnapshot{
-		Submitted:     m.Submitted.Load(),
-		Completed:     m.Completed.Load(),
-		Batches:       m.Batches.Load(),
-		CoalescedOps:  m.CoalescedOps.Load(),
-		CoalescedReqs: m.CoalescedReqs.Load(),
-		QueueDepth:    m.QueueDepth.Load(),
-		InFlight:      m.InFlight.Load(),
-		QueueLat:      m.QueueLat.Snapshot(),
-		ServiceLat:    m.ServiceLat.Snapshot(),
-		TotalLat:      m.TotalLat.Snapshot(),
-		Retries:       m.Retries.Load(),
-		Recovered:     m.Recovered.Load(),
-		Timeouts:      m.Timeouts.Load(),
-		Failures:      m.Failures.Load(),
-		BarrierFails:  m.BarrierFails.Load(),
+		Submitted:    m.Submitted.Load(),
+		Completed:    m.Completed.Load(),
+		Batches:      m.Batches.Load(),
+		QueueDepth:   m.QueueDepth.Load(),
+		InFlight:     m.InFlight.Load(),
+		QueueLat:     m.QueueLat.Snapshot(),
+		ServiceLat:   m.ServiceLat.Snapshot(),
+		TotalLat:     m.TotalLat.Snapshot(),
+		Retries:      m.Retries.Load(),
+		Recovered:    m.Recovered.Load(),
+		Failures:     m.Failures.Load(),
+		BarrierFails: m.BarrierFails.Load(),
 	}
 }
 
 // Flight returns the flight recorder lifecycle events are published to —
 // the one handed in via Options.Flight, or nil (a valid always-disabled
-// recorder). Enable it with SetEnabled(true) to start recording Q/G/M/D/C
+// recorder). Enable it with SetEnabled(true) to start recording Q/G/D/C
 // events for subsequent requests.
 func (s *Scheduler) Flight() *obs.FlightRecorder { return s.flight }

@@ -80,69 +80,6 @@ func TestRetryDisabled(t *testing.T) {
 	}
 }
 
-// TestDeadlineExpiresParkedRequest: a request whose deadline passes while
-// it is parked behind a slow barrier completes with ErrDeadline without
-// executing and without wedging the queue.
-func TestDeadlineExpiresParkedRequest(t *testing.T) {
-	inner := storage.NewMemDevice(blockSize, 64)
-	slow := &slowSyncDevice{Device: inner, delay: 50 * time.Millisecond}
-	s := NewScheduler(Options{Workers: 2})
-	defer s.Close()
-	q := s.Register(slow)
-
-	// Prime: one write, then a Flush that stalls in Sync, then a write
-	// with a deadline far shorter than the stall.
-	if err := q.SubmitWrite(0, make([]byte, blockSize)).Wait(); err != nil {
-		t.Fatalf("prime write: %v", err)
-	}
-	flush := q.Flush()
-	doomed := q.SubmitWriteOpts(1, bytes.Repeat([]byte{0xEE}, blockSize),
-		ReqOptions{Deadline: time.Now().Add(time.Millisecond)})
-	if err := doomed.Wait(); !errors.Is(err, ErrDeadline) {
-		t.Fatalf("parked request err = %v, want ErrDeadline", err)
-	}
-	if err := flush.Wait(); err != nil {
-		t.Fatalf("flush: %v", err)
-	}
-	// The expired write must not have reached the device.
-	got := make([]byte, blockSize)
-	if err := q.SubmitRead(1, got).Wait(); err != nil {
-		t.Fatalf("read: %v", err)
-	}
-	if got[0] == 0xEE {
-		t.Fatal("expired request executed anyway")
-	}
-	// Queue still serves requests after the timeout.
-	if err := q.SubmitWrite(2, make([]byte, blockSize)).Wait(); err != nil {
-		t.Fatalf("post-timeout write: %v", err)
-	}
-	st := s.MetricsSnapshot()
-	if st.Timeouts != 1 {
-		t.Fatalf("timeout not accounted: %+v", st)
-	}
-}
-
-// TestDeadlineBoundsRetry: with an aggressive transient fault and a
-// deadline shorter than the full backoff schedule, the request reports the
-// device fault instead of sleeping past its deadline.
-func TestDeadlineBoundsRetry(t *testing.T) {
-	dev := storage.NewFlakyDevice(storage.NewMemDevice(blockSize, 8),
-		storage.FlakyOptions{Seed: 5, TransientRate: 1})
-	s := NewScheduler(Options{Workers: 1, Retry: RetryPolicy{
-		MaxAttempts: 10, BaseDelay: 20 * time.Millisecond, MaxDelay: 20 * time.Millisecond}})
-	defer s.Close()
-	q := s.Register(dev)
-
-	err := q.SubmitWriteOpts(0, make([]byte, blockSize),
-		ReqOptions{Deadline: time.Now().Add(5 * time.Millisecond)}).Wait()
-	if err == nil {
-		t.Fatal("want an error (deadline cut the retry schedule)")
-	}
-	if !storage.IsTransient(err) && !errors.Is(err, ErrDeadline) {
-		t.Fatalf("unexpected error class: %v", err)
-	}
-}
-
 // slowSyncDevice stalls Sync, optionally failing it, to hold a barrier
 // open while tests race requests against it.
 type slowSyncDevice struct {

@@ -4,14 +4,14 @@ package obs
 // Given a snapshot (live or replayed from JSONL), Analyze reconstructs per
 // request the classic blktrace intervals:
 //
-//	Q2D  submit → first device dispatch   (time spent queued/staged/merged)
+//	Q2D  submit → first device dispatch   (time spent queued)
 //	D2C  last dispatch → completion       (device service time, last attempt)
 //	Q2C  submit → completion              (total request latency)
 //
-// plus merge-chain statistics (from M events), time-weighted queue-depth
-// and in-flight timelines (from Q/D/C transitions), and commit-round
-// attribution (how many callers folded into each metadata slot flip, and
-// how long each waited on the group-commit door).
+// plus time-weighted queue-depth and in-flight timelines (from Q/D/C
+// transitions), and commit-round attribution (how many callers folded
+// into each metadata slot flip, and how long each waited on the
+// group-commit door).
 
 import (
 	"fmt"
@@ -76,14 +76,6 @@ type OpLat struct {
 	Q2C LatDist `json:"q2c"`
 }
 
-// MergeStats summarizes merge chains (M events).
-type MergeStats struct {
-	Chains    int     `json:"chains"`     // merge heads with >=1 child
-	Merged    int     `json:"merged"`     // children merged into a head
-	MaxChain  int     `json:"max_chain"`  // largest chain incl. head
-	MeanChain float64 `json:"mean_chain"` // mean chain length incl. head
-}
-
 // CommitRound is one metadata slot flip and the callers folded into it.
 type CommitRound struct {
 	Round    uint64  `json:"round"`
@@ -127,7 +119,6 @@ type TraceReport struct {
 	QueueMax  int             `json:"queue_max"`
 	QueueMean float64         `json:"queue_mean"` // time-weighted
 	FlightMax int             `json:"in_flight_max"`
-	Merge     MergeStats      `json:"merge"`
 	Commits   CommitSummary   `json:"commits"`
 	Timeline  []TimelinePoint `json:"timeline,omitempty"`
 	Errors    map[string]int  `json:"errors,omitempty"` // error class -> completions
@@ -162,7 +153,6 @@ func Analyze(events []FlightEvent) *TraceReport {
 
 	reqs := map[uint64]*reqTrace{}
 	var stageCounts [stageCount]StageCount
-	chains := map[uint64]int{} // head id -> children merged in
 	joins := map[uint64][]int64{}
 	flips := map[uint64]*CommitRound{}
 
@@ -194,10 +184,6 @@ func Analyze(events []FlightEvent) *TraceReport {
 			depthChanged = true
 			if rt != nil {
 				rt.q, rt.hasQ = ev.At, true
-			}
-		case StageMerged:
-			if ev.Aux != 0 {
-				chains[ev.Aux]++
 			}
 		case StageDispatch:
 			if rt != nil {
@@ -318,18 +304,6 @@ func Analyze(events []FlightEvent) *TraceReport {
 		}
 	}
 
-	// Merge chains.
-	for _, kids := range chains {
-		rep.Merge.Chains++
-		rep.Merge.Merged += kids
-		if kids+1 > rep.Merge.MaxChain {
-			rep.Merge.MaxChain = kids + 1
-		}
-	}
-	if rep.Merge.Chains > 0 {
-		rep.Merge.MeanChain = float64(rep.Merge.Merged+rep.Merge.Chains) / float64(rep.Merge.Chains)
-	}
-
 	// Commit attribution.
 	var rounds []uint64
 	for r := range flips {
@@ -365,19 +339,16 @@ func Analyze(events []FlightEvent) *TraceReport {
 // Signatures reduces a capture to what an observer of the export learns
 // about each request: one string per request id — its events in order as
 // stage/op/blocks/class — with timestamps dropped and the ids erased by
-// the grouping. Aux survives only where it is id-free (commit rounds); a
-// merge-head id becomes a marker. The multiset comes back sorted, so two
+// the grouping. Aux survives only where it is id-free (commit rounds). The
+// multiset comes back sorted, so two
 // captures compare by plain equality — the deniability tests' oracle.
 func Signatures(evs []FlightEvent) []string {
 	byReq := map[uint64][]string{}
 	var order []uint64
 	for _, ev := range evs {
 		aux := ""
-		switch ev.Stage {
-		case StageCommitJoin, StageCommitFlip:
+		if ev.Stage == StageCommitJoin || ev.Stage == StageCommitFlip {
 			aux = fmt.Sprintf("@%d", ev.Aux)
-		case StageMerged:
-			aux = "@head"
 		}
 		if _, seen := byReq[ev.ReqID]; !seen {
 			order = append(order, ev.ReqID)

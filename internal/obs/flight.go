@@ -7,11 +7,11 @@ package obs
 // stage a request passes through appends one fixed-size record keyed by a
 // per-request id, so an offline analyzer (internal/obs/analyze.go, surfaced
 // as `mobiceal trace`) can reconstruct Q2D/D2C/Q2C latency attribution,
-// merge chains, queue-depth timelines, and commit-round folding — the btt
-// pipeline, in process.
+// queue-depth timelines, and commit-round folding — the btt pipeline, in
+// process.
 //
 // The stage vocabulary mirrors blktrace actions where an analogue exists
-// (Q=queued, G=staged, M=merged-into, D=dispatched, C=completed) and adds
+// (Q=queued, G=handed to a worker, D=dispatched, C=completed) and adds
 // the thinp stages the kernel hides inside dm (map-resolve, provision,
 // commit-join, commit-flip) plus the leaf device op recorded by
 // storage.StatsDevice.
@@ -31,7 +31,7 @@ package obs
 //     side channel in MobiCeal's threat model.
 //  4. Deniability-safe vocabulary. Events carry NO block addresses, NO
 //     thin/volume ids — only stage, op kind, block count, error class and
-//     a stage-specific aux (merge head id, commit round). Dummy writes
+//     a stage-specific aux (attempt number, commit round). Dummy writes
 //     traverse the same choke points as hidden writes and emit the same
 //     per-block event shapes.
 
@@ -54,11 +54,8 @@ const (
 
 	// StageQueued (Q): request entered a volume queue (ioq.Submit*).
 	StageQueued
-	// StageStaged (G): request drained into a dispatch batch.
+	// StageStaged (G): request handed to a worker.
 	StageStaged
-	// StageMerged (M): request was coalesced into a merge run; Aux holds
-	// the id of the surviving head request.
-	StageMerged
 	// StageDispatch (D): one device-level attempt started; Aux holds the
 	// 1-based attempt number (retries re-dispatch).
 	StageDispatch
@@ -94,7 +91,6 @@ var stageNames = [stageCount]string{
 	stageInvalid:    "?",
 	StageQueued:     "Q",
 	StageStaged:     "G",
-	StageMerged:     "M",
 	StageDispatch:   "D",
 	StageComplete:   "C",
 	StageMapResolve: "map-resolve",

@@ -129,7 +129,7 @@ func TestFlightJSONLRoundTrip(t *testing.T) {
 	r.SetEnabled(true)
 	a, b := r.NextID(), r.NextID()
 	r.Record(a, StageQueued, FOpWrite, 8, ClassNone, 0)
-	r.Record(b, StageMerged, FOpWrite, 4, ClassNone, a)
+	r.Record(b, StageStaged, FOpWrite, 4, ClassNone, 0)
 	r.Record(a, StageDispatch, FOpWrite, 12, ClassNone, 1)
 	r.Record(a, StageComplete, FOpWrite, 12, ClassMedium, 0)
 	r.Record(0, StageCommitFlip, FOpSync, 3, ClassNone, 7)
@@ -138,7 +138,7 @@ func TestFlightJSONLRoundTrip(t *testing.T) {
 	if err := r.WriteJSONL(&buf); err != nil {
 		t.Fatalf("WriteJSONL: %v", err)
 	}
-	if !strings.Contains(buf.String(), `"stage":"M"`) ||
+	if !strings.Contains(buf.String(), `"stage":"G"`) ||
 		!strings.Contains(buf.String(), `"err":"medium"`) ||
 		!strings.Contains(buf.String(), `"stage":"commit-flip"`) {
 		t.Fatalf("jsonl missing symbolic names:\n%s", buf.String())

@@ -105,7 +105,7 @@ type (
 	// Telemetry.File on file-backed systems.
 	FileSyscalls = storage.FileSyscalls
 	// FlightRecorder is the system's request-lifecycle flight recorder: a
-	// bounded, memory-only ring of blktrace-style causal events (Q/G/M/D/C
+	// bounded, memory-only ring of blktrace-style causal events (Q/G/D/C
 	// plus the thin-pool stages). Obtain it with System.FlightRecorder();
 	// it starts disabled and costs one atomic load per choke point while
 	// off. Event payloads are deniability-safe: stage, op kind, block
@@ -114,8 +114,8 @@ type (
 	// FlightEvent is one decoded lifecycle event from the flight recorder.
 	FlightEvent = obs.FlightEvent
 	// TraceReport is AnalyzeTrace's btt-style analysis of an event window:
-	// Q2D/D2C/Q2C per op kind, queue-depth and in-flight timelines, merge
-	// chains and commit-round attribution.
+	// Q2D/D2C/Q2C per op kind, queue-depth and in-flight timelines and
+	// commit-round attribution.
 	TraceReport = obs.TraceReport
 )
 
