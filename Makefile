@@ -53,5 +53,5 @@ mutexprofile:
 # fault-soak job; the full sweeps (no -short stride) run in `make test`.
 fault-soak:
 	$(GO) test -race -count=2 \
-		-run 'Fault|Flaky|Mode|Sweep|Retry|Barrier|Stress|NoSpace|Health' \
+		-run 'Fault|Flaky|Mode|Sweep|Retry|Barrier|Stress|Health' \
 		./internal/storage/ ./internal/ioq/ ./internal/thinp/ ./internal/core/ .

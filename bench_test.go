@@ -499,9 +499,8 @@ func BenchmarkCryptRange(b *testing.B) {
 
 // BenchmarkCommitIncremental measures metadata commit cost on pools of
 // increasing mapped size when only a single block changed between commits.
-// The incremental path should stay flat as the mapped count grows while
-// the full rewrite scales with it. incremental and full remap one block in
-// place (a pure patch); insert maps a fresh vblock at a random position
+// The incremental path should stay flat as the mapped count grows.
+// incremental remaps one block in place (a pure patch); insert maps a fresh vblock at a random position
 // among the mapped ones, the suffix splice mem_commit_4k runs, whose
 // shifted blocks each commit re-hashes.
 func BenchmarkCommitIncremental(b *testing.B) {
@@ -559,16 +558,6 @@ func BenchmarkCommitIncremental(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				mutate(b, thin, i)
 				if err := pool.Commit(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("mapped=%d/full", mapped), func(b *testing.B) {
-			pool, thin := setup(b, 1)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				mutate(b, thin, i)
-				if err := pool.CommitFull(); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"mobiceal/internal/dm"
 	"mobiceal/internal/ioq"
@@ -68,10 +67,6 @@ type Config struct {
 	// direct image sees. 0 selects the scheduler's default
 	// (max(2, GOMAXPROCS)).
 	AsyncWorkers int
-	// NoSpaceTimeout bounds how long a write needing provisioning queues
-	// while the pool is out of data space before failing — dm-thin's
-	// no_space_timeout. 0 (the default) fails fast.
-	NoSpaceTimeout time.Duration
 	// Retry tunes the scheduler's transient-fault retry policy for the
 	// async volume API. The zero value selects the default policy (3
 	// attempts, exponential backoff); MaxAttempts < 0 disables retry.
@@ -387,12 +382,11 @@ func (s *System) buildPool(create bool) error {
 		allocator = thinp.NewSequentialAllocator()
 	}
 	opts := thinp.Options{
-		Allocator:      allocator,
-		Policy:         s.policy,
-		Entropy:        s.cfg.Entropy,
-		DummySrc:       prng.NewSource(src.Uint64()),
-		NoSpaceTimeout: s.cfg.NoSpaceTimeout,
-		Flight:         s.flight,
+		Allocator: allocator,
+		Policy:    s.policy,
+		Entropy:   s.cfg.Entropy,
+		DummySrc:  prng.NewSource(src.Uint64()),
+		Flight:    s.flight,
 	}
 	if create {
 		s.pool, err = thinp.CreatePool(data, meta, opts)

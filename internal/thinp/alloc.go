@@ -83,7 +83,7 @@ func (a *RandomAllocator) PickFree(bm *Bitmap) (uint64, error) {
 	return bm.NthFree(a.src.Uint64n(free))
 }
 
-// lockAlloc takes allocMu, polling like the stripes (spinAcquire) before
+// lockAlloc takes allocMu, polling like the thin locks (spinAcquire) before
 // parking: the mutex is held for a few hundred nanoseconds, far below the
 // cost of a park and wake.
 func (p *Pool) lockAlloc() {

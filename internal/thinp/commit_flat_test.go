@@ -224,7 +224,7 @@ func TestFlatCommitEquivalenceRandomized(t *testing.T) {
 		if err := inc.Commit(); err != nil {
 			t.Fatalf("round %d: incremental commit: %v", round, err)
 		}
-		if err := ref.CommitFull(); err != nil {
+		if err := commitFull(ref); err != nil {
 			t.Fatalf("round %d: full commit: %v", round, err)
 		}
 		if !bytes.Equal(metaImage(t, incMeta), metaImage(t, refMeta)) {
@@ -238,7 +238,7 @@ func TestFlatCommitEquivalenceRandomized(t *testing.T) {
 			if err := inc.Commit(); err != nil {
 				t.Fatal(err)
 			}
-			if err := ref.CommitFull(); err != nil {
+			if err := commitFull(ref); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(metaImage(t, incMeta), metaImage(t, refMeta)) {
@@ -449,10 +449,10 @@ func TestFlatCommitUpdateInPlace(t *testing.T) {
 		t.Fatal(err)
 	}
 	rawInc := metaImage(t, metaStats)
-	if err := p.CommitFull(); err != nil {
+	if err := commitFull(p); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.CommitFull(); err != nil {
+	if err := commitFull(p); err != nil {
 		t.Fatal(err)
 	}
 	rawFull := metaImage(t, metaStats)
@@ -461,7 +461,7 @@ func TestFlatCommitUpdateInPlace(t *testing.T) {
 	slot := int(p.slotBlocks())
 	for b := superSlots; b < superSlots+2*slot; b++ {
 		if !bytes.Equal(rawInc[b*bs:(b+1)*bs], rawFull[b*bs:(b+1)*bs]) {
-			// CommitFull rewrote both slots with the same image content
+			// commitFull rewrote both slots with the same image content
 			// the incremental path maintained; any difference means the
 			// arena diverged from the page tables.
 			t.Fatalf("image slot block %d diverged between in-place and rebuilt commits", b)

@@ -84,7 +84,7 @@ func TestIncrementalCommitImageEquivalence(t *testing.T) {
 		if err := inc.Commit(); err != nil {
 			t.Fatalf("incremental commit: %v", err)
 		}
-		if err := full.CommitFull(); err != nil {
+		if err := commitFull(full); err != nil {
 			t.Fatalf("full commit: %v", err)
 		}
 		if !bytes.Equal(metaImage(t, incMeta), metaImage(t, fullMeta)) {
@@ -97,7 +97,7 @@ func TestIncrementalCommitImageEquivalence(t *testing.T) {
 	if err := inc.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if err := full.CommitFull(); err != nil {
+	if err := commitFull(full); err != nil {
 		t.Fatal(err)
 	}
 	if inc.TransactionID() != beforeTx+1 {
@@ -116,7 +116,7 @@ func TestIncrementalCommitImageEquivalence(t *testing.T) {
 	if err := inc.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if err := full.CommitFull(); err != nil {
+	if err := commitFull(full); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(metaImage(t, incMeta), metaImage(t, fullMeta)) {
@@ -234,7 +234,7 @@ func TestIncrementalCommitWriteDelta(t *testing.T) {
 	}
 
 	metaStats.ResetStats()
-	if err := p.CommitFull(); err != nil {
+	if err := commitFull(p); err != nil {
 		t.Fatal(err)
 	}
 	fullWrites := metaStats.Metrics().WriteBlocks.Load()

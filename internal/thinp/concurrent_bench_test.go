@@ -51,7 +51,7 @@ func (d *syncLatencyDevice) Sync() error {
 //
 // procs=P/writers=N crosses writer counts with GOMAXPROCS 1 and 4 on
 // RAM-speed devices: at one proc concurrency can only add overhead (the
-// regression guard), at four the allocation mutex, the stripes and the
+// regression guard), at four the allocation mutex, the thin locks and the
 // commit door are contended. synclat=100µs/writers=N puts the metadata
 // device behind a 100 µs flush (eMMC cache flush is hundreds of
 // microseconds to milliseconds), the latency group commit amortizes.

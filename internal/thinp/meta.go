@@ -286,7 +286,6 @@ type Recovery struct {
 type commitBatch struct {
 	done chan struct{}
 	err  error
-	full bool
 	// round is the pool-lifetime sequence number of this group-commit
 	// round (commitRound). Flight events of the round — every caller's
 	// commit-join, the leader's commit-flip — carry it as Aux, so the
@@ -324,16 +323,7 @@ type commitBatch struct {
 // and — if this caller ends up leading the round — the successful flip
 // records a commit-flip whose N is the number of callers the one A/B flip
 // covered.
-func (p *Pool) Commit() error { return p.groupCommit(false, 0) }
-
-// CommitFull persists the pool metadata by rebuilding the image from the
-// page tables and rewriting the target slot in its entirety, bypassing the
-// incremental delta. It exists as an escape hatch (and to give tests a
-// reference image to compare the incremental path against). The commit
-// protocol — inactive slot, then superblock flip — is identical, and a
-// CommitFull folded into a group-commit round upgrades the whole round to
-// a full rewrite.
-func (p *Pool) CommitFull() error { return p.groupCommit(true, 0) }
+func (p *Pool) Commit() error { return p.groupCommit(0) }
 
 // groupCommit is the commit door. The first committer through becomes the
 // round's leader; committers arriving while the round has not yet started
@@ -347,14 +337,13 @@ func (p *Pool) CommitFull() error { return p.groupCommit(true, 0) }
 // p.mu boundary folds everyone who finished writing by then into one flip.
 // Correctness is unchanged: a joiner's mutations happened-before joining
 // (doorMu), joining happened-before the door close (doorMu again), and the
-// close happens-before the drain/detach under the same p.mu hold — so one
+// close happens-before the fold/detach under the same p.mu hold — so one
 // flip durably covers the whole batch.
-func (p *Pool) groupCommit(full bool, fid uint64) error {
+func (p *Pool) groupCommit(fid uint64) error {
 	fid = p.flightID(fid)
 	p.doorMu.Lock()
 	p.m.CommitCalls.Inc()
 	if b := p.batch; b != nil {
-		b.full = b.full || full
 		b.joins.Add(1)
 		round := b.round
 		p.doorMu.Unlock()
@@ -364,7 +353,7 @@ func (p *Pool) groupCommit(full bool, fid uint64) error {
 		<-b.done
 		return b.err
 	}
-	b := &commitBatch{done: make(chan struct{}), full: full, round: p.commitRound.Add(1)}
+	b := &commitBatch{done: make(chan struct{}), round: p.commitRound.Add(1)}
 	p.batch = b
 	p.doorMu.Unlock()
 	if fid != 0 {
@@ -392,7 +381,7 @@ func (p *Pool) groupCommit(full bool, fid uint64) error {
 		}
 		runtime.Gosched()
 	}
-	b.err = p.commitOnce(full, b)
+	b.err = p.commitOnce(b)
 	if b.err == nil {
 		// Count only flips that actually reached the device: a failed
 		// round leaves the active slot untouched.
@@ -420,8 +409,8 @@ const (
 
 // doorHoldSpins caps how many scheduler yields a group-commit leader
 // spends waiting for its batch to stabilize — the bound matters when a
-// mutator blocks for longer than a request should take (e.g. parked in
-// waitForSpace) or a slow-commit workload trickles joiners forever.
+// mutator blocks for longer than a request should take (e.g. in a slow
+// device transfer) or a slow-commit workload trickles joiners forever.
 // doorHoldIdle is how many consecutive quiet yields (no new joiner, no
 // mutator in flight) count as stable; a lone committer pays exactly that
 // many yields.
@@ -440,18 +429,17 @@ const (
 // phase 1, while it also holds p.mu exclusively, and only reads it in
 // phase 2. The caller must hold commitMu or have exclusive access to a
 // pool under construction.
-func (p *Pool) commitOnce(full bool, b *commitBatch) error {
+func (p *Pool) commitOnce(b *commitBatch) error {
 	t0 := time.Now()
 	p.mu.Lock()
 	// Close the commit door now that the mapping lock is held: every
 	// committer that joined b so far finished its mutations before joining,
-	// and those mutations are visible to the drain below. Late arrivals
+	// and those mutations are visible to the fold below. Late arrivals
 	// lead the next round. (b is nil for the format commit of a pool under
 	// construction, which has no door.)
 	if b != nil {
 		p.doorMu.Lock()
 		p.batch = nil
-		full = full || b.full
 		p.doorMu.Unlock()
 	}
 	// A read-only or failed pool cannot make anything durable; refuse
@@ -461,25 +449,23 @@ func (p *Pool) commitOnce(full bool, b *commitBatch) error {
 		p.mu.Unlock()
 		return err
 	}
-	// Fold the per-stripe dirty thin ids into the pool-global set the arena
-	// fold below consumes. Writers park on mu (held exclusively here), so
-	// the drain sees a quiescent delta.
-	p.drainDirtyLocked()
 	// The new transaction id is published to p.txID only at the phase-3
 	// flip: until the superblock lands, TransactionID() must keep
 	// reporting the last durable transaction, not the one in flight.
 	newTx := p.txID + 1
 	changed := p.changed
 	changed.clearAll()
+	// Writers park on mu (held exclusively here), so every thin's delta
+	// and dirtyBM are quiescent for the fold.
 	switch {
-	case full || p.structDirty || p.image == nil:
-		// Structural change (thin created/deleted), explicit full commit,
-		// or no arena yet: rebuild the image from the page tables.
+	case p.structDirty || p.image == nil:
+		// Structural change (thin created/deleted) or no arena yet:
+		// rebuild the image from the page tables.
 		if err := p.rebuildImageLocked(changed); err != nil {
 			p.mu.Unlock()
 			return err
 		}
-	case len(p.dirtyThins) == 0 && len(p.dirtyBM) == 0:
+	case len(p.dirtyBM) == 0 && !p.anyThinDirtyLocked():
 		// Nothing changed but the transaction id; the arena is current.
 	default:
 		if !p.applyDeltaLocked(changed) {
@@ -515,9 +501,6 @@ func (p *Pool) commitOnce(full bool, b *commitBatch) error {
 	// The arena is final for this round: from here to the flip it is only
 	// read (superblock checksum fold, slot writes), under commitMu.
 	writeSet.or(changed)
-	if full {
-		writeSet.setAll()
-	}
 	nBlocks := uint64(len(p.image) / p.meta.BlockSize())
 	super := p.marshalSuper(newTx, nThins)
 	// Phase boundary: the delta fold is done, the slot I/O starts. The
@@ -637,7 +620,6 @@ func (p *Pool) rebuildImageLocked(changed *metaDirty) error {
 	}
 	p.image = img
 	p.refreshSums(changed)
-	resetSet(&p.dirtyThins)
 	resetSet(&p.dirtyBM)
 	p.structDirty = false
 	return nil
@@ -665,22 +647,31 @@ func (p *Pool) refreshSums(changed *metaDirty) {
 	})
 }
 
+// anyThinDirtyLocked reports whether any thin's mappings changed since the
+// last fold. Caller holds p.mu exclusively.
+func (p *Pool) anyThinDirtyLocked() bool {
+	for _, tm := range p.thins {
+		if tm.dirty() {
+			return true
+		}
+	}
+	return false
+}
+
 // applyDeltaLocked patches the arena in place with everything recorded in
-// dirtyBM and dirtyThins, marking the touched meta blocks in changed. It
-// reports false when the arena and the bookkeeping disagree (caller falls
-// back to a full rebuild) or the grown image would outgrow its slot.
-// Caller holds p.mu.
+// dirtyBM and in each thin's own delta, marking the touched meta blocks in
+// changed. It reports false when the arena and the bookkeeping disagree
+// (caller falls back to a full rebuild) or the grown image would outgrow
+// its slot. Caller holds p.mu exclusively.
 func (p *Pool) applyDeltaLocked(changed *metaDirty) bool {
 	bs := p.meta.BlockSize()
 
 	// Size the post-delta image up front, before mutating anything.
 	delta := 0
-	for id := range p.dirtyThins {
-		tm, ok := p.thins[id]
-		if !ok {
-			return false
+	for _, tm := range p.thins {
+		if tm.dirty() {
+			delta += thinHeaderLen + 16*int(tm.pt.count) - tm.segLen
 		}
-		delta += thinHeaderLen + 16*int(tm.pt.count) - tm.segLen
 	}
 	oldContent := p.contentLenLocked()
 	newContent := oldContent + delta
@@ -700,9 +691,8 @@ func (p *Pool) applyDeltaLocked(changed *metaDirty) bool {
 	// Anything else changes its segment length or entry positions and
 	// goes through the suffix splice.
 	var splice []int
-	for id := range p.dirtyThins {
-		tm := p.thins[id]
-		if len(tm.added) == 0 && len(tm.removed) == 0 {
+	for id, tm := range p.thins {
+		if !tm.dirty() {
 			continue
 		}
 		pure := len(tm.added) == len(tm.removed)
@@ -722,7 +712,6 @@ func (p *Pool) applyDeltaLocked(changed *metaDirty) bool {
 			splice = append(splice, id)
 		}
 	}
-	resetSet(&p.dirtyThins)
 	if len(splice) == 0 {
 		p.refreshSums(changed)
 		return true

@@ -22,7 +22,7 @@ type PoolMetrics struct {
 	// pick and bitmap bookkeeping), observed at the same choke point.
 	AllocLat obs.Histogram
 
-	// CommitCalls counts Commit/CommitFull calls served, CommitFlips the
+	// CommitCalls counts Commit calls served, CommitFlips the
 	// successful A/B superblock flips they cost; calls/flips is the group
 	// commit's folding factor (PoolSnapshot.FoldRatio).
 	CommitCalls obs.Counter

@@ -3,7 +3,6 @@ package thinp
 import (
 	"errors"
 	"fmt"
-	"time"
 )
 
 // PoolMode is the pool health state — the reproduction of dm-thin's pool
@@ -19,9 +18,9 @@ const (
 	PoolWrite PoolMode = iota
 	// PoolOutOfDataSpace means provisioning failed for lack of free data
 	// blocks. Reads, overwrites of provisioned blocks, discards and
-	// commits still work; writes needing provisioning queue for up to
-	// Options.NoSpaceTimeout (dm-thin's no_space_timeout) or fail with
-	// ErrNoSpace. The pool returns to Write on reclaim.
+	// commits still work; writes needing provisioning fail at once with
+	// ErrNoSpace (dm-thin's error_if_no_space). The pool returns to Write
+	// on reclaim.
 	PoolOutOfDataSpace
 	// PoolReadOnly means a metadata commit could not reach the device:
 	// nothing new can become durable, so every mutation fails with
@@ -125,11 +124,6 @@ func (p *Pool) maybeRecoverSpaceLocked() {
 	if p.mode == PoolOutOfDataSpace && p.allocBM.Free() > 0 {
 		p.mode = PoolWrite
 		p.modeReason = ""
-		p.errorIfNoSpace = false
-		if p.spaceCh != nil {
-			close(p.spaceCh)
-			p.spaceCh = nil
-		}
 		p.m.Events.Append("recovery", "out-of-data-space: blocks reclaimed, pool back to write")
 	}
 }
@@ -154,57 +148,4 @@ func (p *Pool) maybeRecoverSpace() {
 	p.mu.Lock()
 	p.maybeRecoverSpaceLocked()
 	p.mu.Unlock()
-}
-
-// waitForSpace blocks a writer that hit ErrNoSpace until reclaim makes
-// space available or Options.NoSpaceTimeout expires, reporting whether the
-// caller should retry provisioning. With no timeout configured (the
-// default, dm-thin's error_if_no_space), or once a previous waiter already
-// timed out, it fails fast and the ErrNoSpace surfaces unchanged. Called
-// without the pool lock; callers MUST bound their retry rounds — a
-// provisioning failure's own unwind can recover the pool, so an unbounded
-// retry-on-true loop would spin re-consuming its own freed blocks.
-func (p *Pool) waitForSpace() bool {
-	p.mu.Lock()
-	if p.opts.NoSpaceTimeout <= 0 || p.errorIfNoSpace ||
-		p.mode == PoolReadOnly || p.mode == PoolFail {
-		p.mu.Unlock()
-		return false
-	}
-	if p.mode != PoolOutOfDataSpace {
-		// The pool already recovered between the failed provision and now
-		// (a racing reclaim, or this request's own unwind): retry
-		// immediately rather than parking on a channel no reclaim will
-		// close.
-		p.mu.Unlock()
-		return true
-	}
-	if p.spaceCh == nil {
-		p.spaceCh = make(chan struct{})
-	}
-	ch := p.spaceCh
-	p.mu.Unlock()
-
-	t := time.NewTimer(p.opts.NoSpaceTimeout)
-	defer t.Stop()
-	select {
-	case <-ch:
-		return true
-	case <-t.C:
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		select {
-		case <-ch:
-			// Reclaim raced the timer; take the win.
-			return true
-		default:
-		}
-		// The timeout converts the pool to fail-fast: queued and future
-		// writers error immediately until reclaim, dm-thin's behaviour
-		// when no_space_timeout expires.
-		if p.mode == PoolOutOfDataSpace {
-			p.errorIfNoSpace = true
-		}
-		return false
-	}
 }

@@ -3,7 +3,6 @@ package thinp
 import (
 	"errors"
 	"testing"
-	"time"
 
 	"mobiceal/internal/prng"
 	"mobiceal/internal/storage"
@@ -46,7 +45,7 @@ func TestModeOutOfDataSpaceAndSameTxRecovery(t *testing.T) {
 	if m := p.Mode(); m != PoolWrite {
 		t.Fatalf("mode while full but unprovoked = %v", m)
 	}
-	// Default NoSpaceTimeout (0) fails fast with ErrNoSpace and latches OODS.
+	// A write needing provisioning fails fast with ErrNoSpace and latches OODS.
 	if err := thin.WriteBlock(8, buf); !errors.Is(err, ErrNoSpace) {
 		t.Fatalf("overcommit write err = %v, want ErrNoSpace", err)
 	}
@@ -106,75 +105,6 @@ func TestModeSameTransactionDiscardRecovers(t *testing.T) {
 	}
 	if err := thin.WriteBlock(4, buf); err != nil {
 		t.Fatalf("write after recovery: %v", err)
-	}
-}
-
-// TestNoSpaceTimeoutQueuesWriter: with NoSpaceTimeout set, a writer that
-// hits the full pool parks and completes once a concurrent discard
-// reclaims space — dm-thin's queue_if_no_space with no_space_timeout.
-func TestNoSpaceTimeoutQueuesWriter(t *testing.T) {
-	p, thin := tinyPool(t, 4, 8, Options{NoSpaceTimeout: 5 * time.Second})
-	buf := make([]byte, blockSize)
-	for i := uint64(0); i < 4; i++ {
-		if err := thin.WriteBlock(i, buf); err != nil {
-			t.Fatal(err)
-		}
-	}
-	done := make(chan error, 1)
-	go func() { done <- thin.WriteBlock(5, buf) }()
-	// Give the writer time to park, then reclaim.
-	time.Sleep(20 * time.Millisecond)
-	if err := thin.Discard(0); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("queued write err = %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("queued write never woke after reclaim")
-	}
-	if m := p.Mode(); m != PoolWrite {
-		t.Fatalf("mode after reclaim = %v", m)
-	}
-}
-
-// TestNoSpaceTimeoutExpiry: when no reclaim arrives within NoSpaceTimeout
-// the queued write fails with ErrNoSpace and the pool latches fail-fast —
-// later writers error immediately instead of queueing again.
-func TestNoSpaceTimeoutExpiry(t *testing.T) {
-	p, thin := tinyPool(t, 4, 8, Options{NoSpaceTimeout: 30 * time.Millisecond})
-	buf := make([]byte, blockSize)
-	for i := uint64(0); i < 4; i++ {
-		if err := thin.WriteBlock(i, buf); err != nil {
-			t.Fatal(err)
-		}
-	}
-	t0 := time.Now()
-	if err := thin.WriteBlock(5, buf); !errors.Is(err, ErrNoSpace) {
-		t.Fatalf("queued write err = %v, want ErrNoSpace", err)
-	}
-	if time.Since(t0) < 30*time.Millisecond {
-		t.Fatal("write failed before the no-space timeout elapsed")
-	}
-	// Fail-fast is latched: the next writer does not wait the timeout out.
-	t0 = time.Now()
-	if err := thin.WriteBlock(6, buf); !errors.Is(err, ErrNoSpace) {
-		t.Fatalf("post-expiry write err = %v", err)
-	}
-	if time.Since(t0) > 20*time.Millisecond {
-		t.Fatal("post-expiry write queued again instead of failing fast")
-	}
-	// Reclaim clears the latch and write mode resumes.
-	if err := thin.Discard(2); err != nil {
-		t.Fatal(err)
-	}
-	if err := thin.WriteBlock(5, buf); err != nil {
-		t.Fatalf("write after reclaim: %v", err)
-	}
-	if m := p.Mode(); m != PoolWrite {
-		t.Fatalf("mode = %v", m)
 	}
 }
 

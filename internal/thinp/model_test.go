@@ -158,7 +158,7 @@ func (r *refPool) crash() {
 // and compares them after every op: thin ids, per-thin mapped counts, every
 // logical block, allocated/free/pending counts, and which writes fail for
 // lack of space. Every commit additionally passes CheckIntegrity and
-// CheckConsistency and must leave on disk exactly the image a CommitFull
+// CheckConsistency and must leave on disk exactly the image a commitFull
 // rebuild of the same state writes; a reopen without a commit must land on
 // the model's committed copy.
 func TestReferenceModelLockstep(t *testing.T) {
@@ -395,7 +395,7 @@ func compareToModel(p *Pool, r *refPool) error {
 
 // imageMatchesRebuild compares the image the last commit left in the active
 // slot — through whichever fold shape it took — with the arena and with what
-// a from-scratch CommitFull of the same committed state writes, on a second
+// a from-scratch commitFull of the same committed state writes, on a second
 // pool opened over a copy of the metadata device.
 func imageMatchesRebuild(p *Pool, data, meta *storage.MemDevice) error {
 	slotImage := func(q *Pool, dev storage.Device) ([]byte, error) {
@@ -420,7 +420,7 @@ func imageMatchesRebuild(p *Pool, data, meta *storage.MemDevice) error {
 	if err != nil {
 		return fmt.Errorf("opening the copy: %w", err)
 	}
-	if err := q.CommitFull(); err != nil {
+	if err := commitFull(q); err != nil {
 		return err
 	}
 	rebuilt, err := slotImage(q, scratch)
@@ -428,7 +428,7 @@ func imageMatchesRebuild(p *Pool, data, meta *storage.MemDevice) error {
 		return err
 	}
 	if !bytes.Equal(onDisk, rebuilt) {
-		return errors.New("committed image differs from a CommitFull rebuild of the same state")
+		return errors.New("committed image differs from a commitFull rebuild of the same state")
 	}
 	return nil
 }

@@ -64,11 +64,6 @@ type Options struct {
 	// DummySrc drives random virtual-offset choice for dummy mappings;
 	// nil seeds from Entropy.
 	DummySrc *prng.Source
-	// NoSpaceTimeout bounds how long a write needing provisioning queues
-	// while the pool sits in PoolOutOfDataSpace before failing with
-	// ErrNoSpace — dm-thin's no_space_timeout. Zero (the default) fails
-	// fast, dm-thin's error_if_no_space behaviour.
-	NoSpaceTimeout time.Duration
 	// Flight, when set, receives request-lifecycle events from the pool's
 	// internal stages (map-resolve, provision, commit-join, commit-flip).
 	// It should be the same recorder the I/O scheduler above and the
@@ -101,6 +96,20 @@ func (o *Options) fill() {
 
 // thinMeta is the pool-side record of one thin device.
 type thinMeta struct {
+	// mu is the thin lock. A fine-grained caller (holding Pool.mu shared)
+	// reads the page table under it shared and mutates the page table and
+	// delta bookkeeping under it exclusively; exclusive holders of Pool.mu
+	// own the state outright but still take it for uniformity.
+	//
+	// Every read request writes the lock's reader count. The padding keeps
+	// the lock off the cache lines of the fields below, which every request
+	// reads, and off whatever heap object sits next to this record. Without
+	// it, how often concurrent readers of one thin missed on pt and
+	// virtBlocks depended on where in a line the record was allocated,
+	// which differs from run to run.
+	_          [cacheLine]byte
+	mu         sync.RWMutex
+	_          [cacheLine]byte
 	id         int
 	virtBlocks uint64
 	// pt maps virtual to physical blocks — a dense page table, so the
@@ -112,13 +121,18 @@ type thinMeta struct {
 	// removed record mapping entries that appeared/disappeared since the
 	// last commit; an entry in both was discarded and re-provisioned — same
 	// segment position, new physical block — which commits as an in-place
-	// patch. segOff/segLen locate the thin's marshaled segment inside the
-	// pool's metadata image arena.
+	// patch. The thin's segment is dirty exactly when either set is
+	// non-empty (dirty). segOff/segLen locate the thin's marshaled segment
+	// inside the pool's metadata image arena.
 	added   map[uint64]struct{}
 	removed map[uint64]struct{}
 	segOff  int
 	segLen  int
 }
+
+// cacheLine is the coherence granule padded around the thin lock: 64 bytes
+// on amd64 and on most arm64 cores.
+const cacheLine = 64
 
 // newThinMeta returns an empty record for a thin of the given geometry.
 func newThinMeta(id int, virtBlocks uint64) *thinMeta {
@@ -130,6 +144,25 @@ func newThinMeta(id int, virtBlocks uint64) *thinMeta {
 		removed:    make(map[uint64]struct{}),
 	}
 }
+
+// lock takes the thin lock exclusively, polling for stripeSpin before
+// parking.
+func (tm *thinMeta) lock() {
+	if !spinAcquire(tm.mu.TryLock) {
+		tm.mu.Lock()
+	}
+}
+
+// rlock takes the thin lock shared, polling for stripeSpin before parking.
+func (tm *thinMeta) rlock() {
+	if !spinAcquire(tm.mu.TryRLock) {
+		tm.mu.RLock()
+	}
+}
+
+// dirty reports whether tm's mappings changed since its segment was last
+// marshaled into the arena.
+func (tm *thinMeta) dirty() bool { return len(tm.added) > 0 || len(tm.removed) > 0 }
 
 // mapSet maps vb to pb.
 func (tm *thinMeta) mapSet(vb, pb uint64) { tm.pt.set(vb, pb) }
@@ -165,17 +198,17 @@ func (tm *thinMeta) noteUnmapped(vb uint64) {
 //     (thin create/delete, discard, the commit's fold and flip phases, the
 //     exclusive write fallback) own everything. SHARED holders — all thin
 //     I/O, including provisioning writes — own nothing by themselves:
-//     under RLock, per-thin mapping state is guarded by the thin's mapping
-//     stripe (stripes, keyed by thin id) and allocator state (both bitmaps,
-//     the transaction record, dirtyBM) by allocMu. The invariant: stripe-
-//     or allocMu-guarded state is touched only while holding (mu shared +
-//     the inner lock) or mu exclusively. Since every fine-grained writer
-//     holds mu shared for the duration, an exclusive acquisition is still
-//     the pool-wide quiescence point the commit flip and
-//     discard/reallocation atomicity rely on.
-//   - Lock order: mu ≻ stripe ≻ alloc ≻ leaves (noise stage, dummyMu,
-//     allocator, policy). At most one stripe is held at a time — a dummy
-//     burst releases the triggering thin's stripe before locking the
+//     under RLock, per-thin mapping state is guarded by the thin lock
+//     (thinMeta.mu) and allocator state (both bitmaps, the transaction
+//     record, dirtyBM) by allocMu. The invariant: thin- or allocMu-guarded
+//     state is touched only while holding (mu shared + the inner lock) or
+//     mu exclusively. Since every fine-grained writer holds mu shared for
+//     the duration, an exclusive acquisition is still the pool-wide
+//     quiescence point the commit flip and discard/reallocation atomicity
+//     rely on.
+//   - Lock order: mu ≻ thin ≻ alloc ≻ leaves (noise stage, dummyMu,
+//     allocator, policy). At most one thin lock is held at a time — a
+//     dummy burst releases the triggering thin's lock before locking the
 //     target's.
 //   - commitMu serializes the commit machinery (the image arena, the
 //     per-slot pending sets, the slot device writes). Commit holds mu only
@@ -185,9 +218,9 @@ func (tm *thinMeta) noteUnmapped(vb uint64) {
 //     writes proceed while a commit is in flight.
 //   - doorMu guards the group-commit door: concurrent committers park at
 //     the door and one leader folds every parked caller's delta into a
-//     single A/B slot flip (see Commit). Writers record dirty thin ids in
-//     per-stripe sets as they go, and the leader's phase 1 drains those
-//     into the global delta (drainDirtyLocked) before the single flip.
+//     single A/B slot flip (see Commit). The leader's phase 1 reads each
+//     thin's own delta (thinMeta.dirty) under mu exclusively, so writers
+//     record nothing beyond the mapping change itself.
 type Pool struct {
 	mu    sync.RWMutex
 	data  storage.Device
@@ -218,10 +251,6 @@ type Pool struct {
 	// commit's phase 1 and phase 3.
 	inFlightAlloc map[uint64]struct{}
 
-	// stripes are the per-thin mapping locks, keyed by thin id mod
-	// mapStripes. A fine-grained writer (holding mu shared) mutates a
-	// thin's page table and delta bookkeeping only under its stripe.
-	stripes [mapStripes]mapStripe
 	// dummyMu serializes draws from opts.DummySrc (a bare prng.Source, not
 	// thread-safe) across concurrent dummy bursts.
 	dummyMu sync.Mutex
@@ -268,24 +297,19 @@ type Pool struct {
 	changed     *metaDirty
 	scratch     []byte
 	superBuf    []byte
-	dirtyThins  map[int]struct{}
 	dirtyBM     map[uint64]struct{}
 	structDirty bool
 	recovery    Recovery
 
 	// Health ladder state (mode.go). mode only escalates, except the
 	// documented OutOfDataSpace→Write recovery; modeReason records why the
-	// last degradation happened. errorIfNoSpace latches fail-fast after a
-	// NoSpaceTimeout expiry; spaceCh, when non-nil, is closed to wake
-	// writers queued for reclaim.
-	mode           PoolMode
-	modeReason     string
-	errorIfNoSpace bool
-	spaceCh        chan struct{}
+	// last degradation happened.
+	mode       PoolMode
+	modeReason string
 
 	// DummyBlocksWritten counts noise blocks produced by the dummy-write
 	// mechanism; experiments read it for write-amplification accounting.
-	// Atomic: dummy bursts run under a stripe lock, not the exclusive pool
+	// Atomic: dummy bursts run under a thin lock, not the exclusive pool
 	// lock.
 	dummyBlocksWritten atomic.Uint64
 
@@ -309,48 +333,17 @@ type Pool struct {
 	commitRound atomic.Uint64
 }
 
-// mapStripes is the number of per-thin mapping lock stripes. Thin ids map
-// onto stripes by modulo, so with the paper's two-to-few-volume layouts
-// every volume gets a private stripe, and with thousands of thins the
-// collision cost is bounded contention, not correctness.
-const mapStripes = 64
-
-// mapStripe is one per-thin mapping lock: an RWMutex guarding the page
-// tables and delta bookkeeping of every thin id hashing onto it, plus the
-// stripe-local dirty-thin set drained into the pool-global one at commit
-// (drainDirtyLocked). Valid only while also holding Pool.mu (shared for
-// fine-grained I/O, exclusive holders own the state outright but still
-// take the stripe for uniformity).
-type mapStripe struct {
-	mu    sync.RWMutex
-	dirty map[int]struct{}
-}
-
-// stripeSpin is how long a contended stripe acquisition on the write path
-// polls before it parks. Its ceiling is the cost of the park it replaces:
+// stripeSpin is how long a contended thin-lock acquisition on the write
+// path polls before it parks. Its ceiling is the cost of the park it replaces:
 // sync.RWMutex parks a reader<->writer conflict at once, and on the ledger's
 // VM a park plus wake measures 13 us when the waker finds a thread still
 // spinning and ~85 us when it has to wake a sleeping one (the p99 of every
-// RAM row), while on RAM the stripe is held for a few microseconds — one
+// RAM row), while on RAM the thin lock is held for a few microseconds — one
 // hole's allocation, one request's memcpy. The budget sits low in that
 // range because a poll that fails is pure loss: over a direct image the
 // holder is in a device transfer for hundreds of microseconds, and the
 // fresh-write row reads the same from 10 to 160 us (DESIGN.md, "Locking").
 const stripeSpin = 30 * time.Microsecond
-
-// lock takes the stripe exclusively, polling for stripeSpin before parking.
-func (st *mapStripe) lock() {
-	if !spinAcquire(st.mu.TryLock) {
-		st.mu.Lock()
-	}
-}
-
-// rlock takes the stripe shared, polling for stripeSpin before parking.
-func (st *mapStripe) rlock() {
-	if !spinAcquire(st.mu.TryRLock) {
-		st.mu.RLock()
-	}
-}
 
 // spinAcquire polls try until it succeeds or stripeSpin has passed and
 // reports whether it succeeded. With one P the holder cannot run while the
@@ -368,30 +361,6 @@ func spinAcquire(try func() bool) bool {
 		}
 	}
 	return false
-}
-
-// stripeOf returns the mapping stripe owning thin id.
-func (p *Pool) stripeOf(id int) *mapStripe {
-	return &p.stripes[uint(id)%mapStripes]
-}
-
-// drainDirtyLocked folds every stripe's dirty thin ids into the pool-global
-// set the commit fold consumes. Caller holds p.mu exclusively (commit phase
-// 1), so no fine-grained writer is mutating the stripes; the len probe
-// skips untouched stripes, keeping the drain O(dirty) on every commit.
-func (p *Pool) drainDirtyLocked() {
-	for i := range p.stripes {
-		st := &p.stripes[i]
-		if len(st.dirty) == 0 {
-			continue
-		}
-		st.mu.Lock()
-		for id := range st.dirty {
-			p.dirtyThins[id] = struct{}{}
-		}
-		clear(st.dirty)
-		st.mu.Unlock()
-	}
 }
 
 // noiseStage is the pre-generated dummy-noise buffer stock, guarded by its
@@ -522,15 +491,11 @@ func newPool(data, meta storage.Device, opts Options) *Pool {
 		meta:        meta,
 		opts:        opts,
 		thins:       make(map[int]*thinMeta),
-		dirtyThins:  make(map[int]struct{}),
 		dirtyBM:     make(map[uint64]struct{}),
 		txAlloc:     make(map[uint64]struct{}),
 		txFree:      make(map[uint64]struct{}),
 		structDirty: true,
 		flight:      opts.Flight,
-	}
-	for i := range p.stripes {
-		p.stripes[i].dirty = make(map[int]struct{})
 	}
 	slots := p.slotBlocks()
 	p.pending[0] = newMetaDirty(slots)
@@ -565,7 +530,7 @@ func CreatePool(data, meta storage.Device, opts Options) (*Pool, error) {
 			return nil, fmt.Errorf("thinp: clearing superblock %d: %w", slot, err)
 		}
 	}
-	if err := p.commitOnce(true, nil); err != nil {
+	if err := p.commitOnce(nil); err != nil {
 		return nil, fmt.Errorf("thinp: formatting metadata: %w", err)
 	}
 	p.recovery = Recovery{Slot: p.active, TxID: p.txID}
@@ -710,11 +675,6 @@ func (p *Pool) DeleteThin(id int) error {
 	// Same-transaction releases may have refilled the allocator's view.
 	p.maybeRecoverSpaceLocked()
 	delete(p.thins, id)
-	delete(p.dirtyThins, id)
-	st := p.stripeOf(id)
-	st.mu.Lock()
-	delete(st.dirty, id)
-	st.mu.Unlock()
 	p.structDirty = true
 	return nil
 }
@@ -749,9 +709,8 @@ func (p *Pool) MappedBlocks(id int) (uint64, error) {
 	if !ok {
 		return 0, fmt.Errorf("%w: id %d", ErrNoSuchThin, id)
 	}
-	st := p.stripeOf(id)
-	st.mu.RLock()
-	defer st.mu.RUnlock()
+	tm.mu.RLock()
+	defer tm.mu.RUnlock()
 	return tm.pt.count, nil
 }
 
@@ -764,9 +723,8 @@ func (p *Pool) MappedVBlocks(id int) ([]uint64, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: id %d", ErrNoSuchThin, id)
 	}
-	st := p.stripeOf(id)
-	st.mu.RLock()
-	defer st.mu.RUnlock()
+	tm.mu.RLock()
+	defer tm.mu.RUnlock()
 	out := make([]uint64, 0, tm.pt.count)
 	tm.pt.forEach(func(vb, _ uint64) bool {
 		out = append(out, vb)
@@ -785,7 +743,7 @@ func (p *Pool) MappedVBlocks(id int) ([]uint64, error) {
 //
 // Tests and the soak suite run this after every interesting transition; a
 // real deployment would expose it as a thin_check-style tool. The lock is
-// exclusive — fine-grained writers mutate page tables under stripe locks
+// exclusive — fine-grained writers mutate page tables under thin locks
 // while holding mu shared, and the checker needs a quiescent pool.
 func (p *Pool) CheckIntegrity() error {
 	p.mu.Lock()
@@ -830,9 +788,8 @@ func (p *Pool) PhysicalBlocks(id int) ([]uint64, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: id %d", ErrNoSuchThin, id)
 	}
-	st := p.stripeOf(id)
-	st.mu.RLock()
-	defer st.mu.RUnlock()
+	tm.mu.RLock()
+	defer tm.mu.RUnlock()
 	out := make([]uint64, 0, tm.pt.count)
 	tm.pt.forEach(func(_, pb uint64) bool {
 		out = append(out, pb)
@@ -866,23 +823,23 @@ func (p *Pool) flightID(fid uint64) uint64 {
 // dummy-write policy, reporting whether THIS call provisioned the block
 // (false when a racing writer already mapped it — the caller must not
 // claim such a block for unwind). Caller holds p.mu in either mode and
-// does NOT hold st; the function takes st for the mapping mutation and
-// releases it before executing a dummy burst, so at most one stripe is
-// ever held (the burst locks the target thin's stripe).
+// does NOT hold tm's lock; the function takes it for the mapping mutation
+// and releases it before executing a dummy burst, so at most one thin lock
+// is ever held (the burst locks the target thin's).
 //
 // Exclusive callers set exclusive so a real provisioning failure for lack
 // of space degrades the pool to OutOfDataSpace in place; shared callers
 // handle the mode transition themselves after dropping the read lock
 // (noteNoSpace) — mode mutation needs mu exclusively.
-func (p *Pool) provisionVB(tm *thinMeta, st *mapStripe, vb uint64, exclusive bool, fid uint64) (bool, error) {
-	st.lock()
+func (p *Pool) provisionVB(tm *thinMeta, vb uint64, exclusive bool, fid uint64) (bool, error) {
+	tm.lock()
 	if tm.pt.mapped(vb) {
-		st.mu.Unlock()
+		tm.mu.Unlock()
 		return false, nil
 	}
 	pb, err := p.allocate(fid)
 	if err != nil {
-		st.mu.Unlock()
+		tm.mu.Unlock()
 		if exclusive && errors.Is(err, ErrNoSpace) {
 			// Real provisioning failed for lack of space: the pool enters
 			// OutOfDataSpace (dummy-write allocation failures stay silent —
@@ -893,21 +850,20 @@ func (p *Pool) provisionVB(tm *thinMeta, st *mapStripe, vb uint64, exclusive boo
 	}
 	tm.mapSet(vb, pb)
 	tm.noteMapped(vb)
-	st.dirty[tm.id] = struct{}{}
 	var target, count int
 	var fire bool
 	if p.opts.Policy != nil {
 		target, count, fire = p.opts.Policy.OnProvision(tm.id)
 	}
-	st.mu.Unlock()
+	tm.mu.Unlock()
 	if fire {
 		if err := p.execDummy(target, count); err != nil {
 			// Unwind this provision: a block left mapped with its data
 			// never written would read back stale device content instead
 			// of zeros.
-			st.mu.Lock()
-			_ = p.discardStripeLocked(tm, st, vb)
-			st.mu.Unlock()
+			tm.mu.Lock()
+			_ = p.discardThinLocked(tm, vb)
+			tm.mu.Unlock()
 			return false, fmt.Errorf("thinp: dummy write: %w", err)
 		}
 	}
@@ -916,13 +872,13 @@ func (p *Pool) provisionVB(tm *thinMeta, st *mapStripe, vb uint64, exclusive boo
 
 // execDummy performs one dummy write: count noise blocks into the target
 // thin device at random unmapped virtual offsets, under the target thin's
-// stripe lock for the whole burst. Noise payloads come from the
+// lock for the whole burst. Noise payloads come from the
 // pre-generated stage when stocked (writers refill it outside the mapping
 // locks via stageNoise); when the stage runs dry mid-burst, one throwaway
 // keystream covers the rest of the burst inline (its key is discarded with
 // the stream when the burst ends), so even the dry path costs one AES key
 // schedule per burst instead of per block. Caller holds p.mu in either
-// mode and no stripe lock.
+// mode and no thin lock.
 //
 // The burst places every block first and then writes them all as ONE
 // batch, exactly as a real multi-block write does (writeExtentsLocked).
@@ -945,9 +901,8 @@ func (p *Pool) execDummy(target, count int) error {
 	if !ok {
 		return fmt.Errorf("%w: dummy target %d", ErrNoSuchThin, target)
 	}
-	st := p.stripeOf(target)
-	st.mu.Lock()
-	defer st.mu.Unlock()
+	tm.mu.Lock()
+	defer tm.mu.Unlock()
 	batch := getBatch()
 	defer putBatch(batch)
 	var vbArr [16]uint64
@@ -956,7 +911,7 @@ func (p *Pool) execDummy(target, count int) error {
 	// noise buffer back to the stage for the next refill to overwrite.
 	unplace := func(from int) {
 		for _, vb := range vbs[from:] {
-			_ = p.discardStripeLocked(tm, st, vb)
+			_ = p.discardThinLocked(tm, vb)
 		}
 		for i := range batch.reqs {
 			p.recycleNoise(batch.reqs[i].Vec.Seg(0))
@@ -982,7 +937,6 @@ func (p *Pool) execDummy(target, count int) error {
 		}
 		tm.mapSet(vb, pb)
 		tm.noteMapped(vb)
-		st.dirty[tm.id] = struct{}{}
 		vbs = append(vbs, vb)
 		if bfid != 0 {
 			// Same stage order as a real fresh write: provision (above),
@@ -1020,7 +974,7 @@ func (p *Pool) execDummy(target, count int) error {
 // hitting mapped blocks, it draws one rank over the unmapped population and
 // selects it through the page table's occupancy counts — O(log leaves), so
 // late dummy writes on large, nearly-full volumes cost the same as early
-// ones instead of degrading toward a full scan. Caller holds tm's stripe
+// ones instead of degrading toward a full scan. Caller holds tm's thin
 // lock (the page table is stable); dummyMu serializes the source draws
 // across concurrent bursts.
 func (p *Pool) randomUnmappedVBlock(tm *thinMeta) (uint64, bool) {
@@ -1038,12 +992,12 @@ func (p *Pool) randomUnmappedVBlock(tm *thinMeta) (uint64, bool) {
 	return tm.pt.selectUnmapped(p.opts.DummySrc.Uint64n(tm.virtBlocks - tm.pt.count))
 }
 
-// discardStripeLocked unmaps (tm, vblock) and frees its physical block.
-// Caller holds tm's stripe lock (plus p.mu in either mode). Space recovery
+// discardThinLocked unmaps (tm, vblock) and frees its physical block.
+// Caller holds tm's thin lock (plus p.mu in either mode). Space recovery
 // is the caller's responsibility: exclusive contexts run
 // maybeRecoverSpaceLocked after their batch, shared contexts poke
 // maybeRecoverSpace after dropping the read lock.
-func (p *Pool) discardStripeLocked(tm *thinMeta, st *mapStripe, vblock uint64) error {
+func (p *Pool) discardThinLocked(tm *thinMeta, vblock uint64) error {
 	pb, ok := tm.pt.get(vblock)
 	if !ok {
 		return nil // discard of an unprovisioned block is a no-op
@@ -1053,21 +1007,18 @@ func (p *Pool) discardStripeLocked(tm *thinMeta, st *mapStripe, vblock uint64) e
 	if _, err := p.release(pb); err != nil {
 		return fmt.Errorf("thinp: freeing block %d: %w", pb, err)
 	}
-	st.dirty[tm.id] = struct{}{}
 	return nil
 }
 
 // discardLocked unmaps (thin, vblock) and frees its physical block,
 // running space recovery. Caller holds p.mu exclusively.
 func (p *Pool) discardLocked(tm *thinMeta, vblock uint64) error {
-	st := p.stripeOf(tm.id)
-	st.mu.Lock()
-	err := p.discardStripeLocked(tm, st, vblock)
-	st.mu.Unlock()
+	tm.mu.Lock()
+	err := p.discardThinLocked(tm, vblock)
+	tm.mu.Unlock()
 	if err == nil {
 		// An allocator-visible block may have come back: an
-		// out-of-data-space pool recovers to Write and wakes queued
-		// writers.
+		// out-of-data-space pool recovers to Write.
 		p.maybeRecoverSpaceLocked()
 	}
 	return err

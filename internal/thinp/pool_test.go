@@ -29,6 +29,19 @@ func newTestPool(t testing.TB, dataBlocks uint64, opts Options) (*Pool, *storage
 	return p, data, meta
 }
 
+// commitFull commits p after forcing the round to rebuild the image arena
+// from the page tables and to rewrite the target slot in its entirety —
+// the reference image the incremental commit is compared against.
+func commitFull(p *Pool) error {
+	p.commitMu.Lock()
+	p.mu.Lock()
+	p.structDirty = true
+	p.pending[1-p.active].setAll()
+	p.mu.Unlock()
+	p.commitMu.Unlock()
+	return p.Commit()
+}
+
 func TestPoolCreateThinAndRoundtrip(t *testing.T) {
 	p, _, _ := newTestPool(t, 128, Options{})
 	if err := p.CreateThin(1, 64); err != nil {

@@ -6,13 +6,14 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"mobiceal/internal/prng"
 	"mobiceal/internal/storage"
 )
 
 // parkDevice parks the next block read, once armed, until released — a
-// transfer that sits in the device, and so holds its thin's stripe shared,
+// transfer that sits in the device, and so holds its thin's lock shared,
 // for as long as the test likes. It has only the per-block methods, so a
 // thin's transfers reach it block by block.
 type parkDevice struct {
@@ -31,10 +32,12 @@ func (d *parkDevice) ReadBlock(idx uint64, dst []byte) error {
 }
 
 // TestStripeLockOutlastsSpin holds a read in the device for several spin
-// budgets while a fresh write to the same thin wants the stripe
+// budgets while a fresh write to the same thin wants the thin lock
 // exclusively: the writer must give up polling, park, and still complete
 // once the reader leaves — with real parallelism and on one P, where it
-// must not poll at all.
+// must not poll at all. Meanwhile a fresh write to thin 65 must not wait
+// for either of them: each thin has a lock of its own, and 65 is the id a
+// lock table striped by id mod 64 would pair with thin 1.
 func TestStripeLockOutlastsSpin(t *testing.T) {
 	for _, procs := range []int{1, 4} {
 		stripeLockOutlastsSpin(t, procs)
@@ -53,10 +56,16 @@ func stripeLockOutlastsSpin(t *testing.T, procs int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.CreateThin(1, 64); err != nil {
-		t.Fatal(err)
+	for _, id := range []int{1, 65} {
+		if err := p.CreateThin(id, 64); err != nil {
+			t.Fatal(err)
+		}
 	}
 	thin, err := p.Thin(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := p.Thin(65)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,15 +77,25 @@ func stripeLockOutlastsSpin(t *testing.T, procs int) {
 	data.armed.Store(true)
 	readDone := make(chan error, 1)
 	go func() { readDone <- thin.ReadBlock(0, make([]byte, blockSize)) }()
-	<-data.parked // the reader holds the stripe shared from here on
+	<-data.parked // the reader holds thin 1's lock shared from here on
 
 	fresh := bytes.Repeat([]byte{0x22}, blockSize)
 	writeDone := make(chan error, 1)
 	go func() { writeDone <- thin.WriteBlock(1, fresh) }()
 	select {
 	case err := <-writeDone:
-		t.Fatalf("procs=%d: write finished (%v) while a read held the stripe", procs, err)
+		t.Fatalf("procs=%d: write finished (%v) while a read held the thin lock", procs, err)
 	case <-time.After(4 * stripeSpin):
+	}
+	otherDone := make(chan error, 1)
+	go func() { otherDone <- other.WriteBlock(0, fresh) }()
+	select {
+	case err := <-otherDone:
+		if err != nil {
+			t.Errorf("procs=%d: write to thin 65: %v", procs, err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Errorf("procs=%d: write to thin 65 waited on thin 1's parked read", procs)
 	}
 	close(data.release)
 	if err := <-readDone; err != nil {
@@ -114,5 +133,21 @@ func TestSpinAcquireBudget(t *testing.T) {
 	polls = 0
 	if spinAcquire(func() bool { polls++; return false }) || polls != 1 {
 		t.Errorf("GOMAXPROCS 1: %d polls, want exactly 1", polls)
+	}
+}
+
+// TestThinLockOwnsItsCacheLines pins the padding around the thin lock: no
+// byte of another heap object, nor of the record's own fields that every
+// request reads, may share a cache line with the lock, wherever in a line
+// the record is allocated.
+func TestThinLockOwnsItsCacheLines(t *testing.T) {
+	var tm thinMeta
+	lockStart := unsafe.Offsetof(tm.mu)
+	lockEnd := lockStart + unsafe.Sizeof(tm.mu)
+	if lockStart < cacheLine {
+		t.Errorf("thin lock at offset %d, want at least %d bytes of padding before it", lockStart, cacheLine)
+	}
+	if after := unsafe.Offsetof(tm.id) - lockEnd; after < cacheLine {
+		t.Errorf("%d bytes between the thin lock and the next field, want at least %d", after, cacheLine)
 	}
 }

@@ -14,7 +14,7 @@ import (
 // through the pool allocator (and, under MobiCeal's policy, may trigger a
 // dummy write); an overwrite of a mapped block stays in place, as in stock
 // dm-thin. Thin is safe for concurrent use; it shares the pool's shared
-// lock plus its own mapping stripe, so writers to different thins do not
+// lock plus its own thin lock, so writers to different thins do not
 // contend on metadata resolution, and on allocation only for the few
 // hundred nanoseconds the pool's allocation mutex is held.
 type Thin struct {
@@ -57,7 +57,7 @@ func (t *Thin) Sync() error { return storage.Sync(t) }
 func (t *Thin) Discard(idx uint64) error { return storage.Discard(t, idx, 1) }
 
 // Do implements storage.Doer, one request at a time: each request takes
-// the pool and stripe locks once, resolves its whole range, and sends the
+// the pool and thin locks once, resolves its whole range, and sends the
 // extents the random allocator scattered it over to the data device as ONE
 // batch under the request's flight id.
 func (t *Thin) Do(reqs []storage.Req) error {
@@ -161,12 +161,12 @@ func (t *Thin) checkVecLocked(start uint64, v storage.BlockVec) (*thinMeta, uint
 }
 
 // read serves one read request. The pool's shared lock plus this thin's
-// stripe (shared) are taken once for the whole vec and held across the
+// lock (shared) are taken once for the whole vec and held across the
 // data-device reads: the mapping resolution and the transfers it authorizes
 // are atomic against discard/commit, so a physical block can never be
 // freed, committed away and reallocated to another thin while a read of it
 // is in flight. Concurrent readers — of this thin or any other — take both
-// locks shared and never contend; fine-grained writers to OTHER stripes
+// locks shared and never contend; fine-grained writers to OTHER thins
 // proceed in parallel. Physically contiguous extent runs map to
 // sub-vectors of the caller's own segments (Slice shares memory, no bytes
 // move); holes zero-fill the destination segments directly. The
@@ -187,8 +187,7 @@ func (t *Thin) read(r *storage.Req) error {
 		t.pool.mu.RUnlock()
 		return err
 	}
-	st := t.pool.stripeOf(t.id)
-	st.mu.RLock()
+	tm.mu.RLock()
 	exts := extArr[:0]
 	// The page table resolves the whole range with one sequential leaf
 	// walk instead of n independent lookups.
@@ -218,16 +217,10 @@ func (t *Thin) read(r *storage.Req) error {
 	}
 	err = storage.Do(t.pool.data, batch.reqs)
 	putBatch(batch)
-	st.mu.RUnlock()
+	tm.mu.RUnlock()
 	t.pool.mu.RUnlock()
 	return err
 }
-
-// maxSpaceWaits bounds how many waitForSpace rounds one write request may
-// spend queued for reclaim. The bound matters beyond hygiene: a request
-// needing more blocks than the pool holds recovers the pool with its own
-// unwind every round, so without a cap it would retry forever.
-const maxSpaceWaits = 4
 
 // writeAttempts is the number of optimistic shared-lock passes a write
 // makes before falling back to the exclusive lock for guaranteed
@@ -239,9 +232,9 @@ const writeAttempts = 4
 
 // write serves one write request. The common paths — pure
 // overwrites AND writes that provision — run under the pool's SHARED lock:
-// mapping mutation is serialized by the thin's stripe lock and allocation
+// mapping mutation is serialized by the thin lock and allocation
 // by the pool's allocation mutex, so concurrent writers to different thins
-// proceed in parallel, provisioning included. Holding pool+stripe across the
+// proceed in parallel, provisioning included. Holding pool+thin across the
 // transfer means a concurrent discard+commit can never free a block and
 // hand it to another thin while this request's data is in flight. The
 // dummy-write policy is still consulted per provisioned block, preserving
@@ -268,7 +261,6 @@ func (t *Thin) write(r *storage.Req) error {
 	var extArr [16]extent
 	var holeArr [16]uint64
 	var fresh []uint64 // vblocks provisioned by this request, data not yet landed
-	spaceWaits := 0
 	for attempt := 0; ; attempt++ {
 		exclusive := attempt >= writeAttempts
 		lock, unlock := t.pool.mu.RLock, t.pool.mu.RUnlock
@@ -291,10 +283,9 @@ func (t *Thin) write(r *storage.Req) error {
 			t.unwindFresh(fresh, start) // nothing landed
 			return err
 		}
-		st := t.pool.stripeOf(t.id)
 		exts := extArr[:0]
 		holes := holeArr[:0]
-		st.rlock()
+		tm.rlock()
 		tm.pt.walkRange(start, n, func(off uint64, pb uint64, mapped bool) {
 			if !mapped {
 				holes = append(holes, start+off)
@@ -303,36 +294,25 @@ func (t *Thin) write(r *storage.Req) error {
 			exts = appendRun(exts, pb, false)
 		})
 		if len(holes) > 0 {
-			// Provisioning takes the stripe exclusively per hole; release
-			// the shared hold first (RWMutex is not upgradable).
-			st.mu.RUnlock()
-			if exclusive {
-				// Guaranteed-progress path: provision and re-resolve
-				// under the same exclusive acquisition.
-				err = t.provisionHolesLocked(tm, st, holes, &fresh, fid)
-			} else {
+			// Provisioning takes the thin lock exclusively per hole;
+			// release the shared hold first (RWMutex is not upgradable).
+			tm.mu.RUnlock()
+			if !exclusive {
 				// Stage dummy-write noise first: the stage is a leaf lock,
 				// safe under the shared pool lock, and keeps keystream
-				// generation out of the stripe critical section.
+				// generation out of the thin-lock critical section.
 				t.pool.stageNoise()
-				err = t.provisionHolesShared(tm, st, holes, &fresh, fid)
 			}
+			// The exclusive pass is the guaranteed-progress path: it
+			// provisions and re-resolves under one acquisition.
+			err = t.provisionHoles(tm, holes, &fresh, exclusive, fid)
 			if err != nil {
 				unlock()
-				if errors.Is(err, ErrNoSpace) {
-					if !exclusive {
-						// A read-locked writer cannot move the mode ladder
-						// in place; record the exhaustion (and the recovery
-						// its own unwind may have produced) now.
-						t.pool.noteNoSpace()
-					}
-					if spaceWaits < maxSpaceWaits && t.pool.waitForSpace() {
-						// The provision pass discarded every fresh
-						// provision before failing; reclaim arrived, retry.
-						spaceWaits++
-						fresh = fresh[:0]
-						continue
-					}
+				if !exclusive && errors.Is(err, ErrNoSpace) {
+					// A read-locked writer cannot move the mode ladder in
+					// place; record the exhaustion (and the recovery its
+					// own unwind may have produced) now.
+					t.pool.noteNoSpace()
 				} else if !exclusive {
 					// The unwind freed blocks under the shared lock; poke
 					// recovery in case the pool sat out of space.
@@ -347,7 +327,7 @@ func (t *Thin) write(r *storage.Req) error {
 				continue
 			}
 			exts = exts[:0]
-			st.mu.RLock()
+			tm.mu.RLock()
 			tm.pt.walkRange(start, n, func(_ uint64, pb uint64, _ bool) {
 				exts = appendRun(exts, pb, false)
 			})
@@ -358,7 +338,7 @@ func (t *Thin) write(r *storage.Req) error {
 			t.pool.flight.Record(fid, obs.StageMapResolve, obs.FOpWrite, uint32(n), obs.ClassNone, 0)
 		}
 		done, werr := t.writeExtentsLocked(fid, v, exts)
-		st.mu.RUnlock()
+		tm.mu.RUnlock()
 		unlock()
 		if werr != nil {
 			// Discard this request's provisions whose data never landed:
@@ -373,48 +353,30 @@ func (t *Thin) write(r *storage.Req) error {
 	}
 }
 
-// provisionHolesShared provisions the listed unmapped vblocks under the
-// pool's SHARED lock — mapping mutation rides the stripe lock, allocation
-// the allocation mutex — appending the vblocks THIS request provisioned to
-// *fresh (holes a racing writer mapped first are skipped and stay theirs).
-// On failure every vblock in *fresh is discarded: none of this request's
-// data has been written yet, and a mapped block whose data was never
-// written would read back device garbage instead of zeros. (Dummy writes
-// already performed stay — they are real, durable noise.) Caller holds the
-// pool lock shared and no stripe lock; mode-ladder consequences (ErrNoSpace,
-// recovery) are the caller's to apply after dropping the read lock.
-func (t *Thin) provisionHolesShared(tm *thinMeta, st *mapStripe, holes []uint64, fresh *[]uint64, fid uint64) error {
+// provisionHoles provisions the listed unmapped vblocks — mapping
+// mutation rides the thin lock, allocation the allocation mutex —
+// appending the vblocks THIS request provisioned to *fresh (holes a racing
+// writer mapped first are skipped and stay theirs). On failure every
+// vblock in *fresh is discarded: none of this request's data has been
+// written yet, and a mapped block whose data was never written would read
+// back device garbage instead of zeros. (Dummy writes already performed
+// stay — they are real, durable noise.) Caller holds the pool lock — shared,
+// or exclusively when exclusive is set — and no thin lock. Only an
+// exclusive caller sees mode transitions (OutOfDataSpace entry, recovery
+// after an unwind) happen in place; a shared caller applies them after
+// dropping the read lock.
+func (t *Thin) provisionHoles(tm *thinMeta, holes []uint64, fresh *[]uint64, exclusive bool, fid uint64) error {
 	for _, vb := range holes {
-		provisioned, err := t.pool.provisionVB(tm, st, vb, false, fid)
+		provisioned, err := t.pool.provisionVB(tm, vb, exclusive, fid)
 		if err != nil {
-			st.mu.Lock()
+			tm.mu.Lock()
 			for _, f := range *fresh {
-				_ = t.pool.discardStripeLocked(tm, st, f)
+				_ = t.pool.discardThinLocked(tm, f)
 			}
-			st.mu.Unlock()
-			return err
-		}
-		if provisioned {
-			*fresh = append(*fresh, vb)
-		}
-	}
-	return nil
-}
-
-// provisionHolesLocked is the exclusive-lock twin of provisionHolesShared:
-// same contract, but the caller holds the pool lock exclusively, so mode
-// transitions (OutOfDataSpace entry, recovery after an unwind) happen in
-// place.
-func (t *Thin) provisionHolesLocked(tm *thinMeta, st *mapStripe, holes []uint64, fresh *[]uint64, fid uint64) error {
-	for _, vb := range holes {
-		provisioned, err := t.pool.provisionVB(tm, st, vb, true, fid)
-		if err != nil {
-			st.mu.Lock()
-			for _, f := range *fresh {
-				_ = t.pool.discardStripeLocked(tm, st, f)
+			tm.mu.Unlock()
+			if exclusive {
+				t.pool.maybeRecoverSpaceLocked()
 			}
-			st.mu.Unlock()
-			t.pool.maybeRecoverSpaceLocked()
 			return err
 		}
 		if provisioned {
@@ -477,10 +439,10 @@ func (t *Thin) unwindFresh(fresh []uint64, landedBelow uint64) {
 // discard unmaps the count virtual blocks starting at start, freeing
 // their physical blocks — the vectored TRIM the garbage collector issues
 // when it reclaims a run of dummy space. The whole range is processed under
-// one stripe-lock acquisition, the same economics reads and writes get
+// one thin-lock acquisition, the same economics reads and writes get
 // from bio merging — and like them it runs on the fine-grained path (pool
-// read lock + the thin's stripe lock + the allocation mutex for the
-// frees), so discards on one thin never stall writers of other stripes,
+// read lock + the thin lock + the allocation mutex for the frees), so
+// discards on one thin never stall writers of other thins,
 // and the canonical discard-then-rewrite cycle stays parallel end to end.
 // Unprovisioned blocks in the range are no-ops. The discard records no
 // thinp stage — the unmap mutates metadata only, and the scheduler above
@@ -499,26 +461,24 @@ func (t *Thin) discard(start, count uint64) error {
 		p.mu.RUnlock()
 		return err
 	}
-	st := p.stripeOf(t.id)
-	st.mu.Lock()
+	tm.mu.Lock()
 	mapped0 := tm.pt.count
 	var derr error
 	for i := uint64(0); i < count; i++ {
-		if derr = p.discardStripeLocked(tm, st, start+i); derr != nil {
+		if derr = p.discardThinLocked(tm, start+i); derr != nil {
 			break
 		}
 	}
 	freed := mapped0 - tm.pt.count
 	outOfSpace := p.mode == PoolOutOfDataSpace
-	st.mu.Unlock()
+	tm.mu.Unlock()
 	p.mu.RUnlock()
 	if derr != nil {
 		return derr
 	}
 	if freed > 0 && outOfSpace {
 		// Same-transaction frees came straight back to the allocator's
-		// view; an out-of-data-space pool may now recover to Write and wake
-		// queued writers. (Quarantined frees return at commit, which runs
+		// view; an out-of-data-space pool may now recover to Write. (Quarantined frees return at commit, which runs
 		// its own recovery.)
 		p.maybeRecoverSpace()
 	}
@@ -539,7 +499,7 @@ func (t *Thin) sync(one []storage.Req) error {
 	if err != nil {
 		return err
 	}
-	return t.pool.groupCommit(false, fid)
+	return t.pool.groupCommit(fid)
 }
 
 // Close implements storage.Device. Thin views are cheap handles; closing
