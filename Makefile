@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: test race bench bench-smoke loc fuzz mutexprofile fault-soak
+.PHONY: test race bench bench-smoke loc fuzz mutexprofile fault-soak examples
 
 test:
 	$(GO) build ./... && $(GO) test ./...
@@ -21,6 +21,15 @@ bench:
 # paying for real measurement.
 bench-smoke:
 	$(GO) test -run XXX -bench . -benchtime=1x ./...
+
+# Every examples/ main, run to completion (each exits 0 within seconds).
+# examples/concurrent runs a second time under the race detector: it
+# drives concurrent submits through the queue over a MemDevice.
+examples:
+	@for e in examples/*/; do \
+		$(GO) run ./$$e > /dev/null || { echo "$$e failed"; exit 1; }; \
+	done
+	$(GO) run -race ./examples/concurrent > /dev/null
 
 # Count it (ROADMAP axis 2): non-test Go lines outside the frozen bench
 # module, and beside them the assembly the Go count does not see.

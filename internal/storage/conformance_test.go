@@ -60,6 +60,10 @@ func (l *leaf) Do(reqs []storage.Req) error {
 // the ladder's per-block rung.
 type plainDevice struct{ storage.Device }
 
+// vecDevice offers Device and VecDevice and nothing else: it lands on the
+// ladder's vec rung, as the bench module's timing shim does.
+type vecDevice struct{ storage.VecDevice }
+
 // layer is one device under test. build returns it reading back image,
 // over a fresh leaf where the device stacks on one.
 type layer struct {
@@ -109,7 +113,8 @@ func bare(view func(*storage.MemDevice) storage.Device) func(testing.TB, []byte)
 func layers() []layer {
 	key := bytes.Repeat([]byte{0x5c}, 64)
 	return []layer{
-		{name: "vec-rung", build: bare(func(m *storage.MemDevice) storage.Device { return m })},
+		{name: "mem", build: bare(func(m *storage.MemDevice) storage.Device { return m })},
+		{name: "vec-rung", build: bare(func(m *storage.MemDevice) storage.Device { return vecDevice{m} })},
 		{name: "per-block-rung", build: bare(func(m *storage.MemDevice) storage.Device { return plainDevice{m} })},
 		{name: "slice", oneToOne: true, rangeChecksDiscard: true, build: over(cblocks+5, func(t testing.TB, lf *leaf) storage.Device {
 			d, err := storage.NewSliceDevice(lf, 3, cblocks)

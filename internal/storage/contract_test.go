@@ -11,6 +11,7 @@ import (
 // falls off Do — and so back onto the ladder's per-block rung, losing the
 // batch and the request's context — fails the build here.
 var (
+	_ storage.Doer = (*storage.MemDevice)(nil)
 	_ storage.Doer = (*storage.SliceDevice)(nil)
 	_ storage.Doer = (*storage.StatsDevice)(nil)
 	_ storage.Doer = (*storage.FlakyDevice)(nil)

@@ -126,7 +126,13 @@ const (
 // slab holds the materialized content of slabBlocks consecutive blocks.
 // written tracks which of them were ever explicitly written; the rest of
 // data is zero filler that must not shadow the device background.
+//
+// mu guards data against in-place overwrites (MemDevice.Do): an overwriter
+// holds it for its span copy, a reader of a live slab read-locks it for
+// its own. It is a leaf lock, taken only while MemDevice.mu is held;
+// written changes only under MemDevice.mu held exclusively.
 type slab struct {
+	mu      sync.RWMutex
 	gen     uint64
 	written uint64
 	data    []byte
@@ -140,7 +146,9 @@ type slabDir struct {
 
 // MemDevice is an in-memory sparse block device with snapshot support. Blocks
 // that were never written read as the configured Background. MemDevice is
-// safe for concurrent use.
+// safe for concurrent use: reads, and overwrites of blocks already written
+// in slabs no snapshot has sealed, share mu and run in parallel; any other
+// write holds mu exclusively.
 //
 // Snapshots are copy-on-write: taking one is O(1) — it seals the current
 // slab generation — and the cost of isolating it is paid by subsequent
@@ -164,6 +172,7 @@ type MemDevice struct {
 }
 
 var (
+	_ Doer        = (*MemDevice)(nil)
 	_ RangeDevice = (*MemDevice)(nil)
 	_ VecDevice   = (*MemDevice)(nil)
 )
@@ -244,12 +253,18 @@ func (d *MemDevice) ReadBlock(idx uint64, dst []byte) error {
 	if err := checkIO(idx, dst, d.blockSize, d.numBlocks); err != nil {
 		return err
 	}
-	readSlabBlock(slabAt(d.root, idx), idx, dst, d.blockSize, d.bg)
+	s := slabAt(d.root, idx)
+	if s != nil {
+		s.mu.RLock()
+		defer s.mu.RUnlock()
+	}
+	readSlabBlock(s, idx, dst, d.blockSize, d.bg)
 	return nil
 }
 
 // readSlabBlock copies block idx out of s (which covers it), falling back
-// to the background for unwritten blocks. s may be nil.
+// to the background for unwritten blocks. s may be nil. It takes no lock:
+// a caller reading a live slab holds s.mu for reading.
 func readSlabBlock(s *slab, idx uint64, dst []byte, bs int, bg Background) {
 	off := idx & slabMask
 	if s != nil && s.written&(1<<off) != 0 {
@@ -279,25 +294,118 @@ func (d *MemDevice) WriteBlock(idx uint64, src []byte) error {
 	return nil
 }
 
-// ReadBlocks implements RangeDevice: one lock acquisition for the whole
-// range, and fully-written slab spans are served by single bulk copies.
-func (d *MemDevice) ReadBlocks(start uint64, dst []byte) error {
+// Do implements Doer: a call takes d.mu once, whole. Reads, syncs and
+// discards take it shared; a sync only checks that the device is open, and
+// a discard is dropped — it is advisory, as on the ladder. A write call
+// stays shared when every block it writes is already written in a slab of
+// the current generation (overwrites): it then changes no structure and no
+// written bit, and each slab span is copied under that slab's own lock, so
+// overwrites of different slabs run in parallel. Any other write call —
+// a first write, a write into a structure a snapshot sealed, an invalid
+// request, a closed device — takes d.mu exclusively and goes through
+// writeRangeLocked.
+func (d *MemDevice) Do(reqs []Req) error {
 	d.mu.RLock()
-	defer d.mu.RUnlock()
+	shared := true
+	for i := range reqs {
+		if reqs[i].Op == OpWrite && !d.inPlace(&reqs[i]) {
+			shared = false
+			break
+		}
+	}
+	if shared {
+		defer d.mu.RUnlock()
+	} else {
+		d.mu.RUnlock()
+		d.mu.Lock()
+		defer d.mu.Unlock()
+	}
+	return Each(reqs, func(one []Req) error { return d.serve(&one[0], shared) })
+}
+
+// serve runs one request of a Do call. shared says which way the call holds
+// d.mu, and so how a write lands.
+func (d *MemDevice) serve(r *Req, shared bool) error {
+	switch r.Op {
+	case OpDiscard:
+		return nil
+	case OpSync, OpRead, OpWrite:
+	default:
+		return fmt.Errorf("storage: unknown request op %d", r.Op)
+	}
 	if d.closed {
 		return ErrClosed
 	}
-	if err := checkRangeIO(start, dst, d.blockSize, d.numBlocks); err != nil {
+	if r.Op == OpSync {
+		return nil
+	}
+	if err := checkVecIO(r.Start, r.Vec, d.blockSize, d.numBlocks); err != nil {
 		return err
 	}
-	readSlabRange(d.root, d.bg, d.blockSize, start, dst)
-	return nil
+	return r.Vec.Range(func(off int, seg []byte) error {
+		start := r.Start + uint64(off)
+		switch {
+		case r.Op == OpRead:
+			readSlabRange(d.root, d.bg, d.blockSize, start, seg)
+		case shared:
+			d.overwriteRange(start, seg)
+		default:
+			d.writeRangeLocked(start, seg)
+		}
+		return nil
+	})
+}
+
+// inPlace reports whether write r may run under d.mu held shared: the
+// device is open, r is valid, and every block of r is already written in a
+// slab that, with its directory and the root, belongs to the current
+// generation — so the write clones nothing, materialises nothing and sets
+// no written bit, and no snapshot shares the bytes it overwrites. Caller
+// holds d.mu.
+func (d *MemDevice) inPlace(r *Req) bool {
+	if d.closed || d.rootGen != d.gen || checkVecIO(r.Start, r.Vec, d.blockSize, d.numBlocks) != nil {
+		return false
+	}
+	for idx, end := r.Start, r.Start+uint64(r.Vec.Len()); idx < end; {
+		dir := d.root[idx>>dirBlockBits]
+		if dir == nil || dir.gen != d.gen {
+			return false
+		}
+		s := dir.slabs[(idx>>slabBlockBits)&(dirSlabs-1)]
+		off := idx & slabMask
+		span := min(slabBlocks-off, end-idx)
+		if s == nil || s.gen != d.gen || !covers(s.written, off, span) {
+			return false
+		}
+		idx += span
+	}
+	return true
+}
+
+// overwriteRange stores the block range [start, start+len(src)/bs), which
+// inPlace vouched for: one bulk copy per slab span, under the slab's lock.
+// Caller holds d.mu shared.
+func (d *MemDevice) overwriteRange(start uint64, src []byte) {
+	bs := uint64(d.blockSize)
+	n := uint64(len(src)) / bs
+	for i := uint64(0); i < n; {
+		idx := start + i
+		s := slabAt(d.root, idx)
+		off := idx & slabMask
+		span := min(slabBlocks-off, n-i)
+		s.mu.Lock()
+		copy(s.data[off*bs:(off+span)*bs], src[i*bs:(i+span)*bs])
+		s.mu.Unlock()
+		i += span
+	}
 }
 
 // readSlabRange reads the validated block range [start, start+len(dst)/bs)
 // out of a slab tree: fully-written slab spans become single bulk copies,
-// the rest falls back per block to the background. Shared by MemDevice
-// (under its lock) and the lock-free immutable Snapshot.
+// the rest falls back per block to the background. Each span is read under
+// its slab's read lock, so it never sees half an in-place overwrite. Shared
+// by MemDevice (under d.mu) and the immutable Snapshot, whose sealed slabs
+// no one writes: their lock is never contended.
 func readSlabRange(root []*slabDir, bg Background, bs int, start uint64, dst []byte) {
 	n := uint64(len(dst) / bs)
 	for i := uint64(0); i < n; {
@@ -309,12 +417,18 @@ func readSlabRange(root []*slabDir, bg Background, bs int, start uint64, dst []b
 			span = n - i
 		}
 		out := dst[i*uint64(bs) : (i+span)*uint64(bs)]
+		if s != nil {
+			s.mu.RLock()
+		}
 		if s != nil && covers(s.written, idx&slabMask, span) {
 			copy(out, s.data[(idx&slabMask)*uint64(bs):])
 		} else {
 			for j := uint64(0); j < span; j++ {
 				readSlabBlock(s, idx+j, out[j*uint64(bs):(j+1)*uint64(bs)], bs, bg)
 			}
+		}
+		if s != nil {
+			s.mu.RUnlock()
 		}
 		i += span
 	}
@@ -325,21 +439,6 @@ func readSlabRange(root []*slabDir, bg Background, bs int, start uint64, dst []b
 func covers(written, off, span uint64) bool {
 	m := (^uint64(0) >> (64 - span)) << off
 	return written&m == m
-}
-
-// WriteBlocks implements RangeDevice: one slab resolution and one bulk copy
-// per slab span.
-func (d *MemDevice) WriteBlocks(start uint64, src []byte) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return ErrClosed
-	}
-	if err := checkRangeIO(start, src, d.blockSize, d.numBlocks); err != nil {
-		return err
-	}
-	d.writeRangeLocked(start, src)
-	return nil
 }
 
 // writeRangeLocked stores the validated block range [start,
@@ -364,40 +463,28 @@ func (d *MemDevice) writeRangeLocked(start uint64, src []byte) {
 	}
 }
 
-// ReadBlocksVec implements VecDevice: one lock acquisition for the whole
-// vec, each segment served by the same per-slab bulk copies the flat range
-// path uses (a copy straddling a segment boundary splits at the boundary —
-// destinations are distinct buffers — but never re-resolves the slab).
-func (d *MemDevice) ReadBlocksVec(start uint64, v BlockVec) error {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if d.closed {
-		return ErrClosed
-	}
-	if err := checkVecIO(start, v, d.blockSize, d.numBlocks); err != nil {
-		return err
-	}
-	return v.Range(func(off int, seg []byte) error {
-		readSlabRange(d.root, d.bg, d.blockSize, start+uint64(off), seg)
-		return nil
-	})
+// ReadBlocks, WriteBlocks, ReadBlocksVec and WriteBlocksVec implement
+// RangeDevice and VecDevice as one-request Do calls; the bench module's
+// timing shim asserts both interfaces on the backend.
+
+// ReadBlocks implements RangeDevice.
+func (d *MemDevice) ReadBlocks(start uint64, dst []byte) error {
+	return ReadBlocks(d, start, dst)
 }
 
-// WriteBlocksVec implements VecDevice: one lock acquisition, per-slab bulk
-// copies out of each segment.
+// WriteBlocks implements RangeDevice.
+func (d *MemDevice) WriteBlocks(start uint64, src []byte) error {
+	return WriteBlocks(d, start, src)
+}
+
+// ReadBlocksVec implements VecDevice.
+func (d *MemDevice) ReadBlocksVec(start uint64, v BlockVec) error {
+	return ReadBlocksVec(d, start, v)
+}
+
+// WriteBlocksVec implements VecDevice.
 func (d *MemDevice) WriteBlocksVec(start uint64, v BlockVec) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return ErrClosed
-	}
-	if err := checkVecIO(start, v, d.blockSize, d.numBlocks); err != nil {
-		return err
-	}
-	return v.Range(func(off int, seg []byte) error {
-		d.writeRangeLocked(start+uint64(off), seg)
-		return nil
-	})
+	return WriteBlocksVec(d, start, v)
 }
 
 // Sync implements Device. Memory devices have no volatile buffer, so Sync

@@ -214,12 +214,13 @@ func (v BlockVec) CopyIn(src []byte) int {
 	return done
 }
 
-// VecDevice is the native transfer surface of the two leaf devices
-// (MemDevice, FileDevice), and the middle rung of Do's ladder: a vec
-// operation moves v.Len() consecutive device blocks through the vec's
-// segments in order, in one call. It may fail with no partial effects or
-// with a prefix transferred, reported via PartialError (counted in blocks
-// across all segments). Stacking layers do not implement it — they
+// VecDevice is the vectored transfer surface of the two leaf devices
+// (MemDevice, FileDevice), and the middle rung of Do's ladder — which
+// neither leaf takes, both being Doers, but the frozen bench module's
+// timing shim does: a vec operation moves v.Len() consecutive device
+// blocks through the vec's segments in order, in one call. It may fail
+// with no partial effects or with a prefix transferred, reported via
+// PartialError (counted in blocks across all segments). Stacking layers do not implement it — they
 // implement Doer.
 type VecDevice interface {
 	Device
