@@ -40,11 +40,12 @@ loc:
 # Ten seconds of every fuzz target (the CI step): the request descriptor
 # against its per-block oracle on every stack layer, the XTS kernel against
 # the Go loop, the CRC kernel against hash/crc64, the on-disk bitmap parser
-# and its rank index against a recount and a linear scan. The engine also minimizes
+# and its rank index against a recount and a linear scan, and OpenPool over
+# arbitrary metadata-device bytes against the pool's own checkers. The engine also minimizes
 # every input that merely widens coverage, by default for up to a minute
 # each — six of the ten seconds went there for the multi-KiB XTS inputs —
 # hence the cap.
-FUZZ_TARGETS = FuzzDo:./internal/storage/ FuzzXTSKernel:./internal/xcrypto/ FuzzCRC:./internal/crc/ FuzzBitmap:./internal/thinp/
+FUZZ_TARGETS = FuzzDo:./internal/storage/ FuzzXTSKernel:./internal/xcrypto/ FuzzCRC:./internal/crc/ FuzzBitmap:./internal/thinp/ FuzzOpenPool:./internal/thinp/
 fuzz:
 	@for t in $(FUZZ_TARGETS); do \
 		$(GO) test -run '^$$' -fuzz="^$${t%%:*}$$" -fuzztime=10s -fuzzminimizetime=2s "$${t#*:}" || exit 1; \

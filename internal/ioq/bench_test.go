@@ -2,9 +2,11 @@ package ioq
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"mobiceal/internal/prng"
 	"mobiceal/internal/storage"
@@ -159,4 +161,60 @@ func BenchmarkRetryOverhead(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkSubmitWait prices the round trip of the smallest request, the
+// mechanism behind the ledger's RAM rows without the stack above it: two
+// submitter goroutines each issue 4 KiB SubmitRead(...).Wait() calls,
+// one outstanding at a time, through one queue over a MemDevice. Run it at
+// -cpu 1,2: at GOMAXPROCS 2 a request whose completion readies a goroutine
+// on a busy P waits out the scheduler's steal back-off, which shows in
+// p99-µs.
+func BenchmarkSubmitWait(b *testing.B) {
+	const (
+		bs        = 4096
+		blocks    = 1024
+		issuers   = 2
+		reqBlocks = 1
+	)
+	dev := storage.NewMemDevice(bs, blocks)
+	if err := storage.WriteBlocks(dev, 0, make([]byte, blocks*bs)); err != nil {
+		b.Fatal(err)
+	}
+	s := NewScheduler(Options{})
+	defer s.Close()
+	q := s.Register(dev)
+	lat := make([][]time.Duration, issuers)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	b.SetBytes(reqBlocks * bs)
+	b.ResetTimer()
+	for c := 0; c < issuers; c++ {
+		lat[c] = make([]time.Duration, 0, b.N)
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			buf := make([]byte, reqBlocks*bs)
+			for i := next.Add(1); i <= int64(b.N); i = next.Add(1) {
+				t0 := time.Now()
+				if err := q.SubmitRead(uint64(i*7)%blocks, buf).Wait(); err != nil {
+					b.Error(err)
+					return
+				}
+				lat[c] = append(lat[c], time.Since(t0))
+			}
+		}(c)
+	}
+	wg.Wait()
+	b.StopTimer()
+	all := slices.Concat(lat...)
+	slices.Sort(all)
+	if len(all) == 0 {
+		return
+	}
+	pct := func(p float64) float64 {
+		return float64(all[int(p*float64(len(all)-1))].Nanoseconds()) / 1e3
+	}
+	b.ReportMetric(pct(0.50), "p50-µs")
+	b.ReportMetric(pct(0.99), "p99-µs")
 }

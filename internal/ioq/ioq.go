@@ -5,11 +5,13 @@
 // Callers submit read/write/discard/sync requests per volume and get a
 // Future back; a shared pool of workers takes requests off each volume's
 // queue one per dispatch, in arrival order, hands each to the device stack
-// as its own storage.Req and completes its future. The scheduler is the
-// userspace analogue of the kernel's blk-mq with the `none` scheduler:
-// per-volume software queues feed a multi-producer/multi-consumer ready
-// list served by hardware-context-like workers, with no sorting or
-// merging in between.
+// as its own storage.Req and completes its future. A caller that Waits on
+// a future whose queue has a dispatch slot no worker has pulled yet runs
+// that dispatch itself — its own request, unless a barrier holds it back.
+// The scheduler is the userspace analogue of the kernel's blk-mq with the
+// `none` scheduler: per-volume software queues feed a
+// multi-producer/multi-consumer ready list served by hardware-context-like
+// workers, with no sorting or merging in between.
 //
 // Ordering and durability semantics (the contract a file system above
 // this layer relies on):
@@ -34,6 +36,7 @@ package ioq
 import (
 	"errors"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -86,7 +89,10 @@ func (p *RetryPolicy) fill() {
 // Options configures a Scheduler.
 type Options struct {
 	// Workers is the number of dispatch goroutines, and with it the most
-	// requests — of one volume or of several — at the device at once:
+	// requests of one volume at the device at once. A waiter that helps
+	// (Future.Wait) dispatches with one of those same per-volume slots, so
+	// the per-volume bound holds with helpers; across volumes, helping
+	// waiters may add to the Workers requests the pool itself runs.
 	// Workers > 1 lets different volumes, and different requests of one
 	// volume, dispatch in parallel and overlaps one request's CPU work
 	// with another's device latency; even at GOMAXPROCS=1 extra workers
@@ -130,6 +136,7 @@ type Scheduler struct {
 	// operations (FlushAll quiesces them all).
 	queues []*VolumeQueue
 
+	// wg counts the live workers and the helping waiters (claim).
 	wg sync.WaitGroup
 	// closedFlag mirrors closed for the lock-free submission-path check:
 	// submit must not take the scheduler-global mutex per request.
@@ -175,7 +182,8 @@ func (s *Scheduler) Queues() []*VolumeQueue {
 
 // Close stops the scheduler: new submissions fail with ErrClosed, already
 // submitted requests are drained and completed, and the workers exit.
-// Close blocks until the drain finishes.
+// Close blocks until the drain finishes, a helping waiter's dispatches
+// included.
 func (s *Scheduler) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -188,6 +196,26 @@ func (s *Scheduler) Close() error {
 	s.cond.Broadcast()
 	s.wg.Wait()
 	return nil
+}
+
+// claim takes one of q's entries off the ready list before a worker pulls
+// it, and reports whether there was one. The caller then owns that dispatch
+// slot exactly as the worker that would have pulled it, so helping waiters
+// never put more than Workers requests of one queue at the device. A
+// successful claim joins the worker group until the caller calls
+// s.wg.Done, so that Close also waits out a helper's dispatches; an entry
+// on the list means a worker is live, so the group is not yet done.
+func (s *Scheduler) claim(q *VolumeQueue) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i, e := range s.ready {
+		if e == q {
+			s.ready = slices.Delete(s.ready, i, i+1)
+			s.wg.Add(1)
+			return true
+		}
+	}
+	return false
 }
 
 // enqueue puts q on the ready list and wakes one worker. It reports false
@@ -211,9 +239,10 @@ func (s *Scheduler) enqueue(q *VolumeQueue) bool {
 // still has dispatchable work afterwards goes back on the TAIL of the ready
 // list — round-robin by arrival order, so a saturated volume cannot starve
 // the others — under the lock hold the worker needs for its next pull
-// anyway, and without a signal: the worker is about to pull itself, and
-// waking a sleeping one for the next request measured no better
-// (DESIGN.md, "One request per dispatch").
+// anyway, and without a signal: the worker is about to pull itself. A
+// worker that wakes to find the list empty lost its entry to a helping
+// waiter (Future.Wait, which claims an entry here before any worker pulls
+// it) and goes back to sleep.
 func (s *Scheduler) worker() {
 	defer s.wg.Done()
 	var again *VolumeQueue
@@ -235,7 +264,7 @@ func (s *Scheduler) worker() {
 		s.ready = s.ready[1:]
 		s.mu.Unlock()
 		again = nil
-		if q.dispatch() {
+		if q.dispatch(nil) {
 			again = q
 		}
 	}

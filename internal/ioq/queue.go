@@ -3,6 +3,7 @@ package ioq
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -29,7 +30,8 @@ type request struct {
 	// at submission (0 when recording was off). It is an array so that
 	// dispatch hands io[:] to storage.Do without building anything.
 	io [1]storage.Req
-	f  *Future
+	// f is the request's future, allocated with it; submit hands out &f.
+	f Future
 	// submitNS and dispatchNS are obs.NowNS stamps of the request's
 	// life-cycle edges. submitNS is 0 for requests rejected before
 	// entering a queue; dispatchNS is 0 for requests never handed to a
@@ -41,9 +43,11 @@ type request struct {
 	dispatchNS int64
 }
 
-// newRequest builds a queued request around its device-stack form.
-func newRequest(io storage.Req) *request {
-	return &request{io: [1]storage.Req{io}, f: newFuture()}
+// newRequest builds a request of q around its device-stack form.
+func (q *VolumeQueue) newRequest(io storage.Req) *request {
+	r := &request{io: [1]storage.Req{io}}
+	r.f = Future{done: make(chan struct{}), q: q, r: r}
+	return r
 }
 
 // op and fid read the request's device-stack form.
@@ -70,10 +74,12 @@ type VolumeQueue struct {
 	// is still running.
 	syncActive bool
 	// slots counts this queue's dispatches outstanding — entries on the
-	// scheduler's ready list plus dispatch calls running. Submissions take
-	// slots (at most Workers); a worker gives its slot back when a dispatch
-	// ends with nothing dispatchable. Whenever work is dispatchable at least
-	// one slot is out, so no request is ever stranded.
+	// scheduler's ready list plus dispatch calls running, by a worker or by
+	// a helping waiter that claimed an entry. Submissions take slots (at
+	// most Workers); a slot is given back when a dispatch ends with nothing
+	// dispatchable, or by a helper whose queue's other slots cover the
+	// backlog. Whenever work is dispatchable at least one slot is out, so
+	// no request is ever stranded.
 	slots int
 }
 
@@ -95,7 +101,7 @@ func (q *VolumeQueue) SubmitWrite(start uint64, src []byte) *Future {
 // SubmitDiscard asynchronously TRIMs blocks [start, start+count).
 // Devices without discard support complete it as a no-op.
 func (q *VolumeQueue) SubmitDiscard(start, count uint64) *Future {
-	return q.submit(newRequest(storage.Req{Op: storage.OpDiscard, Start: start, Count: count}))
+	return q.submit(q.newRequest(storage.Req{Op: storage.OpDiscard, Start: start, Count: count}))
 }
 
 // submitIO queues a transfer of buf, which becomes the request's one
@@ -112,14 +118,14 @@ func (q *VolumeQueue) submitIO(op storage.Op, start uint64, buf []byte) *Future 
 	if len(buf) > 0 {
 		v = storage.VecOne(bs, buf)
 	}
-	return q.submit(newRequest(storage.Req{Op: op, Start: start, Vec: v}))
+	return q.submit(q.newRequest(storage.Req{Op: op, Start: start, Vec: v}))
 }
 
 // Flush submits a sync barrier: its future completes after every request
 // submitted before it has completed and the device stack's Sync has run
 // (on a MobiCeal volume: data flushed and pool metadata group-committed).
 func (q *VolumeQueue) Flush() *Future {
-	return q.submit(newRequest(storage.Req{Op: storage.OpSync}))
+	return q.submit(q.newRequest(storage.Req{Op: storage.OpSync}))
 }
 
 // Quiesce submits a drain barrier: its future completes once every request
@@ -128,7 +134,7 @@ func (q *VolumeQueue) Flush() *Future {
 // all, then fold the whole system's durability into a single sync instead
 // of paying one per queue.
 func (q *VolumeQueue) Quiesce() *Future {
-	return q.submit(newRequest(storage.Req{Op: opQuiesce}))
+	return q.submit(q.newRequest(storage.Req{Op: opQuiesce}))
 }
 
 // Device returns the device stack this queue serves.
@@ -142,7 +148,7 @@ func (q *VolumeQueue) submit(r *request) *Future {
 		// histogram moves.
 		q.s.m.Submitted.Inc()
 		q.finish(r, ErrClosed)
-		return r.f
+		return &r.f
 	}
 	r.submitNS = obs.NowNS()
 	if rec := q.s.flight; rec.Enabled() {
@@ -155,9 +161,11 @@ func (q *VolumeQueue) submit(r *request) *Future {
 	q.s.m.QueueDepth.Inc()
 	q.mu.Lock()
 	q.pending = append(q.pending, r)
-	// Only submissions wake workers, one wake per submission: a worker
-	// that finds more work at the end of a dispatch re-queues the queue
-	// itself (Scheduler.worker) and wakes nobody.
+	// A submission takes a slot and wakes a worker, one wake per
+	// submission; its waiter may claim the slot first (help). A worker that
+	// finds more work at the end of a dispatch re-queues the queue itself
+	// (Scheduler.worker) and wakes nobody; only a helper that ran out of
+	// budget hands a slot back with a wake.
 	wake := q.slots < q.s.opts.Workers && q.dispatchableLocked()
 	if wake {
 		q.slots++
@@ -166,8 +174,8 @@ func (q *VolumeQueue) submit(r *request) *Future {
 	if wake && !q.s.enqueue(q) {
 		// The scheduler closed and its workers exited between the closed
 		// check and the wake: nothing will ever drain this queue again, so
-		// fail everything still pending (nothing can be in flight — a
-		// dispatch holds a slot, and a slot holds a live worker).
+		// fail everything still pending (a request a helping waiter has in
+		// flight completes on its own).
 		q.mu.Lock()
 		q.slots--
 		rest := q.pending
@@ -177,7 +185,7 @@ func (q *VolumeQueue) submit(r *request) *Future {
 			q.finish(p, ErrClosed)
 		}
 	}
-	return r.f
+	return &r.f
 }
 
 // dispatchableLocked reports whether a worker could make progress on this
@@ -198,22 +206,23 @@ func (q *VolumeQueue) dispatchableLocked() bool {
 	return true
 }
 
-// dispatch hands the request at the head of the queue to the calling
-// worker and executes it. Several workers may be inside dispatch for one
-// queue at once, each with a different request: the worker pool is the
-// queue's only in-flight parallelism, and the barrier rule its only
-// intra-volume ordering. It reports whether the queue has more dispatchable
-// work; the calling worker then re-queues it, keeping the dispatch slot,
-// and otherwise the slot is given back here.
-func (q *VolumeQueue) dispatch() bool {
+// dispatch takes one request off the queue with the caller's dispatch slot
+// and executes it: want, when the caller is a helping waiter whose request
+// is queued with no barrier ahead of it, and otherwise the request at the
+// head, as a worker takes it (want nil). Several callers may be inside
+// dispatch for one queue at once, each with a different request and a slot
+// of its own, so at most Workers requests of a queue are at the device; the
+// barrier rule is the only intra-volume ordering. It reports whether the
+// queue has more dispatchable work, and the caller then still holds the
+// slot; otherwise the slot is given back here.
+func (q *VolumeQueue) dispatch(want *request) bool {
 	q.mu.Lock()
-	if !q.dispatchableLocked() {
+	r := q.takeLocked(want)
+	if r == nil {
 		q.slots--
 		q.mu.Unlock()
 		return false
 	}
-	r := q.pending[0]
-	q.pending = q.pending[1:]
 	barrier := isBarrier(r.op())
 	if barrier {
 		q.syncActive = true
@@ -221,7 +230,7 @@ func (q *VolumeQueue) dispatch() bool {
 	q.inflight++
 	q.mu.Unlock()
 
-	// Mark the submit→dispatch edge. This worker owns the request now, so
+	// Mark the submit→dispatch edge. This caller owns the request now, so
 	// the stamp races with nothing.
 	m := &q.s.m
 	m.Batches.Inc()
@@ -247,6 +256,81 @@ func (q *VolumeQueue) dispatch() bool {
 	}
 	q.mu.Unlock()
 	return more
+}
+
+// takeLocked removes the request to dispatch next from pending, or returns
+// nil when nothing may dispatch now. want goes first if it is queued ahead
+// of every barrier: requests between barriers are unordered, so taking it
+// out of arrival order breaks no promise. Otherwise the head goes, if the
+// barrier rule lets it. Caller holds q.mu.
+func (q *VolumeQueue) takeLocked(want *request) *request {
+	i := 0
+	if want != nil && !q.syncActive {
+		for j, p := range q.pending {
+			if isBarrier(p.op()) {
+				break
+			}
+			if p == want {
+				i = j
+				break
+			}
+		}
+	}
+	if i > 0 {
+		q.pending = slices.Delete(q.pending, i, i+1)
+		return want
+	}
+	if !q.dispatchableLocked() {
+		return nil
+	}
+	r := q.pending[0]
+	q.pending = q.pending[1:]
+	return r
+}
+
+// help is Future.Wait's dispatch path for r, a request of q. It claims one
+// of q's dispatch slots still on the ready list and dispatches with it until
+// r completes, then settles the slot (DESIGN.md, "One request per
+// dispatch"). A goroutine readied by this one while it keeps running waits
+// out the runtime's steal back-off, so the slot does not go to a worker
+// while the caller can use it:
+//   - if the queue's other slots cover its backlog, the slot goes back, and
+//     whoever holds them dispatches the rest;
+//   - otherwise the helper dispatches on, from the head like a worker, at
+//     most the backlog it found when r completed, and only then hands the
+//     slot to a worker through the ready list.
+//
+// A waiter that finds no unpulled slot returns at once and blocks on r.
+func (q *VolumeQueue) help(r *request) {
+	if !q.s.claim(q) {
+		return
+	}
+	defer q.s.wg.Done()
+	want, budget := r, 0
+	for q.dispatch(want) {
+		if want != nil && !r.f.isDone() {
+			continue // r is queued behind older work, or in flight elsewhere
+		}
+		q.mu.Lock()
+		if want != nil {
+			want, budget = nil, len(q.pending)
+		}
+		drop := q.slots > len(q.pending)
+		if drop {
+			q.slots--
+		}
+		q.mu.Unlock()
+		switch {
+		case drop:
+			return
+		case budget > 0:
+			budget--
+		case q.s.enqueue(q):
+			return
+		}
+		// The scheduler closed and no worker is left to take the slot:
+		// the helper drains the queue itself.
+	}
 }
 
 // runBarrier executes a dispatched barrier. A Flush whose device Sync

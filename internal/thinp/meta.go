@@ -1279,6 +1279,14 @@ func (p *Pool) parseImage(raw []byte, thinCount int) error {
 		return fmt.Errorf("%w: %v", ErrCorruptMeta, err)
 	}
 	off := bm.MarshaledLen()
+	// Every count read below is checked against what the bytes and the
+	// devices can hold before anything is sized by it: a forged image gets
+	// an error, never an allocation it chose.
+	if thinCount > (len(raw)-off)/thinHeaderLen {
+		return fmt.Errorf("%w: %d thins do not fit the image", ErrCorruptMeta, thinCount)
+	}
+	nblocks := p.data.NumBlocks()
+	owned := NewBitmap(nblocks)
 
 	thins := make(map[int]*thinMeta, thinCount)
 	segIDs := make([]int, 0, thinCount)
@@ -1299,6 +1307,9 @@ func (p *Pool) parseImage(raw []byte, thinCount int) error {
 		if _, dup := thins[id]; dup {
 			return fmt.Errorf("%w: duplicate thin %d", ErrCorruptMeta, id)
 		}
+		if !virtSizeOK(virt, nblocks) {
+			return fmt.Errorf("%w: thin %d of %d blocks over a pool of %d", ErrCorruptMeta, id, virt, nblocks)
+		}
 		tm := newThinMeta(id, virt)
 		havePrev := false
 		var prev uint64
@@ -1307,9 +1318,15 @@ func (p *Pool) parseImage(raw []byte, thinCount int) error {
 			off += 8
 			pb := getUint64(raw[off:])
 			off += 8
-			if vb >= virt || pb == ptUnmapped || (havePrev && vb <= prev) {
+			if vb >= virt || pb >= nblocks || (havePrev && vb <= prev) {
 				return fmt.Errorf("%w: invalid mapping table for thin %d", ErrCorruptMeta, id)
 			}
+			// The checks of CheckIntegrity: the block is allocated, and
+			// owned by this mapping only.
+			if !bm.IsAllocated(pb) || owned.IsAllocated(pb) {
+				return fmt.Errorf("%w: thin %d maps block %d free or owned twice", ErrCorruptMeta, id, pb)
+			}
+			_ = owned.Set(pb) // pb < nblocks: cannot fail
 			tm.pt.set(vb, pb)
 			havePrev, prev = true, vb
 		}
@@ -1317,6 +1334,9 @@ func (p *Pool) parseImage(raw []byte, thinCount int) error {
 		tm.segLen = off - segStart
 		thins[id] = tm
 		segIDs = append(segIDs, id)
+	}
+	if owned.Allocated() != bm.Allocated() {
+		return fmt.Errorf("%w: %d blocks allocated, %d mapped", ErrCorruptMeta, bm.Allocated(), owned.Allocated())
 	}
 	p.bm = bm
 	p.thins = thins

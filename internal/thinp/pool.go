@@ -134,6 +134,17 @@ type thinMeta struct {
 // on amd64 and on most arm64 cores.
 const cacheLine = 64
 
+// maxOvercommit bounds a thin's virtual size as a multiple of the pool's
+// data blocks. A thin's page table is sized by its virtual size up front,
+// so the bound is what keeps an image read at open from sizing memory.
+const maxOvercommit = 1 << 16
+
+// virtSizeOK reports whether a thin of virt blocks is within maxOvercommit
+// of a pool of dataBlocks.
+func virtSizeOK(virt, dataBlocks uint64) bool {
+	return virt/maxOvercommit <= dataBlocks
+}
+
 // newThinMeta returns an empty record for a thin of the given geometry.
 func newThinMeta(id int, virtBlocks uint64) *thinMeta {
 	return &thinMeta{
@@ -645,6 +656,9 @@ func (p *Pool) CreateThin(id int, virtBlocks uint64) error {
 	}
 	if _, ok := p.thins[id]; ok {
 		return fmt.Errorf("%w: id %d", ErrThinExists, id)
+	}
+	if !virtSizeOK(virtBlocks, p.data.NumBlocks()) {
+		return fmt.Errorf("thinp: thin of %d blocks over a pool of %d exceeds the overcommit limit", virtBlocks, p.data.NumBlocks())
 	}
 	p.thins[id] = newThinMeta(id, virtBlocks)
 	p.structDirty = true
