@@ -38,8 +38,8 @@ loc:
 	@echo "$$(find . -name '*.s' ! -path './bench/*' -print0 | xargs -0 cat | wc -l) lines of assembly beside them"
 
 # Ten seconds of every fuzz target (the CI step): the request descriptor
-# against its per-block oracle on every stack layer, the XTS kernel against
-# the Go loop, the CRC kernel against hash/crc64, the on-disk bitmap parser
+# against its per-block oracle on every stack layer, every XTS kernel
+# path against the Go loop, the CRC kernel against hash/crc64, the on-disk bitmap parser
 # and its rank index against a recount and a linear scan, and OpenPool over
 # arbitrary metadata-device bytes against the pool's own checkers. The engine also minimizes
 # every input that merely widens coverage, by default for up to a minute

@@ -21,6 +21,9 @@ import (
 type Crypt struct {
 	inner  storage.Device
 	cipher xcrypto.SectorCipher
+	// bs is inner's block size, read once rather than down the stack per
+	// request.
+	bs int
 	// scratch holds reusable ciphertext buffers (the target's mempool in
 	// kernel terms) and twins the request lists they travel in, so the
 	// write path does not allocate per request.
@@ -37,11 +40,11 @@ type ctTwin struct {
 
 // NewCrypt layers cipher over inner.
 func NewCrypt(inner storage.Device, cipher xcrypto.SectorCipher) *Crypt {
-	return &Crypt{inner: inner, cipher: cipher}
+	return &Crypt{inner: inner, cipher: cipher, bs: inner.BlockSize()}
 }
 
 // BlockSize implements storage.Device.
-func (c *Crypt) BlockSize() int { return c.inner.BlockSize() }
+func (c *Crypt) BlockSize() int { return c.bs }
 
 // NumBlocks implements storage.Device.
 func (c *Crypt) NumBlocks() uint64 { return c.inner.NumBlocks() }
@@ -72,7 +75,7 @@ func (c *Crypt) Sync() error { return storage.Sync(c) }
 // state is public, and deniability rests on dummy writes, not on hiding
 // discards.
 func (c *Crypt) Do(reqs []storage.Req) error {
-	bs := c.inner.BlockSize()
+	bs := c.bs
 	var ct *ctTwin
 	err := storage.Forward(reqs,
 		func(r *storage.Req) error {

@@ -36,12 +36,12 @@ package ioq
 import (
 	"errors"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"mobiceal/internal/obs"
+	"mobiceal/internal/spin"
 	"mobiceal/internal/storage"
 )
 
@@ -136,7 +136,8 @@ type Scheduler struct {
 	// operations (FlushAll quiesces them all).
 	queues []*VolumeQueue
 
-	// wg counts the live workers and the helping waiters (claim).
+	// wg counts the live workers and the helping waiters
+	// (VolumeQueue.claim).
 	wg sync.WaitGroup
 	// closedFlag mirrors closed for the lock-free submission-path check:
 	// submit must not take the scheduler-global mutex per request.
@@ -198,59 +199,34 @@ func (s *Scheduler) Close() error {
 	return nil
 }
 
-// claim takes one of q's entries off the ready list before a worker pulls
-// it, and reports whether there was one. The caller then owns that dispatch
-// slot exactly as the worker that would have pulled it, so helping waiters
-// never put more than Workers requests of one queue at the device. A
-// successful claim joins the worker group until the caller calls
-// s.wg.Done, so that Close also waits out a helper's dispatches; an entry
-// on the list means a worker is live, so the group is not yet done.
-func (s *Scheduler) claim(q *VolumeQueue) bool {
-	s.mu.Lock()
+// list appends q to the ready list. It reports false when the scheduler has
+// closed and every worker already exited — the caller must fail the
+// stranded work itself. While any worker is live the entry is guaranteed to
+// be drained: workers only exit under this lock, with the ready list
+// observed empty. Caller holds q.mu (VolumeQueue.list).
+func (s *Scheduler) list(q *VolumeQueue) bool {
+	spin.Lock(&s.mu)
 	defer s.mu.Unlock()
-	for i, e := range s.ready {
-		if e == q {
-			s.ready = slices.Delete(s.ready, i, i+1)
-			s.wg.Add(1)
-			return true
-		}
-	}
-	return false
-}
-
-// enqueue puts q on the ready list and wakes one worker. It reports false
-// when the scheduler has closed and every worker already exited — the
-// caller must fail the stranded work itself. While any worker is live the
-// enqueue is guaranteed to be drained: workers only exit under this lock,
-// with the ready list observed empty.
-func (s *Scheduler) enqueue(q *VolumeQueue) bool {
-	s.mu.Lock()
 	if s.closed && s.live == 0 {
-		s.mu.Unlock()
 		return false
 	}
 	s.ready = append(s.ready, q)
-	s.mu.Unlock()
-	s.cond.Signal()
 	return true
 }
 
-// worker pulls ready queues and dispatches one request each. A queue that
-// still has dispatchable work afterwards goes back on the TAIL of the ready
-// list — round-robin by arrival order, so a saturated volume cannot starve
-// the others — under the lock hold the worker needs for its next pull
-// anyway, and without a signal: the worker is about to pull itself. A
-// worker that wakes to find the list empty lost its entry to a helping
-// waiter (Future.Wait, which claims an entry here before any worker pulls
-// it) and goes back to sleep.
+// worker pulls ready queues and dispatches one request each. The ready list
+// holds a queue at most once, whatever its number of listed slots
+// (VolumeQueue.listed); a worker that pulls a queue whose listed slots were
+// all claimed by helping waiters (Future.Wait) goes back to sleep. A queue
+// that still has dispatchable work after the worker's dispatch gets the
+// worker's slot back as a listed one, on the TAIL of the ready list if it
+// is not on it — round-robin by arrival order, so a saturated volume cannot
+// starve the others — and without a signal: the worker is about to pull
+// itself.
 func (s *Scheduler) worker() {
 	defer s.wg.Done()
-	var again *VolumeQueue
 	for {
-		s.mu.Lock()
-		if again != nil {
-			s.ready = append(s.ready, again)
-		}
+		spin.Lock(&s.mu)
 		for len(s.ready) == 0 && !s.closed {
 			s.cond.Wait()
 		}
@@ -263,9 +239,10 @@ func (s *Scheduler) worker() {
 		q := s.ready[0]
 		s.ready = s.ready[1:]
 		s.mu.Unlock()
-		again = nil
-		if q.dispatch(nil) {
-			again = q
+		if q.pull() && q.dispatch(nil) {
+			spin.Lock(&q.mu)
+			q.list() // cannot fail: this worker is live
+			q.mu.Unlock()
 		}
 	}
 }

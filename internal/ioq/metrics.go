@@ -19,11 +19,6 @@ type Metrics struct {
 	// barriers included.
 	Batches obs.Counter
 
-	// QueueDepth is the number of submitted requests not yet handed to a
-	// worker, across all queues; InFlight is handed-out-but-uncompleted.
-	QueueDepth obs.Gauge
-	InFlight   obs.Gauge
-
 	// QueueLat spans submit→dispatch, ServiceLat dispatch→complete,
 	// TotalLat submit→complete. Requests that die before dispatch (queue
 	// purge on close, barrier poisoning) appear in no histogram — latency
@@ -55,6 +50,10 @@ type MetricsSnapshot struct {
 	// declared only because the benchmark harness still reads it.
 	CoalescedReqs uint64 `json:"coalesced_reqs"`
 
+	// QueueDepth is the number of submitted requests not yet handed to a
+	// worker, across all queues; InFlight is handed-out-but-uncompleted.
+	// Both are derived when the snapshot is taken, so that no request
+	// writes a shared gauge (MetricsSnapshot).
 	QueueDepth int64 `json:"queue_depth"`
 	InFlight   int64 `json:"in_flight"`
 
@@ -72,22 +71,34 @@ type MetricsSnapshot struct {
 func (s *Scheduler) Metrics() *Metrics { return &s.m }
 
 // MetricsSnapshot captures the scheduler's current metric values.
+//
+// The two gauges are derived from counters every request moves anyway. A
+// dispatched request counts one batch before its service time is observed,
+// so InFlight = Batches − ServiceLat.Count. A request is inside the
+// scheduler from its submission to its completion, queued or in flight, so
+// QueueDepth = Submitted − Completed − InFlight (a request refused on a
+// closed scheduler counts as both submitted and completed). Each counter is
+// read after the ones that move later in a request's life, so a snapshot
+// racing requests does not read a negative level.
 func (s *Scheduler) MetricsSnapshot() MetricsSnapshot {
 	m := &s.m
-	return MetricsSnapshot{
-		Submitted:    m.Submitted.Load(),
-		Completed:    m.Completed.Load(),
+	completed := m.Completed.Load()
+	service := m.ServiceLat.Snapshot()
+	snap := MetricsSnapshot{
 		Batches:      m.Batches.Load(),
-		QueueDepth:   m.QueueDepth.Load(),
-		InFlight:     m.InFlight.Load(),
+		Submitted:    m.Submitted.Load(),
+		Completed:    completed,
 		QueueLat:     m.QueueLat.Snapshot(),
-		ServiceLat:   m.ServiceLat.Snapshot(),
+		ServiceLat:   service,
 		TotalLat:     m.TotalLat.Snapshot(),
 		Retries:      m.Retries.Load(),
 		Recovered:    m.Recovered.Load(),
 		Failures:     m.Failures.Load(),
 		BarrierFails: m.BarrierFails.Load(),
 	}
+	snap.InFlight = int64(snap.Batches - service.Count)
+	snap.QueueDepth = int64(snap.Submitted-completed) - snap.InFlight
+	return snap
 }
 
 // Flight returns the flight recorder lifecycle events are published to —

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"mobiceal/internal/obs"
+	"mobiceal/internal/spin"
 	"mobiceal/internal/storage"
 )
 
@@ -73,14 +74,22 @@ type VolumeQueue struct {
 	// after a Flush must not reach the device while the barrier's Sync
 	// is still running.
 	syncActive bool
-	// slots counts this queue's dispatches outstanding — entries on the
-	// scheduler's ready list plus dispatch calls running, by a worker or by
-	// a helping waiter that claimed an entry. Submissions take slots (at
-	// most Workers); a slot is given back when a dispatch ends with nothing
-	// dispatchable, or by a helper whose queue's other slots cover the
-	// backlog. Whenever work is dispatchable at least one slot is out, so
-	// no request is ever stranded.
+	// slots counts this queue's dispatches outstanding — listed slots plus
+	// dispatch calls running, by a worker or by a helping waiter that
+	// claimed a listed slot. Submissions take slots (at most Workers); a
+	// slot is given back when a dispatch ends with nothing dispatchable, or
+	// by a helper whose queue's other slots cover the backlog. Whenever
+	// work is dispatchable at least one slot is out, so no request is ever
+	// stranded.
 	slots int
+	// listed counts the slots no worker has pulled and no helper has
+	// claimed yet. While it is positive, onList is set: the queue has one
+	// entry on the scheduler's ready list, or a live worker has just taken
+	// that entry and is about to pull (pull clears onList when it finds
+	// nothing listed). A helper claims under q.mu alone, so a waiter that
+	// helps never takes the scheduler's lock.
+	listed int
+	onList bool
 }
 
 // SubmitRead asynchronously reads blocks [start, start+len(dst)/bs) into
@@ -158,34 +167,93 @@ func (q *VolumeQueue) submit(r *request) *Future {
 		q.record(r, obs.StageQueued, obs.ClassNone, 0)
 	}
 	q.s.m.Submitted.Inc()
-	q.s.m.QueueDepth.Inc()
-	q.mu.Lock()
+	spin.Lock(&q.mu)
 	q.pending = append(q.pending, r)
-	// A submission takes a slot and wakes a worker, one wake per
+	// A submission takes a slot, lists it and wakes a worker, one wake per
 	// submission; its waiter may claim the slot first (help). A worker that
-	// finds more work at the end of a dispatch re-queues the queue itself
+	// finds more work at the end of a dispatch lists its slot again itself
 	// (Scheduler.worker) and wakes nobody; only a helper that ran out of
 	// budget hands a slot back with a wake.
 	wake := q.slots < q.s.opts.Workers && q.dispatchableLocked()
+	var rest []*request
 	if wake {
-		q.slots++
-	}
-	q.mu.Unlock()
-	if wake && !q.s.enqueue(q) {
-		// The scheduler closed and its workers exited between the closed
-		// check and the wake: nothing will ever drain this queue again, so
-		// fail everything still pending (a request a helping waiter has in
-		// flight completes on its own).
-		q.mu.Lock()
-		q.slots--
-		rest := q.pending
-		q.pending = nil
-		q.mu.Unlock()
-		for _, p := range rest {
-			q.finish(p, ErrClosed)
+		if q.list() {
+			q.slots++
+		} else {
+			// The scheduler closed and its workers exited between the
+			// closed check and the wake: nothing will ever drain this
+			// queue again, so fail everything still pending (a request a
+			// helping waiter has in flight completes on its own).
+			wake, rest, q.pending = false, q.pending, nil
 		}
 	}
+	q.mu.Unlock()
+	if wake {
+		q.s.cond.Signal()
+	}
+	for _, p := range rest {
+		q.finish(p, ErrClosed)
+	}
 	return &r.f
+}
+
+// list adds one slot to the listed ones, putting the queue on the
+// scheduler's ready list if it is not there. It reports false, listing
+// nothing, when no worker is left to pull it (Scheduler.list). Caller holds
+// q.mu; the slot is already counted in slots, or is about to be.
+func (q *VolumeQueue) list() bool {
+	if !q.onList {
+		if !q.s.list(q) {
+			return false
+		}
+		q.onList = true
+	}
+	q.listed++
+	return true
+}
+
+// pull takes one listed slot for a worker that has just taken q's entry
+// off the ready list, and reports whether there was one: helpers may have
+// claimed them all, and the worker then goes back to sleep. When slots stay
+// listed, the entry goes back on the ready list for another worker.
+func (q *VolumeQueue) pull() bool {
+	spin.Lock(&q.mu)
+	if q.listed == 0 {
+		q.onList = false
+		q.mu.Unlock()
+		return false
+	}
+	q.listed--
+	more := q.listed > 0
+	if more {
+		q.s.list(q) // cannot fail: the calling worker is live
+	} else {
+		q.onList = false
+	}
+	q.mu.Unlock()
+	if more {
+		q.s.cond.Signal()
+	}
+	return true
+}
+
+// claim takes one of q's listed slots before a worker pulls it, and
+// reports whether there was one. The caller then owns that dispatch slot
+// exactly as the worker that would have pulled it, so helping waiters
+// never put more than Workers requests of one queue at the device. A
+// successful claim joins the worker group until the caller calls s.wg.Done,
+// so that Close also waits out a helper's dispatches; a listed slot means
+// the queue is on the ready list or in a live worker's hands, so a worker
+// is live and the group is not yet done.
+func (q *VolumeQueue) claim() bool {
+	spin.Lock(&q.mu)
+	defer q.mu.Unlock()
+	if q.listed == 0 {
+		return false
+	}
+	q.listed--
+	q.s.wg.Add(1)
+	return true
 }
 
 // dispatchableLocked reports whether a worker could make progress on this
@@ -216,7 +284,7 @@ func (q *VolumeQueue) dispatchableLocked() bool {
 // queue has more dispatchable work, and the caller then still holds the
 // slot; otherwise the slot is given back here.
 func (q *VolumeQueue) dispatch(want *request) bool {
-	q.mu.Lock()
+	spin.Lock(&q.mu)
 	r := q.takeLocked(want)
 	if r == nil {
 		q.slots--
@@ -237,15 +305,13 @@ func (q *VolumeQueue) dispatch(want *request) bool {
 	r.dispatchNS = obs.NowNS()
 	q.record(r, obs.StageStaged, obs.ClassNone, 0) // G: handed to a worker
 	m.QueueLat.ObserveNS(r.dispatchNS - r.submitNS)
-	m.QueueDepth.Dec()
-	m.InFlight.Inc()
 	if barrier {
 		q.runBarrier(r)
 	} else {
 		q.finish(r, q.execOne(r))
 	}
 
-	q.mu.Lock()
+	spin.Lock(&q.mu)
 	q.inflight--
 	if barrier {
 		q.syncActive = false
@@ -289,20 +355,20 @@ func (q *VolumeQueue) takeLocked(want *request) *request {
 }
 
 // help is Future.Wait's dispatch path for r, a request of q. It claims one
-// of q's dispatch slots still on the ready list and dispatches with it until
-// r completes, then settles the slot (DESIGN.md, "One request per
-// dispatch"). A goroutine readied by this one while it keeps running waits
-// out the runtime's steal back-off, so the slot does not go to a worker
-// while the caller can use it:
+// of q's listed dispatch slots and dispatches with it until r completes,
+// then settles the slot (DESIGN.md, "One request per dispatch"). A
+// goroutine readied by this one while it keeps running waits out the
+// runtime's steal back-off, so the slot does not go to a worker while the
+// caller can use it:
 //   - if the queue's other slots cover its backlog, the slot goes back, and
 //     whoever holds them dispatches the rest;
 //   - otherwise the helper dispatches on, from the head like a worker, at
-//     most the backlog it found when r completed, and only then hands the
-//     slot to a worker through the ready list.
+//     most the backlog it found when r completed, and only then lists the
+//     slot again for a worker.
 //
-// A waiter that finds no unpulled slot returns at once and blocks on r.
+// A waiter that finds no listed slot returns at once and blocks on r.
 func (q *VolumeQueue) help(r *request) {
-	if !q.s.claim(q) {
+	if !q.claim() {
 		return
 	}
 	defer q.s.wg.Done()
@@ -311,25 +377,30 @@ func (q *VolumeQueue) help(r *request) {
 		if want != nil && !r.f.isDone() {
 			continue // r is queued behind older work, or in flight elsewhere
 		}
-		q.mu.Lock()
+		spin.Lock(&q.mu)
 		if want != nil {
 			want, budget = nil, len(q.pending)
 		}
-		drop := q.slots > len(q.pending)
-		if drop {
-			q.slots--
-		}
-		q.mu.Unlock()
+		done, handed := false, false
 		switch {
-		case drop:
-			return
+		case q.slots > len(q.pending):
+			q.slots--
+			done = true
 		case budget > 0:
 			budget--
-		case q.s.enqueue(q):
+		default:
+			// The slot goes to a worker. If none is left (the scheduler
+			// closed and drained), the helper drains the queue itself.
+			handed = q.list()
+			done = handed
+		}
+		q.mu.Unlock()
+		if handed {
+			q.s.cond.Signal()
+		}
+		if done {
 			return
 		}
-		// The scheduler closed and no worker is left to take the slot:
-		// the helper drains the queue itself.
 	}
 }
 
@@ -378,16 +449,11 @@ func (q *VolumeQueue) finish(r *request, err error) {
 	if err != nil {
 		m.Failures.Inc()
 	}
-	switch {
-	case r.dispatchNS != 0:
-		m.InFlight.Dec()
+	if r.dispatchNS != 0 {
+		// A request that never dispatched (purged on close, poisoned behind
+		// a failed barrier) records no latency: that work never ran.
 		m.ServiceLat.ObserveNS(now - r.dispatchNS)
 		m.TotalLat.ObserveNS(now - r.submitNS)
-	case r.submitNS != 0:
-		// Never dispatched: it leaves the queue without touching a device,
-		// so only the depth gauge unwinds — no latency is recorded for
-		// work that never ran.
-		m.QueueDepth.Dec()
 	}
 	m.Completed.Inc()
 	// C: terminal completion with error class (Aux 0 distinguishes it from

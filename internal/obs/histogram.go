@@ -18,14 +18,15 @@ const HistBuckets = 38
 
 // Histogram is a lock-free latency histogram with power-of-two buckets.
 // Observe is one bit-length computation plus two atomic adds — cheap
-// enough for per-request hot paths — and never allocates. The zero value
-// is ready to use.
+// enough for per-request hot paths — and never allocates. The count is not
+// a third add: it is the sum of the buckets, taken when read. The zero
+// value is ready to use.
 //
 // Snapshots are taken bucket by bucket without a lock: a snapshot racing
 // concurrent observers may be off by the in-flight observations, which is
-// the usual (and acceptable) monitoring contract.
+// the usual (and acceptable) monitoring contract. Its Count is always the
+// sum of its own buckets.
 type Histogram struct {
-	count   atomic.Uint64
 	sumNS   atomic.Int64
 	buckets [HistBuckets]atomic.Uint64
 }
@@ -49,7 +50,6 @@ func (h *Histogram) Observe(d time.Duration) { h.ObserveNS(int64(d)) }
 // when the caller already holds NowNS deltas.
 func (h *Histogram) ObserveNS(ns int64) {
 	h.buckets[bucketOf(ns)].Add(1)
-	h.count.Add(1)
 	h.sumNS.Add(ns)
 }
 
@@ -58,12 +58,11 @@ func (h *Histogram) ObserveNS(ns int64) {
 func (h *Histogram) Since(t0 time.Time) { h.Observe(time.Since(t0)) }
 
 // Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
+func (h *Histogram) Count() uint64 { return h.Snapshot().Count }
 
 // Reset zeroes the histogram (owner-side re-baselining; see Counter.Reset
 // for the concurrency contract).
 func (h *Histogram) Reset() {
-	h.count.Store(0)
 	h.sumNS.Store(0)
 	for i := range h.buckets {
 		h.buckets[i].Store(0)
@@ -73,10 +72,10 @@ func (h *Histogram) Reset() {
 // Snapshot captures the histogram's current state.
 func (h *Histogram) Snapshot() HistSnapshot {
 	var s HistSnapshot
-	s.Count = h.count.Load()
 	s.SumNS = h.sumNS.Load()
 	for i := range h.buckets {
 		s.Buckets[i] = h.buckets[i].Load()
+		s.Count += s.Buckets[i]
 	}
 	return s
 }

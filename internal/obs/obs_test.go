@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -315,4 +316,50 @@ func BenchmarkHistogramObserveParallel(b *testing.B) {
 			h.Observe(time.Microsecond)
 		}
 	})
+}
+
+// TestHistogramCountIsBucketSum: the count is derived from the buckets, so
+// a snapshot's Count equals the sum of its own buckets, also while
+// observers race the snapshot.
+func TestHistogramCountIsBucketSum(t *testing.T) {
+	var h Histogram
+	for _, ns := range []int64{-5, 0, 1, 2, 3, 1000, 1 << 40, math.MaxInt64} {
+		h.ObserveNS(ns)
+	}
+	if got := h.Count(); got != 8 {
+		t.Fatalf("Count() = %d, want 8", got)
+	}
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := int64(0); ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+					h.ObserveNS(i << g)
+				}
+			}
+		}(g)
+	}
+	for i := 0; i < 200; i++ {
+		s := h.Snapshot()
+		var sum uint64
+		for _, c := range s.Buckets {
+			sum += c
+		}
+		if s.Count != sum {
+			close(stop)
+			wg.Wait()
+			t.Fatalf("snapshot count %d, bucket sum %d", s.Count, sum)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if s := h.Snapshot(); s.Count != h.Count() {
+		t.Fatalf("quiescent: snapshot count %d, Count() %d", s.Count, h.Count())
+	}
 }

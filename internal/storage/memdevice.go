@@ -154,11 +154,9 @@ type slabDir struct {
 // slab generation — and the cost of isolating it is paid by subsequent
 // writes, which clone only the directories and slabs they actually touch.
 type MemDevice struct {
-	mu        sync.RWMutex
 	blockSize int
 	numBlocks uint64
 	bg        Background
-	closed    bool
 
 	// gen is the current write generation; rootGen is the generation the
 	// root slice belongs to. A snapshot bumps gen, freezing every structure
@@ -168,6 +166,12 @@ type MemDevice struct {
 	rootGen uint64
 	root    []*slabDir
 
+	// Every request writes mu's reader count, and the fields above are
+	// read by every request (BlockSize by every layer above, per request)
+	// and rarely written. The padding keeps them off mu's cache line.
+	_       [64]byte
+	mu      sync.RWMutex
+	closed  bool
 	written uint64 // count of explicitly written blocks
 }
 

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 )
 
 // TestMemDeviceOverwriteAfterSnapshot holds the generation rule: a slab a
@@ -238,5 +239,15 @@ func TestMemDeviceStressInPlace(t *testing.T) {
 		if tag(want, 1<<48|uint64(k)); !bytes.Equal(blk, want) {
 			t.Fatalf("first write %d reads back wrong", k)
 		}
+	}
+}
+
+// TestMemDeviceLockOffItsReadMostlyFields pins the padding before the
+// device lock: every request writes its reader count, and every layer
+// above reads the block size per request.
+func TestMemDeviceLockOffItsReadMostlyFields(t *testing.T) {
+	var d MemDevice
+	if gap := unsafe.Offsetof(d.mu) - (unsafe.Offsetof(d.root) + unsafe.Sizeof(d.root)); gap < 64 {
+		t.Errorf("%d bytes between the read-mostly fields and the device lock, want at least 64", gap)
 	}
 }

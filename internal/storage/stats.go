@@ -73,6 +73,8 @@ func (m *DeviceMetrics) reset() {
 // same counters through Metrics(), so each number has one source of truth.
 type StatsDevice struct {
 	inner Device
+	// bs is inner's block size, read once: every request above asks.
+	bs int
 
 	m DeviceMetrics
 
@@ -92,7 +94,7 @@ type StatsDevice struct {
 
 // NewStatsDevice wraps inner with I/O accounting.
 func NewStatsDevice(inner Device) *StatsDevice {
-	return &StatsDevice{inner: inner}
+	return &StatsDevice{inner: inner, bs: inner.BlockSize()}
 }
 
 // Metrics exposes the device's obs-backed counters and histograms.
@@ -161,7 +163,7 @@ func (d *StatsDevice) traceWrite(start, n uint64) {
 }
 
 // BlockSize implements Device.
-func (d *StatsDevice) BlockSize() int { return d.inner.BlockSize() }
+func (d *StatsDevice) BlockSize() int { return d.bs }
 
 // NumBlocks implements Device.
 func (d *StatsDevice) NumBlocks() uint64 { return d.inner.NumBlocks() }

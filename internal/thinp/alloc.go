@@ -7,6 +7,7 @@ import (
 
 	"mobiceal/internal/obs"
 	"mobiceal/internal/prng"
+	"mobiceal/internal/spin"
 )
 
 // Allocator picks which free data block satisfies a provisioning request.
@@ -83,14 +84,10 @@ func (a *RandomAllocator) PickFree(bm *Bitmap) (uint64, error) {
 	return bm.NthFree(a.src.Uint64n(free))
 }
 
-// lockAlloc takes allocMu, polling like the thin locks (spinAcquire) before
-// parking: the mutex is held for a few hundred nanoseconds, far below the
-// cost of a park and wake.
-func (p *Pool) lockAlloc() {
-	if !spinAcquire(p.allocMu.TryLock) {
-		p.allocMu.Lock()
-	}
-}
+// lockAlloc takes allocMu, polling like the thin locks before parking: the
+// mutex is held for a few hundred nanoseconds, far below the cost of a park
+// and wake.
+func (p *Pool) lockAlloc() { spin.Lock(&p.allocMu) }
 
 // allocate picks and claims one free block: the configured allocator picks
 // from the allocator bitmap under allocMu. Caller holds p.mu in either

@@ -3,14 +3,13 @@ package thinp
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"mobiceal/internal/obs"
 	"mobiceal/internal/prng"
+	"mobiceal/internal/spin"
 	"mobiceal/internal/storage"
 	"mobiceal/internal/xcrypto"
 )
@@ -156,17 +155,17 @@ func newThinMeta(id int, virtBlocks uint64) *thinMeta {
 	}
 }
 
-// lock takes the thin lock exclusively, polling for stripeSpin before
+// lock takes the thin lock exclusively, polling for spin.Budget before
 // parking.
 func (tm *thinMeta) lock() {
-	if !spinAcquire(tm.mu.TryLock) {
+	if !spin.Acquire(tm.mu.TryLock) {
 		tm.mu.Lock()
 	}
 }
 
-// rlock takes the thin lock shared, polling for stripeSpin before parking.
+// rlock takes the thin lock shared, polling for spin.Budget before parking.
 func (tm *thinMeta) rlock() {
-	if !spinAcquire(tm.mu.TryRLock) {
+	if !spin.Acquire(tm.mu.TryRLock) {
 		tm.mu.RLock()
 	}
 }
@@ -233,13 +232,18 @@ func (tm *thinMeta) noteUnmapped(vb uint64) {
 //     thin's own delta (thinMeta.dirty) under mu exclusively, so writers
 //     record nothing beyond the mapping change itself.
 type Pool struct {
-	mu    sync.RWMutex
-	data  storage.Device
-	meta  storage.Device
-	bm    *Bitmap
-	thins map[int]*thinMeta
-	opts  Options
-	txID  uint64
+	mu sync.RWMutex
+	// Every request read-locks mu, writing its reader count; the padding
+	// keeps the fields below, which every request reads, off that line.
+	_    [cacheLine]byte
+	data storage.Device
+	// blockSize is data's block size, read once.
+	blockSize int
+	meta      storage.Device
+	bm        *Bitmap
+	thins     map[int]*thinMeta
+	opts      Options
+	txID      uint64
 	// allocMu guards bm, allocBM, txAlloc, txFree and dirtyBM for
 	// fine-grained writers (mu shared); exclusive holders of mu own them
 	// outright.
@@ -342,36 +346,6 @@ type Pool struct {
 	// Aux value the offline analyzer can re-associate.
 	flight      *obs.FlightRecorder
 	commitRound atomic.Uint64
-}
-
-// stripeSpin is how long a contended thin-lock acquisition on the write
-// path polls before it parks. Its ceiling is the cost of the park it replaces:
-// sync.RWMutex parks a reader<->writer conflict at once, and on the ledger's
-// VM a park plus wake measures 13 us when the waker finds a thread still
-// spinning and ~85 us when it has to wake a sleeping one (the p99 of every
-// RAM row), while on RAM the thin lock is held for a few microseconds — one
-// hole's allocation, one request's memcpy. The budget sits low in that
-// range because a poll that fails is pure loss: over a direct image the
-// holder is in a device transfer for hundreds of microseconds, and the
-// fresh-write row reads the same from 10 to 160 us (DESIGN.md, "Locking").
-const stripeSpin = 30 * time.Microsecond
-
-// spinAcquire polls try until it succeeds or stripeSpin has passed and
-// reports whether it succeeded. With one P the holder cannot run while the
-// caller polls, so there it tries once and leaves the caller to park.
-func spinAcquire(try func() bool) bool {
-	if try() {
-		return true
-	}
-	if runtime.GOMAXPROCS(0) == 1 {
-		return false
-	}
-	for start := time.Now(); time.Since(start) < stripeSpin; {
-		if try() {
-			return true
-		}
-	}
-	return false
 }
 
 // noiseStage is the pre-generated dummy-noise buffer stock, guarded by its
@@ -499,6 +473,7 @@ func (p *Pool) StagedNoiseBlocks() int {
 func newPool(data, meta storage.Device, opts Options) *Pool {
 	p := &Pool{
 		data:        data,
+		blockSize:   data.BlockSize(),
 		meta:        meta,
 		opts:        opts,
 		thins:       make(map[int]*thinMeta),

@@ -9,6 +9,7 @@ import (
 	"unsafe"
 
 	"mobiceal/internal/prng"
+	"mobiceal/internal/spin"
 	"mobiceal/internal/storage"
 )
 
@@ -85,7 +86,7 @@ func stripeLockOutlastsSpin(t *testing.T, procs int) {
 	select {
 	case err := <-writeDone:
 		t.Fatalf("procs=%d: write finished (%v) while a read held the thin lock", procs, err)
-	case <-time.After(4 * stripeSpin):
+	case <-time.After(4 * spin.Budget):
 	}
 	otherDone := make(chan error, 1)
 	go func() { otherDone <- other.WriteBlock(0, fresh) }()
@@ -113,29 +114,6 @@ func stripeLockOutlastsSpin(t *testing.T, procs int) {
 	}
 }
 
-// TestSpinAcquireBudget pins the helper's three outcomes: it stops at the
-// first success, it gives up after about stripeSpin, and on one P it tries
-// exactly once (the holder cannot run while the caller polls).
-func TestSpinAcquireBudget(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	polls := 0
-	if !spinAcquire(func() bool { polls++; return polls == 100 }) || polls != 100 {
-		t.Errorf("succeeding on the 100th poll: polls = %d", polls)
-	}
-	polls = 0
-	start := time.Now()
-	ok := spinAcquire(func() bool { polls++; return false })
-	if took := time.Since(start); ok || polls < 2 || took < stripeSpin {
-		t.Errorf("never succeeding: ok %v after %d polls in %v, want false after at least %v", ok, polls, took, stripeSpin)
-	}
-
-	runtime.GOMAXPROCS(1)
-	polls = 0
-	if spinAcquire(func() bool { polls++; return false }) || polls != 1 {
-		t.Errorf("GOMAXPROCS 1: %d polls, want exactly 1", polls)
-	}
-}
-
 // TestThinLockOwnsItsCacheLines pins the padding around the thin lock: no
 // byte of another heap object, nor of the record's own fields that every
 // request reads, may share a cache line with the lock, wherever in a line
@@ -149,5 +127,14 @@ func TestThinLockOwnsItsCacheLines(t *testing.T) {
 	}
 	if after := unsafe.Offsetof(tm.id) - lockEnd; after < cacheLine {
 		t.Errorf("%d bytes between the thin lock and the next field, want at least %d", after, cacheLine)
+	}
+}
+
+// TestPoolLockOffItsReadMostlyFields pins the padding after the pool lock:
+// every request read-locks it, and reads the fields after it.
+func TestPoolLockOffItsReadMostlyFields(t *testing.T) {
+	var p Pool
+	if gap := unsafe.Offsetof(p.data) - (unsafe.Offsetof(p.mu) + unsafe.Sizeof(p.mu)); gap < cacheLine {
+		t.Errorf("%d bytes between the pool lock and the data device, want at least %d", gap, cacheLine)
 	}
 }

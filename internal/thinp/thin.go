@@ -26,7 +26,7 @@ type Thin struct {
 func (t *Thin) ID() int { return t.id }
 
 // BlockSize implements storage.Device.
-func (t *Thin) BlockSize() int { return t.pool.data.BlockSize() }
+func (t *Thin) BlockSize() int { return t.pool.blockSize }
 
 // NumBlocks implements storage.Device.
 func (t *Thin) NumBlocks() uint64 {
@@ -146,7 +146,7 @@ func (t *Thin) checkRangeLocked(start, n uint64) (*thinMeta, error) {
 // checkVecLocked validates a vec request and returns the thin's record and
 // block count. Caller holds the pool lock.
 func (t *Thin) checkVecLocked(start uint64, v storage.BlockVec) (*thinMeta, uint64, error) {
-	if v.Segments() > 0 && v.BlockSize() != t.pool.data.BlockSize() {
+	if v.Segments() > 0 && v.BlockSize() != t.pool.blockSize {
 		if _, ok := t.pool.thins[t.id]; !ok {
 			return nil, 0, fmt.Errorf("%w: id %d", ErrNoSuchThin, t.id)
 		}

@@ -15,16 +15,18 @@ import (
 // Data units must be positive multiples of 16 bytes; ciphertext stealing is
 // not implemented because all callers encrypt whole 4 KB blocks.
 //
-// Two paths compute it. The Go loop in process is the reference and runs
-// everywhere; on amd64 with AES-NI (and without the purego build tag) whole
-// groups of eight blocks go through the assembly kernel first and the loop
-// only finishes the tail. Both produce the same bytes.
+// Three paths compute it. The Go loop in process is the reference and runs
+// everywhere. On amd64 (without the purego build tag) assembly kernels go
+// first: whole groups of sixteen blocks through the VAES kernel when the
+// CPU has AVX-512, VAES and VPCLMULQDQ and the OS saves ZMM state, then
+// whole groups of eight through the AES-NI kernel, and the loop only
+// finishes the tail. All produce the same bytes.
 type XTS struct {
 	dataCipher  cipher.Block
 	tweakCipher cipher.Block
 	keySize     int
-	// kern is the 8-block kernel's key schedule, nil when this build or
-	// this CPU has no kernel.
+	// kern is the kernels' key schedules, nil when this build or this CPU
+	// has no kernel.
 	kern *xtsKernel
 }
 
@@ -46,7 +48,7 @@ func NewXTS(key []byte) (*XTS, error) {
 	if err != nil {
 		return nil, fmt.Errorf("xcrypto: XTS tweak cipher: %w", err)
 	}
-	return &XTS{dataCipher: dataCipher, tweakCipher: tweakCipher, keySize: len(key), kern: newXTSKernel(key[:half])}, nil
+	return &XTS{dataCipher: dataCipher, tweakCipher: tweakCipher, keySize: len(key), kern: newXTSKernel(key[:half], key[half:])}, nil
 }
 
 // NewXTSPlain64 builds the cipher dm-crypt configures as "aes-xts-plain64"
@@ -78,15 +80,17 @@ func (x *XTS) process(sector uint64, dst, src []byte, encrypt bool) error {
 	if err := checkSectorBuffers(dst, src); err != nil {
 		return err
 	}
+	// The kernels take every whole group of eight blocks and leave the
+	// running tweak behind for the rest. They also encrypt the tweak, so
+	// that it stays on the stack: through the cipher.Block interface it
+	// would escape, one allocation per sector.
 	var tweak [16]byte
-	binary.LittleEndian.PutUint64(tweak[:8], sector)
-	x.tweakCipher.Encrypt(tweak[:], tweak[:])
-
-	// The kernel takes every whole group of eight blocks and leaves the
-	// running tweak behind for the rest.
 	done := 0
 	if x.kern != nil {
+		x.kern.tweak(&tweak, sector)
 		done = x.kern.groups(&tweak, dst, src, encrypt)
+	} else {
+		tweak = x.firstTweak(sector)
 	}
 
 	// The tweak is held as two little-endian words so the per-block XORs
@@ -110,6 +114,15 @@ func (x *XTS) process(sector uint64, dst, src []byte, encrypt bool) error {
 		t0, t1 = gfMulAlpha(t0, t1)
 	}
 	return nil
+}
+
+// firstTweak is the tweak of a sector's first block, through the standard
+// library's cipher.
+func (x *XTS) firstTweak(sector uint64) [16]byte {
+	t := make([]byte, 16)
+	binary.LittleEndian.PutUint64(t[:8], sector)
+	x.tweakCipher.Encrypt(t, t)
+	return [16]byte(t)
 }
 
 // gfMulAlpha multiplies the tweak by the primitive element alpha of

@@ -11,6 +11,12 @@ import (
 	"mobiceal/internal/prng"
 )
 
+// xtsPath is one way of computing x's bytes, named for test output.
+type xtsPath struct {
+	name string
+	x    *XTS
+}
+
 // genericTwin returns x with the assembly kernel taken off: the Go loop in
 // process serves every block. Under -tags purego, on other platforms and on
 // CPUs without AES-NI x already is that, and the comparisons below hold
@@ -138,10 +144,11 @@ func TestXTSIEEE1619Vectors(t *testing.T) {
 	}
 }
 
-// differential runs one data unit through the selected path and through the
-// Go loop, disjoint and in place, in both directions, and through each
-// path's inverse of the other's output (an image written by one build must
-// open under the other). off shifts every buffer off its natural alignment.
+// differential runs one data unit through every kernel path the host has
+// (kernelPaths) and through the Go loop, disjoint and in place, in both
+// directions, and through each path's inverse of the other's output (an
+// image written by one build must open under the other). off shifts every
+// buffer off its natural alignment.
 func differential(t testing.TB, key []byte, sector uint64, data []byte, off int) {
 	t.Helper()
 	x, err := NewXTS(key)
@@ -149,6 +156,15 @@ func differential(t testing.TB, key []byte, sector uint64, data []byte, off int)
 		t.Fatal(err)
 	}
 	g := genericTwin(x)
+	for _, p := range kernelPaths(x) {
+		differentialPath(t, p, g, sector, data, off)
+	}
+}
+
+// differentialPath is differential for one path p against the Go loop g.
+func differentialPath(t testing.TB, p xtsPath, g *XTS, sector uint64, data []byte, off int) {
+	t.Helper()
+	x := p.x
 	n := len(data)
 	buf := func() []byte { return make([]byte, n+off)[off:] }
 
@@ -160,7 +176,7 @@ func differential(t testing.TB, key []byte, sector uint64, data []byte, off int)
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatalf("encrypt, %d bytes at offset %d: kernel and Go loop disagree", n, off)
+		t.Fatalf("%s: encrypt, %d bytes at offset %d: kernel and Go loop disagree", p.name, n, off)
 	}
 	inplace := buf()
 	copy(inplace, data)
@@ -168,7 +184,7 @@ func differential(t testing.TB, key []byte, sector uint64, data []byte, off int)
 		t.Fatal(err)
 	}
 	if !bytes.Equal(inplace, want) {
-		t.Fatalf("encrypt in place, %d bytes at offset %d: differs from the Go loop", n, off)
+		t.Fatalf("%s: encrypt in place, %d bytes at offset %d: differs from the Go loop", p.name, n, off)
 	}
 
 	// data read as ciphertext: the decrypt direction on arbitrary input.
@@ -179,14 +195,14 @@ func differential(t testing.TB, key []byte, sector uint64, data []byte, off int)
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatalf("decrypt, %d bytes at offset %d: kernel and Go loop disagree", n, off)
+		t.Fatalf("%s: decrypt, %d bytes at offset %d: kernel and Go loop disagree", p.name, n, off)
 	}
 	copy(inplace, data)
 	if err := x.DecryptSector(sector, inplace, inplace); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(inplace, want) {
-		t.Fatalf("decrypt in place, %d bytes at offset %d: differs from the Go loop", n, off)
+		t.Fatalf("%s: decrypt in place, %d bytes at offset %d: differs from the Go loop", p.name, n, off)
 	}
 
 	// Written by one, read by the other.
@@ -197,7 +213,7 @@ func differential(t testing.TB, key []byte, sector uint64, data []byte, off int)
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, data) {
-		t.Fatalf("%d bytes at offset %d: kernel does not decrypt what the Go loop encrypted", n, off)
+		t.Fatalf("%s: %d bytes at offset %d: kernel does not decrypt what the Go loop encrypted", p.name, n, off)
 	}
 	if err := x.EncryptSector(sector, got, data); err != nil {
 		t.Fatal(err)
@@ -206,7 +222,27 @@ func differential(t testing.TB, key []byte, sector uint64, data []byte, off int)
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, data) {
-		t.Fatalf("%d bytes at offset %d: Go loop does not decrypt what the kernel encrypted", n, off)
+		t.Fatalf("%s: %d bytes at offset %d: Go loop does not decrypt what the kernel encrypted", p.name, n, off)
+	}
+}
+
+// TestXTSPathsStraddleGroups runs every path over the lengths where the
+// split between the 16-block kernel (256-byte groups), the 8-block kernel
+// (128-byte groups) and the Go loop moves: one block, one group of eight
+// plus a block, one of sixteen plus a block, sixteen plus eight, and a
+// sector plus three blocks.
+func TestXTSPathsStraddleGroups(t *testing.T) {
+	src := prng.NewSource(37)
+	data := make([]byte, 4096+48+8)
+	for _, keyLen := range []int{32, 64} {
+		key := make([]byte, keyLen)
+		_, _ = src.Read(key) // cannot fail
+		for _, n := range []int{16, 144, 256, 272, 384, 4096 + 48} {
+			for _, off := range []int{0, 8} {
+				_, _ = src.Read(data) // cannot fail
+				differential(t, key, src.Uint64(), data[off:off+n], off)
+			}
+		}
 	}
 }
 
@@ -303,6 +339,7 @@ func benchSector(b *testing.B, x *XTS, encrypt bool) {
 		op = x.EncryptSector
 	}
 	b.SetBytes(4096)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := op(uint64(i), buf, buf); err != nil {
@@ -319,6 +356,11 @@ func benchXTS4K(b *testing.B, encrypt bool) {
 		b.Fatal(err)
 	}
 	b.Run("selected", func(b *testing.B) { benchSector(b, x, encrypt) })
+	for _, p := range kernelPaths(x) {
+		if p.x != x {
+			b.Run(p.name, func(b *testing.B) { benchSector(b, p.x, encrypt) })
+		}
+	}
 	b.Run("generic", func(b *testing.B) { benchSector(b, genericTwin(x), encrypt) })
 }
 

@@ -2,10 +2,12 @@
 
 package xcrypto
 
-// xtsKernel is the 8-block assembly kernel's key schedule. This build has
-// no kernel: the Go loop in XTS.process is the only path.
+// xtsKernel is the assembly kernels' key schedules. This build has no
+// kernel: the Go loop in XTS.process is the only path.
 type xtsKernel struct{}
 
-func newXTSKernel([]byte) *xtsKernel { return nil }
+func newXTSKernel(_, _ []byte) *xtsKernel { return nil }
+
+func (*xtsKernel) tweak(*[16]byte, uint64) {}
 
 func (*xtsKernel) groups(*[16]byte, []byte, []byte, bool) int { return 0 }
