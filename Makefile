@@ -32,20 +32,22 @@ examples:
 	$(GO) run -race ./examples/concurrent > /dev/null
 
 # Count it (ROADMAP axis 2): non-test Go lines outside the frozen bench
-# module, and beside them the assembly the Go count does not see.
+# module and the testdata fixtures, and beside them the assembly the Go
+# count does not see.
 loc:
-	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -print0 | xargs -0 cat | wc -l
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' -print0 | xargs -0 cat | wc -l
 	@echo "$$(find . -name '*.s' ! -path './bench/*' -print0 | xargs -0 cat | wc -l) lines of assembly beside them"
 
 # Ten seconds of every fuzz target (the CI step): the request descriptor
 # against its per-block oracle on every stack layer, every XTS kernel
 # path against the Go loop, the CRC kernel against hash/crc64, the on-disk bitmap parser
-# and its rank index against a recount and a linear scan, and OpenPool over
-# arbitrary metadata-device bytes against the pool's own checkers. The engine also minimizes
+# and its rank index against a recount and a linear scan, OpenPool over
+# arbitrary metadata-device bytes against the pool's own checkers, and the
+# trace-file parser against its own encoder. The engine also minimizes
 # every input that merely widens coverage, by default for up to a minute
 # each — six of the ten seconds went there for the multi-KiB XTS inputs —
 # hence the cap.
-FUZZ_TARGETS = FuzzDo:./internal/storage/ FuzzXTSKernel:./internal/xcrypto/ FuzzCRC:./internal/crc/ FuzzBitmap:./internal/thinp/ FuzzOpenPool:./internal/thinp/
+FUZZ_TARGETS = FuzzDo:./internal/storage/ FuzzXTSKernel:./internal/xcrypto/ FuzzCRC:./internal/crc/ FuzzBitmap:./internal/thinp/ FuzzOpenPool:./internal/thinp/ FuzzReadJSONL:./internal/obs/
 fuzz:
 	@for t in $(FUZZ_TARGETS); do \
 		$(GO) test -run '^$$' -fuzz="^$${t%%:*}$$" -fuzztime=10s -fuzzminimizetime=2s "$${t#*:}" || exit 1; \

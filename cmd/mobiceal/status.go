@@ -25,17 +25,6 @@ func registerDebugSystem(sys *mobiceal.System) { debugSys.Store(sys) }
 
 var publishOnce sync.Once
 
-// debugListenAddr records the resolved listen address (tests bind port 0
-// and need to find the server).
-var debugListenAddr atomic.Value // string
-
-func debugAddrForTest() string {
-	if v := debugListenAddr.Load(); v != nil {
-		return v.(string)
-	}
-	return ""
-}
-
 // startDebugServer serves expvar (/debug/vars), pprof (/debug/pprof/),
 // Prometheus text exposition (/metrics) and the flight recorder
 // (/debug/flight) on addr for the lifetime of the process. Every surface
@@ -57,7 +46,6 @@ func startDebugServer(addr string) error {
 		http.HandleFunc("/metrics", serveMetrics)
 		http.HandleFunc("/debug/flight", serveFlight)
 	})
-	debugListenAddr.Store(ln.Addr().String())
 	fmt.Fprintf(os.Stderr, "debug: expvar, pprof, /metrics and /debug/flight on http://%s/\n", ln.Addr())
 	go func() { _ = http.Serve(ln, nil) }()
 	return nil

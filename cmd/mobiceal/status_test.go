@@ -48,6 +48,33 @@ func captureStdout(t *testing.T, fn func() error) string {
 	return string(out)
 }
 
+// runDebug runs the CLI with its debug server on a port the kernel picks,
+// and returns the command's stdout and the address the server announced on
+// stderr.
+func runDebug(t *testing.T, args ...string) (out, addr string) {
+	t.Helper()
+	old := os.Stderr
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	os.Stderr = w
+	defer func() { os.Stderr = old }()
+	out = captureStdout(t, func() error {
+		return run(append([]string{"-debug-addr", "127.0.0.1:0"}, args...))
+	})
+	_ = w.Close()
+	logged, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rest, ok := strings.Cut(string(logged), " on http://")
+	if addr, _, ok = strings.Cut(rest, "/"); !ok {
+		t.Fatalf("debug server address not announced: %q", logged)
+	}
+	return out, addr
+}
+
 func TestCLIStatusHuman(t *testing.T) {
 	image := initTestImage(t)
 	out := captureStdout(t, func() error {
@@ -100,18 +127,9 @@ func TestCLIStatusJSON(t *testing.T) {
 
 func TestCLIDebugEndpoints(t *testing.T) {
 	image := initTestImage(t)
-	// Port 0 lets the kernel pick; the server logs the resolved address to
-	// stderr, but for the test we grab it from the listener by dialing the
-	// expvar endpoint through a probe of common retries.
-	out := captureStdout(t, func() error {
-		return run([]string{"-debug-addr", "127.0.0.1:0", "status", "-image", image})
-	})
+	out, addr := runDebug(t, "status", "-image", image)
 	if !strings.Contains(out, "health: ok") {
 		t.Fatalf("status under -debug-addr broken: %q", out)
-	}
-	addr := debugAddrForTest()
-	if addr == "" {
-		t.Fatal("debug server address not recorded")
 	}
 	cl := &http.Client{Timeout: 5 * time.Second}
 	resp, err := cl.Get("http://" + addr + "/debug/vars")

@@ -77,14 +77,7 @@ func TestCLITraceScrape(t *testing.T) {
 	image := initTestImage(t)
 	// trace leaves its events in the recorder and registers the system
 	// with the debug server.
-	captureStdout(t, func() error {
-		return run([]string{"-debug-addr", "127.0.0.1:0", "trace",
-			"-image", image, "-pass", "pub-pw", "-ops", "8"})
-	})
-	addr := debugAddrForTest()
-	if addr == "" {
-		t.Fatal("debug server address not recorded")
-	}
+	_, addr := runDebug(t, "trace", "-image", image, "-pass", "pub-pw", "-ops", "8")
 	cl := &http.Client{Timeout: 5 * time.Second}
 
 	get := func(path string) (int, string) {
@@ -134,13 +127,7 @@ func TestCLITraceScrape(t *testing.T) {
 // volumes or the hidden/dummy split.
 func TestCLIMetricsEndpoint(t *testing.T) {
 	image := initTestImage(t)
-	captureStdout(t, func() error {
-		return run([]string{"-debug-addr", "127.0.0.1:0", "status", "-image", image})
-	})
-	addr := debugAddrForTest()
-	if addr == "" {
-		t.Fatal("debug server address not recorded")
-	}
+	_, addr := runDebug(t, "status", "-image", image)
 	cl := &http.Client{Timeout: 5 * time.Second}
 	resp, err := cl.Get("http://" + addr + "/metrics")
 	if err != nil {

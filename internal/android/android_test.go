@@ -42,14 +42,14 @@ func TestMobiCealFullLifecycle(t *testing.T) {
 	if err := phone.Initialize("decoy", []string{"hidden"}); err != nil {
 		t.Fatalf("Initialize: %v", err)
 	}
-	if phone.Mode() != 0 {
+	if phone.mode != 0 {
 		t.Fatal("phone booted right after initialize (should be at password prompt)")
 	}
 	if err := phone.Boot("decoy"); err != nil {
 		t.Fatalf("Boot: %v", err)
 	}
-	if phone.Mode() != core.ModePublic {
-		t.Fatalf("mode = %v after boot", phone.Mode())
+	if phone.mode != core.ModePublic {
+		t.Fatalf("mode = %v after boot", phone.mode)
 	}
 	if err := phone.StartFramework(); err != nil {
 		t.Fatal(err)
@@ -70,8 +70,8 @@ func TestMobiCealFullLifecycle(t *testing.T) {
 	if err := phone.SwitchToHidden("hidden"); err != nil {
 		t.Fatalf("SwitchToHidden: %v", err)
 	}
-	if phone.Mode() != core.ModeHidden {
-		t.Fatalf("mode = %v after switch", phone.Mode())
+	if phone.mode != core.ModeHidden {
+		t.Fatalf("mode = %v after switch", phone.mode)
 	}
 	hidFS := phone.DataFS()
 	if _, err := hidFS.Create("secret-note"); err != nil {
@@ -85,8 +85,8 @@ func TestMobiCealFullLifecycle(t *testing.T) {
 	if err := phone.ExitHidden("decoy"); err != nil {
 		t.Fatalf("ExitHidden: %v", err)
 	}
-	if phone.Mode() != core.ModePublic {
-		t.Fatalf("mode = %v after exit", phone.Mode())
+	if phone.mode != core.ModePublic {
+		t.Fatalf("mode = %v after exit", phone.mode)
 	}
 	names := phone.DataFS().List()
 	if len(names) != 1 || names[0] != "public-note" {
@@ -156,7 +156,7 @@ func TestSwitchRejectsWrongPasswordWithoutSideEffects(t *testing.T) {
 	if !errors.Is(err, ErrBadPassword) {
 		t.Fatalf("err = %v, want ErrBadPassword", err)
 	}
-	if phone.Mode() != core.ModePublic || !phone.FrameworkUp() {
+	if phone.mode != core.ModePublic || !phone.frameworkUp {
 		t.Fatal("failed switch disturbed phone state")
 	}
 	after := phone.Mounts()
@@ -323,7 +323,7 @@ func TestVoldCommands(t *testing.T) {
 	if err != nil || resp != "200 0 OK" {
 		t.Fatalf("switch: (%q, %v)", resp, err)
 	}
-	if phone.Mode() != core.ModeHidden {
+	if phone.mode != core.ModeHidden {
 		t.Fatal("vold switch did not enter hidden mode")
 	}
 	if _, err := vold.Command("volume list"); err == nil {
@@ -407,7 +407,7 @@ func TestFDEPhoneLifecycle(t *testing.T) {
 	if bootTime > time.Second {
 		t.Fatalf("FDE boot %v, want sub-second (paper: 0.29s)", bootTime)
 	}
-	if phone.DataFS() == nil {
+	if phone.dataFS == nil {
 		t.Fatal("no userdata fs after boot")
 	}
 	if err := phone.Boot("wrong"); !errors.Is(err, ErrBadPassword) {
@@ -432,7 +432,7 @@ func TestMobiPlutoPhoneLifecycle(t *testing.T) {
 	if err := phone.Boot("decoy"); err != nil {
 		t.Fatal(err)
 	}
-	if phone.Hidden() {
+	if phone.hidden {
 		t.Fatal("decoy boot entered hidden mode")
 	}
 	// Prepare hidden volume (first use formats at boot probe... MobiPluto
@@ -453,13 +453,13 @@ func TestMobiPlutoPhoneLifecycle(t *testing.T) {
 	if switchTime < 30*time.Second || switchTime > 2*time.Minute {
 		t.Fatalf("MobiPluto switch %v, want around a minute", switchTime)
 	}
-	if !phone.Hidden() {
+	if !phone.hidden {
 		t.Fatal("switch did not enter hidden mode")
 	}
 	if err := phone.ExitHidden("decoy"); err != nil {
 		t.Fatal(err)
 	}
-	if phone.Hidden() {
+	if phone.hidden {
 		t.Fatal("exit did not return to public mode")
 	}
 }

@@ -88,9 +88,6 @@ func (p *FDEPhone) Boot(password string) error {
 	return nil
 }
 
-// DataFS returns the mounted userdata file system.
-func (p *FDEPhone) DataFS() *minifs.FS { return p.dataFS }
-
 // MobiPlutoPhone simulates a MobiPluto handset, the Table II comparison
 // row. Mode switching requires a full reboot.
 type MobiPlutoPhone struct {
@@ -208,9 +205,6 @@ func (p *MobiPlutoPhone) ExitHidden(decoyPassword string) error {
 	return p.Boot(decoyPassword)
 }
 
-// Hidden reports whether the phone is in hidden mode.
-func (p *MobiPlutoPhone) Hidden() bool { return p.hidden }
-
 // HiddenDevice exposes the decrypted hidden volume for out-of-band
 // preparation (first-use formatting), as MobiPluto does when the hidden
 // volume is created.
@@ -220,6 +214,3 @@ func (p *MobiPlutoPhone) HiddenDevice(password string) (storage.Device, error) {
 	}
 	return p.sys.OpenHidden(password)
 }
-
-// DataFS returns the mounted file system.
-func (p *MobiPlutoPhone) DataFS() *minifs.FS { return p.dataFS }

@@ -244,12 +244,6 @@ func (p *MobiCealPhone) ExitHidden(decoyPassword string) error {
 	return p.Boot(decoyPassword)
 }
 
-// Mode returns the current operating mode (0 before boot).
-func (p *MobiCealPhone) Mode() core.Mode { return p.mode }
-
-// FrameworkUp reports whether the Android framework is running.
-func (p *MobiCealPhone) FrameworkUp() bool { return p.frameworkUp }
-
 // Mounts returns a copy of the mount table.
 func (p *MobiCealPhone) Mounts() map[string]string {
 	out := make(map[string]string, len(p.mounts))

@@ -237,14 +237,6 @@ func (d *Device) ReadBlock(idx uint64, dst []byte) error {
 	return nil
 }
 
-// LogHead returns the append cursor (for tests: write amplification =
-// LogHead / logical writes).
-func (d *Device) LogHead() uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.head
-}
-
 // NewOverProfile builds a DEFY device over a fresh memory device charged
 // against meter, sized so the given logical capacity fits with log
 // headroom factor 4 (log-structured stores need slack; no GC here).

@@ -87,12 +87,6 @@ func Open(dev storage.Device, cfg Config) (*System, error) {
 	}, nil
 }
 
-// Footer returns the crypto footer.
-func (s *System) Footer() *xcrypto.Footer { return s.footer }
-
-// DataBlocks returns the encrypted data region size in blocks.
-func (s *System) DataBlocks() uint64 { return s.data }
-
 // Unlock returns the decrypted block-device view of the userdata region
 // under password. As on Android, a wrong password yields a garbage view;
 // the caller verifies by probe-mounting.

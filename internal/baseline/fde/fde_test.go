@@ -120,7 +120,7 @@ func TestDataBlocksExcludesFooter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sys.DataBlocks() != 1024-4 { // 16 KB footer = 4 blocks at 4 KB
-		t.Fatalf("DataBlocks = %d", sys.DataBlocks())
+	if sys.data != 1024-4 { // 16 KB footer = 4 blocks at 4 KB
+		t.Fatalf("data blocks = %d", sys.data)
 	}
 }

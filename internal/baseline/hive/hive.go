@@ -158,16 +158,6 @@ func New(phys storage.Device, key []byte, cfg Config) (*Device, error) {
 	return d, nil
 }
 
-// LogicalBlocks returns the usable logical capacity.
-func (d *Device) LogicalBlocks() uint64 { return d.logical }
-
-// StashSize returns the current stash occupancy (for tests).
-func (d *Device) StashSize() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.stash)
-}
-
 // BlockSize implements storage.Device.
 func (d *Device) BlockSize() int { return d.phys.BlockSize() }
 

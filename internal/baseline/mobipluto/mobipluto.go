@@ -197,9 +197,6 @@ func (s *System) buildPool(create bool) error {
 // Pool exposes the thin pool for adversary inspection.
 func (s *System) Pool() *thinp.Pool { return s.pool }
 
-// Footer returns the crypto footer.
-func (s *System) Footer() *xcrypto.Footer { return s.footer }
-
 // DataBlocks returns the data-area size in blocks.
 func (s *System) DataBlocks() uint64 { return s.dataBlocks }
 

@@ -149,9 +149,29 @@ func TestInitialFillLooksRandom(t *testing.T) {
 }
 
 func TestSequentialAllocation(t *testing.T) {
+	// Stock dm-thin: scattered first writes still land on consecutive
+	// physical blocks, in allocation order.
 	sys, _ := newSystem(t, 5)
-	if sys.Pool().AllocatorName() != "sequential" {
-		t.Fatalf("allocator = %s", sys.Pool().AllocatorName())
+	pub, err := sys.OpenPublic("decoy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, vb := range []uint64{40, 3, 17, 9, 28} {
+		if err := pub.WriteBlock(vb, make([]byte, blockSize)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := sys.Pool().PhysicalBlocks(PublicVolumeID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 5 {
+		t.Fatalf("public volume owns %d physical blocks, want 5", len(got))
+	}
+	for i := range got {
+		if got[i] != got[0]+uint64(i) {
+			t.Fatalf("public volume physical blocks = %v, want consecutive", got)
+		}
 	}
 }
 

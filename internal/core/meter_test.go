@@ -16,9 +16,12 @@ import (
 // exactly once. Every public write goes through the metered crypt view, so
 // the meter's crypto bytes are the public payload plus one block per dummy
 // block written — no more (a charge mark moved backwards charges blocks
-// twice), no less. Run under -race at GOMAXPROCS 1 and 4.
+// twice), no less. Crypto is the meter's only cost, at one byte per
+// nanosecond, so the clock reads the crypto bytes charged. Run under -race
+// at GOMAXPROCS 1 and 4.
 func TestMeteredNoiseChargedOnce(t *testing.T) {
-	meter := vclock.NewMeter(new(vclock.Clock), vclock.Nexus4())
+	clock := new(vclock.Clock)
+	meter := vclock.NewMeter(clock, vclock.Profile{CryptBps: 1e9})
 	cfg := testConfig(61)
 	cfg.Meter = meter
 	cfg.PolicyRefreshEvery = 1 // a fresh stored_rand per decision: bursts fire often
@@ -31,7 +34,7 @@ func TestMeteredNoiseChargedOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	crypto0, dummy0 := meter.CryptoBytes(), sys.Pool().DummyBlocksWritten()
+	crypto0, dummy0 := clock.Now(), sys.Pool().DummyBlocksWritten()
 
 	const workers, writes, blocks = 4, 40, 2
 	var wg sync.WaitGroup
@@ -59,7 +62,10 @@ func TestMeteredNoiseChargedOnce(t *testing.T) {
 		t.Fatal("no dummy burst fired: the workload does not exercise the noise charge")
 	}
 	payload := uint64(workers * writes * blocks * blockSize)
-	if got, want := meter.CryptoBytes()-crypto0, payload+dummy*blockSize; got != want {
+	// Float rounding loses under a nanosecond per charge; a block charged
+	// twice, or never, is off by a whole block.
+	got, want := int64(clock.Now()-crypto0), int64(payload+dummy*blockSize)
+	if d := got - want; d < -blockSize/2 || d > blockSize/2 {
 		t.Fatalf("crypto bytes charged = %d, want %d (payload %d + %d dummy blocks)", got, want, payload, dummy)
 	}
 }

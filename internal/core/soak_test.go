@@ -104,20 +104,23 @@ func TestSoakRandomOperations(t *testing.T) {
 			if _, err := src.Read(data); err != nil {
 				t.Fatal(err)
 			}
-			f, err := w.fs.Open(name)
-			if err != nil {
-				if f, err = w.fs.Create(name); err != nil {
-					if errors.Is(err, minifs.ErrNoSpace) {
-						continue
-					}
-					t.Fatalf("round %d create: %v", round, err)
+			// An existing file is replaced whole: removed, then created
+			// again.
+			if _, ok := w.shadow[name]; ok {
+				if err := w.fs.Remove(name); err != nil {
+					t.Fatalf("round %d replace: %v", round, err)
 				}
+				delete(w.shadow, name)
+			}
+			f, err := w.fs.Create(name)
+			if err != nil {
+				if errors.Is(err, minifs.ErrNoSpace) {
+					continue
+				}
+				t.Fatalf("round %d create: %v", round, err)
 			}
 			if _, err := f.WriteAt(data, 0); err != nil {
 				t.Fatalf("round %d write: %v", round, err)
-			}
-			if err := f.Truncate(int64(size)); err != nil {
-				t.Fatal(err)
 			}
 			w.shadow[name] = data
 		case op < 7: // remove

@@ -408,20 +408,11 @@ func (s *System) Pool() *thinp.Pool { return s.pool }
 // start recording. Never nil on a built system.
 func (s *System) FlightRecorder() *obs.FlightRecorder { return s.flight }
 
-// Footer returns the crypto footer.
-func (s *System) Footer() *xcrypto.Footer { return s.footer }
-
 // Policy returns the dummy-write policy for stats and refresh control.
 func (s *System) Policy() *StoredRandPolicy { return s.policy }
 
-// Config returns the effective configuration.
-func (s *System) Config() Config { return s.cfg }
-
 // NumVolumes returns n.
 func (s *System) NumVolumes() int { return s.cfg.NumVolumes }
-
-// DataBlocks returns the size of the data region in blocks.
-func (s *System) DataBlocks() uint64 { return s.dataBlocks }
 
 // Commit persists pool metadata.
 func (s *System) Commit() error { return s.pool.Commit() }

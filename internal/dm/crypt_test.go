@@ -95,17 +95,17 @@ func TestCryptRangeRejectsMisalignedBuffers(t *testing.T) {
 
 // vecOver carves buf into a random whole-block segmentation.
 func vecOver(src *prng.Source, bs int, buf []byte) storage.BlockVec {
-	v := storage.Vec(bs)
+	var segs [][]byte
 	n := len(buf) / bs
 	for off := 0; off < n; {
 		seg := 1 + int(src.Uint64n(4))
 		if seg > n-off {
 			seg = n - off
 		}
-		v = v.Append(buf[off*bs : (off+seg)*bs])
+		segs = append(segs, buf[off*bs:(off+seg)*bs])
 		off += seg
 	}
-	return v
+	return storage.Vec(bs, segs...)
 }
 
 // TestCryptVecFlatEquivalence drives dm-crypt with random vec writes and

@@ -116,33 +116,6 @@ func TestCryptSamePlaintextDifferentBlocksDiffers(t *testing.T) {
 	}
 }
 
-func TestCryptWithESSIV(t *testing.T) {
-	key, err := prng.Bytes(prng.NewSeededEntropy(8), 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	essiv, err := xcrypto.NewESSIV(key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw := storage.NewMemDevice(blockSize, 8)
-	c := NewCrypt(raw, essiv)
-	plain := make([]byte, blockSize)
-	if _, err := prng.NewSource(1).Read(plain); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.WriteBlock(3, plain); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, blockSize)
-	if err := c.ReadBlock(3, got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(plain, got) {
-		t.Fatal("ESSIV crypt roundtrip mismatch")
-	}
-}
-
 // Property: stacking crypt over the linear target (storage.SliceDevice is
 // this repo's dm-linear) over a device preserves roundtrips at arbitrary
 // offsets.

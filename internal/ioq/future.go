@@ -32,11 +32,6 @@ func (f *Future) Wait() error {
 	return f.err
 }
 
-// Done returns a channel closed when the request completes, for use in
-// select loops. After Done is closed, Wait returns immediately. A caller
-// that only selects on Done does not help: its request waits for a worker.
-func (f *Future) Done() <-chan struct{} { return f.done }
-
 // isDone reports whether the future has completed, without blocking.
 func (f *Future) isDone() bool {
 	select {

@@ -154,7 +154,7 @@ func TestFlushBarrier(t *testing.T) {
 	defer s.Close()
 	q := s.Register(counter)
 
-	buf := make([]byte, blockSize)
+	buf := bytes.Repeat([]byte{0xa5}, blockSize)
 	var futures []*Future
 	for i := 0; i < 16; i++ {
 		futures = append(futures, q.SubmitWrite(uint64(i), buf))
@@ -186,7 +186,8 @@ func TestFlushBarrier(t *testing.T) {
 	}
 	// The 16 pre-flush writes must all land before the sync; the
 	// post-flush write must come after. Verify via block accounting.
-	if got := mem.WrittenBlocks(); got != 17 {
+	blank := storage.NewMemDevice(blockSize, 1024).Snapshot()
+	if got := len(blank.Diff(mem.Snapshot())); got != 17 {
 		t.Fatalf("device holds %d written blocks, want 17", got)
 	}
 	if log[len(log)-1] != "write" && writesBefore >= len(log)-1 {
@@ -252,7 +253,7 @@ func TestFlushBarrierHoldsDuringSync(t *testing.T) {
 	// post-barrier write, then release the sync.
 	for i := 0; i < 20; i++ {
 		select {
-		case <-post.Done():
+		case <-post.done:
 			t.Fatal("post-barrier write completed while the barrier Sync was in flight")
 		case <-time.After(time.Millisecond):
 		}
@@ -429,7 +430,7 @@ func TestQuiesceBarrier(t *testing.T) {
 	qf := q.Quiesce()
 	after := q.SubmitWrite(1, make([]byte, blockSize))
 	select {
-	case <-qf.Done():
+	case <-qf.done:
 		t.Fatal("quiesce completed while an older write was in flight")
 	default:
 	}

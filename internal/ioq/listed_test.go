@@ -113,7 +113,7 @@ func TestListedUnwindsUnderLoad(t *testing.T) {
 					}
 				}
 				for _, f := range futs {
-					<-f.Done()
+					<-f.done
 				}
 			}(g)
 		}

@@ -67,9 +67,6 @@ type MetricsSnapshot struct {
 	BarrierFails uint64 `json:"barrier_fails"`
 }
 
-// Metrics exposes the scheduler's live counters.
-func (s *Scheduler) Metrics() *Metrics { return &s.m }
-
 // MetricsSnapshot captures the scheduler's current metric values.
 //
 // The two gauges are derived from counters every request moves anyway. A
@@ -100,9 +97,3 @@ func (s *Scheduler) MetricsSnapshot() MetricsSnapshot {
 	snap.QueueDepth = int64(snap.Submitted-completed) - snap.InFlight
 	return snap
 }
-
-// Flight returns the flight recorder lifecycle events are published to —
-// the one handed in via Options.Flight, or nil (a valid always-disabled
-// recorder). Enable it with SetEnabled(true) to start recording Q/G/D/C
-// events for subsequent requests.
-func (s *Scheduler) Flight() *obs.FlightRecorder { return s.flight }

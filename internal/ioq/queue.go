@@ -146,9 +146,6 @@ func (q *VolumeQueue) Quiesce() *Future {
 	return q.submit(q.newRequest(storage.Req{Op: opQuiesce}))
 }
 
-// Device returns the device stack this queue serves.
-func (q *VolumeQueue) Device() storage.Device { return q.dev }
-
 func (q *VolumeQueue) submit(r *request) *Future {
 	if q.s.isClosed() {
 		// Counted as a submission so the closed-scheduler rejection shows

@@ -16,9 +16,6 @@ type File struct {
 	name string
 }
 
-// Name returns the file's name.
-func (f *File) Name() string { return f.name }
-
 // Size returns the file size in bytes.
 func (f *File) Size() int64 {
 	f.fs.mu.Lock()
@@ -247,41 +244,6 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 		return read, io.EOF
 	}
 	return read, nil
-}
-
-// Truncate sets the file size to size bytes. Shrinking frees whole blocks
-// past the new end; growing creates a hole.
-func (f *File) Truncate(size int64) error {
-	if size < 0 {
-		return fmt.Errorf("minifs: negative size %d", size)
-	}
-	f.fs.mu.Lock()
-	defer f.fs.mu.Unlock()
-	ind, err := f.inodeLocked()
-	if err != nil {
-		return err
-	}
-	if uint64(size) >= ind.size {
-		ind.size = uint64(size)
-		return nil
-	}
-	bs := uint64(f.fs.sb.blockSize)
-	keepBlocks := (uint64(size) + bs - 1) / bs
-	totalBlocks := (ind.size + bs - 1) / bs
-	for fb := keepBlocks; fb < totalBlocks; fb++ {
-		abs, _, err := f.fs.blockFor(ind, fb, false)
-		if err != nil {
-			return err
-		}
-		if abs != 0 {
-			f.fs.freeBlock(abs)
-			if err := f.fs.clearMapping(ind, fb); err != nil {
-				return err
-			}
-		}
-	}
-	ind.size = uint64(size)
-	return nil
 }
 
 // clearMapping zeroes the pointer for file block fb. Pointer blocks that

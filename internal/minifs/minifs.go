@@ -127,10 +127,6 @@ type FS struct {
 	// strand the half-applied state with no valid journal to repair it.
 	dirDirty      bool
 	replayPending bool
-
-	// m is the file system's obs-backed telemetry (metrics.go);
-	// memory-only, zero value ready.
-	m FSMetrics
 }
 
 // layoutFor computes the region split for inodeCount inodes on a device of
@@ -215,19 +211,6 @@ func Mount(dev storage.Device) (*FS, error) {
 
 // BlockSize returns the file system block size.
 func (fs *FS) BlockSize() int { return fs.sb.blockSize }
-
-// FreeBlocks returns the number of free data blocks.
-func (fs *FS) FreeBlocks() uint64 {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	var n uint64
-	for _, used := range fs.bitmap {
-		if !used {
-			n++
-		}
-	}
-	return n
-}
 
 // List returns the sorted names in the root directory.
 func (fs *FS) List() []string {

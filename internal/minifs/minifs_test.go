@@ -175,9 +175,22 @@ func TestCreateErrors(t *testing.T) {
 	}
 }
 
+// freeBlocks is the number of free data blocks of fs.
+func freeBlocks(fs *FS) uint64 {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	var n uint64
+	for _, used := range fs.bitmap {
+		if !used {
+			n++
+		}
+	}
+	return n
+}
+
 func TestRemoveFreesSpace(t *testing.T) {
 	fs := newFS(t, 512)
-	freeBefore := fs.FreeBlocks()
+	freeBefore := freeBlocks(fs)
 	f, err := fs.Create("victim")
 	if err != nil {
 		t.Fatal(err)
@@ -186,13 +199,13 @@ func TestRemoveFreesSpace(t *testing.T) {
 	if _, err := f.WriteAt(data, 0); err != nil {
 		t.Fatal(err)
 	}
-	if fs.FreeBlocks() >= freeBefore {
+	if freeBlocks(fs) >= freeBefore {
 		t.Fatal("write did not consume blocks")
 	}
 	if err := fs.Remove("victim"); err != nil {
 		t.Fatal(err)
 	}
-	if got := fs.FreeBlocks(); got != freeBefore {
+	if got := freeBlocks(fs); got != freeBefore {
 		t.Fatalf("free = %d after remove, want %d", got, freeBefore)
 	}
 	if _, err := fs.Open("victim"); !errors.Is(err, ErrNotFound) {
@@ -204,44 +217,6 @@ func TestRemoveFreesSpace(t *testing.T) {
 	}
 	if err := fs.Remove("victim"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("double remove err = %v", err)
-	}
-}
-
-func TestTruncate(t *testing.T) {
-	fs := newFS(t, 512)
-	f, err := fs.Create("t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := bytes.Repeat([]byte{0xCC}, 5*blockSize)
-	if _, err := f.WriteAt(data, 0); err != nil {
-		t.Fatal(err)
-	}
-	freeAfterWrite := fs.FreeBlocks()
-	if err := f.Truncate(blockSize + 10); err != nil {
-		t.Fatal(err)
-	}
-	if f.Size() != int64(blockSize+10) {
-		t.Fatalf("Size = %d", f.Size())
-	}
-	if got := fs.FreeBlocks(); got <= freeAfterWrite {
-		t.Fatal("shrinking truncate freed nothing")
-	}
-	// Grow back: the tail reads as zeros.
-	if err := f.Truncate(3 * blockSize); err != nil {
-		t.Fatal(err)
-	}
-	tail := make([]byte, blockSize)
-	if _, err := f.ReadAt(tail, 2*blockSize); err != nil && !errors.Is(err, io.EOF) {
-		t.Fatal(err)
-	}
-	for i, b := range tail {
-		if b != 0 {
-			t.Fatalf("grown byte %d = %#x", i, b)
-		}
-	}
-	if err := f.Truncate(-1); err == nil {
-		t.Fatal("negative truncate succeeded")
 	}
 }
 
@@ -356,18 +331,43 @@ func TestOutOfInodes(t *testing.T) {
 	}
 }
 
+// writeRecorder records the index of every block written through it, in
+// order.
+type writeRecorder struct {
+	storage.Device
+	writes []uint64
+}
+
+func (r *writeRecorder) ReadBlock(idx uint64, dst []byte) error {
+	return storage.DoBlock(r, storage.OpRead, idx, dst)
+}
+
+func (r *writeRecorder) WriteBlock(idx uint64, src []byte) error {
+	return storage.DoBlock(r, storage.OpWrite, idx, src)
+}
+
+func (r *writeRecorder) Do(reqs []storage.Req) error {
+	err := storage.Do(r.Device, reqs)
+	for i := range reqs {
+		if q := &reqs[i]; q.Op == storage.OpWrite && q.OK() {
+			for b := 0; b < q.Blocks(); b++ {
+				r.writes = append(r.writes, q.Start+uint64(b))
+			}
+		}
+	}
+	return err
+}
+
 func TestSpatialLocalityOfSequentialWrites(t *testing.T) {
 	// The workload generators rely on minifs exhibiting FS-like spatial
 	// locality (paper footnote 3). A fresh sequential file write must land
 	// in mostly-ascending device blocks.
-	dev := storage.NewMemDevice(blockSize, 2048)
-	stats := storage.NewStatsDevice(dev)
-	stats.EnableWriteTrace()
-	fs, err := Format(stats, 16)
+	rec := &writeRecorder{Device: storage.NewMemDevice(blockSize, 2048)}
+	fs, err := Format(rec, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats.ResetStats()
+	rec.writes = nil
 	f, err := fs.Create("seq")
 	if err != nil {
 		t.Fatal(err)
@@ -376,7 +376,7 @@ func TestSpatialLocalityOfSequentialWrites(t *testing.T) {
 	if _, err := f.WriteAt(data, 0); err != nil {
 		t.Fatal(err)
 	}
-	trace := stats.WriteTrace()
+	trace := rec.writes
 	ascending := 0
 	for i := 1; i < len(trace); i++ {
 		if trace[i] == trace[i-1]+1 {

@@ -3,7 +3,6 @@ package minifs
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"mobiceal/internal/crc"
 	"mobiceal/internal/storage"
@@ -151,8 +150,6 @@ func (fs *FS) relocateDirtyPtrs() error {
 func (fs *FS) Sync() error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	fs.m.Syncs.Inc()
-	defer fs.m.SyncLat.Since(time.Now())
 
 	// 0. A sealed transaction whose in-place application failed must be
 	//    re-applied before the journal region is reused: overwriting its
@@ -196,7 +193,6 @@ func (fs *FS) Sync() error {
 
 	if len(txn) == 0 {
 		// No metadata changed; just give pending file data durability.
-		fs.m.DataOnlySyncs.Inc()
 		return fs.dev.Sync()
 	}
 	if uint64(len(txn)) > fs.sb.jdataBlocks {
@@ -215,9 +211,6 @@ func (fs *FS) Sync() error {
 	if err := fs.commitTxn(addrs, txn); err != nil {
 		return err
 	}
-	fs.m.JournalCommits.Inc()
-	fs.m.JournalBlocks.Add(uint64(len(txn)))
-
 	fs.lastBitmap = bitmapBytes
 	fs.lastInodes = inodeBytes
 	fs.pendingFree = make(map[uint64]bool)

@@ -68,7 +68,7 @@ func TestChurnDoesNotLeakBlocks(t *testing.T) {
 	if err := fs.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	baseline := fs.FreeBlocks()
+	baseline := freeBlocks(fs)
 	data := make([]byte, 50*blockSize)
 	for cycle := 0; cycle < 20; cycle++ {
 		f, err := fs.Create("churn")
@@ -87,7 +87,7 @@ func TestChurnDoesNotLeakBlocks(t *testing.T) {
 	}
 	// The root directory may have grown slightly, but data blocks must not
 	// leak across cycles.
-	if got := fs.FreeBlocks(); got+4 < baseline {
+	if got := freeBlocks(fs); got+4 < baseline {
 		t.Fatalf("leaked %d blocks over churn", baseline-got)
 	}
 	if err := fs.CheckIntegrity(); err != nil {
@@ -132,7 +132,7 @@ func TestSparseFileHoles(t *testing.T) {
 	if err := fs.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	free := fs.FreeBlocks()
+	free := freeBlocks(fs)
 	f, err := fs.Create("sparse")
 	if err != nil {
 		t.Fatal(err)
@@ -144,7 +144,7 @@ func TestSparseFileHoles(t *testing.T) {
 	if f.Size() != 200*blockSize+4 {
 		t.Fatalf("Size = %d", f.Size())
 	}
-	used := free - fs.FreeBlocks()
+	used := free - freeBlocks(fs)
 	if used > 4 { // data block + indirect machinery
 		t.Fatalf("sparse write consumed %d blocks", used)
 	}

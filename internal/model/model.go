@@ -116,12 +116,6 @@ func SetupMobiCeal(p Params) (*MobiCealScheme, error) {
 	return s, nil
 }
 
-// System exposes the underlying MobiCeal system (for the game runner).
-func (s *MobiCealScheme) System() *core.System { return s.sys }
-
-// Device exposes the underlying raw device (for snapshots).
-func (s *MobiCealScheme) Device() *storage.MemDevice { return s.dev }
-
 // VolumeCount implements Scheme.
 func (s *MobiCealScheme) VolumeCount() int { return len(s.volumes) }
 

@@ -171,7 +171,7 @@ func TestSchemeWritesStayDeniable(t *testing.T) {
 	if err := s.sys.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	before := s.Device().Snapshot()
+	before := s.dev.Snapshot()
 	d := make([]byte, 4096)
 	if _, err := prng.NewSource(8).Read(d); err != nil {
 		t.Fatal(err)
@@ -189,7 +189,7 @@ func TestSchemeWritesStayDeniable(t *testing.T) {
 	if err := s.sys.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	after := s.Device().Snapshot()
+	after := s.dev.Snapshot()
 	diff := before.Diff(after)
 	if len(diff) == 0 {
 		t.Fatal("no changes recorded")

@@ -302,14 +302,6 @@ func (r *FlightRecorder) NextID() uint64 {
 	return r.nextID.Add(1)
 }
 
-// Capacity returns the total number of event slots.
-func (r *FlightRecorder) Capacity() int {
-	if r == nil {
-		return 0
-	}
-	return flightShards * int(r.mask+1)
-}
-
 // Record appends one event. fid may be 0 (untagged). Disabled cost is the
 // nil check plus one atomic load; enabled cost is one atomic Add and six
 // atomic stores, no locks, no allocation.
@@ -400,10 +392,13 @@ func (r *FlightRecorder) Events() []FlightEvent {
 // WriteJSONL streams the current snapshot as one JSON object per line —
 // the raw-event export format `mobiceal trace -jsonl` emits and
 // ReadJSONL parses back.
-func (r *FlightRecorder) WriteJSONL(w io.Writer) error {
+func (r *FlightRecorder) WriteJSONL(w io.Writer) error { return writeJSONL(w, r.Events()) }
+
+// writeJSONL writes evs one JSON object per line.
+func writeJSONL(w io.Writer, evs []FlightEvent) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
-	for _, ev := range r.Events() {
+	for _, ev := range evs {
 		if err := enc.Encode(ev); err != nil {
 			return err
 		}

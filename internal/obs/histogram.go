@@ -57,18 +57,6 @@ func (h *Histogram) ObserveNS(ns int64) {
 // around an instrumented section.
 func (h *Histogram) Since(t0 time.Time) { h.Observe(time.Since(t0)) }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.Snapshot().Count }
-
-// Reset zeroes the histogram (owner-side re-baselining; see Counter.Reset
-// for the concurrency contract).
-func (h *Histogram) Reset() {
-	h.sumNS.Store(0)
-	for i := range h.buckets {
-		h.buckets[i].Store(0)
-	}
-}
-
 // Snapshot captures the histogram's current state.
 func (h *Histogram) Snapshot() HistSnapshot {
 	var s HistSnapshot

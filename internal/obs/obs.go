@@ -40,23 +40,9 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 // Load returns the current value.
 func (c *Counter) Load() uint64 { return c.v.Load() }
 
-// Reset zeroes the counter. Owners of a metrics surface (the experiment
-// harness re-baselining write amplification) use it; concurrent increments
-// during a reset land on whichever side the race falls.
-func (c *Counter) Reset() { c.v.Store(0) }
-
 // Gauge is an instantaneous atomic level (queue depth, in-flight count,
 // stage stock). The zero value is ready to use.
 type Gauge struct{ v atomic.Int64 }
-
-// Inc adds 1.
-func (g *Gauge) Inc() { g.v.Add(1) }
-
-// Dec subtracts 1.
-func (g *Gauge) Dec() { g.v.Add(-1) }
-
-// Add adds d (negative to subtract).
-func (g *Gauge) Add(d int64) { g.v.Add(d) }
 
 // Set stores v.
 func (g *Gauge) Set(v int64) { g.v.Store(v) }
@@ -93,25 +79,15 @@ type Event struct {
 // EventLog is a bounded ring buffer of Events. Appends past the capacity
 // overwrite the oldest entry; the log never grows, so an arbitrarily long
 // session holds a bounded telemetry footprint. The zero value is ready to
-// use with DefaultEventLogSize capacity; NewEventLog picks another.
+// use with DefaultEventLogSize capacity.
 type EventLog struct {
 	mu   sync.Mutex
 	ring []Event
 	seq  uint64
 }
 
-// DefaultEventLogSize is the ring capacity layers use unless they have a
-// reason not to.
+// DefaultEventLogSize is the ring's capacity.
 const DefaultEventLogSize = 128
-
-// NewEventLog returns a ring of the given capacity (<=0 selects
-// DefaultEventLogSize).
-func NewEventLog(capacity int) *EventLog {
-	if capacity <= 0 {
-		capacity = DefaultEventLogSize
-	}
-	return &EventLog{ring: make([]Event, 0, capacity)}
-}
 
 // Append records an event. Safe for concurrent use.
 func (l *EventLog) Append(kind, detail string) {
@@ -128,13 +104,6 @@ func (l *EventLog) Append(kind, detail string) {
 		l.ring[int((l.seq-1)%uint64(cap(l.ring)))] = e
 	}
 	l.mu.Unlock()
-}
-
-// Seq returns the total number of events ever appended.
-func (l *EventLog) Seq() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.seq
 }
 
 // Snapshot returns the retained events, oldest first.

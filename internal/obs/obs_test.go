@@ -15,15 +15,9 @@ func TestCounterGaugeBasics(t *testing.T) {
 	if got := c.Load(); got != 42 {
 		t.Fatalf("counter = %d, want 42", got)
 	}
-	c.Reset()
-	if got := c.Load(); got != 0 {
-		t.Fatalf("counter after reset = %d, want 0", got)
-	}
 
 	var g Gauge
-	g.Inc()
-	g.Add(5)
-	g.Dec()
+	g.Set(5)
 	if got := g.Load(); got != 5 {
 		t.Fatalf("gauge = %d, want 5", got)
 	}
@@ -83,10 +77,9 @@ func TestHistogramObserveAndQuantile(t *testing.T) {
 		t.Fatalf("mean = %v, want %v", got, time.Duration(wantSum/100))
 	}
 
-	h.Reset()
-	s = h.Snapshot()
+	s = new(Histogram).Snapshot()
 	if s.Count != 0 || s.SumNS != 0 {
-		t.Fatalf("after reset: count=%d sum=%d, want zeros", s.Count, s.SumNS)
+		t.Fatalf("empty histogram: count=%d sum=%d, want zeros", s.Count, s.SumNS)
 	}
 	if s.Quantile(0.5) != 0 || s.Mean() != 0 || s.String() != "n=0" {
 		t.Fatalf("empty snapshot rendering wrong: %q", s.String())
@@ -102,22 +95,33 @@ func TestHistogramString(t *testing.T) {
 	}
 }
 
+// lastSeq is the number of events ever appended to l: the Seq of its
+// newest retained event.
+func lastSeq(l *EventLog) uint64 {
+	s := l.Snapshot()
+	if len(s) == 0 {
+		return 0
+	}
+	return s[len(s)-1].Seq
+}
+
 func TestEventLogRing(t *testing.T) {
-	l := NewEventLog(4)
+	var l EventLog
 	if got := l.Snapshot(); len(got) != 0 {
 		t.Fatalf("empty log snapshot len = %d", len(got))
 	}
-	for i := 1; i <= 6; i++ {
+	const n = DefaultEventLogSize + 2
+	for i := 1; i <= n; i++ {
 		l.Append("k", fmt.Sprintf("e%d", i))
 	}
-	if l.Seq() != 6 {
-		t.Fatalf("seq = %d, want 6", l.Seq())
+	if got := lastSeq(&l); got != n {
+		t.Fatalf("seq = %d, want %d", got, n)
 	}
 	got := l.Snapshot()
-	if len(got) != 4 {
-		t.Fatalf("snapshot len = %d, want 4", len(got))
+	if len(got) != DefaultEventLogSize {
+		t.Fatalf("snapshot len = %d, want %d", len(got), DefaultEventLogSize)
 	}
-	// Oldest-first: e3..e6 with sequence numbers 3..6.
+	// Oldest-first: e3..en with sequence numbers 3..n.
 	for i, e := range got {
 		wantSeq := uint64(i + 3)
 		wantDetail := fmt.Sprintf("e%d", i+3)
@@ -128,7 +132,7 @@ func TestEventLogRing(t *testing.T) {
 }
 
 func TestEventLogDefaultCapacity(t *testing.T) {
-	l := NewEventLog(0)
+	var l EventLog
 	for i := 0; i < DefaultEventLogSize+10; i++ {
 		l.Append("k", "d")
 	}
@@ -196,7 +200,7 @@ func TestQuantileEdges(t *testing.T) {
 // consistent (contiguous ascending seqs) — and the -race run (CI matrix
 // at GOMAXPROCS 1 and 4) verifies the synchronization itself.
 func TestEventLogConcurrentSnapshot(t *testing.T) {
-	l := NewEventLog(16)
+	var l EventLog
 	const writers = 4
 	const perWriter = 2000
 	var wg sync.WaitGroup
@@ -219,13 +223,13 @@ func TestEventLogConcurrentSnapshot(t *testing.T) {
 			}
 		}
 		snaps++
-		if l.Seq() == writers*perWriter {
+		if lastSeq(&l) == writers*perWriter {
 			break
 		}
 	}
 	wg.Wait()
-	if l.Seq() != writers*perWriter {
-		t.Fatalf("seq = %d, want %d", l.Seq(), writers*perWriter)
+	if got := lastSeq(&l); got != writers*perWriter {
+		t.Fatalf("seq = %d, want %d", got, writers*perWriter)
 	}
 	if snaps == 0 {
 		t.Fatal("no snapshots taken")
@@ -242,7 +246,7 @@ func TestConcurrentPrimitives(t *testing.T) {
 	var c Counter
 	var g Gauge
 	var h Histogram
-	l := NewEventLog(32)
+	var l EventLog
 	fr := NewFlightRecorder(256)
 	fr.SetEnabled(true)
 
@@ -253,8 +257,7 @@ func TestConcurrentPrimitives(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				c.Inc()
-				g.Inc()
-				g.Dec()
+				g.Set(int64(i))
 				h.ObserveNS(int64(i%4096 + 1))
 				if i%100 == 0 {
 					l.Append("k", "d")
@@ -273,8 +276,8 @@ func TestConcurrentPrimitives(t *testing.T) {
 	if got := c.Load(); got != workers*perWorker {
 		t.Fatalf("counter = %d, want %d", got, workers*perWorker)
 	}
-	if got := g.Load(); got != 0 {
-		t.Fatalf("gauge = %d, want 0", got)
+	if got := g.Load(); got != perWorker-1 {
+		t.Fatalf("gauge = %d, want %d", got, perWorker-1)
 	}
 	s := h.Snapshot()
 	if s.Count != workers*perWorker {
@@ -287,7 +290,7 @@ func TestConcurrentPrimitives(t *testing.T) {
 	if bucketSum != s.Count {
 		t.Fatalf("bucket sum %d != count %d", bucketSum, s.Count)
 	}
-	if got := l.Seq(); got != workers*(perWorker/100) {
+	if got := lastSeq(&l); got != workers*(perWorker/100) {
 		t.Fatalf("event seq = %d, want %d", got, workers*(perWorker/100))
 	}
 }
@@ -326,8 +329,8 @@ func TestHistogramCountIsBucketSum(t *testing.T) {
 	for _, ns := range []int64{-5, 0, 1, 2, 3, 1000, 1 << 40, math.MaxInt64} {
 		h.ObserveNS(ns)
 	}
-	if got := h.Count(); got != 8 {
-		t.Fatalf("Count() = %d, want 8", got)
+	if got := h.Snapshot().Count; got != 8 {
+		t.Fatalf("Count = %d, want 8", got)
 	}
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -359,7 +362,7 @@ func TestHistogramCountIsBucketSum(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	if s := h.Snapshot(); s.Count != h.Count() {
-		t.Fatalf("quiescent: snapshot count %d, Count() %d", s.Count, h.Count())
+	if a, b := h.Snapshot().Count, h.Snapshot().Count; a != b {
+		t.Fatalf("quiescent: snapshot counts %d then %d", a, b)
 	}
 }

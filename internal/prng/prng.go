@@ -142,17 +142,6 @@ func (s *Source) Exp(lambda float64) float64 {
 	return -math.Log(1-f) / lambda
 }
 
-// ExpCount samples the paper's dummy-write block count: the exponential
-// sample rounded up to a whole number of blocks, and at least one block so a
-// triggered dummy write is never empty.
-func (s *Source) ExpCount(lambda float64) int {
-	m := int(math.Ceil(s.Exp(lambda)))
-	if m < 1 {
-		m = 1
-	}
-	return m
-}
-
 // ExpRound samples the exponential distribution rounded to the nearest
 // whole block (possibly zero). This matches the paper's claim that with
 // lambda = 1 "each dummy write will be allocated one free block on

@@ -168,30 +168,6 @@ func TestExpPanicsOnNonPositiveLambda(t *testing.T) {
 	}
 }
 
-func TestExpCountAtLeastOne(t *testing.T) {
-	s := NewSource(23)
-	for i := 0; i < 10000; i++ {
-		if m := s.ExpCount(4); m < 1 {
-			t.Fatalf("ExpCount returned %d < 1", m)
-		}
-	}
-}
-
-func TestExpCountMean(t *testing.T) {
-	// For lambda=1 the ceiling of Exp(1) has mean 1/(1-e^-1) ~ 1.582.
-	s := NewSource(29)
-	const draws = 200000
-	var sum int
-	for i := 0; i < draws; i++ {
-		sum += s.ExpCount(1)
-	}
-	mean := float64(sum) / draws
-	want := 1 / (1 - math.Exp(-1))
-	if math.Abs(mean-want) > 0.03 {
-		t.Errorf("ExpCount(1) mean %v, want about %v", mean, want)
-	}
-}
-
 func TestExpRoundMeanNearOne(t *testing.T) {
 	// E[round(Exp(1))] ~ 0.9597 — the paper's "one free block on average".
 	s := NewSource(51)

@@ -240,16 +240,15 @@ func TestFileDeviceBatchEquivalence(t *testing.T) {
 				}
 				a, b := mk(), mk()
 				for i := range a {
-					v := Vec(bs)
-					w := Vec(bs)
+					var v, w [][]byte
 					for left := rng.Intn(4) + 1; left > 0; {
 						k := rng.Intn(left) + 1
 						seg := AlignedBuf(k * bs)
 						rng.Read(seg)
-						v, w = v.Append(seg), w.Append(append(AlignedBuf(k * bs)[:0], seg...))
+						v, w = append(v, seg), append(w, append(AlignedBuf(k * bs)[:0], seg...))
 						left -= k
 					}
-					a[i].Vec, b[i].Vec = v, w
+					a[i].Vec, b[i].Vec = Vec(bs, v...), Vec(bs, w...)
 				}
 				errA, errB := doBatch(ring, write, a), doBatch(serial, write, b)
 				if errA != nil || errB != nil {
@@ -260,7 +259,7 @@ func TestFileDeviceBatchEquivalence(t *testing.T) {
 						t.Fatalf("round %d request %d: Done ring %d serial %d of %d",
 							round, i, a[i].Done, b[i].Done, a[i].Vec.Len())
 					}
-					if !write && !bytes.Equal(a[i].Vec.Flatten(), b[i].Vec.Flatten()) {
+					if !write && !bytes.Equal(flatten(a[i].Vec), flatten(b[i].Vec)) {
 						t.Fatalf("round %d request %d: ring and serial reads differ", round, i)
 					}
 				}

@@ -238,17 +238,28 @@ func decode(op storage.Op, layout []byte) []storage.Req {
 			r.Vec = storage.Vec(cbs/2, make([]byte, n*cbs))
 		default:
 			buf := make([]byte, n*cbs)
-			r.Vec = storage.Vec(cbs)
+			var segs [][]byte
 			for from, b := 0, 1; b <= n; b++ {
 				if b == n || split&(1<<(b-1)) != 0 {
-					r.Vec = r.Vec.Append(buf[from*cbs : b*cbs])
+					segs = append(segs, buf[from*cbs:b*cbs])
 					from = b
 				}
 			}
+			r.Vec = storage.Vec(cbs, segs...)
 		}
 		reqs = append(reqs, r)
 	}
 	return reqs
+}
+
+// flat gathers v's segments into one buffer.
+func flat(v storage.BlockVec) []byte {
+	var out []byte
+	_ = v.Range(func(_ int, seg []byte) error {
+		out = append(out, seg...)
+		return nil
+	})
+	return out
 }
 
 // refused is the oracle's validation: what a device of cblocks blocks must
@@ -305,7 +316,10 @@ func check(t testing.TB, l *layer, dut storage.Device, lf *leaf, ref *storage.Me
 			}
 		}
 		if r.Op == storage.OpWrite {
-			r.Vec.CopyIn(buf)
+			_ = r.Vec.Range(func(off int, seg []byte) error {
+				copy(seg, buf[off*cbs:])
+				return nil
+			})
 		}
 		want[i] = buf
 	}
@@ -327,7 +341,7 @@ func check(t testing.TB, l *layer, dut storage.Device, lf *leaf, ref *storage.Me
 		switch {
 		case i < failed && !r.OK():
 			t.Fatalf("request %d before the failure: Done %d of %d, Err %v", i, r.Done, r.Blocks(), r.Err)
-		case i < failed && r.Op == storage.OpRead && !bytes.Equal(r.Vec.Flatten(), want[i]) && r.Blocks() > 0:
+		case i < failed && r.Op == storage.OpRead && !bytes.Equal(flat(r.Vec), want[i]) && r.Blocks() > 0:
 			t.Fatalf("request %d read bytes the per-block loop does not", i)
 		case i == failed && (r.Err != err || r.Done != 0):
 			t.Fatalf("failed request %d: Done %d, Err %v; Do returned %v", i, r.Done, r.Err, err)

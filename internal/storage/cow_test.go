@@ -177,7 +177,7 @@ func TestMemDeviceRangeOpsCrossSlabs(t *testing.T) {
 	if err := WriteBlocks(d, start, src); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := d.WrittenBlocks(), span; got != want {
+	if got, want := writtenBlocks(d), span; got != want {
 		t.Fatalf("WrittenBlocks = %d, want %d", got, want)
 	}
 

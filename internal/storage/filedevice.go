@@ -164,13 +164,6 @@ func OpenFileDevice(path string, blockSize int) (*FileDevice, error) {
 	return OpenFileDeviceWith(path, blockSize, FileOptions{})
 }
 
-// OpenFileDeviceDirect opens an existing image in O_DIRECT mode. It fails
-// with an error wrapping ErrDirectUnsupported on platforms or file
-// systems without direct I/O.
-func OpenFileDeviceDirect(path string, blockSize int) (*FileDevice, error) {
-	return OpenFileDeviceWith(path, blockSize, FileOptions{Direct: true})
-}
-
 // OpenFileDeviceWith is OpenFileDevice with explicit options.
 func OpenFileDeviceWith(path string, blockSize int, opts FileOptions) (*FileDevice, error) {
 	if blockSize <= 0 {
@@ -237,9 +230,6 @@ func (d *FileDevice) BlockSize() int { return d.blockSize }
 
 // NumBlocks implements Device.
 func (d *FileDevice) NumBlocks() uint64 { return d.numBlocks }
-
-// Direct reports whether the device runs in O_DIRECT mode.
-func (d *FileDevice) Direct() bool { return d.direct }
 
 // Syscalls implements SyscallReporter.
 func (d *FileDevice) Syscalls() FileSyscalls {

@@ -134,7 +134,7 @@ func TestFileDeviceMatchesMemReference(t *testing.T) {
 			if err := ReadBlocks(ref, start, want); err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(v.Flatten(), want) {
+			if !bytes.Equal(flatten(v), want) {
 				t.Fatalf("op %d: vec read mismatch at %d+%d", i, start, n)
 			}
 		}
@@ -155,15 +155,15 @@ func TestFileDeviceMatchesMemReference(t *testing.T) {
 // randVec builds an n-block vec with a random segment split, filled with
 // random bytes.
 func randVec(rng *rand.Rand, bs, n int) BlockVec {
-	v := Vec(bs)
+	var segs [][]byte
 	for left := n; left > 0; {
 		k := rng.Intn(left) + 1
 		seg := make([]byte, k*bs)
 		rng.Read(seg)
-		v = v.Append(seg)
+		segs = append(segs, seg)
 		left -= k
 	}
-	return v
+	return Vec(bs, segs...)
 }
 
 // TestFileDeviceOneSyscallPerVec pins the tentpole's core claim: a
@@ -173,12 +173,13 @@ func TestFileDeviceOneSyscallPerVec(t *testing.T) {
 	const bs = 512
 	d := newTestFileDevice(t, bs, 64, FileOptions{})
 
-	wv := Vec(bs)
+	var wsegs [][]byte
 	for i := 0; i < 7; i++ {
 		seg := make([]byte, bs)
 		seg[0] = byte(i + 1)
-		wv = wv.Append(seg)
+		wsegs = append(wsegs, seg)
 	}
+	wv := Vec(bs, wsegs...)
 	if err := WriteBlocksVec(d, 3, wv); err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +198,7 @@ func TestFileDeviceOneSyscallPerVec(t *testing.T) {
 		t.Fatalf("3-segment vec read: %d calls / %d segs, want 1 / 3",
 			sc.PreadvCalls, sc.ReadSegs)
 	}
-	if !bytes.Equal(rv.Flatten(), wv.Flatten()) {
+	if !bytes.Equal(flatten(rv), flatten(wv)) {
 		t.Fatal("vec read returned different bytes than the vec write stored")
 	}
 	if sc.EintrRetries != 0 || sc.ShortTransfers != 0 || sc.BounceCopies != 0 {
@@ -215,12 +216,9 @@ func TestFileDeviceShortTransferResumes(t *testing.T) {
 	shim := &shimVIO{steps: []shimStep{{max: bs}, {max: bs}}}
 	d.vio = shim
 
-	v := Vec(bs)
 	want := make([]byte, 4*bs)
 	rand.New(rand.NewSource(7)).Read(want)
-	for i := 0; i < 4; i++ {
-		v = v.Append(want[i*bs : (i+1)*bs])
-	}
+	v := Vec(bs, want[:bs], want[bs:2*bs], want[2*bs:3*bs], want[3*bs:])
 	if err := WriteBlocksVec(d, 2, v); err != nil {
 		t.Fatalf("short-transfer write: %v", err)
 	}
@@ -406,7 +404,7 @@ func TestOpenFileDeviceDirectRoundtrip(t *testing.T) {
 	if _, err := CreateFileDevice(path, DirectAlign, 64); err != nil {
 		t.Fatal(err)
 	}
-	d, err := OpenFileDeviceDirect(path, DirectAlign)
+	d, err := OpenFileDeviceWith(path, DirectAlign, FileOptions{Direct: true})
 	if errors.Is(err, ErrDirectUnsupported) {
 		t.Skipf("direct I/O unavailable here: %v", err)
 	}
@@ -414,7 +412,7 @@ func TestOpenFileDeviceDirectRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	if !d.Direct() || !d.Syscalls().Direct {
+	if !d.Syscalls().Direct {
 		t.Fatal("direct open did not mark the device direct")
 	}
 

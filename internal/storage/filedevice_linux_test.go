@@ -57,10 +57,11 @@ func TestFileDeviceIovMaxCapping(t *testing.T) {
 	d := newTestFileDevice(t, bs, segs, FileOptions{})
 	want := make([]byte, segs*bs)
 	rand.New(rand.NewSource(29)).Read(want)
-	v := Vec(bs)
+	var vsegs [][]byte
 	for i := 0; i < segs; i++ {
-		v = v.Append(want[i*bs : (i+1)*bs])
+		vsegs = append(vsegs, want[i*bs:(i+1)*bs])
 	}
+	v := Vec(bs, vsegs...)
 	if err := WriteBlocksVec(d, 0, v); err != nil {
 		t.Fatalf("IOV_MAX-wide vec write: %v", err)
 	}
@@ -92,7 +93,7 @@ func TestDirectOpenOnTmpfsRejected(t *testing.T) {
 	if _, err := CreateFileDevice(path, DirectAlign, 8); err != nil {
 		t.Fatal(err)
 	}
-	_, err = OpenFileDeviceDirect(path, DirectAlign)
+	_, err = OpenFileDeviceWith(path, DirectAlign, FileOptions{Direct: true})
 	if err == nil {
 		t.Skip("this kernel's tmpfs accepts O_DIRECT; nothing to reject")
 	}

@@ -189,10 +189,11 @@ func TestURingIovMaxCapping(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	want := AlignedBuf(segs * bs)
 	rng.Read(want)
-	wide := Vec(bs)
+	var wideSegs [][]byte
 	for i := 0; i < segs; i++ {
-		wide = wide.Append(want[i*bs : (i+1)*bs])
+		wideSegs = append(wideSegs, want[i*bs:(i+1)*bs])
 	}
+	wide := Vec(bs, wideSegs...)
 	small := AlignedBuf(bs)
 	rng.Read(small)
 	reqs := []Req{{Start: 0, Vec: wide}, {Start: segs + 3, Vec: VecOne(bs, small)}}

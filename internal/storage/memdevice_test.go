@@ -14,6 +14,14 @@ import (
 // snapshot sealed is never written in place. The first overwrite batch
 // after the capture clones what it touches, the snapshot keeps its bytes,
 // and only the clones take later overwrites in place.
+// writtenBlocks is the number of blocks of d that were explicitly written
+// (the materialized, non-background set).
+func writtenBlocks(d *MemDevice) int {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return int(d.written)
+}
+
 func TestMemDeviceOverwriteAfterSnapshot(t *testing.T) {
 	const bs = 64
 	d := NewMemDeviceBackground(bs, 4*slabBlocks, NewNoiseBackground(4))
@@ -23,7 +31,7 @@ func TestMemDeviceOverwriteAfterSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := d.Snapshot()
-	written := d.WrittenBlocks()
+	written := writtenBlocks(d)
 
 	// Two requests, each straddling the boundary of the two written slabs
 	// or lying inside one of them.
@@ -69,7 +77,7 @@ func TestMemDeviceOverwriteAfterSnapshot(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatal("the device does not show the overwrite batch")
 	}
-	if n := d.WrittenBlocks(); n != written {
+	if n := writtenBlocks(d); n != written {
 		t.Fatalf("WrittenBlocks moved from %d to %d on an overwrite", written, n)
 	}
 	if !inPlace(batch()) {
@@ -228,7 +236,7 @@ func TestMemDeviceStressInPlace(t *testing.T) {
 	if !bytes.Equal(image(), during) {
 		t.Fatal("the snapshot changed after its capture")
 	}
-	if got, want := d.WrittenBlocks(), shared+2*fresh; got != want {
+	if got, want := writtenBlocks(d), shared+2*fresh; got != want {
 		t.Fatalf("WrittenBlocks = %d, want %d", got, want)
 	}
 	blk, want := make([]byte, 2*bs), make([]byte, 2*bs)

@@ -146,7 +146,6 @@ func TestRangeValidation(t *testing.T) {
 
 func TestStatsDeviceRangeAccounting(t *testing.T) {
 	sd := NewStatsDevice(NewMemDevice(512, 32))
-	sd.EnableWriteTrace()
 	if err := WriteBlocks(sd, 4, make([]byte, 5*512)); err != nil {
 		t.Fatalf("WriteBlocks: %v", err)
 	}
@@ -159,16 +158,6 @@ func TestStatsDeviceRangeAccounting(t *testing.T) {
 	}
 	if st.ReadBlocks != 3 || st.BytesRead != 3*512 {
 		t.Fatalf("reads = %d/%d bytes, want 3/%d", st.ReadBlocks, st.BytesRead, 3*512)
-	}
-	trace := sd.WriteTrace()
-	want := []uint64{4, 5, 6, 7, 8}
-	if len(trace) != len(want) {
-		t.Fatalf("trace length = %d, want %d", len(trace), len(want))
-	}
-	for i, idx := range want {
-		if trace[i] != idx {
-			t.Fatalf("trace[%d] = %d, want %d", i, trace[i], idx)
-		}
 	}
 }
 

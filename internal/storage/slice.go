@@ -58,6 +58,3 @@ func (d *SliceDevice) Do(reqs []Req) error {
 // Close implements Device. Closing a slice does not close the parent: the
 // parent owns the underlying resource and several slices share it.
 func (d *SliceDevice) Close() error { return nil }
-
-// Start returns the slice's first block index on the parent device.
-func (d *SliceDevice) Start() uint64 { return d.start }

@@ -144,34 +144,3 @@ func (s *Snapshot) Diff(other *Snapshot) []uint64 {
 	}
 	return diff
 }
-
-// MaterializedBlocks returns the sorted indexes of blocks that differ from
-// the snapshot's background — i.e. every block that was ever written. For a
-// device initialized with random fill, this is invisible to the adversary;
-// for a zero-filled device it is exactly the written set.
-func (s *Snapshot) MaterializedBlocks() []uint64 {
-	bg := make([]byte, s.blockSize)
-	var out []uint64
-	for di, dir := range s.root {
-		if dir == nil {
-			continue
-		}
-		for si, sl := range dir.slabs {
-			if sl == nil || sl.written == 0 {
-				continue
-			}
-			base := uint64(di)<<dirBlockBits + uint64(si)<<slabBlockBits
-			for off := uint64(0); off < slabBlocks; off++ {
-				if sl.written&(1<<off) == 0 {
-					continue
-				}
-				idx := base + off
-				s.bg.FillBlock(idx, bg)
-				if !bytes.Equal(sl.data[off*uint64(s.blockSize):(off+1)*uint64(s.blockSize)], bg) {
-					out = append(out, idx)
-				}
-			}
-		}
-	}
-	return out
-}

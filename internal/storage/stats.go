@@ -1,8 +1,6 @@
 package storage
 
 import (
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"mobiceal/internal/obs"
@@ -54,18 +52,6 @@ func (m *DeviceMetrics) Snapshot() DeviceSnapshot {
 	}
 }
 
-// reset zeroes every counter and histogram.
-func (m *DeviceMetrics) reset() {
-	m.ReadBlocks.Reset()
-	m.WriteBlocks.Reset()
-	m.BytesRead.Reset()
-	m.BytesWrite.Reset()
-	m.Syncs.Reset()
-	m.ReadLat.Reset()
-	m.WriteLat.Reset()
-	m.SyncLat.Reset()
-}
-
 // StatsDevice wraps a Device and counts traffic through it. The experiment
 // harness uses the counts to compute write amplification (physical writes
 // per logical write) for each PDE scheme, which is what separates MobiCeal's
@@ -83,13 +69,6 @@ type StatsDevice struct {
 	// traffic starts (SetFlightRecorder is not synchronized); a nil
 	// recorder costs one comparison per op.
 	rec *obs.FlightRecorder
-
-	// The write trace is the one remaining mutex-guarded piece: it is an
-	// opt-in, unbounded recording the adversary's layout detector consumes
-	// in ablation experiments, never part of live telemetry.
-	traceOn    atomic.Bool
-	mu         sync.Mutex
-	writeTrace []uint64
 }
 
 // NewStatsDevice wraps inner with I/O accounting.
@@ -130,38 +109,6 @@ func (d *StatsDevice) devop(fid uint64, op obs.FlightOp, n uint64, err error) {
 	d.rec.Record(fid, obs.StageDevOp, op, uint32(n), FlightClass(err), 0)
 }
 
-// EnableWriteTrace starts recording the index of every written block in
-// order. The adversary's layout detector consumes this trace in ablation
-// experiments; it is off by default because traces grow with traffic.
-func (d *StatsDevice) EnableWriteTrace() { d.traceOn.Store(true) }
-
-// WriteTrace returns a copy of the recorded write ordering.
-func (d *StatsDevice) WriteTrace() []uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make([]uint64, len(d.writeTrace))
-	copy(out, d.writeTrace)
-	return out
-}
-
-// ResetStats zeroes the counters, histograms, and the write trace.
-func (d *StatsDevice) ResetStats() {
-	d.m.reset()
-	d.mu.Lock()
-	d.writeTrace = nil
-	d.mu.Unlock()
-}
-
-// traceWrite appends n ascending block indexes starting at start to the
-// write trace, as the per-block path would record them.
-func (d *StatsDevice) traceWrite(start, n uint64) {
-	d.mu.Lock()
-	for i := uint64(0); i < n; i++ {
-		d.writeTrace = append(d.writeTrace, start+i)
-	}
-	d.mu.Unlock()
-}
-
 // BlockSize implements Device.
 func (d *StatsDevice) BlockSize() int { return d.bs }
 
@@ -182,7 +129,7 @@ func (d *StatsDevice) Sync() error { return Sync(d) }
 // event under its own id always, and for a success one latency
 // observation, the block and byte counters (n blocks count exactly as n
 // per-block calls would, so write-amplification accounting does not depend
-// on segmentation or batching) and the write trace. The one thing a batch
+// on segmentation or batching). The one thing a batch
 // cannot give is a per-request service time: every request of a call
 // observes the call's. Discards pass through uncounted.
 func (d *StatsDevice) Do(reqs []Req) error {
@@ -207,9 +154,6 @@ func (d *StatsDevice) Do(reqs []Req) error {
 			d.m.WriteLat.Since(t0)
 			d.m.WriteBlocks.Add(n)
 			d.m.BytesWrite.Add(uint64(r.Vec.Bytes()))
-			if d.traceOn.Load() {
-				d.traceWrite(r.Start, n)
-			}
 		case OpSync:
 			d.m.SyncLat.Since(t0)
 			d.m.Syncs.Inc()

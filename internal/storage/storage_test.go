@@ -265,24 +265,6 @@ func TestSnapshotDiffNoiseBackground(t *testing.T) {
 	}
 }
 
-func TestSnapshotMaterializedBlocks(t *testing.T) {
-	d := NewMemDevice(testBlockSize, 32)
-	buf := make([]byte, testBlockSize)
-	fillPattern(buf, 4)
-	if err := d.WriteBlock(3, buf); err != nil {
-		t.Fatalf("WriteBlock: %v", err)
-	}
-	// Writing zeros to a zero-background device is not materially different.
-	zero := make([]byte, testBlockSize)
-	if err := d.WriteBlock(4, zero); err != nil {
-		t.Fatalf("WriteBlock: %v", err)
-	}
-	got := d.Snapshot().MaterializedBlocks()
-	if len(got) != 1 || got[0] != 3 {
-		t.Fatalf("MaterializedBlocks = %v, want [3]", got)
-	}
-}
-
 func TestSliceDeviceMapsOffsets(t *testing.T) {
 	parent := NewMemDevice(testBlockSize, 100)
 	s, err := NewSliceDevice(parent, 10, 20)
@@ -351,10 +333,6 @@ func TestStatsDeviceCounts(t *testing.T) {
 	if st.BytesWrite != 3*testBlockSize || st.BytesRead != 5*testBlockSize {
 		t.Fatalf("byte counts = %+v", st)
 	}
-	d.ResetStats()
-	if st := d.Metrics().Snapshot(); st.WriteBlocks != 0 || st.ReadBlocks != 0 {
-		t.Fatalf("stats after reset = %+v", st)
-	}
 }
 
 func TestStatsDeviceDoesNotCountFailedIO(t *testing.T) {
@@ -368,33 +346,6 @@ func TestStatsDeviceDoesNotCountFailedIO(t *testing.T) {
 	}
 	if st := d.Metrics().Snapshot(); st.WriteBlocks != 0 || st.ReadBlocks != 0 {
 		t.Fatalf("failed I/O was counted: %+v", st)
-	}
-}
-
-func TestStatsDeviceWriteTrace(t *testing.T) {
-	d := NewStatsDevice(NewMemDevice(testBlockSize, 16))
-	buf := make([]byte, testBlockSize)
-	if err := d.WriteBlock(9, buf); err != nil {
-		t.Fatalf("WriteBlock: %v", err)
-	}
-	if got := d.WriteTrace(); len(got) != 0 {
-		t.Fatalf("trace recorded while disabled: %v", got)
-	}
-	d.EnableWriteTrace()
-	order := []uint64{3, 1, 4, 1, 5}
-	for _, idx := range order {
-		if err := d.WriteBlock(idx, buf); err != nil {
-			t.Fatalf("WriteBlock: %v", err)
-		}
-	}
-	got := d.WriteTrace()
-	if len(got) != len(order) {
-		t.Fatalf("trace = %v, want %v", got, order)
-	}
-	for i := range order {
-		if got[i] != order[i] {
-			t.Fatalf("trace = %v, want %v", got, order)
-		}
 	}
 }
 

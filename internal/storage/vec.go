@@ -108,19 +108,6 @@ func (v BlockVec) Seg(i int) []byte {
 	return v.rest[i-1]
 }
 
-// Append returns the vec extended by seg (same validity rules as Vec).
-// Like append on slices, the result may share the receiver's backing
-// spine.
-func (v BlockVec) Append(seg []byte) BlockVec {
-	if len(seg) == 0 || len(seg)%v.bs != 0 {
-		panic(fmt.Sprintf("storage: vec segment of %d bytes, block size %d", len(seg), v.bs))
-	}
-	if v.seg0 == nil {
-		return BlockVec{bs: v.bs, seg0: seg}
-	}
-	return BlockVec{bs: v.bs, seg0: v.seg0, rest: append(v.rest, seg)}
-}
-
 // Slice returns the sub-vector covering blocks [blockOff, blockOff+nBlocks)
 // of v. The result shares the underlying segment memory — no bytes move —
 // with the boundary segments resliced as needed. A result that fits in one
@@ -182,36 +169,6 @@ func (v BlockVec) Range(fn func(blockOff int, seg []byte) error) error {
 		off += len(s) / v.bs
 	}
 	return nil
-}
-
-// Flatten gathers the vec into one contiguous buffer. A single-segment vec
-// returns its segment directly (no copy, aliasing the caller's buffer);
-// otherwise a fresh buffer is allocated. It is the escape hatch for
-// consumers that genuinely need contiguity — the I/O paths should not.
-func (v BlockVec) Flatten() []byte {
-	if len(v.rest) == 0 {
-		return v.seg0
-	}
-	out := make([]byte, 0, v.Bytes())
-	out = append(out, v.seg0...)
-	for _, s := range v.rest {
-		out = append(out, s...)
-	}
-	return out
-}
-
-// CopyIn scatters src across the vec's segments, returning the bytes
-// copied. Used by scratch-based fallbacks and tests; the zero-copy paths
-// never call it.
-func (v BlockVec) CopyIn(src []byte) int {
-	done := copy(v.seg0, src)
-	for _, s := range v.rest {
-		if done >= len(src) {
-			break
-		}
-		done += copy(s, src[done:])
-	}
-	return done
 }
 
 // VecDevice is the vectored transfer surface of the two leaf devices

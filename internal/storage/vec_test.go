@@ -11,17 +11,27 @@ import (
 
 // randomVecOver carves buf into a random segmentation of whole blocks.
 func randomVecOver(src *prng.Source, bs int, buf []byte) BlockVec {
-	v := Vec(bs)
+	var segs [][]byte
 	n := len(buf) / bs
 	for off := 0; off < n; {
 		seg := 1 + int(src.Uint64n(4))
 		if seg > n-off {
 			seg = n - off
 		}
-		v = v.Append(buf[off*bs : (off+seg)*bs])
+		segs = append(segs, buf[off*bs:(off+seg)*bs])
 		off += seg
 	}
-	return v
+	return Vec(bs, segs...)
+}
+
+// flatten gathers v's segments into one buffer.
+func flatten(v BlockVec) []byte {
+	var out []byte
+	_ = v.Range(func(_ int, seg []byte) error {
+		out = append(out, seg...)
+		return nil
+	})
+	return out
 }
 
 func TestBlockVecHelpers(t *testing.T) {
@@ -42,13 +52,12 @@ func TestBlockVecHelpers(t *testing.T) {
 	if v.Len() != 6 || v.Bytes() != 6*bs || v.Segments() != 3 {
 		t.Fatalf("Len=%d Bytes=%d Segments=%d", v.Len(), v.Bytes(), v.Segments())
 	}
-	flat := v.Flatten()
 	want := append(append(append([]byte(nil), a...), b...), c...)
-	if !bytes.Equal(flat, want) {
-		t.Fatal("Flatten mismatch")
+	if !bytes.Equal(flatten(v), want) {
+		t.Fatal("vec content mismatch")
 	}
 	// Full-range slice reproduces the vec; zero-length slice is empty.
-	if got := v.Slice(0, 6).Flatten(); !bytes.Equal(got, want) {
+	if got := flatten(v.Slice(0, 6)); !bytes.Equal(got, want) {
 		t.Fatal("full Slice mismatch")
 	}
 	if v.Slice(4, 0).Len() != 0 {
@@ -63,7 +72,7 @@ func TestBlockVecHelpers(t *testing.T) {
 	if a[bs] != 'X' {
 		t.Fatal("Slice does not alias the source segment")
 	}
-	if !bytes.Equal(sub.Flatten(), append(append([]byte(nil), a[bs:]...), b[:2*bs]...)) {
+	if !bytes.Equal(flatten(sub), append(append([]byte(nil), a[bs:]...), b[:2*bs]...)) {
 		t.Fatal("Slice content mismatch")
 	}
 	// Range walks segments with correct block offsets.
@@ -77,11 +86,6 @@ func TestBlockVecHelpers(t *testing.T) {
 		if offs[i] != wantOffs[i] {
 			t.Fatalf("Range offsets %v, want %v", offs, wantOffs)
 		}
-	}
-	// Single-segment Flatten aliases, multi-segment does not.
-	one := Vec(bs, a)
-	if &one.Flatten()[0] != &a[0] {
-		t.Fatal("single-segment Flatten should alias")
 	}
 	// Malformed segments panic.
 	for _, bad := range [][]byte{nil, make([]byte, bs-1)} {
@@ -237,8 +241,8 @@ func TestFaultDeviceVecPartial(t *testing.T) {
 		if !bytes.Equal(got[:budget*bs], payload[:budget*bs]) {
 			t.Fatalf("budget %d: prefix content mismatch", budget)
 		}
-		if mem.WrittenBlocks() != budget {
-			t.Fatalf("budget %d: %d blocks materialized", budget, mem.WrittenBlocks())
+		if writtenBlocks(mem) != budget {
+			t.Fatalf("budget %d: %d blocks materialized", budget, writtenBlocks(mem))
 		}
 
 		// Same contract on the read side.
@@ -299,7 +303,7 @@ func TestVecSegmentErrorRebasing(t *testing.T) {
 	if errors.As(err, &pe) || !errors.Is(err, ErrOutOfRange) {
 		t.Fatalf("overflowing vec: %v, want plain ErrOutOfRange", err)
 	}
-	if small.WrittenBlocks() != 0 {
+	if writtenBlocks(small) != 0 {
 		t.Fatal("rejected vec must have no partial effects")
 	}
 }

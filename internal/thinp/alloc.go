@@ -18,8 +18,6 @@ import (
 type Allocator interface {
 	// PickFree returns a free block index from bm.
 	PickFree(bm *Bitmap) (uint64, error)
-	// Name identifies the strategy in experiment output.
-	Name() string
 }
 
 // SequentialAllocator is the stock dm-thin strategy: first-fit from a
@@ -37,9 +35,6 @@ var _ Allocator = (*SequentialAllocator)(nil)
 
 // NewSequentialAllocator returns the stock allocator starting at block 0.
 func NewSequentialAllocator() *SequentialAllocator { return &SequentialAllocator{} }
-
-// Name implements Allocator.
-func (a *SequentialAllocator) Name() string { return "sequential" }
 
 // PickFree implements Allocator.
 func (a *SequentialAllocator) PickFree(bm *Bitmap) (uint64, error) {
@@ -69,9 +64,6 @@ var _ Allocator = (*RandomAllocator)(nil)
 func NewRandomAllocator(src *prng.Source) *RandomAllocator {
 	return &RandomAllocator{src: src}
 }
-
-// Name implements Allocator.
-func (a *RandomAllocator) Name() string { return "random" }
 
 // PickFree implements Allocator.
 func (a *RandomAllocator) PickFree(bm *Bitmap) (uint64, error) {

@@ -418,12 +418,3 @@ func TestAllocatorsReportFull(t *testing.T) {
 		t.Fatalf("random err = %v", err)
 	}
 }
-
-func TestAllocatorNames(t *testing.T) {
-	if NewSequentialAllocator().Name() != "sequential" {
-		t.Fatal("sequential name")
-	}
-	if NewRandomAllocator(prng.NewSource(1)).Name() != "random" {
-		t.Fatal("random name")
-	}
-}

@@ -233,21 +233,28 @@ func TestIncrementalCommitWriteDelta(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	metaStats.ResetStats()
+	// written returns the metadata blocks written since its last call.
+	var w0 uint64
+	written := func() uint64 {
+		w := metaStats.Metrics().WriteBlocks.Load()
+		w, w0 = w-w0, w
+		return w
+	}
+	written()
 	if err := commitFull(p); err != nil {
 		t.Fatal(err)
 	}
-	fullWrites := metaStats.Metrics().WriteBlocks.Load()
+	fullWrites := written()
 	// Touch one already-mapped block (no metadata change) plus one fresh
 	// block, then commit incrementally.
 	if err := storage.WriteBlocks(thin, 10000, make([]byte, blockSize)); err != nil {
 		t.Fatal(err)
 	}
-	metaStats.ResetStats()
+	written()
 	if err := p.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	deltaWrites := metaStats.Metrics().WriteBlocks.Load()
+	deltaWrites := written()
 
 	if fullWrites < 100 {
 		t.Fatalf("full commit wrote %d blocks; expected a large image", fullWrites)
@@ -259,19 +266,19 @@ func TestIncrementalCommitWriteDelta(t *testing.T) {
 	// No-op commits: the first still carries the previous delta into the
 	// other A/B slot; the second finds its target slot already identical
 	// and writes exactly one block — the superblock flip.
-	metaStats.ResetStats()
+	written()
 	if err := p.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	firstNoop := metaStats.Metrics().WriteBlocks.Load()
+	firstNoop := written()
 	if firstNoop*10 > fullWrites {
 		t.Fatalf("first no-op commit wrote %d of %d blocks; want <10%%", firstNoop, fullWrites)
 	}
-	metaStats.ResetStats()
+	written()
 	if err := p.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if got := metaStats.Metrics().WriteBlocks.Load(); got != 1 {
+	if got := written(); got != 1 {
 		t.Fatalf("steady-state no-op commit wrote %d blocks, want 1", got)
 	}
 }

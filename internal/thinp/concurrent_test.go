@@ -104,7 +104,7 @@ func TestGroupCommitFolds(t *testing.T) {
 	// Wait until every follower is parked at the door (calls counts each
 	// Commit on entry), then release the gate.
 	for {
-		if p.Metrics().CommitCalls.Load() == followers+1 {
+		if p.m.CommitCalls.Load() == followers+1 {
 			break
 		}
 		time.Sleep(time.Millisecond)

@@ -192,7 +192,9 @@ func TestOpenPoolRollsBackTornSuperblock(t *testing.T) {
 	if err := p.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	active := p.ActiveSlot()
+	p.mu.RLock()
+	active := p.active
+	p.mu.RUnlock()
 
 	// Tear the freshly flipped superblock: flip a byte in its checksum.
 	super := make([]byte, blockSize)

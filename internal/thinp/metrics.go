@@ -86,9 +86,6 @@ func (s PoolSnapshot) FoldRatio() float64 {
 	return float64(s.CommitCalls) / float64(s.CommitFlips)
 }
 
-// Metrics exposes the pool's live counters.
-func (p *Pool) Metrics() *PoolMetrics { return &p.m }
-
 // MetricsSnapshot captures the pool's current metric values. CommitFlips
 // is loaded before CommitCalls so the snapshot preserves calls >= flips
 // even against racing commits.

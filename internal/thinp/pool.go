@@ -461,14 +461,6 @@ func (p *Pool) takeStagedNoise() []byte {
 	return b
 }
 
-// StagedNoiseBlocks reports how many pre-generated noise payloads are
-// currently stocked (tests observe the stage through it).
-func (p *Pool) StagedNoiseBlocks() int {
-	p.stage.mu.Lock()
-	defer p.stage.mu.Unlock()
-	return len(p.stage.bufs)
-}
-
 // newPool builds the shell shared by CreatePool and OpenPool.
 func newPool(data, meta storage.Device, opts Options) *Pool {
 	p := &Pool{
@@ -561,9 +553,6 @@ func (p *Pool) bmLen() int { return int((p.data.NumBlocks()+63)/64) * 8 }
 // DataDevice returns the pool's data device.
 func (p *Pool) DataDevice() storage.Device { return p.data }
 
-// AllocatorName reports the active allocation strategy.
-func (p *Pool) AllocatorName() string { return p.opts.Allocator.Name() }
-
 // FreeBlocks returns the number of unallocated data blocks.
 func (p *Pool) FreeBlocks() uint64 {
 	p.mu.RLock()
@@ -589,14 +578,6 @@ func (p *Pool) TransactionID() uint64 {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	return p.txID
-}
-
-// ActiveSlot returns the metadata slot (0 or 1) holding the last committed
-// image.
-func (p *Pool) ActiveSlot() int {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.active
 }
 
 // Recovery returns the A/B slot selection performed when the pool was
@@ -787,10 +768,6 @@ func (p *Pool) PhysicalBlocks(id int) ([]uint64, error) {
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out, nil
 }
-
-// Flight returns the pool's request-lifecycle recorder (Options.Flight;
-// nil is a valid always-disabled recorder).
-func (p *Pool) Flight() *obs.FlightRecorder { return p.flight }
 
 // flightID returns fid unchanged when the request is already tagged.
 // Untagged calls (fid 0) get a fresh id while recording is enabled, so

@@ -22,9 +22,6 @@ type Thin struct {
 	id   int
 }
 
-// ID returns the thin device id.
-func (t *Thin) ID() int { return t.id }
-
 // BlockSize implements storage.Device.
 func (t *Thin) BlockSize() int { return t.pool.blockSize }
 

@@ -11,17 +11,17 @@ import (
 
 // vecOver carves buf into a random whole-block segmentation.
 func vecOver(src *prng.Source, buf []byte) storage.BlockVec {
-	v := storage.Vec(blockSize)
+	var segs [][]byte
 	n := len(buf) / blockSize
 	for off := 0; off < n; {
 		seg := 1 + int(src.Uint64n(4))
 		if seg > n-off {
 			seg = n - off
 		}
-		v = v.Append(buf[off*blockSize : (off+seg)*blockSize])
+		segs = append(segs, buf[off*blockSize:(off+seg)*blockSize])
 		off += seg
 	}
-	return v
+	return storage.Vec(blockSize, segs...)
 }
 
 // TestThinVecPartialWriteUnwind drives a scatter-gather write into a
@@ -91,6 +91,13 @@ func TestThinVecPartialWriteUnwind(t *testing.T) {
 	}
 }
 
+// stagedNoise is the number of pre-generated noise payloads p holds.
+func stagedNoise(p *Pool) int {
+	p.stage.mu.Lock()
+	defer p.stage.mu.Unlock()
+	return len(p.stage.bufs)
+}
+
 // TestNoiseStaging pins the staged dummy-noise satellite: pools with a
 // policy pre-generate noise payloads outside the mapping lock before
 // provisioning passes, dummy writes consume the stage, and policy-less
@@ -106,7 +113,7 @@ func TestNoiseStaging(t *testing.T) {
 	if err := p.CreateThin(2, 1024); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.StagedNoiseBlocks(); got != 0 {
+	if got := stagedNoise(p); got != 0 {
 		t.Fatalf("fresh pool staged %d blocks", got)
 	}
 	thin, err := p.Thin(1)
@@ -118,7 +125,7 @@ func TestNoiseStaging(t *testing.T) {
 	if err := thin.WriteBlock(0, make([]byte, blockSize)); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.StagedNoiseBlocks(); got != noiseStageTarget-4 {
+	if got := stagedNoise(p); got != noiseStageTarget-4 {
 		t.Fatalf("staged=%d after one burst, want %d", got, noiseStageTarget-4)
 	}
 	if got := p.DummyBlocksWritten(); got != 4 {
@@ -128,7 +135,7 @@ func TestNoiseStaging(t *testing.T) {
 	if err := thin.WriteBlock(1, make([]byte, blockSize)); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.StagedNoiseBlocks(); got != noiseStageTarget-4 {
+	if got := stagedNoise(p); got != noiseStageTarget-4 {
 		t.Fatalf("staged=%d after refill+burst, want %d", got, noiseStageTarget-4)
 	}
 	// Staged noise must be keystream, not junk: every dummy block on the
@@ -161,11 +168,11 @@ func TestNoiseStaging(t *testing.T) {
 	}
 
 	// Overwrites (no provisioning) do not touch the stage.
-	before := p.StagedNoiseBlocks()
+	before := stagedNoise(p)
 	if err := thin.WriteBlock(0, make([]byte, blockSize)); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.StagedNoiseBlocks(); got != before {
+	if got := stagedNoise(p); got != before {
 		t.Fatalf("overwrite changed stage: %d -> %d", before, got)
 	}
 
@@ -181,7 +188,7 @@ func TestNoiseStaging(t *testing.T) {
 	if err := t2.WriteBlock(0, make([]byte, blockSize)); err != nil {
 		t.Fatal(err)
 	}
-	if got := p2.StagedNoiseBlocks(); got != 0 {
+	if got := stagedNoise(p2); got != 0 {
 		t.Fatalf("policy-less pool staged %d blocks", got)
 	}
 }

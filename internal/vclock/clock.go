@@ -84,18 +84,12 @@ type Meter struct {
 	lastWrite uint64
 	haveRead  bool
 	haveWrite bool
-
-	cryptoBytes uint64
-	ioBytes     uint64
 }
 
 // NewMeter returns a Meter charging against clock with profile costs.
 func NewMeter(clock *Clock, profile Profile) *Meter {
 	return &Meter{clock: clock, profile: profile}
 }
-
-// Clock returns the underlying clock.
-func (m *Meter) Clock() *Clock { return m.clock }
 
 // Profile returns the cost profile.
 func (m *Meter) Profile() Profile { return m.profile }
@@ -108,7 +102,6 @@ func (m *Meter) ChargeRead(idx uint64, n int) {
 	seq := m.haveRead && idx == m.lastRead+1
 	m.lastRead = idx
 	m.haveRead = true
-	m.ioBytes += uint64(n)
 	m.mu.Unlock()
 
 	d := bytesDuration(uint64(n), m.profile.SeqReadBps)
@@ -124,7 +117,6 @@ func (m *Meter) ChargeWrite(idx uint64, n int) {
 	seq := m.haveWrite && idx == m.lastWrite+1
 	m.lastWrite = idx
 	m.haveWrite = true
-	m.ioBytes += uint64(n)
 	m.mu.Unlock()
 
 	d := bytesDuration(uint64(n), m.profile.SeqWriteBps)
@@ -140,9 +132,6 @@ func (m *Meter) ChargeCrypto(n int) {
 	if m == nil {
 		return
 	}
-	m.mu.Lock()
-	m.cryptoBytes += uint64(n)
-	m.mu.Unlock()
 	m.clock.Advance(bytesDuration(uint64(n), m.profile.CryptBps))
 }
 
@@ -187,18 +176,4 @@ func (m *Meter) ChargeSeqRead(n uint64) {
 // per-request penalties.
 func (m *Meter) ChargeSeqWrite(n uint64) {
 	m.clock.Advance(bytesDuration(n, m.profile.SeqWriteBps))
-}
-
-// CryptoBytes returns the total bytes charged to crypto so far.
-func (m *Meter) CryptoBytes() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.cryptoBytes
-}
-
-// IOBytes returns the total bytes charged to I/O so far.
-func (m *Meter) IOBytes() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.ioBytes
 }

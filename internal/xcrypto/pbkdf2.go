@@ -1,6 +1,6 @@
 // Package xcrypto implements the cryptographic substrate of the MobiCeal
-// reproduction: PBKDF2 (RFC 2898), AES-XTS and AES-CBC-ESSIV sector ciphers
-// (the dm-crypt modes), the discarded-key noise generator used by dummy
+// reproduction: PBKDF2 (RFC 2898), the AES-XTS sector cipher (the dm-crypt
+// mode, "aes-xts-plain64"), the discarded-key noise generator used by dummy
 // writes, and the Android-style crypto footer with MobiCeal's key-derivation
 // trick (decrypting the same footer ciphertext under different passwords
 // yields the decoy key or a hidden key, so hidden keys occupy no extra
@@ -13,7 +13,6 @@ package xcrypto
 import (
 	"crypto/hmac"
 	"crypto/sha1"
-	"crypto/sha256"
 	"encoding/binary"
 	"hash"
 )
@@ -59,9 +58,4 @@ func PBKDF2Key(password, salt []byte, iter, keyLen int, h func() hash.Hash) []by
 // PBKDF2SHA1 derives a key with HMAC-SHA1, the Android 4.x cryptfs default.
 func PBKDF2SHA1(password, salt []byte, iter, keyLen int) []byte {
 	return PBKDF2Key(password, salt, iter, keyLen, sha1.New)
-}
-
-// PBKDF2SHA256 derives a key with HMAC-SHA256.
-func PBKDF2SHA256(password, salt []byte, iter, keyLen int) []byte {
-	return PBKDF2Key(password, salt, iter, keyLen, sha256.New)
 }

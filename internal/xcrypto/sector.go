@@ -30,8 +30,6 @@ type SectorCipher interface {
 	EncryptSector(sector uint64, dst, src []byte) error
 	// DecryptSector inverts EncryptSector.
 	DecryptSector(sector uint64, dst, src []byte) error
-	// KeySize returns the length in bytes of the cipher's key.
-	KeySize() int
 }
 
 func checkSectorBuffers(dst, src []byte) error {

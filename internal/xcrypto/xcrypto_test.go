@@ -2,6 +2,7 @@ package xcrypto
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/hex"
 	"errors"
 	"testing"
@@ -40,10 +41,10 @@ func TestPBKDF2SHA1KnownVectors(t *testing.T) {
 // PBKDF2-HMAC-SHA256 vector (from the RFC 6070 suite recomputed with
 // SHA-256, widely published).
 func TestPBKDF2SHA256KnownVector(t *testing.T) {
-	got := PBKDF2SHA256([]byte("password"), []byte("salt"), 1, 32)
+	got := PBKDF2Key([]byte("password"), []byte("salt"), 1, 32, sha256.New)
 	want := "120fb6cffcf8b32c43e7225256c4f837a86548c92ccc35480805987cb70be17b"
 	if hex.EncodeToString(got) != want {
-		t.Errorf("PBKDF2SHA256 = %x, want %s", got, want)
+		t.Errorf("PBKDF2 HMAC-SHA256 = %x, want %s", got, want)
 	}
 }
 
@@ -198,64 +199,6 @@ func TestGFMulAlphaCarry(t *testing.T) {
 	t0, t1 = gfMulAlpha(0x8000000000000000, 0)
 	if t0 != 0 || t1 != 1 {
 		t.Fatalf("cross-word carry = %#x,%#x, want 0,1", t0, t1)
-	}
-}
-
-func TestESSIVRoundtrip(t *testing.T) {
-	for _, keyLen := range []int{16, 24, 32} {
-		key := make([]byte, keyLen)
-		key[0] = byte(keyLen)
-		e, err := NewESSIV(key)
-		if err != nil {
-			t.Fatalf("NewESSIV(%d): %v", keyLen, err)
-		}
-		plain := make([]byte, 512)
-		for i := range plain {
-			plain[i] = byte(i)
-		}
-		ct := make([]byte, 512)
-		pt := make([]byte, 512)
-		if err := e.EncryptSector(9, ct, plain); err != nil {
-			t.Fatal(err)
-		}
-		if err := e.DecryptSector(9, pt, ct); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(pt, plain) {
-			t.Fatalf("keyLen %d: roundtrip mismatch", keyLen)
-		}
-		if err := e.DecryptSector(10, pt, ct); err != nil {
-			t.Fatal(err)
-		}
-		if bytes.Equal(pt, plain) {
-			t.Fatal("decrypting at wrong sector still yielded plaintext")
-		}
-	}
-}
-
-func TestESSIVRejectsBadKey(t *testing.T) {
-	if _, err := NewESSIV(make([]byte, 17)); !errors.Is(err, ErrKeySize) {
-		t.Fatalf("17-byte key err = %v, want ErrKeySize", err)
-	}
-}
-
-func TestESSIVSameSectorDeterministic(t *testing.T) {
-	key := make([]byte, 32)
-	e, err := NewESSIV(key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain := make([]byte, 64)
-	a := make([]byte, 64)
-	b := make([]byte, 64)
-	if err := e.EncryptSector(3, a, plain); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.EncryptSector(3, b, plain); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Fatal("sector encryption not deterministic")
 	}
 }
 
@@ -468,22 +411,6 @@ func TestFooterPropertyMarshalRoundtrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
-	}
-}
-
-func BenchmarkESSIVEncrypt4K(b *testing.B) {
-	key := make([]byte, 32)
-	e, err := NewESSIV(key)
-	if err != nil {
-		b.Fatal(err)
-	}
-	buf := make([]byte, 4096)
-	b.SetBytes(4096)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := e.EncryptSector(uint64(i), buf, buf); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

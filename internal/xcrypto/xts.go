@@ -24,7 +24,6 @@ import (
 type XTS struct {
 	dataCipher  cipher.Block
 	tweakCipher cipher.Block
-	keySize     int
 	// kern is the kernels' key schedules, nil when this build or this CPU
 	// has no kernel.
 	kern *xtsKernel
@@ -48,7 +47,7 @@ func NewXTS(key []byte) (*XTS, error) {
 	if err != nil {
 		return nil, fmt.Errorf("xcrypto: XTS tweak cipher: %w", err)
 	}
-	return &XTS{dataCipher: dataCipher, tweakCipher: tweakCipher, keySize: len(key), kern: newXTSKernel(key[:half], key[half:])}, nil
+	return &XTS{dataCipher: dataCipher, tweakCipher: tweakCipher, kern: newXTSKernel(key[:half], key[half:])}, nil
 }
 
 // NewXTSPlain64 builds the cipher dm-crypt configures as "aes-xts-plain64"
@@ -62,9 +61,6 @@ func NewXTSPlain64(key []byte) (*XTS, error) {
 	}
 	return NewXTS(key[:32])
 }
-
-// KeySize implements SectorCipher.
-func (x *XTS) KeySize() int { return x.keySize }
 
 // EncryptSector implements SectorCipher.
 func (x *XTS) EncryptSector(sector uint64, dst, src []byte) error {

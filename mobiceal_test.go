@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"mobiceal"
+	"mobiceal/internal/android"
 	"mobiceal/internal/prng"
 )
 
@@ -167,8 +168,8 @@ func TestFacadePhone(t *testing.T) {
 	if err := phone.SwitchToHidden("hidden"); err != nil {
 		t.Fatal(err)
 	}
-	if phone.Mode() != mobiceal.ModeHidden {
-		t.Fatalf("mode = %v", phone.Mode())
+	if src := phone.Mounts()[android.PathData]; src != android.SrcHidden {
+		t.Fatalf("/data mounted from %q after the switch, want %q", src, android.SrcHidden)
 	}
 }
 
