@@ -42,12 +42,13 @@ loc:
 # against its per-block oracle on every stack layer, every XTS kernel
 # path against the Go loop, the CRC kernel against hash/crc64, the on-disk bitmap parser
 # and its rank index against a recount and a linear scan, OpenPool over
-# arbitrary metadata-device bytes against the pool's own checkers, and the
-# trace-file parser against its own encoder. The engine also minimizes
+# arbitrary metadata-device bytes against the pool's own checkers, core.Open
+# over arbitrary crypto-footer bytes, and the trace-file parser against its
+# own encoder. The engine also minimizes
 # every input that merely widens coverage, by default for up to a minute
 # each — six of the ten seconds went there for the multi-KiB XTS inputs —
 # hence the cap.
-FUZZ_TARGETS = FuzzDo:./internal/storage/ FuzzXTSKernel:./internal/xcrypto/ FuzzCRC:./internal/crc/ FuzzBitmap:./internal/thinp/ FuzzOpenPool:./internal/thinp/ FuzzReadJSONL:./internal/obs/
+FUZZ_TARGETS = FuzzDo:./internal/storage/ FuzzXTSKernel:./internal/xcrypto/ FuzzCRC:./internal/crc/ FuzzBitmap:./internal/thinp/ FuzzOpenPool:./internal/thinp/ FuzzFooter:./internal/core/ FuzzReadJSONL:./internal/obs/
 fuzz:
 	@for t in $(FUZZ_TARGETS); do \
 		$(GO) test -run '^$$' -fuzz="^$${t%%:*}$$" -fuzztime=10s -fuzzminimizetime=2s "$${t#*:}" || exit 1; \

@@ -225,10 +225,9 @@ func renderTraceReport(w io.Writer, rep *mobiceal.TraceReport) {
 
 	fmt.Fprintf(w, "\nqueue depth: max %d mean %.2f; in flight: max %d\n",
 		rep.QueueMax, rep.QueueMean, rep.FlightMax)
-	if rep.Commits.Rounds > 0 {
-		fmt.Fprintf(w, "commits: %d rounds, %d folded (mean %.2f); door wait %s\n",
-			rep.Commits.Rounds, rep.Commits.Folded, rep.Commits.MeanFolded,
-			rep.Commits.DoorWait)
+	if c := rep.Commits; c.Rounds+c.Elided > 0 {
+		fmt.Fprintf(w, "commits: %d rounds, %d folded (mean %.2f); %d elided flushes (%d callers), %.2f calls per flip; door wait %s\n",
+			c.Rounds, c.Folded, c.MeanFolded, c.Elided, c.ElidedFolded, c.CallsPerFlip, c.DoorWait)
 	}
 	if len(rep.Errors) > 0 {
 		classes := make([]string, 0, len(rep.Errors))

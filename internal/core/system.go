@@ -313,6 +313,12 @@ func hiddenIndexCollision(f *xcrypto.Footer, hiddenPasswords []string, decoyPass
 // crash recovery: the thin pool's A/B metadata is validated and the newest
 // durable transaction selected, so a device that lost power mid-commit
 // opens to exactly its pre- or post-commit state (Recovery reports which).
+//
+// The volume count n comes from the footer, and it must agree with the
+// pool: at least 2 volumes, held as exactly thins 1..n. A footer that
+// says otherwise is refused with xcrypto.ErrBadFooter — a count too high
+// would send dummy writes to thins that do not exist, one too low would
+// silently turn dummy writes off.
 func Open(dev storage.Device, cfg Config) (*System, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
@@ -320,6 +326,9 @@ func Open(dev storage.Device, cfg Config) (*System, error) {
 	footer, err := xcrypto.ReadFooter(dev)
 	if err != nil {
 		return nil, fmt.Errorf("core: reading footer: %w", err)
+	}
+	if footer.NumVolumes < 2 {
+		return nil, fmt.Errorf("core: %w: %d volumes", xcrypto.ErrBadFooter, footer.NumVolumes)
 	}
 	cfg.NumVolumes = int(footer.NumVolumes)
 	metaBlocks, dataBlocks, _, err := layout(dev)
@@ -335,6 +344,11 @@ func Open(dev storage.Device, cfg Config) (*System, error) {
 	}
 	if err := sys.buildPool(false); err != nil {
 		return nil, err
+	}
+	// ThinIDs is sorted and distinct, so n ids from 1 to n are exactly 1..n.
+	if ids := sys.pool.ThinIDs(); len(ids) != cfg.NumVolumes || ids[0] != 1 || ids[len(ids)-1] != len(ids) {
+		return nil, fmt.Errorf("core: %w: %d volumes, but the pool holds %d thins",
+			xcrypto.ErrBadFooter, cfg.NumVolumes, len(ids))
 	}
 	return sys, nil
 }

@@ -100,9 +100,6 @@ func (s *System) OpenPublic(password string) (*Volume, error) {
 // cannot distinguish "wrong password" from "there is no hidden volume",
 // which is the point.
 func (s *System) OpenHidden(password string) (*Volume, error) {
-	if s.cfg.NumVolumes < 2 {
-		return nil, ErrBadPassword
-	}
 	id := s.footer.HiddenIndex(password)
 	ok, err := s.checkVerifier(id, password)
 	if err != nil {
@@ -135,9 +132,6 @@ func (s *System) OpenHidden(password string) (*Volume, error) {
 // opening it — the Vold switching function's check (Sec. V-B), which
 // returns -1 on mismatch.
 func (s *System) VerifyHidden(password string) (int, bool) {
-	if s.cfg.NumVolumes < 2 {
-		return -1, false
-	}
 	id := s.footer.HiddenIndex(password)
 	ok, err := s.checkVerifier(id, password)
 	if err != nil || !ok {

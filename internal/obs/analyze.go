@@ -10,8 +10,8 @@ package obs
 //
 // plus time-weighted queue-depth and in-flight timelines (from Q/D/C
 // transitions), and commit-round attribution (how many callers folded
-// into each metadata slot flip, and how long each waited on the
-// group-commit door).
+// into each metadata slot flip or elided round, and how long each waited
+// on the group-commit door).
 
 import (
 	"fmt"
@@ -76,22 +76,32 @@ type OpLat struct {
 	Q2C LatDist `json:"q2c"`
 }
 
-// CommitRound is one metadata slot flip and the callers folded into it.
+// CommitRound is one commit round and the callers folded into it: a
+// metadata slot flip, or an elided round of flushes that found the pool
+// unchanged (Elided; FlipAtNS is then when it returned).
 type CommitRound struct {
 	Round    uint64  `json:"round"`
 	Folded   int     `json:"folded"` // callers folded (from the flip event)
 	Joins    int     `json:"joins"`  // join events observed in-window
 	FlipAtNS int64   `json:"flip_at_ns"`
+	Elided   bool    `json:"elided,omitempty"`
 	DoorWait LatDist `json:"door_wait"` // per-joiner flip.At - join.At
 }
 
 // CommitSummary aggregates commit-round attribution across the window.
+// Rounds, Folded and MeanFolded count flips only; Elided rounds and the
+// ElidedFolded callers they covered are counted apart. CallsPerFlip is
+// every caller over the flips — the trace-side twin of the pool's
+// FoldRatio.
 type CommitSummary struct {
-	Rounds     int           `json:"rounds"`
-	Folded     int           `json:"folded"`
-	MeanFolded float64       `json:"mean_folded"`
-	DoorWait   LatDist       `json:"door_wait"`
-	PerRound   []CommitRound `json:"per_round,omitempty"`
+	Rounds       int           `json:"rounds"`
+	Folded       int           `json:"folded"`
+	MeanFolded   float64       `json:"mean_folded"`
+	Elided       int           `json:"elided"`
+	ElidedFolded int           `json:"elided_folded"`
+	CallsPerFlip float64       `json:"calls_per_flip"`
+	DoorWait     LatDist       `json:"door_wait"`
+	PerRound     []CommitRound `json:"per_round,omitempty"`
 }
 
 // TimelinePoint is one sample of the queue-depth / in-flight timelines.
@@ -218,8 +228,9 @@ func Analyze(events []FlightEvent) *TraceReport {
 			}
 		case StageCommitJoin:
 			joins[ev.Aux] = append(joins[ev.Aux], ev.At)
-		case StageCommitFlip:
-			flips[ev.Aux] = &CommitRound{Round: ev.Aux, Folded: int(ev.N), FlipAtNS: ev.At}
+		case StageCommitFlip, StageCommitElide:
+			flips[ev.Aux] = &CommitRound{Round: ev.Aux, Folded: int(ev.N), FlipAtNS: ev.At,
+				Elided: ev.Stage == StageCommitElide}
 		}
 
 		if depthChanged {
@@ -322,12 +333,18 @@ func Analyze(events []FlightEvent) *TraceReport {
 		cr.Joins = len(joins[r])
 		allWaits = append(allWaits, waits...)
 		cr.DoorWait = distOf(waits)
-		rep.Commits.Rounds++
-		rep.Commits.Folded += cr.Folded
+		if cr.Elided {
+			rep.Commits.Elided++
+			rep.Commits.ElidedFolded += cr.Folded
+		} else {
+			rep.Commits.Rounds++
+			rep.Commits.Folded += cr.Folded
+		}
 		rep.Commits.PerRound = append(rep.Commits.PerRound, *cr)
 	}
-	if rep.Commits.Rounds > 0 {
-		rep.Commits.MeanFolded = float64(rep.Commits.Folded) / float64(rep.Commits.Rounds)
+	if c := &rep.Commits; c.Rounds > 0 {
+		c.MeanFolded = float64(c.Folded) / float64(c.Rounds)
+		c.CallsPerFlip = float64(c.Folded+c.ElidedFolded) / float64(c.Rounds)
 	}
 	rep.Commits.DoorWait = distOf(allWaits)
 	if len(rep.Errors) == 0 {
@@ -347,7 +364,7 @@ func Signatures(evs []FlightEvent) []string {
 	var order []uint64
 	for _, ev := range evs {
 		aux := ""
-		if ev.Stage == StageCommitJoin || ev.Stage == StageCommitFlip {
+		if ev.Stage == StageCommitJoin || ev.Stage == StageCommitFlip || ev.Stage == StageCommitElide {
 			aux = fmt.Sprintf("@%d", ev.Aux)
 		}
 		if _, seen := byReq[ev.ReqID]; !seen {

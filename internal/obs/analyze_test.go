@@ -87,6 +87,35 @@ func TestAnalyzeMergeAndCommit(t *testing.T) {
 	}
 }
 
+// TestAnalyzeElidedRound pins the attribution of a round of flushes that
+// found the pool unchanged: its commit-elide event makes it a round of its
+// own, counted apart from the flips, and its callers enter the calls per
+// flip as they enter the pool's FoldRatio.
+func TestAnalyzeElidedRound(t *testing.T) {
+	us := func(n int64) int64 { return n * int64(time.Microsecond) }
+	evs := append(syntheticTrace(),
+		// Two flushes join round 4, which elides at 260µs.
+		FlightEvent{ReqID: 5, At: us(210), Stage: StageCommitJoin, Op: FOpSync, Aux: 4},
+		FlightEvent{ReqID: 6, At: us(230), Stage: StageCommitJoin, Op: FOpSync, Aux: 4},
+		FlightEvent{ReqID: 5, At: us(260), Stage: StageCommitElide, Op: FOpSync, N: 2, Aux: 4},
+	)
+	c := Analyze(evs).Commits
+	if c.Rounds != 1 || c.Folded != 2 || c.MeanFolded != 2 {
+		t.Fatalf("flips: %+v, want the one flip of round 3 folding 2", c)
+	}
+	if c.Elided != 1 || c.ElidedFolded != 2 || c.CallsPerFlip != 4 {
+		t.Fatalf("elided %d (%d callers), %.2f calls per flip; want 1, 2, 4",
+			c.Elided, c.ElidedFolded, c.CallsPerFlip)
+	}
+	if len(c.PerRound) != 2 {
+		t.Fatalf("per round: %+v, want rounds 3 and 4", c.PerRound)
+	}
+	cr := c.PerRound[1]
+	if cr.Round != 4 || !cr.Elided || cr.Joins != 2 || cr.DoorWait.MaxNS != us(50) {
+		t.Fatalf("round 4 = %+v, want elided, 2 joins, 50µs door wait", cr)
+	}
+}
+
 func TestAnalyzeTimeline(t *testing.T) {
 	rep := Analyze(syntheticTrace())
 	// 4 Q events before any D: max queued depth is 3 (writes 1,2 + read

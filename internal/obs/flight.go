@@ -13,7 +13,7 @@ package obs
 // The stage vocabulary mirrors blktrace actions where an analogue exists
 // (Q=queued, G=handed to a worker, D=dispatched, C=completed) and adds
 // the thinp stages the kernel hides inside dm (map-resolve, provision,
-// commit-join, commit-flip) plus the leaf device op recorded by
+// commit-join, commit-flip, commit-elide) plus the leaf device op recorded by
 // storage.StatsDevice.
 //
 // Design constraints, in order:
@@ -80,6 +80,10 @@ const (
 	// StageCommitFlip: a commit round flipped the metadata slot; Aux is
 	// the round, N the number of callers folded into it.
 	StageCommitFlip
+	// StageCommitElide: a round of flushes found the pool unchanged and
+	// returned without a transaction; Aux is the round, N the number of
+	// callers it covered.
+	StageCommitElide
 
 	// StageDevOp: a leaf device operation observed by storage.StatsDevice.
 	StageDevOp
@@ -88,16 +92,17 @@ const (
 )
 
 var stageNames = [stageCount]string{
-	stageInvalid:    "?",
-	StageQueued:     "Q",
-	StageStaged:     "G",
-	StageDispatch:   "D",
-	StageComplete:   "C",
-	StageMapResolve: "map-resolve",
-	StageProvision:  "provision",
-	StageCommitJoin: "commit-join",
-	StageCommitFlip: "commit-flip",
-	StageDevOp:      "devop",
+	stageInvalid:     "?",
+	StageQueued:      "Q",
+	StageStaged:      "G",
+	StageDispatch:    "D",
+	StageComplete:    "C",
+	StageMapResolve:  "map-resolve",
+	StageProvision:   "provision",
+	StageCommitJoin:  "commit-join",
+	StageCommitFlip:  "commit-flip",
+	StageCommitElide: "commit-elide",
+	StageDevOp:       "devop",
 }
 
 func (s Stage) String() string {

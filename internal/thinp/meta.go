@@ -295,6 +295,14 @@ type commitBatch struct {
 	// it while deciding how long to hold the door open (see groupCommit):
 	// it is written under doorMu but read outside it, hence atomic.
 	joins atomic.Int64
+	// explicit is set, under doorMu, when any caller of the round came
+	// through Commit rather than a flush: such a round always makes a
+	// transaction. commitOnce reads it once the door has closed.
+	explicit bool
+	// elided is set by commitOnce when a flush-only round found the pool
+	// unchanged and returned without a transaction; only the leader
+	// reads it, after commitOnce returns.
+	elided bool
 }
 
 // Commit persists the pool metadata transactionally: the transaction id is
@@ -318,12 +326,19 @@ type commitBatch struct {
 // happened-before it parked, and the leader snapshots the delta only
 // after every parked caller joined.
 //
+// Commit always makes a transaction, even over an unchanged pool (the
+// transaction id still advances). A flush (Thin.sync, the REQ_FLUSH
+// analogue) is cheaper: like dm-thin's commit, which runs only when
+// dm_pool_changed_this_transaction says so, a round whose callers are all
+// flushes and which finds nothing to fold returns without I/O (see
+// commitOnce and DESIGN.md "Flush elision").
+//
 // A commit reached through a traced sync request carries the request's
 // flight id: the caller's park at the commit door records a commit-join,
 // and — if this caller ends up leading the round — the successful flip
 // records a commit-flip whose N is the number of callers the one A/B flip
-// covered.
-func (p *Pool) Commit() error { return p.groupCommit(0) }
+// covered, or, for an elided round, a commit-elide with the same N.
+func (p *Pool) Commit() error { return p.groupCommit(0, true) }
 
 // groupCommit is the commit door. The first committer through becomes the
 // round's leader; committers arriving while the round has not yet started
@@ -338,13 +353,15 @@ func (p *Pool) Commit() error { return p.groupCommit(0) }
 // Correctness is unchanged: a joiner's mutations happened-before joining
 // (doorMu), joining happened-before the door close (doorMu again), and the
 // close happens-before the fold/detach under the same p.mu hold — so one
-// flip durably covers the whole batch.
-func (p *Pool) groupCommit(fid uint64) error {
+// flip durably covers the whole batch. explicit marks a Commit call, as
+// opposed to a flush; one explicit caller keeps its round from eliding.
+func (p *Pool) groupCommit(fid uint64, explicit bool) error {
 	fid = p.flightID(fid)
 	p.doorMu.Lock()
 	p.m.CommitCalls.Inc()
 	if b := p.batch; b != nil {
 		b.joins.Add(1)
+		b.explicit = b.explicit || explicit
 		round := b.round
 		p.doorMu.Unlock()
 		if fid != 0 {
@@ -353,7 +370,7 @@ func (p *Pool) groupCommit(fid uint64) error {
 		<-b.done
 		return b.err
 	}
-	b := &commitBatch{done: make(chan struct{}), round: p.commitRound.Add(1)}
+	b := &commitBatch{done: make(chan struct{}), round: p.commitRound.Add(1), explicit: explicit}
 	p.batch = b
 	p.doorMu.Unlock()
 	if fid != 0 {
@@ -384,12 +401,17 @@ func (p *Pool) groupCommit(fid uint64) error {
 	b.err = p.commitOnce(b)
 	if b.err == nil {
 		// Count only flips that actually reached the device: a failed
-		// round leaves the active slot untouched.
-		p.m.CommitFlips.Inc()
+		// round leaves the active slot untouched, an elided one never
+		// wrote it.
+		stage := obs.StageCommitElide
+		if !b.elided {
+			p.m.CommitFlips.Inc()
+			stage = obs.StageCommitFlip
+		}
 		if fid != 0 {
-			// N is how many Commit calls this one A/B flip covered
-			// (leader + joiners) — the trace-side view of the fold ratio.
-			p.flight.Record(fid, obs.StageCommitFlip, obs.FOpSync,
+			// N is how many callers this round covered (leader + joiners)
+			// — the trace-side view of the fold ratio.
+			p.flight.Record(fid, stage, obs.FOpSync,
 				uint32(b.joins.Load()+1), obs.ClassNone, b.round)
 		}
 	}
@@ -437,9 +459,11 @@ func (p *Pool) commitOnce(b *commitBatch) error {
 	// and those mutations are visible to the fold below. Late arrivals
 	// lead the next round. (b is nil for the format commit of a pool under
 	// construction, which has no door.)
+	explicit := true
 	if b != nil {
 		p.doorMu.Lock()
 		p.batch = nil
+		explicit = b.explicit
 		p.doorMu.Unlock()
 	}
 	// A read-only or failed pool cannot make anything durable; refuse
@@ -448,6 +472,18 @@ func (p *Pool) commitOnce(b *commitBatch) error {
 	if err := p.checkMutableLocked(); err != nil {
 		p.mu.Unlock()
 		return err
+	}
+	// A round of flushes only makes a transaction if the pool changed.
+	// Rounds fold and flip only under commitMu, which the caller holds, so
+	// a pool with nothing to fold here means every mutation that
+	// happened-before these flushes was folded by a round that has already
+	// flipped: a round that failed left its delta unfolded (still dirty)
+	// or degraded the pool (refused above). The target slot's catch-up
+	// blocks wait for the next real round.
+	if !explicit && p.unchangedLocked() {
+		b.elided = true
+		p.mu.Unlock()
+		return nil
 	}
 	// The new transaction id is published to p.txID only at the phase-3
 	// flip: until the superblock lands, TransactionID() must keep
@@ -466,7 +502,8 @@ func (p *Pool) commitOnce(b *commitBatch) error {
 			return err
 		}
 	case len(p.dirtyBM) == 0 && !p.anyThinDirtyLocked():
-		// Nothing changed but the transaction id; the arena is current.
+		// An explicit Commit over an unchanged pool: the arena is current,
+		// and the round makes a transaction of the new id alone.
 	default:
 		if !p.applyDeltaLocked(changed) {
 			// The in-place accounting lost sync with the arena (or the
@@ -645,6 +682,14 @@ func (p *Pool) refreshSums(changed *metaDirty) {
 		}
 		return nil
 	})
+}
+
+// unchangedLocked reports whether a commit round would have nothing to
+// make durable: no structural change, no dirty bitmap word, no dirty
+// thin, and an empty transaction record. Caller holds p.mu exclusively.
+func (p *Pool) unchangedLocked() bool {
+	return !p.structDirty && p.image != nil && len(p.dirtyBM) == 0 &&
+		len(p.txAlloc) == 0 && len(p.txFree) == 0 && !p.anyThinDirtyLocked()
 }
 
 // anyThinDirtyLocked reports whether any thin's mappings changed since the

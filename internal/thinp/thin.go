@@ -485,8 +485,11 @@ func (t *Thin) discard(start, count uint64) error {
 // sync serves one sync request, matching dm-thin's REQ_FLUSH handling: the
 // data flush goes down in the request's own slot and records a leaf devop
 // under its id, and the metadata commit records the commit-join/commit-flip
-// pair — so a traced Flush shows exactly which group-commit round absorbed
-// it and how long the door held.
+// pair (commit-join/commit-elide when the round found nothing to commit) —
+// so a traced Flush shows exactly which group-commit round absorbed it and
+// how long the door held. The data flush runs every time: an overwrite of
+// a mapped block changes no metadata, and only the data flush makes it
+// durable.
 func (t *Thin) sync(one []storage.Req) error {
 	r := &one[0]
 	submitted, fid := r.FID, t.pool.flightID(r.FID)
@@ -496,7 +499,7 @@ func (t *Thin) sync(one []storage.Req) error {
 	if err != nil {
 		return err
 	}
-	return t.pool.groupCommit(fid)
+	return t.pool.groupCommit(fid, false)
 }
 
 // Close implements storage.Device. Thin views are cheap handles; closing
