@@ -55,7 +55,10 @@ fuzz:
 	done
 
 # Contention triage: the writer-scaling sweep with mutex profiling; the
-# profile lands in /tmp/mutex.out for `go tool pprof`.
+# profile lands in /tmp/mutex.out for `go tool pprof`. The pattern takes
+# the procs=4 cases: a thin per writer (pool lock, allocation mutex,
+# commit door) and procs=4/shared, two and four writers on one thin (its
+# thin lock and transfer guard).
 mutexprofile:
 	$(GO) test -run XXX -bench 'BenchmarkConcurrentWriters/procs=4' \
 		-benchtime 8000x -mutexprofile /tmp/mutex.out ./internal/thinp/

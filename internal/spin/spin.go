@@ -23,8 +23,10 @@ import (
 // ~85 µs when it has to wake a sleeping one, while on RAM the locks that
 // poll are held for a few microseconds at most. The budget sits low in that
 // range because a poll that fails is pure loss: over a direct image a thin
-// lock's holder is in a device transfer for hundreds of microseconds, and
-// the fresh-write row reads the same from 10 to 160 µs.
+// lock held by a read or a dummy burst is held through a device transfer
+// of hundreds of microseconds (a write's transfer holds the thin's transfer
+// guard instead, which only an unmap waits for), and the fresh-write row
+// read the same from 10 to 160 µs.
 const Budget = 30 * time.Microsecond
 
 // Acquire polls try until it succeeds or Budget has passed and reports

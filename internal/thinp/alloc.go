@@ -107,8 +107,8 @@ func (p *Pool) allocate(fid uint64) (uint64, error) {
 		p.allocMu.Unlock()
 		return 0, fmt.Errorf("thinp: marking block %d: %w", pb, err)
 	}
-	p.txAlloc[pb] = struct{}{}
-	p.dirtyBM[pb/64] = struct{}{}
+	p.txAlloc.add(pb)
+	p.dirtyBM.add(pb / 64)
 	p.allocMu.Unlock()
 	p.m.Provisions.Inc()
 	p.m.AllocLat.Since(t0)
@@ -131,16 +131,15 @@ func (p *Pool) release(pb uint64) (sameTx bool, err error) {
 	if err := p.bm.Clear(pb); err != nil {
 		return false, err
 	}
-	if _, thisTx := p.txAlloc[pb]; thisTx {
-		delete(p.txAlloc, pb)
+	if p.txAlloc.remove(pb) {
 		if err := p.allocBM.Clear(pb); err != nil {
 			return false, err
 		}
 		sameTx = true
 	} else {
-		p.txFree[pb] = struct{}{}
+		p.txFree.add(pb)
 	}
-	p.dirtyBM[pb/64] = struct{}{}
+	p.dirtyBM.add(pb / 64)
 	p.m.Releases.Inc()
 	return sameTx, nil
 }
@@ -175,19 +174,19 @@ func (p *Pool) CheckConsistency() error {
 		}
 		quarantine += uint64(popcount(p.allocBM.words[w] &^ p.bm.words[w]))
 	}
-	for pb := range p.txFree {
-		if p.bm.IsAllocated(pb) || !p.allocBM.IsAllocated(pb) {
-			return fmt.Errorf("thinp: freed block %d is not quarantined", pb)
+	var err error
+	p.txFree.forEach(func(pb uint64) {
+		if err == nil && (p.bm.IsAllocated(pb) || !p.allocBM.IsAllocated(pb)) {
+			err = fmt.Errorf("thinp: freed block %d is not quarantined", pb)
 		}
-	}
-	for pb := range p.txAlloc {
-		_, refreed := p.txFree[pb]
-		if !p.allocBM.IsAllocated(pb) || !p.bm.IsAllocated(pb) && !refreed {
-			return fmt.Errorf("thinp: block %d allocated this transaction is free", pb)
+	})
+	p.txAlloc.forEach(func(pb uint64) {
+		if err == nil && (!p.allocBM.IsAllocated(pb) || !p.bm.IsAllocated(pb) && !p.txFree.has(pb)) {
+			err = fmt.Errorf("thinp: block %d allocated this transaction is free", pb)
 		}
+	})
+	if err == nil && p.inFlightAlloc == nil && quarantine != uint64(p.txFree.len()) {
+		err = fmt.Errorf("thinp: %d blocks quarantined, transaction frees %d", quarantine, p.txFree.len())
 	}
-	if p.inFlightAlloc == nil && quarantine != uint64(len(p.txFree)) {
-		return fmt.Errorf("thinp: %d blocks quarantined, transaction frees %d", quarantine, len(p.txFree))
-	}
-	return nil
+	return err
 }

@@ -57,24 +57,36 @@ func (d *syncLatencyDevice) Sync() error {
 // microseconds to milliseconds), the latency group commit amortizes.
 // commits/flip is the group-commit fold over the timed region; DESIGN.md
 // "Commit rounds" carries the table and what it rests on (the door hold).
+// procs=4/shared/writers=N puts all N writers on thin 1, each on vblocks
+// of its own: the same-thin contention (thin lock, transfer guard) the
+// per-thin cases never meet.
 func BenchmarkConcurrentWriters(b *testing.B) {
 	for _, procs := range []int{1, 4} {
 		for _, writers := range []int{1, 4, 16, 64} {
 			b.Run(fmt.Sprintf("procs=%d/writers=%d", procs, writers), func(b *testing.B) {
 				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-				benchWriters(b, writers, 0)
+				benchWriters(b, writers, 0, false)
 			})
 		}
+	}
+	for _, writers := range []int{2, 4} {
+		b.Run(fmt.Sprintf("procs=4/shared/writers=%d", writers), func(b *testing.B) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+			benchWriters(b, writers, 0, true)
+		})
 	}
 	const lat = 100 * time.Microsecond
 	for _, writers := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("synclat=%v/writers=%d", lat, writers), func(b *testing.B) {
-			benchWriters(b, writers, lat)
+			benchWriters(b, writers, lat, false)
 		})
 	}
 }
 
-func benchWriters(b *testing.B, writers int, lat time.Duration) {
+// benchWriters runs the sweep's loop with writers goroutines, each on a
+// thin of its own, or, with shared set, all on thin 1, writer w on the
+// vblocks congruent to w modulo writers.
+func benchWriters(b *testing.B, writers int, lat time.Duration, shared bool) {
 	const (
 		virt       = 1024
 		dataBlocks = 128 * 1024
@@ -93,7 +105,11 @@ func benchWriters(b *testing.B, writers int, lat time.Duration) {
 		b.Fatal(err)
 	}
 	init := make([]byte, virt*blockSize)
-	for id := 1; id <= writers; id++ {
+	thins := writers
+	if shared {
+		thins = 1
+	}
+	for id := 1; id <= thins; id++ {
 		if err := p.CreateThin(id, virt); err != nil {
 			b.Fatal(err)
 		}
@@ -118,7 +134,11 @@ func benchWriters(b *testing.B, writers int, lat time.Duration) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			thin, err := p.Thin(w + 1)
+			id, first, stride := w+1, uint64(0), uint64(1)
+			if shared {
+				id, first, stride = 1, uint64(w), uint64(writers)
+			}
+			thin, err := p.Thin(id)
 			if err != nil {
 				b.Error(err)
 				return
@@ -126,7 +146,7 @@ func benchWriters(b *testing.B, writers int, lat time.Duration) {
 			buf := make([]byte, blockSize)
 			var i uint64
 			for next.Add(1) <= int64(b.N) {
-				vb := i % virt
+				vb := (first + i*stride) % virt
 				i++
 				if err := thin.Discard(vb); err != nil {
 					b.Error(err)

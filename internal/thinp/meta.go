@@ -3,7 +3,6 @@ package thinp
 import (
 	"bytes"
 	"fmt"
-	"maps"
 	"math/bits"
 	"runtime"
 	"sort"
@@ -161,18 +160,6 @@ func (f *crcBlockFolder) fold(sums []uint64) uint64 {
 		c = f.apply(c) ^ s
 	}
 	return c
-}
-
-// resetSet empties a delta set. A set that just carried a large delta is
-// reallocated rather than cleared: Go's map clear walks the map's grown
-// bucket array, so clearing a once-large map would put an O(largest
-// historical delta) term on every later commit.
-func resetSet[K comparable](m *map[K]struct{}) {
-	if len(*m) > 256 {
-		*m = make(map[K]struct{})
-	} else {
-		clear(*m)
-	}
 }
 
 // metaDirty is a bitset over the meta blocks of one image slot, tracking
@@ -501,7 +488,7 @@ func (p *Pool) commitOnce(b *commitBatch) error {
 			p.mu.Unlock()
 			return err
 		}
-	case len(p.dirtyBM) == 0 && !p.anyThinDirtyLocked():
+	case p.dirtyBM.len() == 0 && !p.anyThinDirtyLocked():
 		// An explicit Commit over an unchanged pool: the arena is current,
 		// and the round makes a transaction of the new id alone.
 	default:
@@ -522,17 +509,17 @@ func (p *Pool) commitOnce(b *commitBatch) error {
 	nThins := len(p.thins)
 	// Detach the transaction record: this commit makes exactly these
 	// allocations and frees durable. Mutations that land while the slot
-	// I/O is in flight accumulate in fresh maps (sized like this round's,
-	// so they do not regrow under allocMu) and belong to the next
-	// commit — including frees of the blocks detached here, which
-	// quarantine as frees of committed state (their mappings are durable
-	// the moment this commit's superblock lands). The detached record
-	// stays visible through inFlightAlloc: the allocations are still
-	// pending (not durable) until the flip, and PendingAllocations must
-	// say so.
+	// I/O is in flight accumulate in the cleared spares swapped in here
+	// and belong to the next commit — including frees of the blocks
+	// detached here, which quarantine as frees of committed state (their
+	// mappings are durable the moment this commit's superblock lands). The
+	// detached record stays visible through inFlightAlloc: the
+	// allocations are still pending (not durable) until the flip, and
+	// PendingAllocations must say so. Phase 3 resets the detached sets and
+	// keeps them as the next round's spares.
 	committedAlloc, committedFree := p.txAlloc, p.txFree
-	p.txAlloc = make(map[uint64]struct{}, len(committedAlloc))
-	p.txFree = make(map[uint64]struct{}, len(committedFree))
+	p.txAlloc, p.spareAlloc = p.spareAlloc, nil
+	p.txFree, p.spareFree = p.spareFree, nil
 	p.inFlightAlloc = committedAlloc
 	p.mu.Unlock()
 	// The arena is final for this round: from here to the flip it is only
@@ -561,6 +548,11 @@ func (p *Pool) commitOnce(b *commitBatch) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.inFlightAlloc = nil
+	defer func() {
+		committedAlloc.reset()
+		committedFree.reset()
+		p.spareAlloc, p.spareFree = committedAlloc, committedFree
+	}()
 	if ioErr != nil {
 		// The target slot's on-disk content is now unknown; rewrite it
 		// wholesale next time. The active slot still diverges by this
@@ -570,8 +562,8 @@ func (p *Pool) commitOnce(b *commitBatch) error {
 		// the same slot, so no duplicate id can reach stable storage.)
 		writeSet.setAll()
 		p.pending[p.active].or(changed)
-		maps.Copy(p.txAlloc, committedAlloc)
-		maps.Copy(p.txFree, committedFree)
+		p.txAlloc.or(committedAlloc)
+		p.txFree.or(committedFree)
 		// The metadata device will not take a commit: nothing new can
 		// become durable, so the pool degrades to read-only. The merge-back
 		// above left the in-memory delta intact, so reads keep serving the
@@ -586,16 +578,19 @@ func (p *Pool) commitOnce(b *commitBatch) error {
 	p.txID = newTx
 	// The frees are durable now: quarantined blocks return to the
 	// allocator's view.
-	for pb := range committedFree {
-		if err := p.allocBM.Clear(pb); err != nil {
-			// The superblock flip already landed but the allocator view
-			// cannot be reconciled: in-memory state is no longer
-			// trustworthy. Fail the pool — only a reopen, which reloads
-			// the (fully durable) committed state, recovers.
-			p.setModeLocked(PoolFail,
-				fmt.Sprintf("post-commit bookkeeping: %v", err))
-			return fmt.Errorf("thinp: releasing quarantined block %d: %w", pb, err)
+	var relErr error
+	committedFree.forEach(func(pb uint64) {
+		if err := p.allocBM.Clear(pb); err != nil && relErr == nil {
+			relErr = fmt.Errorf("thinp: releasing quarantined block %d: %w", pb, err)
 		}
+	})
+	if relErr != nil {
+		// The superblock flip already landed but the allocator view
+		// cannot be reconciled: in-memory state is no longer
+		// trustworthy. Fail the pool — only a reopen, which reloads the
+		// (fully durable) committed state, recovers.
+		p.setModeLocked(PoolFail, fmt.Sprintf("post-commit bookkeeping: %v", relErr))
+		return relErr
 	}
 	// Durable frees may have refilled the allocator's view.
 	p.maybeRecoverSpaceLocked()
@@ -639,8 +634,7 @@ func (p *Pool) rebuildImageLocked(changed *metaDirty) error {
 		tm.segOff = off
 		tm.segLen = marshalThinTo(img[off:], tm)
 		off += tm.segLen
-		resetSet(&tm.added)
-		resetSet(&tm.removed)
+		tm.pt.resetDelta()
 	}
 	p.segIDs = ids
 
@@ -657,7 +651,7 @@ func (p *Pool) rebuildImageLocked(changed *metaDirty) error {
 	}
 	p.image = img
 	p.refreshSums(changed)
-	resetSet(&p.dirtyBM)
+	p.dirtyBM.reset()
 	p.structDirty = false
 	return nil
 }
@@ -688,8 +682,8 @@ func (p *Pool) refreshSums(changed *metaDirty) {
 // make durable: no structural change, no dirty bitmap word, no dirty
 // thin, and an empty transaction record. Caller holds p.mu exclusively.
 func (p *Pool) unchangedLocked() bool {
-	return !p.structDirty && p.image != nil && len(p.dirtyBM) == 0 &&
-		len(p.txAlloc) == 0 && len(p.txFree) == 0 && !p.anyThinDirtyLocked()
+	return !p.structDirty && p.image != nil && p.dirtyBM.len() == 0 &&
+		p.txAlloc.len() == 0 && p.txFree.len() == 0 && !p.anyThinDirtyLocked()
 }
 
 // anyThinDirtyLocked reports whether any thin's mappings changed since the
@@ -726,74 +720,54 @@ func (p *Pool) applyDeltaLocked(changed *metaDirty) bool {
 	}
 
 	// Dirty bitmap words patch in place; their positions are fixed.
-	if !p.patchBitmapLocked(changed) {
-		return false
-	}
+	p.patchBitmapLocked(changed)
 
 	// Classify dirty thins: a thin whose adds exactly equal its removes
 	// was discarded-and-reprovisioned at the same vblocks — entry
-	// positions are unchanged and the new physical blocks patch in place.
-	// Anything else changes its segment length or entry positions and
-	// goes through the suffix splice.
-	var splice []int
-	for id, tm := range p.thins {
+	// positions are unchanged and the new physical blocks patch in place,
+	// which also empties its delta. The thins left dirty change their
+	// segment length or entry positions and go through the suffix splice.
+	splice := false
+	for _, tm := range p.thins {
 		if !tm.dirty() {
 			continue
 		}
-		pure := len(tm.added) == len(tm.removed)
-		if pure {
-			for vb := range tm.added {
-				if _, ok := tm.removed[vb]; !ok {
-					pure = false
-					break
-				}
-			}
-		}
-		if pure {
-			if !p.patchEntriesLocked(tm, changed) {
-				return false
-			}
-		} else {
-			splice = append(splice, id)
+		if !tm.pt.pureDelta() {
+			splice = true
+		} else if !p.patchEntriesLocked(tm, changed) {
+			return false
 		}
 	}
-	if len(splice) == 0 {
+	if !splice {
 		p.refreshSums(changed)
 		return true
 	}
-	sort.Ints(splice)
-	if !p.spliceSegmentsLocked(splice, oldContent, newContent, newPadded, changed) {
+	if !p.spliceSegmentsLocked(oldContent, newContent, newPadded, changed) {
 		return false
 	}
 	p.refreshSums(changed)
 	return true
 }
 
-// patchBitmapLocked patches every dirty bitmap word into the arena and
-// marks the touched meta blocks in changed, reporting false — before
-// touching anything — when a word falls outside the bitmap region (caller
-// rebuilds). Caller holds p.mu exclusively, so the bitmap words and the
-// arena are quiescent.
-func (p *Pool) patchBitmapLocked(changed *metaDirty) bool {
+// patchBitmapLocked patches every dirty bitmap word into the arena — the
+// set is bounded by the bitmap's word count, so every word lies inside the
+// bitmap region — and marks the touched meta blocks in changed. Caller
+// holds p.mu exclusively, so the bitmap words and the arena are quiescent.
+func (p *Pool) patchBitmapLocked(changed *metaDirty) {
 	bs := p.meta.BlockSize()
-	for w := range p.dirtyBM {
-		if int(w)*8+8 > p.bmLen() {
-			return false
-		}
-	}
-	for w := range p.dirtyBM {
+	p.dirtyBM.forEach(func(w uint64) {
 		putUint64(p.image[w*8:], p.bm.words[w])
 		markBytes(changed, int(w)*8, int(w)*8+8, bs)
-	}
-	resetSet(&p.dirtyBM)
-	return true
+	})
+	p.dirtyBM.reset()
 }
 
 // patchEntriesLocked rewrites the physical block of every updated entry of
 // tm in place. Caller holds p.mu.
 func (p *Pool) patchEntriesLocked(tm *thinMeta, changed *metaDirty) bool {
 	bs := p.meta.BlockSize()
-	for vb := range tm.added {
+	p.insBuf = tm.pt.appendDelta(p.insBuf[:0], false)
+	for _, vb := range p.insBuf {
 		pb, ok := tm.pt.get(vb)
 		if !ok {
 			return false
@@ -805,8 +779,7 @@ func (p *Pool) patchEntriesLocked(tm *thinMeta, changed *metaDirty) bool {
 		putUint64(p.image[pos+8:], pb)
 		markBytes(changed, pos+8, pos+16, bs)
 	}
-	resetSet(&tm.added)
-	resetSet(&tm.removed)
+	tm.pt.resetDelta()
 	return true
 }
 
@@ -817,17 +790,14 @@ func (p *Pool) patchEntriesLocked(tm *thinMeta, changed *metaDirty) bool {
 // the scratch buffer, each spliced segment is re-merged from its old
 // entries plus its add/remove delta, and clean segments are block-copied
 // at their shifted offsets. The cost is O(delta·log + shifted suffix), and
-// only genuinely moved or rewritten bytes are marked changed. Caller holds
-// p.mu.
-func (p *Pool) spliceSegmentsLocked(splice []int, oldContent, newContent, newPadded int, changed *metaDirty) bool {
+// only genuinely moved or rewritten bytes are marked changed. The spliced
+// segments are those of the thins still dirty: the pure patches before it
+// emptied their deltas. Caller holds p.mu.
+func (p *Pool) spliceSegmentsLocked(oldContent, newContent, newPadded int, changed *metaDirty) bool {
 	bs := p.meta.BlockSize()
-	spliceSet := make(map[int]bool, len(splice))
-	for _, id := range splice {
-		spliceSet[id] = true
-	}
 	firstIdx := -1
 	for i, id := range p.segIDs {
-		if spliceSet[id] {
+		if p.thins[id].dirty() {
 			firstIdx = i
 			break
 		}
@@ -841,8 +811,11 @@ func (p *Pool) spliceSegmentsLocked(splice []int, oldContent, newContent, newPad
 	// inserted/deleted vblock keep their bytes and positions; the splice
 	// starts right after them.
 	tm1 := p.thins[p.segIDs[firstIdx]]
-	ins1 := sortedKeys(tm1.added)
-	del1 := sortedKeys(tm1.removed)
+	// The first segment's delta lists are consumed by the loop's first
+	// iteration, before any later segment refills the buffers.
+	ins1 := tm1.pt.appendDelta(p.insBuf[:0], false)
+	del1 := tm1.pt.appendDelta(p.delBuf[:0], true)
+	p.insBuf, p.delBuf = ins1, del1
 	cutVb := ptUnmapped
 	if len(ins1) > 0 {
 		cutVb = ins1[0]
@@ -894,7 +867,7 @@ func (p *Pool) spliceSegmentsLocked(splice []int, oldContent, newContent, newPad
 		tm := p.thins[p.segIDs[i]]
 		oldOff, oldLen := tm.segOff, tm.segLen
 		oldCount := (oldLen - thinHeaderLen) / 16
-		if spliceSet[tm.id] {
+		if tm.dirty() {
 			ins, del := ins1, del1
 			kept := 0
 			var srcEnts []byte
@@ -902,8 +875,9 @@ func (p *Pool) spliceSegmentsLocked(splice []int, oldContent, newContent, newPad
 				kept = cutIdx
 				srcEnts = scratch[:16*(oldN1-cutIdx)]
 			} else {
-				ins = sortedKeys(tm.added)
-				del = sortedKeys(tm.removed)
+				p.insBuf = tm.pt.appendDelta(p.insBuf[:0], false)
+				p.delBuf = tm.pt.appendDelta(p.delBuf[:0], true)
+				ins, del = p.insBuf, p.delBuf
 				srcEnts = scratch[oldOff-scratchBase+thinHeaderLen : oldOff-scratchBase+oldLen]
 			}
 			newCount := int(tm.pt.count)
@@ -927,8 +901,7 @@ func (p *Pool) spliceSegmentsLocked(splice []int, oldContent, newContent, newPad
 			if !p.mergeEntriesLocked(tm, srcEnts, ins, del, out, outPos, w != oldOff, changed) {
 				return false
 			}
-			resetSet(&tm.added)
-			resetSet(&tm.removed)
+			tm.pt.resetDelta()
 			tm.segOff = w
 			tm.segLen = newLen
 			w += newLen
@@ -1052,16 +1025,6 @@ func (p *Pool) mergeEntriesLocked(tm *thinMeta, srcEnts []byte, ins, del []uint6
 		markBytes(changed, outPos+first, outPos+last, bs)
 	}
 	return true
-}
-
-// sortedKeys returns the keys of set in ascending order.
-func sortedKeys(set map[uint64]struct{}) []uint64 {
-	out := make([]uint64, 0, len(set))
-	for vb := range set {
-		out = append(out, vb)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // writeSlot writes the marked meta blocks of the arena into the slot, in

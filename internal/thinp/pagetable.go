@@ -1,5 +1,10 @@
 package thinp
 
+import (
+	"math/bits"
+	"slices"
+)
+
 // The per-thin mapping structure: a two-level dense page table keyed by
 // virtual block. Leaves are fixed-size arrays of physical block numbers
 // (ptUnmapped marking holes), so the hot-path lookup a thin I/O performs is
@@ -22,10 +27,15 @@ const (
 	ptUnmapped = ^uint64(0)
 )
 
-// ptLeaf holds the mappings of ptLeafSize consecutive virtual blocks.
+// ptLeaf holds the mappings of ptLeafSize consecutive virtual blocks, and
+// the leaf's share of the table's delta since the last commit fold: added
+// and removed carry one bit per entry, and listed says the leaf is on the
+// table's dirty-leaf list.
 type ptLeaf struct {
-	occ  int // mapped entries in this leaf
-	ents [ptLeafSize]uint64
+	occ            int // mapped entries in this leaf
+	listed         bool
+	added, removed [ptLeafSize / 64]uint64
+	ents           [ptLeafSize]uint64
 }
 
 // pageTable maps virtual block numbers to physical block numbers.
@@ -34,6 +44,12 @@ type pageTable struct {
 	count      uint64
 	leaves     []*ptLeaf
 	idx        rankIndex // per-leaf occupancy
+
+	// The delta: dirtyLeaves lists each leaf holding an added or removed
+	// bit once, and nAdded/nRemoved count the bits.
+	dirtyLeaves []int
+	nAdded      int
+	nRemoved    int
 }
 
 // newPageTable returns an empty table over virtBlocks virtual blocks.
@@ -198,4 +214,96 @@ func (p *pageTable) forEach(fn func(vb, pb uint64) bool) {
 			}
 		}
 	}
+}
+
+// noteMapped records that vb, just mapped, was mapped since the last fold.
+func (p *pageTable) noteMapped(vb uint64) {
+	l := p.deltaLeaf(vb)
+	if bit := uint64(1) << (vb % 64); l.added[(vb&ptLeafMask)/64]&bit == 0 {
+		l.added[(vb&ptLeafMask)/64] |= bit
+		p.nAdded++
+	}
+}
+
+// noteUnmapped records that vb, just unmapped, was unmapped. An entry added
+// since the last fold simply disappears; an entry the folded segment still
+// carries must be spliced out. An entry in both was discarded and
+// re-provisioned: same segment position, new physical block.
+func (p *pageTable) noteUnmapped(vb uint64) {
+	l := p.deltaLeaf(vb)
+	w, bit := (vb&ptLeafMask)/64, uint64(1)<<(vb%64)
+	if l.added[w]&bit != 0 {
+		// If vb was also remapped over a folded entry, its removed bit is
+		// already set and stays.
+		l.added[w] &^= bit
+		p.nAdded--
+		return
+	}
+	if l.removed[w]&bit == 0 {
+		l.removed[w] |= bit
+		p.nRemoved++
+	}
+}
+
+// deltaLeaf returns vb's leaf, listing it as dirty. vb's leaf exists: it
+// was mapped a moment ago.
+func (p *pageTable) deltaLeaf(vb uint64) *ptLeaf {
+	li := int(vb >> ptLeafBits)
+	l := p.leaves[li]
+	if !l.listed {
+		l.listed = true
+		p.dirtyLeaves = append(p.dirtyLeaves, li)
+	}
+	return l
+}
+
+// dirty reports whether the delta is non-empty.
+func (p *pageTable) dirty() bool { return p.nAdded > 0 || p.nRemoved > 0 }
+
+// pureDelta reports whether every removed entry was re-added and nothing
+// else changed: the folded segment keeps its entry positions, and only
+// physical block numbers move.
+func (p *pageTable) pureDelta() bool {
+	if p.nAdded != p.nRemoved {
+		return false
+	}
+	for _, li := range p.dirtyLeaves {
+		l := p.leaves[li]
+		for w := range l.added {
+			if l.added[w] != l.removed[w] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// appendDelta appends the added (or, with removed set, the removed)
+// vblocks to dst in ascending order.
+func (p *pageTable) appendDelta(dst []uint64, removed bool) []uint64 {
+	slices.Sort(p.dirtyLeaves)
+	for _, li := range p.dirtyLeaves {
+		l := p.leaves[li]
+		set := &l.added
+		if removed {
+			set = &l.removed
+		}
+		base := uint64(li) << ptLeafBits
+		for w, m := range set {
+			for ; m != 0; m &= m - 1 {
+				dst = append(dst, base+uint64(w)*64+uint64(bits.TrailingZeros64(m)))
+			}
+		}
+	}
+	return dst
+}
+
+// resetDelta empties the delta, touching only the listed leaves.
+func (p *pageTable) resetDelta() {
+	for _, li := range p.dirtyLeaves {
+		l := p.leaves[li]
+		l.added, l.removed, l.listed = [ptLeafSize / 64]uint64{}, [ptLeafSize / 64]uint64{}, false
+	}
+	p.dirtyLeaves = p.dirtyLeaves[:0]
+	p.nAdded, p.nRemoved = 0, 0
 }

@@ -106,27 +106,31 @@ type thinMeta struct {
 	// it, how often concurrent readers of one thin missed on pt and
 	// virtBlocks depended on where in a line the record was allocated,
 	// which differs from run to run.
-	_          [cacheLine]byte
-	mu         sync.RWMutex
+	_  [cacheLine]byte
+	mu sync.RWMutex
+	_  [cacheLine]byte
+	// guard is the transfer guard. A write holds it shared from its final
+	// mapping walk until its data has landed, and drops the thin lock
+	// before the transfer; every unmap (discardThinLocked) takes it
+	// exclusively while holding mu exclusively, so a block is never freed,
+	// and handed to another thin, under a write in flight. A writer takes
+	// it under mu shared, where no exclusive holder can exist, so it never
+	// waits. Every write writes its reader count, hence its own lines.
+	guard      sync.RWMutex
 	_          [cacheLine]byte
 	id         int
 	virtBlocks uint64
 	// pt maps virtual to physical blocks — a dense page table, so the
 	// per-block hot path is array indexing and marshaling walks entries in
-	// vblock order without sorting.
-	pt *pageTable
-
-	// Delta bookkeeping for the flat-cost metadata commit. added and
-	// removed record mapping entries that appeared/disappeared since the
-	// last commit; an entry in both was discarded and re-provisioned — same
-	// segment position, new physical block — which commits as an in-place
-	// patch. The thin's segment is dirty exactly when either set is
-	// non-empty (dirty). segOff/segLen locate the thin's marshaled segment
+	// vblock order without sorting. It also carries the thin's delta for
+	// the flat-cost metadata commit: the entries that appeared or
+	// disappeared since the last commit, as bits beside each leaf
+	// (pageTable.noteMapped). The thin's segment is dirty exactly when the
+	// delta is non-empty. segOff/segLen locate the thin's marshaled segment
 	// inside the pool's metadata image arena.
-	added   map[uint64]struct{}
-	removed map[uint64]struct{}
-	segOff  int
-	segLen  int
+	pt     *pageTable
+	segOff int
+	segLen int
 }
 
 // cacheLine is the coherence granule padded around the thin lock: 64 bytes
@@ -150,8 +154,6 @@ func newThinMeta(id int, virtBlocks uint64) *thinMeta {
 		id:         id,
 		virtBlocks: virtBlocks,
 		pt:         newPageTable(virtBlocks),
-		added:      make(map[uint64]struct{}),
-		removed:    make(map[uint64]struct{}),
 	}
 }
 
@@ -172,30 +174,22 @@ func (tm *thinMeta) rlock() {
 
 // dirty reports whether tm's mappings changed since its segment was last
 // marshaled into the arena.
-func (tm *thinMeta) dirty() bool { return len(tm.added) > 0 || len(tm.removed) > 0 }
+func (tm *thinMeta) dirty() bool { return tm.pt.dirty() }
 
-// mapSet maps vb to pb.
-func (tm *thinMeta) mapSet(vb, pb uint64) { tm.pt.set(vb, pb) }
-
-// mapDelete unmaps vb, reporting whether it was mapped.
-func (tm *thinMeta) mapDelete(vb uint64) bool { return tm.pt.delete(vb) }
-
-// noteMapped records that vb was mapped since the last segment marshal.
-func (tm *thinMeta) noteMapped(vb uint64) {
-	tm.added[vb] = struct{}{}
+// mapSet maps vb to pb and records the new entry in the delta.
+func (tm *thinMeta) mapSet(vb, pb uint64) {
+	tm.pt.set(vb, pb)
+	tm.pt.noteMapped(vb)
 }
 
-// noteUnmapped records that vb was unmapped. An entry that was added since
-// the last marshal simply disappears; an entry the marshaled segment still
-// carries must be spliced out.
-func (tm *thinMeta) noteUnmapped(vb uint64) {
-	if _, ok := tm.added[vb]; ok {
-		delete(tm.added, vb)
-		// If vb was also remapped over a committed entry, removed already
-		// holds it and must keep holding it.
-		return
+// mapDelete unmaps vb and records the removal in the delta, reporting
+// whether it was mapped.
+func (tm *thinMeta) mapDelete(vb uint64) bool {
+	if !tm.pt.delete(vb) {
+		return false
 	}
-	tm.removed[vb] = struct{}{}
+	tm.pt.noteUnmapped(vb)
+	return true
 }
 
 // Pool is the thin-pool target: data device + metadata device + global
@@ -216,10 +210,16 @@ func (tm *thinMeta) noteUnmapped(vb uint64) {
 //     the duration, an exclusive acquisition is still the pool-wide
 //     quiescence point the commit flip and discard/reallocation atomicity
 //     rely on.
-//   - Lock order: mu ≻ thin ≻ alloc ≻ leaves (noise stage, dummyMu,
-//     allocator, policy). At most one thin lock is held at a time — a
-//     dummy burst releases the triggering thin's lock before locking the
-//     target's.
+//   - Each thin also has a transfer guard (thinMeta.guard): a write's data
+//     transfer holds it shared in place of the thin lock, and every unmap
+//     takes it exclusively under the thin lock, so a provisioning writer
+//     waits only for walks and mapping changes, never for a neighbour's
+//     transfer. Reads and dummy bursts keep their thin lock across their
+//     transfers.
+//   - Lock order: mu ≻ thin ≻ guard ≻ alloc ≻ leaves (noise stage,
+//     dummyMu, allocator, policy). At most one thin lock is held at a time
+//     — a dummy burst releases the triggering thin's lock before locking
+//     the target's.
 //   - commitMu serializes the commit machinery (the image arena, the
 //     per-slot pending sets, the slot device writes). Commit holds mu only
 //     while folding the delta into the arena — the only time the arena is
@@ -256,15 +256,17 @@ type Pool struct {
 	// the free commits would let a crash rollback resurrect a committed
 	// mapping that now points at another volume's fresh data. Blocks
 	// allocated and freed within the same transaction are exempt — no
-	// committed mapping references them.
-	txAlloc map[uint64]struct{}
-	txFree  map[uint64]struct{}
-	allocBM *Bitmap
+	// committed mapping references them. Both are dense sets over the data
+	// blocks; spareAlloc and spareFree are cleared sets the commit swaps
+	// in when it detaches the record, so no round allocates or regrows one.
+	txAlloc, txFree       *blockSet
+	spareAlloc, spareFree *blockSet
+	allocBM               *Bitmap
 	// inFlightAlloc is the detached txAlloc of a commit whose slot I/O is
 	// in flight: those allocations are not durable until the flip, so
 	// PendingAllocations keeps counting them. Non-nil only between a
 	// commit's phase 1 and phase 3.
-	inFlightAlloc map[uint64]struct{}
+	inFlightAlloc *blockSet
 
 	// dummyMu serializes draws from opts.DummySrc (a bare prng.Source, not
 	// thread-safe) across concurrent dummy bursts.
@@ -312,9 +314,12 @@ type Pool struct {
 	changed     *metaDirty
 	scratch     []byte
 	superBuf    []byte
-	dirtyBM     map[uint64]struct{}
+	dirtyBM     *blockSet // bitmap words changed since the last fold
 	structDirty bool
 	recovery    Recovery
+	// insBuf and delBuf hold one thin's added and removed vblocks, in
+	// order, while a fold patches or splices its segment.
+	insBuf, delBuf []uint64
 
 	// Health ladder state (mode.go). mode only escalates, except the
 	// documented OutOfDataSpace→Write recovery; modeReason records why the
@@ -463,15 +468,18 @@ func (p *Pool) takeStagedNoise() []byte {
 
 // newPool builds the shell shared by CreatePool and OpenPool.
 func newPool(data, meta storage.Device, opts Options) *Pool {
+	n := data.NumBlocks()
 	p := &Pool{
 		data:        data,
 		blockSize:   data.BlockSize(),
 		meta:        meta,
 		opts:        opts,
 		thins:       make(map[int]*thinMeta),
-		dirtyBM:     make(map[uint64]struct{}),
-		txAlloc:     make(map[uint64]struct{}),
-		txFree:      make(map[uint64]struct{}),
+		dirtyBM:     newBlockSet((n + 63) / 64),
+		txAlloc:     newBlockSet(n),
+		txFree:      newBlockSet(n),
+		spareAlloc:  newBlockSet(n),
+		spareFree:   newBlockSet(n),
 		structDirty: true,
 		flight:      opts.Flight,
 	}
@@ -597,7 +605,11 @@ func (p *Pool) PendingAllocations() int {
 	defer p.mu.RUnlock()
 	p.allocMu.Lock()
 	defer p.allocMu.Unlock()
-	return len(p.inFlightAlloc) + len(p.txAlloc)
+	n := p.txAlloc.len()
+	if p.inFlightAlloc != nil {
+		n += p.inFlightAlloc.len()
+	}
+	return n
 }
 
 // CreateThin registers a thin device with the given id and virtual size.
@@ -815,7 +827,6 @@ func (p *Pool) provisionVB(tm *thinMeta, vb uint64, exclusive bool, fid uint64) 
 		return false, err
 	}
 	tm.mapSet(vb, pb)
-	tm.noteMapped(vb)
 	var target, count int
 	var fire bool
 	if p.opts.Policy != nil {
@@ -902,7 +913,6 @@ func (p *Pool) execDummy(target, count int) error {
 			break // pool filled up mid-write; same best-effort rule
 		}
 		tm.mapSet(vb, pb)
-		tm.noteMapped(vb)
 		vbs = append(vbs, vb)
 		if bfid != 0 {
 			// Same stage order as a real fresh write: provision (above),
@@ -959,8 +969,12 @@ func (p *Pool) randomUnmappedVBlock(tm *thinMeta) (uint64, bool) {
 }
 
 // discardThinLocked unmaps (tm, vblock) and frees its physical block.
-// Caller holds tm's thin lock (plus p.mu in either mode). Space recovery
-// is the caller's responsibility: exclusive contexts run
+// Caller holds tm's thin lock exclusively (plus p.mu in either mode). The
+// unmap takes tm's transfer guard exclusively, so it waits out every write
+// of tm still transferring: such a write resolved its blocks under the
+// thin lock, then dropped it, and a block freed under it could be
+// allocated to another thin and written there before this write lands.
+// Space recovery is the caller's responsibility: exclusive contexts run
 // maybeRecoverSpaceLocked after their batch, shared contexts poke
 // maybeRecoverSpace after dropping the read lock.
 func (p *Pool) discardThinLocked(tm *thinMeta, vblock uint64) error {
@@ -968,8 +982,11 @@ func (p *Pool) discardThinLocked(tm *thinMeta, vblock uint64) error {
 	if !ok {
 		return nil // discard of an unprovisioned block is a no-op
 	}
+	if !spin.Acquire(tm.guard.TryLock) {
+		tm.guard.Lock()
+	}
+	defer tm.guard.Unlock()
 	tm.mapDelete(vblock)
-	tm.noteUnmapped(vblock)
 	if _, err := p.release(pb); err != nil {
 		return fmt.Errorf("thinp: freeing block %d: %w", pb, err)
 	}

@@ -16,7 +16,9 @@ import (
 // dm-thin. Thin is safe for concurrent use; it shares the pool's shared
 // lock plus its own thin lock, so writers to different thins do not
 // contend on metadata resolution, and on allocation only for the few
-// hundred nanoseconds the pool's allocation mutex is held.
+// hundred nanoseconds the pool's allocation mutex is held. A write's data
+// transfer holds the thin's transfer guard instead of its thin lock, so
+// writers of one thin do not wait for each other's transfers.
 type Thin struct {
 	pool *Pool
 	id   int
@@ -162,7 +164,9 @@ func (t *Thin) checkVecLocked(start uint64, v storage.BlockVec) (*thinMeta, uint
 // data-device reads: the mapping resolution and the transfers it authorizes
 // are atomic against discard/commit, so a physical block can never be
 // freed, committed away and reallocated to another thin while a read of it
-// is in flight. Concurrent readers — of this thin or any other — take both
+// is in flight. Reads keep the thin lock rather than move to the transfer
+// guard writes hold: the guard would add a second reader count to every
+// read (DESIGN.md "Locking"). Concurrent readers — of this thin or any other — take both
 // locks shared and never contend; fine-grained writers to OTHER thins
 // proceed in parallel. Physically contiguous extent runs map to
 // sub-vectors of the caller's own segments (Slice shares memory, no bytes
@@ -231,10 +235,13 @@ const writeAttempts = 4
 // overwrites AND writes that provision — run under the pool's SHARED lock:
 // mapping mutation is serialized by the thin lock and allocation
 // by the pool's allocation mutex, so concurrent writers to different thins
-// proceed in parallel, provisioning included. Holding pool+thin across the
-// transfer means a concurrent discard+commit can never free a block and
-// hand it to another thin while this request's data is in flight. The
-// dummy-write policy is still consulted per provisioned block, preserving
+// proceed in parallel, provisioning included. The final fully-mapped walk
+// runs under the thin lock shared; the transfer then holds pool + guard
+// (thinMeta.guard) in place of the thin lock, so a provisioning writer of
+// the same thin does not wait for this request's memcpy, while a
+// concurrent discard (which takes the guard exclusively) or commit (the
+// pool lock exclusively) can never free a block and hand it to another
+// thin while this request's data is in flight. The dummy-write policy is still consulted per provisioned block, preserving
 // the paper's Sec. IV-B trigger semantics. A pass that provisioned holes
 // retries the resolve (the re-resolve sees the current mapping, including
 // blocks a racing writer provisioned first); after writeAttempts races the
@@ -334,8 +341,13 @@ func (t *Thin) write(r *storage.Req) error {
 			// transfer serves, so it is the one the trace records.
 			t.pool.flight.Record(fid, obs.StageMapResolve, obs.FOpWrite, uint32(n), obs.ClassNone, 0)
 		}
-		done, werr := t.writeExtentsLocked(fid, v, exts)
+		// The transfer holds the guard, not the thin lock: a provisioning
+		// writer of this thin waits for walks and mapping changes only,
+		// while an unmap still waits for this data to land.
+		tm.guard.RLock()
 		tm.mu.RUnlock()
+		done, werr := t.writeExtentsLocked(fid, v, exts)
+		tm.guard.RUnlock()
 		unlock()
 		if werr != nil {
 			// Discard this request's provisions whose data never landed:
@@ -386,9 +398,10 @@ func (t *Thin) provisionHoles(tm *thinMeta, holes []uint64, fresh *[]uint64, exc
 // writeExtentsLocked issues the resolved extent runs as one batch of
 // scatter-gather data-device requests over sub-vectors of the caller's
 // segments — submitted together, waited for once — and returns how many
-// blocks landed. Caller holds the pool lock (shared or exclusive) across
-// the call — that is the point: the mappings the extents were resolved
-// from cannot change while the data is in flight.
+// blocks landed. Caller holds the pool lock (shared or exclusive) and the
+// thin's transfer guard shared across the call — that is the point: the
+// mappings the extents were resolved from cannot be unmapped while the
+// data is in flight.
 //
 // "Landed" is prefix-shaped whatever the device did: every block of the
 // extents before the first failed one, plus that extent's own completed
