@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: test race bench bench-smoke loc fuzz mutexprofile fault-soak examples
+.PHONY: test race bench bench-smoke loc deadcode fuzz mutexprofile fault-soak examples
 
 test:
 	$(GO) build ./... && $(GO) test ./...
@@ -37,6 +37,13 @@ examples:
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' -print0 | xargs -0 cat | wc -l
 	@echo "$$(find . -name '*.s' ! -path './bench/*' -print0 | xargs -0 cat | wc -l) lines of assembly beside them"
+
+# The dead-code gate alone (deadcode_test.go): functions, write-only
+# fields, one-implementation interfaces, never-set options and unused
+# exported names that only tests keep. -v also prints the names only the
+# frozen bench/ module keeps alive: ROADMAP direction 11's worklist.
+deadcode:
+	$(GO) test -count=1 -run '^TestNoTestOnlyCode$$' -v .
 
 # Ten seconds of every fuzz target (the CI step): the request descriptor
 # against its per-block oracle on every stack layer, every XTS kernel

@@ -66,7 +66,7 @@ func lifecycle(profile vclock.Profile, name string, seed uint64) (timings, error
 		Entropy:    prng.NewSeededEntropy(seed),
 		Seed:       seed,
 		SeedSet:    true,
-	}, meter, mobiceal.NominalNexus4Userdata)
+	}, meter)
 
 	out := timings{device: name}
 	sw := vclock.NewStopwatch(&clock)

@@ -34,7 +34,7 @@ func run() error {
 		Entropy:    prng.NewSeededEntropy(42),
 		Seed:       42,
 		SeedSet:    true,
-	}, meter, mobiceal.NominalNexus4Userdata)
+	}, meter)
 
 	sw := vclock.NewStopwatch(&clock)
 	if err := phone.Initialize("decoy-pin", []string{"deep-secret"}); err != nil {

@@ -27,7 +27,7 @@ func TestEndToEndPhoneSessionUnderSurveillance(t *testing.T) {
 		Entropy:    prng.NewSeededEntropy(900),
 		Seed:       900,
 		SeedSet:    true,
-	}, meter, mobiceal.NominalNexus4Userdata)
+	}, meter)
 	vold := android.NewVold(phone)
 
 	// Provision through the vdc surface, boot, bring up the framework.

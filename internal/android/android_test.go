@@ -34,7 +34,7 @@ func newMobiCealPhone(t testing.TB, seed uint64) (*MobiCealPhone, *vclock.Clock)
 		Seed:       seed,
 		SeedSet:    true,
 	}
-	return NewMobiCealPhone(dev, cfg, meter, nominalBytes), &clock
+	return NewMobiCealPhone(dev, cfg, meter), &clock
 }
 
 func TestMobiCealFullLifecycle(t *testing.T) {
@@ -265,7 +265,7 @@ func TestNexus6PFasterLifecycle(t *testing.T) {
 			Entropy:    prng.NewSeededEntropy(77),
 			Seed:       77,
 			SeedSet:    true,
-		}, meter, nominalBytes)
+		}, meter)
 		sw := vclock.NewStopwatch(&clock)
 		if err := phone.Initialize("d", []string{"h"}); err != nil {
 			t.Fatal(err)
@@ -406,9 +406,6 @@ func TestFDEPhoneLifecycle(t *testing.T) {
 	bootTime := sw.Elapsed()
 	if bootTime > time.Second {
 		t.Fatalf("FDE boot %v, want sub-second (paper: 0.29s)", bootTime)
-	}
-	if phone.dataFS == nil {
-		t.Fatal("no userdata fs after boot")
 	}
 	if err := phone.Boot("wrong"); !errors.Is(err, ErrBadPassword) {
 		t.Fatalf("wrong-password boot err = %v", err)

@@ -20,10 +20,6 @@ type FDEPhone struct {
 	nominalBytes uint64
 	entropy      prng.Entropy
 	kdfIter      int
-
-	sys    *fde.System
-	booted bool
-	dataFS *minifs.FS
 }
 
 // NewFDEPhone wraps dev as an FDE phone.
@@ -60,8 +56,6 @@ func (p *FDEPhone) Initialize(password string) error {
 	}
 	p.meter.ChargeFixed(p.profile.ShutdownTime)
 	p.meter.ChargeFixed(p.profile.RebootTime)
-	p.sys = nil
-	p.booted = false
 	return nil
 }
 
@@ -77,14 +71,10 @@ func (p *FDEPhone) Boot(password string) error {
 	}
 	p.meter.ChargeFixed(p.profile.KDFTime)
 	p.meter.ChargeFixed(p.profile.DMSetupTime)
-	fs, err := sys.Boot(password)
-	if err != nil {
+	if _, err := sys.Boot(password); err != nil {
 		return fmt.Errorf("%w: probe mount failed", ErrBadPassword)
 	}
 	p.meter.ChargeFixed(p.profile.MountTime)
-	p.sys = sys
-	p.dataFS = fs
-	p.booted = true
 	return nil
 }
 
@@ -101,7 +91,6 @@ type MobiPlutoPhone struct {
 	sys    *mobipluto.System
 	booted bool
 	hidden bool
-	dataFS *minifs.FS
 }
 
 // NewMobiPlutoPhone wraps dev as a MobiPluto phone.
@@ -165,13 +154,12 @@ func (p *MobiPlutoPhone) Boot(password string) error {
 	p.meter.ChargeFixed(p.profile.VolActivateTime)
 	p.meter.ChargeFixed(p.profile.KDFTime)
 	p.meter.ChargeFixed(p.profile.DMSetupTime)
-	fs, hidden, err := sys.Boot(password)
+	_, hidden, err := sys.Boot(password)
 	if err != nil {
 		return fmt.Errorf("%w: no volume mounts", ErrBadPassword)
 	}
 	p.meter.ChargeFixed(p.profile.MountTime)
 	p.sys = sys
-	p.dataFS = fs
 	p.hidden = hidden
 	p.booted = true
 	return nil
@@ -188,7 +176,6 @@ func (p *MobiPlutoPhone) SwitchToHidden(hiddenPassword string) error {
 	p.meter.ChargeFixed(p.profile.RebootTime)
 	p.sys = nil
 	p.booted = false
-	p.dataFS = nil
 	return p.Boot(hiddenPassword)
 }
 
@@ -201,7 +188,6 @@ func (p *MobiPlutoPhone) ExitHidden(decoyPassword string) error {
 	p.meter.ChargeFixed(p.profile.RebootTime)
 	p.sys = nil
 	p.booted = false
-	p.dataFS = nil
 	return p.Boot(decoyPassword)
 }
 

@@ -48,11 +48,10 @@ var (
 
 // MobiCealPhone simulates a MobiCeal-enabled handset.
 type MobiCealPhone struct {
-	dev          storage.Device
-	cfg          core.Config
-	meter        *vclock.Meter
-	profile      vclock.Profile
-	nominalBytes uint64
+	dev     storage.Device
+	cfg     core.Config
+	meter   *vclock.Meter
+	profile vclock.Profile
 
 	sys         *core.System
 	mode        core.Mode
@@ -62,18 +61,17 @@ type MobiCealPhone struct {
 	dataFS      *minifs.FS
 }
 
-// NewMobiCealPhone wraps dev as a phone. nominalBytes is the modeled
-// userdata partition size used for bulk time charges (the Nexus 4 userdata
-// is ~13 GB); the actual dev can be simulation-scale.
-func NewMobiCealPhone(dev storage.Device, cfg core.Config, meter *vclock.Meter, nominalBytes uint64) *MobiCealPhone {
+// NewMobiCealPhone wraps dev as a phone. MobiCeal makes no pass over the
+// data area, so unlike the baseline phones it charges nothing by partition
+// size, and dev can be simulation-scale.
+func NewMobiCealPhone(dev storage.Device, cfg core.Config, meter *vclock.Meter) *MobiCealPhone {
 	cfg.Meter = meter
 	return &MobiCealPhone{
-		dev:          dev,
-		cfg:          cfg,
-		meter:        meter,
-		profile:      meter.Profile(),
-		nominalBytes: nominalBytes,
-		mounts:       map[string]string{},
+		dev:     dev,
+		cfg:     cfg,
+		meter:   meter,
+		profile: meter.Profile(),
+		mounts:  map[string]string{},
 	}
 }
 

@@ -83,7 +83,6 @@ type Device struct {
 	logical   uint64
 	slots     uint64 // physical data slots
 	ivStart   uint64 // first IV-table block
-	ivBlocks  uint64
 	mapStart  uint64 // first position-map block
 	mapBlocks uint64
 
@@ -140,7 +139,6 @@ func New(phys storage.Device, key []byte, cfg Config) (*Device, error) {
 		logical:   logical,
 		slots:     slots,
 		ivStart:   slots,
-		ivBlocks:  ivBlocks,
 		mapStart:  slots + ivBlocks,
 		mapBlocks: mapBlocks,
 		posMap:    make([]uint64, logical),

@@ -46,10 +46,6 @@ type Config struct {
 	// HiddenFraction is the hidden volume size as a fraction of the data
 	// area (default 1/4, placed in the second half).
 	HiddenFraction float64
-	// SkipFill skips materializing the initial random fill on the device
-	// (it is still charged to the meter). Large-device experiments use
-	// this; adversary experiments must not.
-	SkipFill bool
 	// NominalFillBytes, when nonzero, is the byte count charged for the
 	// initial fill instead of the actual (simulation-scale) device size,
 	// so Table II timings model the paper's 13 GB userdata partition
@@ -108,15 +104,13 @@ func Setup(dev storage.Device, cfg Config, decoyPassword string) (*System, error
 		}
 		cfg.Meter.ChargeRandFill(fillBytes)
 	}
-	if !cfg.SkipFill {
-		noise := make([]byte, bs)
-		for i := uint64(0); i < dataBlocks; i++ {
-			if err := xcrypto.FillNoise(cfg.Entropy, noise); err != nil {
-				return nil, fmt.Errorf("mobipluto: generating fill: %w", err)
-			}
-			if err := dev.WriteBlock(metaBlocks+i, noise); err != nil {
-				return nil, fmt.Errorf("mobipluto: writing fill block %d: %w", i, err)
-			}
+	noise := make([]byte, bs)
+	for i := uint64(0); i < dataBlocks; i++ {
+		if err := xcrypto.FillNoise(cfg.Entropy, noise); err != nil {
+			return nil, fmt.Errorf("mobipluto: generating fill: %w", err)
+		}
+		if err := dev.WriteBlock(metaBlocks+i, noise); err != nil {
+			return nil, fmt.Errorf("mobipluto: writing fill block %d: %w", i, err)
 		}
 	}
 

@@ -471,7 +471,7 @@ func (s *System) Recovery() thinp.Recovery { return s.pool.Recovery() }
 // dummy bursts its writes set off, then the crypt target's bytes and
 // traversals — so every view Setup, the verifier and the volumes use is
 // priced the same way. Without a meter the wrappers are not there.
-func (s *System) view(id int, cipher xcrypto.SectorCipher) (storage.Device, error) {
+func (s *System) view(id int, cipher *xcrypto.XTS) (storage.Device, error) {
 	thin, err := s.pool.Thin(id)
 	if err != nil {
 		return nil, err
@@ -513,7 +513,7 @@ func advance(mark *atomic.Uint64, n uint64) uint64 {
 
 // cipherFor builds the XTS sector cipher for a derived key, using the
 // Android dm-crypt default parameters (aes-xts-plain64, 256-bit key).
-func cipherFor(key []byte) (xcrypto.SectorCipher, error) {
+func cipherFor(key []byte) (*xcrypto.XTS, error) {
 	c, err := xcrypto.NewXTSPlain64(key)
 	if err != nil {
 		return nil, fmt.Errorf("core: building volume cipher: %w", err)

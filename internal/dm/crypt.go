@@ -20,7 +20,7 @@ import (
 // over the raw partition.
 type Crypt struct {
 	inner  storage.Device
-	cipher xcrypto.SectorCipher
+	cipher *xcrypto.XTS
 	// bs is inner's block size, read once rather than down the stack per
 	// request.
 	bs int
@@ -39,7 +39,7 @@ type ctTwin struct {
 }
 
 // NewCrypt layers cipher over inner.
-func NewCrypt(inner storage.Device, cipher xcrypto.SectorCipher) *Crypt {
+func NewCrypt(inner storage.Device, cipher *xcrypto.XTS) *Crypt {
 	return &Crypt{inner: inner, cipher: cipher, bs: inner.BlockSize()}
 }
 

@@ -383,7 +383,7 @@ func AblationVolumeCount(seed uint64, ns []int) ([]VolumeCountRow, error) {
 				Entropy:    prng.NewSeededEntropy(seed),
 				Seed:       seed,
 				SeedSet:    true,
-			}, meter, NominalUserdataBytes)
+			}, meter)
 		sw := vclock.NewStopwatch(&clock)
 		if err := phone.Initialize("decoy", []string{"hidden"}); err != nil {
 			return nil, fmt.Errorf("experiments: n=%d init: %w", n, err)

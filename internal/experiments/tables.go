@@ -274,7 +274,7 @@ func TableII(seed uint64) ([]TableIIRow, error) {
 				Entropy:    prng.NewSeededEntropy(seed + 2),
 				Seed:       seed + 2,
 				SeedSet:    true,
-			}, meter, NominalUserdataBytes)
+			}, meter)
 		sw := vclock.NewStopwatch(&clock)
 		if err := phone.Initialize("decoy", []string{"hidpw"}); err != nil {
 			return nil, fmt.Errorf("experiments: mobiceal init: %w", err)

@@ -11,9 +11,8 @@ import (
 // removed. File methods are safe for concurrent use (they serialize on the
 // file system lock).
 type File struct {
-	fs   *FS
-	ino  uint32
-	name string
+	fs  *FS
+	ino uint32
 }
 
 // Size returns the file size in bytes.

@@ -247,7 +247,7 @@ func (fs *FS) Create(name string) (*File, error) {
 	fs.inodes[ino] = inode{mode: modeFile}
 	fs.dir[name] = ino
 	fs.dirDirty = true
-	return &File{fs: fs, ino: ino, name: name}, nil
+	return &File{fs: fs, ino: ino}, nil
 }
 
 // Open returns a handle to an existing file.
@@ -258,7 +258,7 @@ func (fs *FS) Open(name string) (*File, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	return &File{fs: fs, ino: ino, name: name}, nil
+	return &File{fs: fs, ino: ino}, nil
 }
 
 // Remove deletes a file and frees its blocks.

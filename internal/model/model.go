@@ -65,8 +65,6 @@ type Scheme interface {
 // remaining max − l volumes exist on the device as dummies but are not
 // addressable — exactly the asymmetry the deniability argument needs.
 type MobiCealScheme struct {
-	sys     *core.System
-	dev     *storage.MemDevice
 	volumes []*core.Volume // index 0 = V_1 (public)
 }
 
@@ -100,7 +98,7 @@ func SetupMobiCeal(p Params) (*MobiCealScheme, error) {
 	if err != nil {
 		return nil, fmt.Errorf("model: setup: %w", err)
 	}
-	s := &MobiCealScheme{sys: sys, dev: dev}
+	s := &MobiCealScheme{}
 	pub, err := sys.OpenPublic(p.Passwords[0])
 	if err != nil {
 		return nil, err

@@ -6,7 +6,9 @@ import (
 	"testing"
 	"testing/quick"
 
+	"mobiceal/internal/core"
 	"mobiceal/internal/prng"
+	"mobiceal/internal/storage"
 )
 
 func newScheme(t testing.TB, passwords []string, seed uint64) *MobiCealScheme {
@@ -167,11 +169,32 @@ func TestSchemePropertyShadow(t *testing.T) {
 func TestSchemeWritesStayDeniable(t *testing.T) {
 	// Driving the formal interface directly (no file system) must keep the
 	// device free of unaccountable changes, matching Lemma VI.1's setting.
-	s := newScheme(t, []string{"p1", "p2"}, 7)
-	if err := s.sys.Commit(); err != nil {
+	// SetupMobiCeal's defaults for two passwords and seed 7, over a device
+	// and system the test keeps to commit and snapshot.
+	dev := storage.NewMemDevice(4096, 8192)
+	sys, err := core.Setup(dev, core.Config{
+		NumVolumes: 6,
+		KDFIter:    16,
+		Entropy:    prng.NewSeededEntropy(7),
+		Seed:       7,
+		SeedSet:    true,
+	}, "p1", []string{"p2"})
+	if err != nil {
 		t.Fatal(err)
 	}
-	before := s.dev.Snapshot()
+	pub, err := sys.OpenPublic("p1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hid, err := sys.OpenHidden("p2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &MobiCealScheme{volumes: []*core.Volume{pub, hid}}
+	if err := sys.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	before := dev.Snapshot()
 	d := make([]byte, 4096)
 	if _, err := prng.NewSource(8).Read(d); err != nil {
 		t.Fatal(err)
@@ -186,10 +209,10 @@ func TestSchemeWritesStayDeniable(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := s.sys.Commit(); err != nil {
+	if err := sys.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	after := s.dev.Snapshot()
+	after := dev.Snapshot()
 	diff := before.Diff(after)
 	if len(diff) == 0 {
 		t.Fatal("no changes recorded")

@@ -190,7 +190,7 @@ func TestFileDeviceBatchEquivalence(t *testing.T) {
 			)
 			open := func(name string) (*FileDevice, *StatsDevice) {
 				path := filepath.Join(t.TempDir(), name)
-				d, err := CreateFileDeviceWith(path, bs, blocks+off, FileOptions{Direct: direct, StrictAlign: true})
+				d, err := CreateFileDeviceWith(path, bs, blocks+off, FileOptions{Direct: direct})
 				if errors.Is(err, ErrDirectUnsupported) {
 					t.Skipf("direct I/O unavailable here: %v", err)
 				}
@@ -286,6 +286,10 @@ func TestFileDeviceBatchEquivalence(t *testing.T) {
 			sc := serialDev.Syscalls()
 			if sc.Ring || sc.BatchCalls != 0 {
 				t.Fatalf("refused ring still served batches: %+v", sc)
+			}
+			// Every buffer came from AlignedBuf: nothing may bounce.
+			if rc := ringDev.Syscalls(); rc.BounceCopies != 0 || sc.BounceCopies != 0 {
+				t.Fatalf("aligned buffers bounced: ring %d, serial %d copies", rc.BounceCopies, sc.BounceCopies)
 			}
 			if rc := ringDev.Syscalls(); rc.Ring {
 				// One submission per ring's worth: far fewer syscalls than

@@ -180,13 +180,13 @@ func layers() []layer {
 			return d, nil
 		}},
 		{name: "snapshot", readOnly: true, build: func(t testing.TB, image []byte) (storage.Device, *leaf) {
-			mem := storage.NewMemDeviceBackground(cbs, cblocks, storage.NewNoiseBackground(3))
+			mem := storage.NewMemDevice(cbs, cblocks)
 			if err := storage.WriteBlocks(mem, 8, image[8*cbs:24*cbs]); err != nil {
 				t.Fatal(err)
 			}
 			snap := mem.Snapshot()
-			// The snapshot keeps its noise background where the image was
-			// not written: the oracle is primed from the snapshot itself.
+			// The snapshot reads zeros where the image was not written:
+			// the oracle is primed from the snapshot itself.
 			if err := storage.ReadBlocks(plainDevice{snap}, 0, image); err != nil {
 				t.Fatal(err)
 			}

@@ -2,7 +2,6 @@ package storage
 
 import (
 	"bytes"
-	"crypto/cipher"
 	"math/rand"
 	"testing"
 )
@@ -18,7 +17,7 @@ func TestSnapshotCoWAliasing(t *testing.T) {
 		numBlocks = 4 * dirBlocks // span several directories
 	)
 	rng := rand.New(rand.NewSource(77))
-	d := NewMemDeviceBackground(bs, numBlocks, NewNoiseBackground(5))
+	d := NewMemDevice(bs, numBlocks)
 
 	// Reference model: a plain map of the device's explicit writes.
 	model := map[uint64][]byte{}
@@ -43,15 +42,14 @@ func TestSnapshotCoWAliasing(t *testing.T) {
 	checkSnap := func(snap *Snapshot, want map[uint64][]byte) {
 		t.Helper()
 		got := make([]byte, bs)
-		bg := make([]byte, bs)
+		zero := make([]byte, bs)
 		for _, idx := range []uint64{0, 1, slabBlocks - 1, slabBlocks, dirBlocks - 1, dirBlocks, numBlocks - 1} {
 			if err := snap.ReadBlock(idx, got); err != nil {
 				t.Fatalf("snapshot read %d: %v", idx, err)
 			}
 			w, ok := want[idx]
 			if !ok {
-				snap.bg.FillBlock(idx, bg)
-				w = bg
+				w = zero
 			}
 			if !bytes.Equal(got, w) {
 				t.Fatalf("snapshot block %d diverged from capture-time content", idx)
@@ -89,14 +87,8 @@ func TestSnapshotCoWAliasing(t *testing.T) {
 	for idx, b2 := range want2 {
 		b1, ok := want1[idx]
 		if !ok {
-			// Was background at snap1; content differs unless the write
-			// reproduced the noise exactly (probability ~0).
-			bg := make([]byte, bs)
-			snap1.bg.FillBlock(idx, bg)
-			if !bytes.Equal(b2, bg) {
-				wantDiff[idx] = true
-			}
-			continue
+			// Unwritten at snap1, so it read as zeros there.
+			b1 = make([]byte, bs)
 		}
 		if !bytes.Equal(b1, b2) {
 			wantDiff[idx] = true
@@ -167,7 +159,7 @@ func TestSnapshotSharedSlabSkipsStayExact(t *testing.T) {
 // and directory boundaries against per-block reference reads.
 func TestMemDeviceRangeOpsCrossSlabs(t *testing.T) {
 	const bs = 64
-	d := NewMemDeviceBackground(bs, dirBlocks+3*slabBlocks, NewNoiseBackground(9))
+	d := NewMemDevice(bs, dirBlocks+3*slabBlocks)
 	rng := rand.New(rand.NewSource(3))
 
 	span := 3*slabBlocks + 5
@@ -181,7 +173,7 @@ func TestMemDeviceRangeOpsCrossSlabs(t *testing.T) {
 		t.Fatalf("WrittenBlocks = %d, want %d", got, want)
 	}
 
-	// Bulk read over a larger window including unwritten noise blocks.
+	// Bulk read over a larger window including unwritten blocks.
 	rdStart := start - 7
 	rdSpan := span + 20
 	got := make([]byte, rdSpan*bs)
@@ -209,27 +201,6 @@ func TestMemDeviceRangeOpsCrossSlabs(t *testing.T) {
 		}
 		if !bytes.Equal(got[i*bs:(i+1)*bs], one) {
 			t.Fatalf("snapshot ReadBlocks block %d differs from ReadBlock", i)
-		}
-	}
-}
-
-// TestNoiseBackgroundMatchesCTRReference pins the direct-keystream
-// FillBlock to the AES-CTR construction it replaced: encrypting the counter
-// into dst must be byte-identical to XORing the CTR stream into zeros, for
-// sizes that exercise the partial-tail path.
-func TestNoiseBackgroundMatchesCTRReference(t *testing.T) {
-	n := NewNoiseBackground(123456)
-	for _, size := range []int{16, 512, 4096, 24, 15, 1} {
-		got := make([]byte, size)
-		n.FillBlock(99, got)
-
-		want := make([]byte, size)
-		var iv [16]byte
-		iv[0], iv[1], iv[2], iv[3], iv[4], iv[5], iv[6], iv[7] = 0, 0, 0, 0, 0, 0, 0, 99
-		stream := cipher.NewCTR(n.block, iv[:])
-		stream.XORKeyStream(want, want)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("size %d: FillBlock differs from CTR reference", size)
 		}
 	}
 }

@@ -23,12 +23,6 @@ type FileOptions struct {
 	// of DirectAlign (so every block offset and length is page-aligned)
 	// and prefers DirectAlign-aligned buffers (see AlignedBuf).
 	Direct bool
-	// StrictAlign makes direct mode reject misaligned buffers with
-	// ErrBadBuffer instead of bouncing them through a pooled aligned
-	// copy. Callers that own their buffers (and allocated them via
-	// AlignedBuf) set it to pin the zero-copy contract; the default
-	// bounce keeps arbitrary callers working at the price of a copy.
-	StrictAlign bool
 }
 
 // FileSyscalls is a snapshot of a FileDevice's syscall accounting: how
@@ -122,7 +116,6 @@ type FileDevice struct {
 	closed    bool
 
 	direct bool
-	strict bool
 	vio    vectorIO
 	rings  ringPool
 	bounce AlignedPool
@@ -219,7 +212,6 @@ func newFileDevice(f *os.File, blockSize int, numBlocks uint64, opts FileOptions
 		blockSize: blockSize,
 		numBlocks: numBlocks,
 		direct:    opts.Direct,
-		strict:    opts.StrictAlign,
 		vio:       platformVIO(),
 		rings:     ringPool{open: platformBatchIO},
 	}, nil
@@ -354,32 +346,23 @@ func vecSegs(v BlockVec) [][]byte {
 // whole blocks moved — rebased over the entire transfer, not the failing
 // attempt.
 func (d *FileDevice) transfer(write bool, start uint64, segs [][]byte) error {
-	if d.direct {
-		if aligned, err := d.checkAlign(segs); err != nil {
-			return err
-		} else if !aligned {
-			return d.bounceTransfer(write, start, segs)
-		}
+	if d.direct && !segsAligned(segs) {
+		return d.bounceTransfer(write, start, segs)
 	}
 	return d.rawTransfer(write, start, segs)
 }
 
-// checkAlign validates the segments' memory alignment for direct mode.
-// It reports false (bounce needed) for misaligned segments, or an
-// ErrBadBuffer error in strict mode. Segment lengths are whole blocks by
-// construction and the block size is a DirectAlign multiple (checked at
-// open), so only the base pointers need checking.
-func (d *FileDevice) checkAlign(segs [][]byte) (bool, error) {
+// segsAligned reports whether direct mode can hand the segments to the
+// kernel as they are; misaligned ones need the bounce. Segment lengths are
+// whole blocks by construction and the block size is a DirectAlign
+// multiple (checked at open), so only the base pointers need checking.
+func segsAligned(segs [][]byte) bool {
 	for _, s := range segs {
 		if !IsAligned(s, DirectAlign) {
-			if d.strict {
-				return false, fmt.Errorf("%w: direct I/O needs %d-byte aligned buffers (see storage.AlignedBuf)",
-					ErrBadBuffer, DirectAlign)
-			}
-			return false, nil
+			return false
 		}
 	}
-	return true, nil
+	return true
 }
 
 // bounceTransfer runs a direct-mode transfer whose caller buffers are not

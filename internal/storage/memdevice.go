@@ -2,41 +2,8 @@ package storage
 
 import (
 	"fmt"
-	"math/bits"
 	"sync"
 )
-
-// Background describes what unwritten blocks of a MemDevice contain.
-//
-// PDE systems care deeply about this: hidden-volume schemes (TrueCrypt,
-// Mobiflage, MobiPluto) fill the whole disk with randomness at setup time and
-// hide ciphertext inside it, while a factory-fresh device reads as zeros.
-// Modeling the fill as a *background function* instead of materializing it
-// lets simulated devices be large while snapshots and diffs stay exact.
-type Background interface {
-	// FillBlock writes the background content of block idx into dst.
-	FillBlock(idx uint64, dst []byte)
-	// Equal reports whether the other background generates identical
-	// content (used by snapshot diffing).
-	Equal(other Background) bool
-}
-
-// ZeroBackground is a Background of all-zero blocks, modeling a blank or
-// TRIMmed device.
-type ZeroBackground struct{}
-
-var _ Background = ZeroBackground{}
-
-// FillBlock implements Background.
-func (ZeroBackground) FillBlock(_ uint64, dst []byte) {
-	clear(dst)
-}
-
-// Equal implements Background.
-func (ZeroBackground) Equal(other Background) bool {
-	_, ok := other.(ZeroBackground)
-	return ok
-}
 
 // Block-store geometry: blocks are grouped into slabs — one contiguous
 // allocation each, so a device holding S written blocks costs S/slabBlocks
@@ -60,7 +27,7 @@ const (
 
 // slab holds the materialized content of slabBlocks consecutive blocks.
 // written tracks which of them were ever explicitly written; the rest of
-// data is zero filler that must not shadow the device background.
+// data is zero filler.
 //
 // mu guards data against in-place overwrites (MemDevice.Do): an overwriter
 // holds it for its span copy, a reader of a live slab read-locks it for
@@ -80,10 +47,10 @@ type slabDir struct {
 }
 
 // MemDevice is an in-memory sparse block device with snapshot support. Blocks
-// that were never written read as the configured Background. MemDevice is
-// safe for concurrent use: reads, and overwrites of blocks already written
-// in slabs no snapshot has sealed, share mu and run in parallel; any other
-// write holds mu exclusively.
+// that were never written read as zeros. MemDevice is safe for concurrent
+// use: reads, and overwrites of blocks already written in slabs no snapshot
+// has sealed, share mu and run in parallel; any other write holds mu
+// exclusively.
 //
 // Snapshots are copy-on-write: taking one is O(1) — it seals the current
 // slab generation — and the cost of isolating it is paid by subsequent
@@ -91,7 +58,6 @@ type slabDir struct {
 type MemDevice struct {
 	blockSize int
 	numBlocks uint64
-	bg        Background
 
 	// gen is the current write generation; rootGen is the generation the
 	// root slice belongs to. A snapshot bumps gen, freezing every structure
@@ -104,10 +70,9 @@ type MemDevice struct {
 	// Every request writes mu's reader count, and the fields above are
 	// read by every request (BlockSize by every layer above, per request)
 	// and rarely written. The padding keeps them off mu's cache line.
-	_       [64]byte
-	mu      sync.RWMutex
-	closed  bool
-	written uint64 // count of explicitly written blocks
+	_      [64]byte
+	mu     sync.RWMutex
+	closed bool
 }
 
 var (
@@ -119,12 +84,6 @@ var (
 // NewMemDevice returns a zero-filled in-memory device with numBlocks blocks
 // of blockSize bytes.
 func NewMemDevice(blockSize int, numBlocks uint64) *MemDevice {
-	return NewMemDeviceBackground(blockSize, numBlocks, ZeroBackground{})
-}
-
-// NewMemDeviceBackground returns an in-memory device whose unwritten blocks
-// read as bg.
-func NewMemDeviceBackground(blockSize int, numBlocks uint64, bg Background) *MemDevice {
 	if blockSize <= 0 {
 		panic("storage: non-positive block size")
 	}
@@ -132,7 +91,6 @@ func NewMemDeviceBackground(blockSize int, numBlocks uint64, bg Background) *Mem
 		blockSize: blockSize,
 		numBlocks: numBlocks,
 		root:      make([]*slabDir, (numBlocks+dirBlocks-1)/dirBlocks),
-		bg:        bg,
 	}
 }
 
@@ -197,20 +155,20 @@ func (d *MemDevice) ReadBlock(idx uint64, dst []byte) error {
 		s.mu.RLock()
 		defer s.mu.RUnlock()
 	}
-	readSlabBlock(s, idx, dst, d.blockSize, d.bg)
+	readSlabBlock(s, idx, dst, d.blockSize)
 	return nil
 }
 
-// readSlabBlock copies block idx out of s (which covers it), falling back
-// to the background for unwritten blocks. s may be nil. It takes no lock:
-// a caller reading a live slab holds s.mu for reading.
-func readSlabBlock(s *slab, idx uint64, dst []byte, bs int, bg Background) {
+// readSlabBlock copies block idx out of s (which covers it), or zeros for
+// an unwritten block. s may be nil. It takes no lock: a caller reading a
+// live slab holds s.mu for reading.
+func readSlabBlock(s *slab, idx uint64, dst []byte, bs int) {
 	off := idx & slabMask
 	if s != nil && s.written&(1<<off) != 0 {
 		copy(dst, s.data[int(off)*bs:])
 		return
 	}
-	bg.FillBlock(idx, dst)
+	clear(dst)
 }
 
 // WriteBlock implements Device.
@@ -226,10 +184,7 @@ func (d *MemDevice) WriteBlock(idx uint64, src []byte) error {
 	s := d.slabForWrite(idx)
 	off := idx & slabMask
 	copy(s.data[int(off)*d.blockSize:(int(off)+1)*d.blockSize], src)
-	if s.written&(1<<off) == 0 {
-		s.written |= 1 << off
-		d.written++
-	}
+	s.written |= 1 << off
 	return nil
 }
 
@@ -285,7 +240,7 @@ func (d *MemDevice) serve(r *Req, shared bool) error {
 		start := r.Start + uint64(off)
 		switch {
 		case r.Op == OpRead:
-			readSlabRange(d.root, d.bg, d.blockSize, start, seg)
+			readSlabRange(d.root, d.blockSize, start, seg)
 		case shared:
 			d.overwriteRange(start, seg)
 		default:
@@ -341,11 +296,11 @@ func (d *MemDevice) overwriteRange(start uint64, src []byte) {
 
 // readSlabRange reads the validated block range [start, start+len(dst)/bs)
 // out of a slab tree: fully-written slab spans become single bulk copies,
-// the rest falls back per block to the background. Each span is read under
+// the rest goes per block. Each span is read under
 // its slab's read lock, so it never sees half an in-place overwrite. Shared
 // by MemDevice (under d.mu) and the immutable Snapshot, whose sealed slabs
 // no one writes: their lock is never contended.
-func readSlabRange(root []*slabDir, bg Background, bs int, start uint64, dst []byte) {
+func readSlabRange(root []*slabDir, bs int, start uint64, dst []byte) {
 	n := uint64(len(dst) / bs)
 	for i := uint64(0); i < n; {
 		idx := start + i
@@ -363,7 +318,7 @@ func readSlabRange(root []*slabDir, bg Background, bs int, start uint64, dst []b
 			copy(out, s.data[(idx&slabMask)*uint64(bs):])
 		} else {
 			for j := uint64(0); j < span; j++ {
-				readSlabBlock(s, idx+j, out[j*uint64(bs):(j+1)*uint64(bs)], bs, bg)
+				readSlabBlock(s, idx+j, out[j*uint64(bs):(j+1)*uint64(bs)], bs)
 			}
 		}
 		if s != nil {
@@ -395,9 +350,7 @@ func (d *MemDevice) writeRangeLocked(start uint64, src []byte) {
 			span = n - i
 		}
 		copy(s.data[off*uint64(bs):(off+span)*uint64(bs)], src[i*uint64(bs):(i+span)*uint64(bs)])
-		m := (^uint64(0) >> (64 - span)) << off
-		d.written += uint64(bits.OnesCount64(m &^ s.written))
-		s.written |= m
+		s.written |= (^uint64(0) >> (64 - span)) << off
 		i += span
 	}
 }
@@ -459,7 +412,6 @@ func (d *MemDevice) Snapshot() *Snapshot {
 		blockSize: d.blockSize,
 		numBlocks: d.numBlocks,
 		root:      d.root,
-		bg:        d.bg,
 	}
 	d.gen++
 	return snap

@@ -3,28 +3,58 @@ package storage
 import (
 	"bytes"
 	"encoding/binary"
+	"math/bits"
 	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"unsafe"
+
+	"mobiceal/internal/prng"
 )
+
+// writtenBlocks is the number of blocks of d that were explicitly written:
+// the written bits of its slabs.
+func writtenBlocks(d *MemDevice) int {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	n := 0
+	for _, dir := range d.root {
+		if dir == nil {
+			continue
+		}
+		for _, s := range dir.slabs {
+			if s != nil {
+				n += bits.OnesCount64(s.written)
+			}
+		}
+	}
+	return n
+}
+
+// newNoisyMemDevice returns a MemDevice with every block written with
+// seeded pseudorandom bytes: the image of a device filled with randomness
+// at initialization, on which a read that zero-fills shows.
+func newNoisyMemDevice(t testing.TB, bs int, blocks uint64, seed uint64) *MemDevice {
+	t.Helper()
+	d := NewMemDevice(bs, blocks)
+	noise := make([]byte, int(blocks)*bs)
+	if _, err := prng.NewSource(seed).Read(noise); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteBlocks(d, 0, noise); err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
 
 // TestMemDeviceOverwriteAfterSnapshot holds the generation rule: a slab a
 // snapshot sealed is never written in place. The first overwrite batch
 // after the capture clones what it touches, the snapshot keeps its bytes,
 // and only the clones take later overwrites in place.
-// writtenBlocks is the number of blocks of d that were explicitly written
-// (the materialized, non-background set).
-func writtenBlocks(d *MemDevice) int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return int(d.written)
-}
-
 func TestMemDeviceOverwriteAfterSnapshot(t *testing.T) {
 	const bs = 64
-	d := NewMemDeviceBackground(bs, 4*slabBlocks, NewNoiseBackground(4))
+	d := NewMemDevice(bs, 4*slabBlocks)
 	old := make([]byte, 2*slabBlocks*bs)
 	rand.New(rand.NewSource(1)).Read(old)
 	if err := WriteBlocks(d, 0, old); err != nil {

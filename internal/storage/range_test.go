@@ -29,7 +29,7 @@ func testDevice(t *testing.T, kind string, bs int, blocks uint64) Device {
 	case "mem":
 		return mem
 	case "noise":
-		return NewMemDeviceBackground(bs, blocks, NewNoiseBackground(99))
+		return newNoisyMemDevice(t, bs, blocks, 99)
 	case "file":
 		fd, err := CreateFileDevice(filepath.Join(t.TempDir(), "img.bin"), bs, blocks)
 		if err != nil {
@@ -69,7 +69,8 @@ func shapeMatchesBlockwise(t *testing.T, kinds map[string]string, bs int, blocks
 			src := prng.NewSource(0xd5e + uint64(len(name)))
 			dev := testDevice(t, kind, bs, blocks)
 			shadow := plainDevice{NewMemDevice(bs, blocks)}
-			// Mirror the initial background so unwritten reads compare.
+			// Mirror the initial image so reads of blocks the run never
+			// writes compare.
 			init := make([]byte, int(blocks)*bs)
 			if err := ReadBlocks(plainDevice{dev}, 0, init); err != nil {
 				t.Fatalf("initial image: %v", err)
@@ -189,7 +190,7 @@ func TestFaultDeviceRangeBudget(t *testing.T) {
 }
 
 func TestSnapshotRangeRead(t *testing.T) {
-	dev := NewMemDeviceBackground(512, 16, NewNoiseBackground(7))
+	dev := NewMemDevice(512, 16)
 	data := make([]byte, 4*512)
 	for i := range data {
 		data[i] = byte(i)

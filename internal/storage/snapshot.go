@@ -19,7 +19,6 @@ type Snapshot struct {
 	blockSize int
 	numBlocks uint64
 	root      []*slabDir
-	bg        Background
 }
 
 // BlockSize implements Device.
@@ -51,7 +50,7 @@ func (s *Snapshot) Do(reqs []Req) error {
 				return err
 			}
 			return r.Vec.Range(func(off int, seg []byte) error {
-				readSlabRange(s.root, s.bg, s.blockSize, r.Start+uint64(off), seg)
+				readSlabRange(s.root, s.blockSize, r.Start+uint64(off), seg)
 				return nil
 			})
 		}
@@ -79,9 +78,7 @@ func (s *Snapshot) Block(idx uint64) []byte {
 //
 // Snapshots of the same device share every slab not dirtied between the two
 // captures; those subtrees are skipped wholesale by pointer equality, so
-// the walk touches only changed slabs plus, when the two snapshots carry
-// different backgrounds, the unmaterialized remainder (images of devices
-// initialized differently disagree on every untouched block).
+// the walk touches only changed slabs.
 //
 // Diff panics if the two snapshots have different geometry, which would mean
 // the adversary imaged two different devices.
@@ -89,15 +86,14 @@ func (s *Snapshot) Diff(other *Snapshot) []uint64 {
 	if s.blockSize != other.blockSize || s.numBlocks != other.numBlocks {
 		panic("storage: diffing snapshots of different geometry")
 	}
-	sameBG := s.bg.Equal(other.bg)
 	var diff []uint64
 	bufA := make([]byte, s.blockSize)
 	bufB := make([]byte, s.blockSize)
 	for di := range s.root {
 		dirA, dirB := s.root[di], other.root[di]
-		if dirA == dirB && sameBG {
+		if dirA == dirB {
 			// Shared subtree: written blocks share storage, unwritten
-			// blocks share the background.
+			// blocks read as zeros on both sides.
 			continue
 		}
 		for si := 0; si < dirSlabs; si++ {
@@ -112,7 +108,7 @@ func (s *Snapshot) Diff(other *Snapshot) []uint64 {
 			if dirB != nil {
 				sb = dirB.slabs[si]
 			}
-			if sa == sb && sameBG {
+			if sa == sb {
 				continue
 			}
 			end := base + slabBlocks
@@ -123,21 +119,13 @@ func (s *Snapshot) Diff(other *Snapshot) []uint64 {
 				off := idx & slabMask
 				wa := sa != nil && sa.written&(1<<off) != 0
 				wb := sb != nil && sb.written&(1<<off) != 0
-				switch {
-				case !wa && !wb:
-					// Both read as background; identical iff the
-					// backgrounds match.
-					if !sameBG {
-						diff = append(diff, idx)
-					}
-				case wa && wb && sa == sb:
-					// Same materialized bytes.
-				default:
-					readSlabBlock(sa, idx, bufA, s.blockSize, s.bg)
-					readSlabBlock(sb, idx, bufB, other.blockSize, other.bg)
-					if !bytes.Equal(bufA, bufB) {
-						diff = append(diff, idx)
-					}
+				if !wa && !wb {
+					continue // both read as zeros
+				}
+				readSlabBlock(sa, idx, bufA, s.blockSize)
+				readSlabBlock(sb, idx, bufB, other.blockSize)
+				if !bytes.Equal(bufA, bufB) {
+					diff = append(diff, idx)
 				}
 			}
 		}

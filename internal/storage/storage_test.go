@@ -105,68 +105,6 @@ func TestMemDeviceWriteDoesNotAliasCaller(t *testing.T) {
 	}
 }
 
-func TestNoiseBackgroundDeterministic(t *testing.T) {
-	a := NewNoiseBackground(9)
-	b := NewNoiseBackground(9)
-	bufA := make([]byte, testBlockSize)
-	bufB := make([]byte, testBlockSize)
-	a.FillBlock(17, bufA)
-	b.FillBlock(17, bufB)
-	if !bytes.Equal(bufA, bufB) {
-		t.Fatal("same seed+index noise differs")
-	}
-	b.FillBlock(18, bufB)
-	if bytes.Equal(bufA, bufB) {
-		t.Fatal("different blocks produced identical noise")
-	}
-	c := NewNoiseBackground(10)
-	c.FillBlock(17, bufB)
-	if bytes.Equal(bufA, bufB) {
-		t.Fatal("different seeds produced identical noise")
-	}
-}
-
-func TestNoiseBackgroundEqual(t *testing.T) {
-	if !NewNoiseBackground(1).Equal(NewNoiseBackground(1)) {
-		t.Fatal("equal seeds not Equal")
-	}
-	if NewNoiseBackground(1).Equal(NewNoiseBackground(2)) {
-		t.Fatal("different seeds Equal")
-	}
-	if NewNoiseBackground(1).Equal(ZeroBackground{}) {
-		t.Fatal("noise Equal zero")
-	}
-	if !(ZeroBackground{}).Equal(ZeroBackground{}) {
-		t.Fatal("zero not Equal zero")
-	}
-}
-
-func TestMemDeviceNoiseBackgroundRead(t *testing.T) {
-	bg := NewNoiseBackground(5)
-	d := NewMemDeviceBackground(testBlockSize, 16, bg)
-	got := make([]byte, testBlockSize)
-	want := make([]byte, testBlockSize)
-	if err := d.ReadBlock(4, got); err != nil {
-		t.Fatalf("ReadBlock: %v", err)
-	}
-	bg.FillBlock(4, want)
-	if !bytes.Equal(got, want) {
-		t.Fatal("unwritten block does not match background")
-	}
-	// Overwrite, then the write wins.
-	src := make([]byte, testBlockSize)
-	fillPattern(src, 9)
-	if err := d.WriteBlock(4, src); err != nil {
-		t.Fatalf("WriteBlock: %v", err)
-	}
-	if err := d.ReadBlock(4, got); err != nil {
-		t.Fatalf("ReadBlock: %v", err)
-	}
-	if !bytes.Equal(got, src) {
-		t.Fatal("written block did not override background")
-	}
-}
-
 func TestSnapshotIsImmutablePointInTime(t *testing.T) {
 	d := NewMemDevice(testBlockSize, 32)
 	src := make([]byte, testBlockSize)
@@ -245,23 +183,6 @@ func TestSnapshotDiffSymmetric(t *testing.T) {
 	b := s2.Diff(s1)
 	if len(a) != 1 || len(b) != 1 || a[0] != 7 || b[0] != 7 {
 		t.Fatalf("diffs not symmetric: %v vs %v", a, b)
-	}
-}
-
-func TestSnapshotDiffNoiseBackground(t *testing.T) {
-	// With a noise background, writing actual noise-identical content is
-	// practically impossible, so any write to a fresh block shows up.
-	d := NewMemDeviceBackground(testBlockSize, 32, NewNoiseBackground(42))
-	s1 := d.Snapshot()
-	buf := make([]byte, testBlockSize)
-	fillPattern(buf, 9)
-	if err := d.WriteBlock(20, buf); err != nil {
-		t.Fatalf("WriteBlock: %v", err)
-	}
-	s2 := d.Snapshot()
-	diff := s1.Diff(s2)
-	if len(diff) != 1 || diff[0] != 20 {
-		t.Fatalf("diff = %v, want [20]", diff)
 	}
 }
 

@@ -127,12 +127,12 @@ func TestVecFlatEquivalenceRandomized(t *testing.T) {
 }
 
 // TestSnapshotVecRead asserts vec reads of a snapshot agree with flat
-// reads, including unmaterialized background spans, and that snapshots
+// reads, including unwritten (zero) spans, and that snapshots
 // reject vec writes.
 func TestSnapshotVecRead(t *testing.T) {
 	const bs, blocks = 256, 64
 	src := prng.NewSource(99)
-	d := NewMemDeviceBackground(bs, blocks, NewNoiseBackground(3))
+	d := NewMemDevice(bs, blocks)
 	buf := make([]byte, 4*bs)
 	for i := 0; i < 10; i++ {
 		if _, err := src.Read(buf); err != nil {

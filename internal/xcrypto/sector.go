@@ -19,19 +19,8 @@ var (
 	ErrBufferOverlap = errors.New("xcrypto: dst and src overlap inexactly")
 )
 
-// SectorCipher encrypts fixed-position data units ("sectors") of a block
-// device, the contract dm-crypt provides: the same plaintext at different
-// sectors yields unrelated ciphertext, and encryption is deterministic per
-// (key, sector, plaintext) so no per-write metadata is needed.
-type SectorCipher interface {
-	// EncryptSector encrypts src, the content of the given sector, into
-	// dst. dst and src must have equal length, a positive multiple of 16,
-	// and be either the same slice or disjoint.
-	EncryptSector(sector uint64, dst, src []byte) error
-	// DecryptSector inverts EncryptSector.
-	DecryptSector(sector uint64, dst, src []byte) error
-}
-
+// checkSectorBuffers validates a sector call's buffers: equal lengths, a
+// positive multiple of 16, and either the same slice or disjoint.
 func checkSectorBuffers(dst, src []byte) error {
 	if len(dst) != len(src) {
 		return ErrBufferMismatch

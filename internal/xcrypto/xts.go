@@ -8,9 +8,12 @@ import (
 )
 
 // XTS implements AES-XTS (IEEE Std 1619-2007), the default dm-crypt cipher
-// mode on modern kernels ("aes-xts-plain64"). The tweak is the 64-bit
-// sector number in little-endian, zero-padded to 128 bits, matching
-// plain64.
+// mode on modern kernels ("aes-xts-plain64"). It encrypts fixed-position
+// data units ("sectors") of a block device, the contract dm-crypt provides:
+// the same plaintext at different sectors yields unrelated ciphertext, and
+// encryption is deterministic per (key, sector, plaintext) so no per-write
+// metadata is needed. The tweak is the 64-bit sector number in
+// little-endian, zero-padded to 128 bits, matching plain64.
 //
 // Data units must be positive multiples of 16 bytes; ciphertext stealing is
 // not implemented because all callers encrypt whole 4 KB blocks.
@@ -28,8 +31,6 @@ type XTS struct {
 	// has no kernel.
 	kern *xtsKernel
 }
-
-var _ SectorCipher = (*XTS)(nil)
 
 // NewXTS creates an AES-XTS cipher. The key must be 32 bytes (XTS-AES-128)
 // or 64 bytes (XTS-AES-256): the first half keys the data cipher, the
@@ -62,12 +63,14 @@ func NewXTSPlain64(key []byte) (*XTS, error) {
 	return NewXTS(key[:32])
 }
 
-// EncryptSector implements SectorCipher.
+// EncryptSector encrypts src, the content of the given sector, into dst.
+// dst and src must have equal length, a positive multiple of 16, and be
+// either the same slice or disjoint.
 func (x *XTS) EncryptSector(sector uint64, dst, src []byte) error {
 	return x.process(sector, dst, src, true)
 }
 
-// DecryptSector implements SectorCipher.
+// DecryptSector inverts EncryptSector.
 func (x *XTS) DecryptSector(sector uint64, dst, src []byte) error {
 	return x.process(sector, dst, src, false)
 }

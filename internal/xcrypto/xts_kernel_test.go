@@ -273,7 +273,7 @@ func TestSectorBuffersRejectInexactOverlap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range []SectorCipher{xts} {
+	for _, c := range []*XTS{xts} {
 		name := fmt.Sprintf("%T", c)
 		buf := make([]byte, 2*4096)
 		for _, shift := range []int{16, 4080} {

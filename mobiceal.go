@@ -206,21 +206,20 @@ func OpenImageWith(path string, blockSize int, opts FileOptions) (*storage.FileD
 
 // AlignedBuf allocates a page-aligned buffer of length n — the allocation
 // direct-mode images want for zero-copy transfers (misaligned buffers
-// still work, at the price of a bounce copy, unless FileOptions.
-// StrictAlign rejects them).
+// still work, at the price of a bounce copy).
 func AlignedBuf(n int) []byte { return storage.AlignedBuf(n) }
 
 // NewPhone wraps a device as a simulated Android handset running MobiCeal
-// on the LG Nexus 4 profile. nominalBytes models the real userdata
-// partition size for control-plane timing (use NominalNexus4Userdata).
-func NewPhone(dev Device, cfg Config, nominalBytes uint64) *Phone {
+// on the LG Nexus 4 profile.
+func NewPhone(dev Device, cfg Config) *Phone {
 	var clock vclock.Clock
 	meter := vclock.NewMeter(&clock, vclock.Nexus4())
-	return android.NewMobiCealPhone(dev, cfg, meter, nominalBytes)
+	return android.NewMobiCealPhone(dev, cfg, meter)
 }
 
 // NominalNexus4Userdata is the userdata partition size of the prototype
-// device, used for control-plane timing charges.
+// device: the size the baseline phones' full-partition passes (FDE's
+// in-place encryption, MobiPluto's random fill) are charged at.
 const NominalNexus4Userdata = 13 << 30
 
 // AnalyzeSnapshots runs the multi-snapshot adversary's correlation on two

@@ -155,7 +155,7 @@ func TestFacadeSnapshotAnalysis(t *testing.T) {
 
 func TestFacadePhone(t *testing.T) {
 	dev := mobiceal.NewMemDevice(4096, 4096)
-	phone := mobiceal.NewPhone(dev, testConfig(4), mobiceal.NominalNexus4Userdata)
+	phone := mobiceal.NewPhone(dev, testConfig(4))
 	if err := phone.Initialize("decoy", []string{"hidden"}); err != nil {
 		t.Fatal(err)
 	}

@@ -2,4 +2,7 @@ package main
 
 import "fixture/lib"
 
-func main() { lib.ExtOnly() }
+func main() {
+	lib.ExtOnly()
+	lib.Run(lib.Options{ExtSet: true})
+}

@@ -23,10 +23,12 @@ func Allowed() {}
 // caller directory.
 func ExtOnly() {}
 
-// Shape is called through in Total.
+// Shape is called through in Total, and has two implementations: not
+// reported.
 type Shape interface{ Area() int }
 
-// Namer's method is never called.
+// Namer has no use, and one implementation: reported. Its method is
+// never called.
 type Namer interface{ Name() string }
 
 // Square reaches Area only through Shape: not reported.
@@ -37,6 +39,12 @@ func (s Square) Area() int { return s.N * s.N }
 
 // Name implements Namer, whose Name nothing calls: reported.
 func (s Square) Name() string { return "square" }
+
+// Circle reaches Area only through Shape: not reported.
+type Circle struct{ R int }
+
+// Area implements Shape.
+func (c Circle) Area() int { return 3 * c.R * c.R }
 
 // Total sums the areas.
 func Total(shapes []Shape) int {
